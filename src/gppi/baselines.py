@@ -11,7 +11,7 @@ lam G R^-1 G' = B Sigma_w B' (enforced on range(G)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class SamplingPiResult:
     ess: float                  # effective sample size of the last pass
     weights: np.ndarray         # (S,) normalized weights of the last pass
     status: str = "ok"
-    samples: list = field(default_factory=list)
 
 
 def _rollout_batch(plant, x0, u_seq, n_samples, rng):
@@ -94,8 +93,7 @@ def _batch_rate(plant, xs, u):
 
 
 def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
-                        rng, n_iterations: int = 1,
-                        keep_samples: bool = False) -> SamplingPiResult:
+                        rng, n_iterations: int = 1) -> SamplingPiResult:
     """Iterative path integral control by importance sampling.
 
     Each pass draws `n_samples` rollouts under the current control sequence
@@ -114,7 +112,6 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
     status = "ok"
     ess = float(n_samples)
     weights = np.full(n_samples, 1.0 / n_samples)
-    kept = []
 
     for _ in range(n_iterations):
         states, noises = _rollout_batch(plant, x_t, u_seq, n_samples, rng)
@@ -139,10 +136,7 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
             G = plant.control_matrix(nominal[t])
             u_seq[t] = u_seq[t] + np.linalg.pinv(G) @ (
                 plant.spec.B @ w_noise[t]) / cost.dt
-        if keep_samples:
-            kept = [PathCostSample(states[s], noises[s], float(costs[s]))
-                    for s in range(min(n_samples, 32))]
-    return SamplingPiResult(u_seq, ess, w, status, kept)
+    return SamplingPiResult(u_seq, ess, w, status)
 
 
 # ---------------------------------------------------------------------------

@@ -89,20 +89,23 @@ def task_weights(library: TaskLibrary, new_target) -> CompositeWeights:
     return CompositeWeights(omega, omega / total)
 
 
+def log_mixture(omega, log_values) -> float:
+    """log sum_k omega_k exp(log_values_k), formed in log domain."""
+    parts = [(math.log(w) if w > 0 else -math.inf) + lv
+             for w, lv in zip(omega, log_values)]
+    peak = max(parts)
+    if peak == -math.inf:
+        return -math.inf
+    return peak + math.log(math.fsum(math.exp(e - peak) for e in parts))
+
+
 def composite_terminal_cost(library: TaskLibrary, weights: CompositeWeights,
                             x_T) -> float:
     """Log-sum-exp mixture of the per-task terminal costs."""
     lam = library.records[0].cost_fields.lam
-    exponents = []
-    for rec, w in zip(library.records, weights.omega_tilde):
-        cost_k = library.cost_for(rec.x_d)
-        exponents.append(math.log(w) - cost_k.terminal_cost(x_T) / lam
-                         if w > 0 else -math.inf)
-    peak = max(exponents)
-    if peak == -math.inf:
-        return math.inf
-    return -lam * (peak + math.log(math.fsum(
-        math.exp(e - peak) for e in exponents)))
+    return -lam * log_mixture(weights.omega_tilde, [
+        -library.cost_for(rec.x_d).terminal_cost(x_T) / lam
+        for rec in library.records])
 
 
 def composite_control(library: TaskLibrary, weights: CompositeWeights,
@@ -148,16 +151,9 @@ def composite_terminal_log_desirability(library: TaskLibrary,
                                         x_T) -> float:
     """Mixture terminal desirability at a reached state, in the recursion's
     own convention (matches terminal_log_desirability for a single task)."""
-    lam = library.records[0].cost_fields.lam
-    exps = []
-    for rec, w in zip(library.records, weights.omega_tilde):
-        cost_k = library.cost_for(rec.x_d)
-        exps.append((math.log(w) if w > 0 else -math.inf)
-                    + terminal_log_desirability(cost_k, x_T))
-    peak = max(exps)
-    if peak == -math.inf:
-        return -math.inf
-    return peak + math.log(math.fsum(math.exp(e - peak) for e in exps))
+    return log_mixture(weights.omega_tilde, [
+        terminal_log_desirability(library.cost_for(rec.x_d), x_T)
+        for rec in library.records])
 
 
 @dataclass
@@ -200,15 +196,10 @@ def verify_linearity(library: TaskLibrary, weights: CompositeWeights, plant,
         lp, _, _ = log_phi_step(traj.beliefs[t + 1], comp_cost, comp_cost.dt,
                                 step_index=t + 1)
         interior[t] = lp + interior[t + 1]
-    term_parts = []
-    for rec, w in zip(library.records, weights.omega_tilde):
-        cost_k = library.cost_for(rec.x_d)
-        lp, _, _ = log_phi_step(traj.beliefs[T], cost_k, 1.0, terminal=True,
-                                step_index=T)
-        term_parts.append((math.log(w) if w > 0 else -math.inf) + lp)
-    peak = max(term_parts)
-    log_term = peak + math.log(math.fsum(math.exp(e - peak)
-                                         for e in term_parts))
+    log_term = log_mixture(weights.omega_tilde, [
+        log_phi_step(traj.beliefs[T], library.cost_for(rec.x_d), 1.0,
+                     terminal=True, step_index=T)[0]
+        for rec in library.records])
     log_a = interior + log_term
     log_a[T] = log_term
 
@@ -219,13 +210,9 @@ def verify_linearity(library: TaskLibrary, weights: CompositeWeights, plant,
         traj_k = forward_rollout(model, x0, ControlSequence(rec.controls),
                                  plant, cost_k, compute_jac=False)
         per_task.append(backward_desirability(traj_k, cost_k).log_psi)
-    log_b = np.empty(T + 1)
-    for t in range(T + 1):
-        parts = [(math.log(w) if w > 0 else -math.inf) + lp[t]
-                 for w, lp in zip(weights.omega_tilde, per_task)]
-        peak = max(parts)
-        log_b[t] = peak + math.log(math.fsum(math.exp(e - peak)
-                                             for e in parts))
+    log_b = np.array([log_mixture(weights.omega_tilde,
+                                  [lp[t] for lp in per_task])
+                      for t in range(T + 1)])
 
     resid = np.abs(np.expm1(log_a - log_b))
     return LinearityReport(resid, float(resid.max()), log_a, log_b)

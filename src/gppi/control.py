@@ -1,10 +1,12 @@
 """Forward-backward path integral control on GP belief trajectories.
 
 Forward: propagate the state belief under the current control sequence,
-carrying d{mu, Sigma}/dx0 sensitivities.  Backward: accumulate the
-desirability recursion and its gradient in log domain.  Update: the analytic
-control correction delta_u = G^+ Sigma_f (grad Psi / Psi), damped by a
-backtracking acceptance rule on log Psi_0.
+recording the linearized step map of every step.  Backward: accumulate the
+desirability recursion in log domain, then pull its partials back through
+the transposed step maps (the adjoint pass), which gives grad Psi_t / Psi_t
+at each step's own state.  Update: the analytic control correction
+delta_u_t = G^+ Sigma_f (grad Psi_t / Psi_t), damped by a backtracking
+acceptance rule on log Psi_0.
 """
 
 from __future__ import annotations
@@ -119,24 +121,23 @@ class BeliefTrajectory:
     beliefs: list                       # T+1 GaussianBelief
     controls_old: ControlSequence
     predictions: list                   # T IncrementPrediction
-    step_maps: list = field(default_factory=list)  # T StepMap when jacobians on
-    has_jacobians: bool = True
+    step_maps: list = field(default_factory=list)  # T StepMap with compute_jac
 
 
 @dataclass
 class DesirabilityTrace:
     """log Psi_t and grad Psi_t / Psi_t along the horizon.
 
-    Entry t holds the tail beyond step t; grad_psi_over_psi ratios are
-    gradients with respect to the rollout's initial state, stored as
-    grad Psi / Psi for numerical stability.  grad_psi_local holds the
-    adjoint (co-state) gradient of the same tail with respect to the state
-    at the entry's own step; the two coincide at t = 0.
+    Entry t holds the tail beyond step t.  grad_psi_over_psi[t] is the
+    adjoint mean co-state d log Psi_t / d mu_t: the tail's gradient with
+    respect to the mean of the belief at step t, with that belief's
+    covariance held fixed, stored as grad Psi / Psi for numerical stability.
+    At t = 0 the belief is the observed start state, so entry 0 is the
+    gradient with respect to x0.
     """
 
     log_psi: np.ndarray                 # (T+1,)
     grad_psi_over_psi: np.ndarray       # (T+1, n)
-    grad_psi_local: np.ndarray | None = None
     saturated: bool = False
     has_gradient: bool = False
     _phi_mu: list = field(default_factory=list, repr=False)
@@ -216,7 +217,7 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
             raise NumericalError(f"forward rollout failed at step {t}: {exc}",
                                  jitter=exc.jitter, step=t) from exc
         beliefs.append(belief)
-    return BeliefTrajectory(beliefs, controls, preds, maps, compute_jac)
+    return BeliefTrajectory(beliefs, controls, preds, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -262,49 +263,32 @@ def backward_desirability(traj: BeliefTrajectory, cost: CostSpec) -> Desirabilit
 
 def desirability_gradient(traj: BeliefTrajectory, trace: DesirabilityTrace,
                           cost: CostSpec) -> DesirabilityTrace:
-    """Fill both gradient views by one backward product-rule pass.
+    """Fill grad_psi_over_psi by one adjoint pass.
 
-    A co-state (adjoint of the linearized step maps, seeded with the per-step
-    log-phi partials) is propagated backward.  Contracting the co-state with
-    the stored d{mu, Sigma}/dx0 carriers yields grad_psi_over_psi, the
-    gradient of each tail with respect to the rollout's initial state; the
-    co-state's mean component is grad_psi_local, the same tail differentiated
-    at the step's own state.  Everything is analytic.
+    The co-state (chi_mu, chi_sig) = d log Psi_t / d(mu_t, vec Sigma_t) is
+    seeded at step T with the terminal log-phi partials and pulled back one
+    step at a time through the transposed step maps, absorbing the interior
+    log-phi partials of each step it crosses.  Its mean component at step t
+    is grad_psi_over_psi[t].  Everything is analytic.
     """
-    if not traj.has_jacobians:
-        raise ConfigError("trajectory was built without Jacobian carriers")
     T = cost.horizon_steps
-    n = cost.dim
-    grad = np.zeros((T + 1, n))
-    local = np.zeros((T + 1, n))
+    if len(traj.step_maps) != T:
+        raise ConfigError("trajectory was built without step maps")
+    grad = np.zeros((T + 1, cost.dim))
 
-    def contract(chi_mu, chi_sig, belief):
-        return chi_mu @ belief.dmu_dx0 \
-            + chi_sig @ belief.dsigma_dx0.reshape(n * n, n)
-
-    # co-state at step T carries the terminal integral's partials
     chi_mu = trace._phi_mu[T].copy()
     chi_sig = trace._phi_sigma[T].reshape(-1).copy()
-    grad[T] = contract(chi_mu, chi_sig, traj.beliefs[T])
-    local[T] = chi_mu
-    if T >= 1:
-        # pull the terminal co-state through step T's map
-        smap = traj.step_maps[T - 1]
-        chi_mu, chi_sig = (smap.mu_mu.T @ chi_mu + smap.sig_mu.T @ chi_sig,
-                           smap.mu_sig.T @ chi_mu + smap.sig_sig.T @ chi_sig)
-        grad[T - 1] = grad[T]
-        local[T - 1] = chi_mu
-    for t in range(T - 2, -1, -1):
-        # absorb the interior log-phi at step t+1, then pull back one step
-        chi_mu = chi_mu + trace._phi_mu[t + 1]
-        chi_sig = chi_sig + trace._phi_sigma[t + 1].reshape(-1)
-        grad[t] = contract(chi_mu, chi_sig, traj.beliefs[t + 1])
+    grad[T] = chi_mu
+    for t in range(T - 1, -1, -1):
+        if t < T - 1:
+            # log Psi_t = log phi_{t+1} + log Psi_{t+1} below the terminal step
+            chi_mu = chi_mu + trace._phi_mu[t + 1]
+            chi_sig = chi_sig + trace._phi_sigma[t + 1].reshape(-1)
         smap = traj.step_maps[t]
         chi_mu, chi_sig = (smap.mu_mu.T @ chi_mu + smap.sig_mu.T @ chi_sig,
                            smap.mu_sig.T @ chi_mu + smap.sig_sig.T @ chi_sig)
-        local[t] = chi_mu
+        grad[t] = chi_mu
     trace.grad_psi_over_psi = grad
-    trace.grad_psi_local = local
     trace.has_gradient = True
     return trace
 
@@ -324,13 +308,11 @@ def control_update(trace: DesirabilityTrace, traj: BeliefTrajectory,
     pushes outside the controllable subspace are flagged and resolved by the
     least-squares projection the pseudoinverse provides.
 
-    Each step consumes the tail gradient at its own state (the adjoint view);
-    at the current step the two stored gradient views coincide.
+    Step t consumes grad_psi_over_psi[t], the adjoint gradient of its tail
+    at the step's own belief mean.
     """
     if not trace.has_gradient:
         raise ConfigError("desirability gradient has not been computed")
-    grads = trace.grad_psi_local if trace.grad_psi_local is not None \
-        else trace.grad_psi_over_psi
     T = controls_old.horizon
     new_u = np.empty_like(controls_old.u)
     weights = []
@@ -339,7 +321,7 @@ def control_update(trace: DesirabilityTrace, traj: BeliefTrajectory,
         G = plant.control_matrix(traj.beliefs[t].mu)
         Gp = np.linalg.pinv(G)
         sf = traj.predictions[t].sigma_f
-        target_vec = sf @ grads[t]
+        target_vec = sf @ trace.grad_psi_over_psi[t]
         du = Gp @ target_vec
         resid = np.linalg.norm(G @ du - target_vec)
         if resid > 1e-8 * max(np.linalg.norm(target_vec), 1e-300):

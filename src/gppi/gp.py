@@ -504,13 +504,6 @@ def refit(model: GpModel, rng=None, **kwargs) -> GpModel:
     return replace(out, insertion_order=model.insertion_order)
 
 
-def square_exponential_draw(X, hyper: KernelHyper, rng) -> np.ndarray:
-    """Sample one function realization of the kernel prior at rows of X."""
-    K = kernel_matrix(X, hyper, with_noise=False)
-    L, _ = chol_with_jitter(K + 1e-12 * np.trace(K) / max(len(K), 1) * np.eye(len(K)))
-    return L @ rng.standard_normal(X.shape[0])
-
-
 # ---------------------------------------------------------------------------
 # Point-input posterior
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .compose import (CompositeWeights, TaskLibrary,
                       composite_control_sequence,
-                      composite_terminal_log_desirability, task_weights)
+                      composite_terminal_log_desirability, log_mixture,
+                      task_weights)
 from .control import (ControlSequence, CostSpec, mpc_learning_loop,
                       terminal_log_desirability)
 from .baselines import PathCostSample, sampling_pi_control
@@ -238,11 +239,9 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     states = np.array(states)
     term = composite_terminal_log_desirability(library, weights, states[-1])
 
-    log_psi = np.zeros(ref.horizon_steps + 1)
-    for t in range(ref.horizon_steps + 1):
-        parts = np.array([w * np.exp(r.log_psi[t]) for w, r in
-                          zip(weights.omega_tilde, records)])
-        log_psi[t] = np.log(max(parts.sum(), 1e-300))
+    log_psi = np.array([log_mixture(weights.omega_tilde,
+                                    [r.log_psi[t] for r in records])
+                        for t in range(ref.horizon_steps + 1)])
     record = ControllerRecord(
         task_id="composite",
         x_d=new_target,

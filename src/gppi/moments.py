@@ -4,10 +4,11 @@ Given an input belief N(m, S), the exact squared-exponential moments of the
 posterior increment are computed per output dimension: predictive mean,
 predictive covariance (including the noise floor) and the input-increment
 cross covariance.  The same routine evaluates directional derivatives of all
-three along caller-supplied directions (dm, dS) in input-moment space; the
-belief propagation step uses this to advance d{mu,Sigma}/dx0 carriers by the
-chain rule without any numerical differentiation.  Feeding the canonical
-basis directions recovers the full partial-derivative tensors.
+three along caller-supplied directions (dm, dS) in input-moment space.
+Feeding the canonical basis directions recovers the full partial-derivative
+tensors, from which belief propagation assembles the linearized step map
+that the adjoint desirability gradient pulls back through; no numerical
+differentiation is involved.
 
 All inner loops over output dimensions and dimension pairs are batched
 through numpy's stacked linalg; this routine sits on the hot path of every
@@ -37,27 +38,21 @@ PSD_TOL = 1e-12
 
 @dataclass
 class GaussianBelief:
-    """State belief at one horizon step plus sensitivities to the rollout start.
+    """State belief N(mu, sigma) at one horizon step.
 
-    dmu_dx0[i, k]       = d mu[i] / d x0[k]
-    dsigma_dx0[i, j, k] = d sigma[i, j] / d x0[k]
-
-    An observed (deterministic) initial state carries zero covariance and
-    all-zero Jacobian fields; the first propagation step seeds the chain rule
-    with the identity in that case.
+    An observed (deterministic) state carries zero covariance.  Gradients
+    are not stored on beliefs: the adjoint pass of the desirability gradient
+    pulls back through the step maps that `moment_match` records.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
-    dmu_dx0: np.ndarray
-    dsigma_dx0: np.ndarray
 
     @staticmethod
     def observed(x) -> "GaussianBelief":
         x = np.atleast_1d(np.asarray(x, dtype=float))
         n = x.shape[0]
-        return GaussianBelief(x, np.zeros((n, n)), np.zeros((n, n)),
-                              np.zeros((n, n, n)))
+        return GaussianBelief(x, np.zeros((n, n)))
 
     @property
     def dim(self) -> int:
@@ -443,8 +438,8 @@ class StepMap:
     Written on the flattened (mu, vec Sigma) pair:
         d mu'    = mu_mu  d mu + mu_sig  d vec(Sigma)
         d Sigma' = sig_mu d mu + sig_sig d vec(Sigma)
-    Used forward to advance d/dx0 carriers and backward (transposed) by the
-    adjoint pass of the desirability gradient.
+    The adjoint pass of the desirability gradient applies it transposed,
+    pulling the co-state back from step t+1 to step t.
     """
 
     mu_mu: np.ndarray     # (n, n)
@@ -486,11 +481,11 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     mu'    = mu + mu_f + G(mu) delta_u dt
     sigma' = sigma + sigma_f + cov + cov'
 
-    The Jacobian carriers d{mu, sigma}/dx0 advance by the chain rule through
-    the analytic moment partials; the control term contributes
-    dt * d(G(mu) u)/dmu via the plant's analytic G Jacobian when supplied.
-    `prediction_out` / `step_map_out` collect the per-step increment moments
-    and the linearized step map (the latter feeds the adjoint gradient pass).
+    With `compute_jac` the step is also linearized: the analytic moment
+    partials and, via the plant's analytic G Jacobian when supplied, the
+    control term dt * d(G(mu) u)/dmu form a StepMap, appended to
+    `step_map_out` for the adjoint gradient pass.  `prediction_out` collects
+    the per-step increment moments.
     """
     belief_in.validate()
     u = np.atleast_1d(np.asarray(delta_u, dtype=float))
@@ -512,27 +507,11 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     if not np.all(np.isfinite(mu_out)):
         raise NumericalError("belief mean overflowed")
 
-    if compute_jac:
+    if compute_jac and step_map_out is not None:
         dGu = None
         if plant_G_jac is not None and np.any(u):
             dGu = np.einsum("ijk,j->ik", plant_G_jac(belief_in.mu), u)
-        smap = _assemble_step_map(pred, dGu, dt, n)
-        if belief_in.is_observed and not np.any(belief_in.dmu_dx0):
-            dm_in = np.eye(n)
-        else:
-            dm_in = belief_in.dmu_dx0
-        dS_in_flat = belief_in.dsigma_dx0.reshape(n * n, n)
-        dmu_out = smap.mu_mu @ dm_in + smap.mu_sig @ dS_in_flat
-        dsig_out = (smap.sig_mu @ dm_in
-                    + smap.sig_sig @ dS_in_flat).reshape(n, n, n)
-        dsig_out = 0.5 * (dsig_out + np.transpose(dsig_out, (1, 0, 2)))
-        if step_map_out is not None:
-            step_map_out.append(smap)
-    else:
-        dmu_out = np.zeros((n, n))
-        dsig_out = np.zeros((n, n, n))
-
-    out = GaussianBelief(mu_out, sigma_out, dmu_out, dsig_out)
+        step_map_out.append(_assemble_step_map(pred, dGu, dt, n))
     if prediction_out is not None:
         prediction_out.append(pred)
-    return out
+    return GaussianBelief(mu_out, sigma_out)

@@ -77,13 +77,8 @@ class Plant:
     def _controlled_rate(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.drift(x) + self.control_matrix(x) @ u
 
-    def step_with_noise(self, x, u, rng: np.random.Generator | None):
-        """One control step; returns (x_next, brownian_increment).
-
-        The returned increment is the accumulated L_w-correlated Brownian
-        increment over the step (p-vector), as consumed by the sampling
-        baseline's noise-averaging update.
-        """
+    def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
+        """One control step; Brownian noise is added when `rng` is given."""
         x = np.asarray(x, dtype=float)
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(u)):
@@ -94,20 +89,14 @@ class Plant:
         h = self.spec.dt / self.spec.substeps
         sq = np.sqrt(h)
         p = self.spec.B.shape[1]
-        total_dw = np.zeros(p)
         for _ in range(self.spec.substeps):
             x = _rk4(self._controlled_rate, x, u, h)
             if rng is not None:
                 dw = sq * (self._noise_chol @ rng.standard_normal(p))
                 x = x + self.spec.B @ dw
-                total_dw += dw
             if np.linalg.norm(x) > DIVERGENCE_NORM:
                 raise NumericalError("plant state diverged", step=None)
-        return x, total_dw
-
-    def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
-        x_next, _ = self.step_with_noise(x, u, rng)
-        return x_next
+        return x
 
 
 def _rk4(rate, x, u, h):

@@ -10,6 +10,9 @@ directory).  On disk it is stored relative to the directory that holds the
 record file, so a record and its model can be moved together; `load_record`
 resolves it against that directory again.  An empty `model_ref` stays empty,
 and an absolute one in an older record loads unchanged.
+
+A library manifest lists record paths under the same convention: relative
+entries are relative to the manifest's own directory.
 """
 
 from __future__ import annotations
@@ -134,7 +137,11 @@ def export_trace_csv(path, dt, mus, sigma_diags, controls, log_psis) -> None:
 
 
 def save_manifest(path, record_paths, p_diag, default_mode: str = "stored") -> None:
-    doc = {"records": [str(p) for p in record_paths],
+    """Relative `record_paths` (to the working directory) are stored relative
+    to the manifest's directory; absolute ones are stored as given."""
+    base = os.path.dirname(path) or "."
+    doc = {"records": [str(p) if os.path.isabs(p) else os.path.relpath(p, base)
+                       for p in record_paths],
            "P_diag": [float(v) for v in np.atleast_1d(p_diag)],
            "default_mode": default_mode}
     with open(path, "w", encoding="utf-8") as fh:
@@ -146,4 +153,8 @@ def load_manifest(path) -> dict:
         doc = json.load(fh)
     if "records" not in doc or not doc["records"]:
         raise ConfigError("manifest must list at least one record")
+    base = os.path.dirname(path)
+    doc["records"] = [
+        p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))
+        for p in map(str, doc["records"])]
     return doc

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gppi.baselines import lqg_solve
+from gppi.checks import fd_tail_gradient
 from gppi.control import (BeliefTrajectory, ControlSequence, CostSpec,
                           DesirabilityTrace, backward_desirability,
                           control_update, desirability_gradient,
@@ -10,16 +11,15 @@ from gppi.control import (BeliefTrajectory, ControlSequence, CostSpec,
                           terminal_log_desirability)
 from gppi.errors import ConfigError
 from gppi.gp import GpModel
-from gppi.moments import GaussianBelief, IncrementPrediction
-from gppi.oracles import path_integral_quadrature, quadrature_phi
+from gppi.moments import GaussianBelief, IncrementPrediction, predict_increment
+from gppi.oracles import (linear_chain_log_integral, path_integral_quadrature,
+                          quadrature_phi)
 from gppi.plants import make_plant
 
 
 def _belief(mu, sigma):
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    n = mu.shape[0]
-    return GaussianBelief(mu, np.atleast_2d(np.asarray(sigma, dtype=float)),
-                          np.zeros((n, n)), np.zeros((n, n, n)))
+    return GaussianBelief(np.atleast_1d(np.asarray(mu, dtype=float)),
+                          np.atleast_2d(np.asarray(sigma, dtype=float)))
 
 
 class TestPhi:
@@ -176,6 +176,21 @@ class TestBackwardDesirability:
                                        linear_plant, cost, nodes_per_dim=14)
         assert lp == pytest.approx(ref, rel=1e-4)
 
+    def test_tensor_quadrature_matches_closed_form_chain(self):
+        # an empty GP on x' = x + Bc u dt is the Gaussian chain A = I,
+        # b = Bc u dt, W = prior increment variance; the recursion itself
+        # is the paper's moment approximation and is not compared here
+        model = GpModel.empty(1)
+        plant = make_plant("linear", params=dict(A=[[0.0]], Bc=[[1.0]]))
+        cost = CostSpec([[0.8]], [0.25], 1.3, 0.02, 5)
+        u = np.full((5, 1), 0.7)
+        W = predict_increment(model, [0.0], [[0.0]]).sigma_f
+        b = plant.control_matrix(np.zeros(1)) @ u[0] * cost.dt
+        exact = linear_chain_log_integral(np.eye(1), b, W, cost, [0.55])
+        quad = path_integral_quadrature(model, [0.55], u, plant, cost,
+                                        nodes_per_dim=14)
+        assert quad == pytest.approx(exact, rel=1e-10)
+
 
 class TestDesirabilityGradient:
     def test_zero_cost_zero_gradient(self, cartpole, cartpole_model, rng):
@@ -185,7 +200,6 @@ class TestDesirabilityGradient:
         trace = desirability_gradient(traj, backward_desirability(traj, cost),
                                       cost)
         assert np.allclose(trace.grad_psi_over_psi, 0.0)
-        assert np.allclose(trace.grad_psi_local, 0.0)
 
     def test_symmetric_problem_zero_gradient_at_t0(self):
         # symmetric 1-D problem: target at the start state, symmetric prior
@@ -206,30 +220,24 @@ class TestDesirabilityGradient:
         traj = forward_rollout(cartpole_model, x0, us, cartpole, cost)
         trace = desirability_gradient(traj, backward_desirability(traj, cost),
                                       cost)
-
-        def logpsi(x0v):
-            tr = forward_rollout(cartpole_model, x0v, us, cartpole, cost,
-                                 compute_jac=False)
-            return backward_desirability(tr, cost).log_psi
-
+        # entry j is d log Psi_j / d mu_j; at j = 0 that is d / d x0
         for j in (0, 5, 13, 20):
-            fd = np.zeros(4)
-            for k in range(4):
-                d = np.zeros(4)
-                d[k] = 1e-5
-                fd[k] = (logpsi(x0 + d)[j] - logpsi(x0 - d)[j]) / 2e-5
+            fd = fd_tail_gradient(cartpole_model, traj, cartpole, cost, j)
             denom = max(np.max(np.abs(fd)), 1e-12)
             assert np.max(np.abs(trace.grad_psi_over_psi[j] - fd)) / denom < 1e-4
 
-    def test_local_gradient_coincides_at_t0(self, cartpole, cartpole_model,
-                                            rng, swing_cost):
+    def test_terminal_gradient_is_log_phi_partial(self, cartpole,
+                                                  cartpole_model, rng,
+                                                  swing_cost):
         us = ControlSequence(rng.uniform(-2, 2, (20, 1)))
         traj = forward_rollout(cartpole_model, np.zeros(4), us, cartpole,
                                swing_cost)
         trace = desirability_gradient(
             traj, backward_desirability(traj, swing_cost), swing_cost)
-        assert np.allclose(trace.grad_psi_local[0],
-                           trace.grad_psi_over_psi[0], rtol=1e-12)
+        T = swing_cost.horizon_steps
+        _, dmu, _ = log_phi_step(traj.beliefs[T], swing_cost, 1.0,
+                                 terminal=True, step_index=T)
+        assert np.allclose(trace.grad_psi_over_psi[T], dmu, rtol=1e-12)
 
     def test_missing_jacobians_rejected(self, cartpole, cartpole_model,
                                         swing_cost, rng):

@@ -3,9 +3,11 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from gppi.cli import main as cli_main
 from gppi.errors import ConfigError
@@ -13,7 +15,8 @@ from gppi.gp import load_model
 from gppi.harness import (fill_defaults, load_config, run_baseline,
                           run_compose, run_learn)
 from gppi.plants import make_plant
-from gppi.records import load_record, save_manifest
+from gppi.records import (ControllerRecord, CostFields, load_record,
+                          save_manifest, save_record)
 from gppi.rng import RngHub
 
 
@@ -197,6 +200,45 @@ class TestRunCompose:
                                 os.path.join(os.path.dirname(first),
                                              "model.json"))
 
+    def test_relative_library_composes_from_its_own_directory(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        manifest = self._make_library(Path("lib"))
+        doc = json.loads(manifest.read_text())
+        assert doc["records"] == [os.path.join(f"task{k}", "run",
+                                               "controller.json")
+                                  for k in range(2)]
+        monkeypatch.chdir(tmp_path / "lib")
+        res = run_compose("manifest.json", [0.45], output_dir="composite")
+        assert (tmp_path / "lib" / "composite" / "metrics.csv").exists()
+        assert os.path.samefile(res["record"].model_ref,
+                                os.path.join("task0", "run", "model.json"))
+
+    def test_composite_log_psi_mixed_in_log_domain(self, tmp_path):
+        # Psi_t = exp(log_psi_t) underflows to zero at log_psi ~ -800
+        T = 4
+        paths = []
+        for k, (target, offset) in enumerate(((0.3, -800.0), (0.6, -803.0))):
+            rec = ControllerRecord(
+                f"task{k}", [target], CostFields([1.0], 0.5, 0.02, T),
+                np.zeros((T, 1)), offset - 0.5 * np.arange(T + 1),
+                np.zeros((T + 1, 1)))
+            paths.append(tmp_path / f"task{k}.json")
+            save_record(rec, paths[-1])
+        manifest = tmp_path / "manifest.json"
+        save_manifest(manifest, paths, [2.0])
+        doc = json.loads(manifest.read_text())
+        doc["plant"] = {"name": "linear", "params": {"A": [[-0.4]],
+                                                     "Bc": [[1.0]]}}
+        manifest.write_text(json.dumps(doc))
+        res = run_compose(manifest, [0.4])
+        records = [load_record(p) for p in paths]
+        omega = res["weights"].omega_tilde
+        expected = [logsumexp([r.log_psi[t] for r in records], b=omega)
+                    for t in range(T + 1)]
+        assert np.all(res["record"].log_psi < -800.0)
+        assert np.allclose(res["record"].log_psi, expected, rtol=1e-12)
+
     def test_malformed_manifest_distinct_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"records": []}))
@@ -235,6 +277,9 @@ class TestCli:
         p.write_text("{not json")
         assert cli_main(["learn", str(p)]) == 2
         assert cli_main(["learn", str(tmp_path / "missing.json")]) == 2
+
+    def test_check_fast_passes(self):
+        assert cli_main(["check", "--fast"]) == 0
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "gppi.cli", "--help"],

@@ -120,10 +120,10 @@ class TestBeliefPropagation:
         assert np.allclose(out.mu, b.mu)
         assert np.allclose(out.sigma, np.diag([1.01, 1.01]))
 
-    def test_observed_initial_state_has_zero_jacobians(self):
+    def test_observed_initial_state_has_zero_covariance(self):
         b = GaussianBelief.observed([1.0, 2.0])
         assert b.is_observed
-        assert not np.any(b.dmu_dx0) and not np.any(b.dsigma_dx0)
+        assert not np.any(b.sigma)
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_chained_jacobians_match_fd(self, k, cartpole, cartpole_model):
@@ -131,16 +131,24 @@ class TestBeliefPropagation:
         us = rng.uniform(-2, 2, size=(k, 1))
         x0 = np.array([0.1, -0.2, 0.4, 0.3])
 
-        def roll(x0v, jac):
+        def roll(x0v, jac, maps=None):
             b = GaussianBelief.observed(x0v)
             for i in range(k):
                 b = moment_match(cartpole_model, b, us[i],
                                  cartpole.control_matrix, 0.02,
                                  plant_G_jac=cartpole.control_matrix_jac,
-                                 compute_jac=jac)
+                                 compute_jac=jac, step_map_out=maps)
             return b
 
-        b = roll(x0, True)
+        maps = []
+        roll(x0, True, maps)
+        assert len(maps) == k
+        # d(mu_k, vec Sigma_k)/dx0 = M_{k-1} ... M_0 [I; 0]
+        dmu, dsig = np.eye(4), np.zeros((16, 4))
+        for m in maps:
+            dmu, dsig = (m.mu_mu @ dmu + m.mu_sig @ dsig,
+                         m.sig_mu @ dmu + m.sig_sig @ dsig)
+        dsig = dsig.reshape(4, 4, 4)
         eps = 1e-4
         fd_mu = np.zeros((4, 4))
         fd_sig = np.zeros((4, 4, 4))
@@ -150,9 +158,9 @@ class TestBeliefPropagation:
             hi, lo = roll(x0 + d, False), roll(x0 - d, False)
             fd_mu[:, j] = (hi.mu - lo.mu) / (2 * eps)
             fd_sig[:, :, j] = (hi.sigma - lo.sigma) / (2 * eps)
-        assert np.max(np.abs(b.dmu_dx0 - fd_mu)) \
+        assert np.max(np.abs(dmu - fd_mu)) \
             <= 1e-4 * max(np.max(np.abs(fd_mu)), 1e-12)
-        assert np.max(np.abs(b.dsigma_dx0 - fd_sig)) \
+        assert np.max(np.abs(dsig - fd_sig)) \
             <= 1e-4 * max(np.max(np.abs(fd_sig)), 1e-12)
 
     def test_psd_preserved_over_rollout(self, cartpole, cartpole_model, rng):
@@ -167,7 +175,6 @@ class TestBeliefPropagation:
 
     def test_invalid_covariance_rejected(self):
         model = GpModel.empty(2)
-        bad = GaussianBelief(np.zeros(2), np.array([[1.0, 0.0], [0.0, -0.5]]),
-                             np.zeros((2, 2)), np.zeros((2, 2, 2)))
+        bad = GaussianBelief(np.zeros(2), np.array([[1.0, 0.0], [0.0, -0.5]]))
         with pytest.raises(NumericalError):
             moment_match(model, bad, [0.0], lambda x: np.eye(2)[:, :1], 0.02)
