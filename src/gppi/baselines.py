@@ -104,6 +104,8 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
+    if n_iterations < 1:
+        raise ConfigError("n_iterations must be >= 1")
     u_seq = np.atleast_2d(np.asarray(u_old, dtype=float)).copy()
     T = cost.horizon_steps
     if u_seq.shape[0] != T:
@@ -111,7 +113,6 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
     x_t = np.asarray(x_t, dtype=float)
     status = "ok"
     ess = float(n_samples)
-    weights = np.full(n_samples, 1.0 / n_samples)
 
     for _ in range(n_iterations):
         states, noises = _rollout_batch(plant, x_t, u_seq, n_samples, rng)

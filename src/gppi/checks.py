@@ -83,8 +83,7 @@ def fd_tail_gradient(model, traj, plant, cost, j, eps=1e-5) -> np.ndarray:
             beliefs = traj.beliefs[:j] + [belief]
             for t in range(j, cost.horizon_steps):
                 belief = moment_match(model, belief, traj.controls_old.u[t],
-                                      plant.control_matrix, cost.dt,
-                                      compute_jac=False)
+                                      plant.control_matrix, cost.dt)
                 beliefs.append(belief)
             spliced = replace(traj, beliefs=beliefs)
             vals.append(backward_desirability(spliced, cost).log_psi[j])

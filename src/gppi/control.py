@@ -198,7 +198,8 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
     """Propagate beliefs over the horizon under the current controls.
 
     beliefs[0] is the observed state; step t applies controls.u[t] through
-    the known control matrix.
+    the known control matrix.  With `compute_jac` the step maps of the
+    adjoint gradient pass are recorded as well.
     """
     if controls.horizon != cost.horizon_steps:
         raise ConfigError("controls length must equal horizon_steps")
@@ -211,8 +212,8 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
             belief = moment_match(
                 model, belief, controls.u[t], plant.control_matrix, cost.dt,
                 plant_G_jac=plant.control_matrix_jac,
-                compute_jac=compute_jac, prediction_out=preds,
-                step_map_out=maps)
+                prediction_out=preds,
+                step_map_out=maps if compute_jac else None)
         except NumericalError as exc:
             raise NumericalError(f"forward rollout failed at step {t}: {exc}",
                                  jitter=exc.jitter, step=t) from exc

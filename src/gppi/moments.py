@@ -473,7 +473,7 @@ def _assemble_step_map(pred: IncrementPrediction, dGu, dt: float,
 
 
 def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
-                 dt: float, *, plant_G_jac=None, compute_jac: bool = True,
+                 dt: float, *, plant_G_jac=None,
                  prediction_out: list | None = None,
                  step_map_out: list | None = None) -> GaussianBelief:
     """Propagate a Gaussian state belief one step.
@@ -481,7 +481,7 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     mu'    = mu + mu_f + G(mu) delta_u dt
     sigma' = sigma + sigma_f + cov + cov'
 
-    With `compute_jac` the step is also linearized: the analytic moment
+    With `step_map_out` the step is also linearized: the analytic moment
     partials and, via the plant's analytic G Jacobian when supplied, the
     control term dt * d(G(mu) u)/dmu form a StepMap, appended to
     `step_map_out` for the adjoint gradient pass.  `prediction_out` collects
@@ -493,7 +493,7 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
         raise NumericalError("non-finite control in moment_match")
     n = belief_in.dim
 
-    if compute_jac:
+    if step_map_out is not None:
         dm_dirs, dS_dirs = _canonical_directions(n)
         pred = predict_increment(model, belief_in.mu, belief_in.sigma,
                                  dm_dirs, dS_dirs)
@@ -507,7 +507,7 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     if not np.all(np.isfinite(mu_out)):
         raise NumericalError("belief mean overflowed")
 
-    if compute_jac and step_map_out is not None:
+    if step_map_out is not None:
         dGu = None
         if plant_G_jac is not None and np.any(u):
             dGu = np.einsum("ijk,j->ik", plant_G_jac(belief_in.mu), u)

@@ -106,6 +106,13 @@ class TestSamplingPi:
             sampling_pi_control(plant, [0.0], np.zeros((3, 1)), cost, 0,
                                 np.random.default_rng(0))
 
+    def test_n_iterations_validated(self):
+        plant = make_plant("linear", params=dict(A=[[0.0]], Bc=[[1.0]]))
+        cost = CostSpec([[1.0]], [0.0], 1.0, 0.02, 3)
+        with pytest.raises(ConfigError):
+            sampling_pi_control(plant, [0.0], np.zeros((3, 1)), cost, 10,
+                                np.random.default_rng(0), n_iterations=0)
+
 
 def test_noise_tied_weight_scalar():
     plant = make_plant("linear", params=dict(A=[[0.0]], Bc=[[2.0]],

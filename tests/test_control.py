@@ -237,7 +237,7 @@ class TestDesirabilityGradient:
         T = swing_cost.horizon_steps
         _, dmu, _ = log_phi_step(traj.beliefs[T], swing_cost, 1.0,
                                  terminal=True, step_index=T)
-        assert np.allclose(trace.grad_psi_over_psi[T], dmu, rtol=1e-12)
+        assert np.allclose(trace.grad_psi_over_psi[T], dmu, rtol=1e-12, atol=0)
 
     def test_missing_jacobians_rejected(self, cartpole, cartpole_model,
                                         swing_cost, rng):

@@ -131,17 +131,17 @@ class TestBeliefPropagation:
         us = rng.uniform(-2, 2, size=(k, 1))
         x0 = np.array([0.1, -0.2, 0.4, 0.3])
 
-        def roll(x0v, jac, maps=None):
+        def roll(x0v, maps=None):
             b = GaussianBelief.observed(x0v)
             for i in range(k):
                 b = moment_match(cartpole_model, b, us[i],
                                  cartpole.control_matrix, 0.02,
                                  plant_G_jac=cartpole.control_matrix_jac,
-                                 compute_jac=jac, step_map_out=maps)
+                                 step_map_out=maps)
             return b
 
         maps = []
-        roll(x0, True, maps)
+        roll(x0, maps)
         assert len(maps) == k
         # d(mu_k, vec Sigma_k)/dx0 = M_{k-1} ... M_0 [I; 0]
         dmu, dsig = np.eye(4), np.zeros((16, 4))
@@ -155,7 +155,7 @@ class TestBeliefPropagation:
         for j in range(4):
             d = np.zeros(4)
             d[j] = eps
-            hi, lo = roll(x0 + d, False), roll(x0 - d, False)
+            hi, lo = roll(x0 + d), roll(x0 - d)
             fd_mu[:, j] = (hi.mu - lo.mu) / (2 * eps)
             fd_sig[:, :, j] = (hi.sigma - lo.sigma) / (2 * eps)
         assert np.max(np.abs(dmu - fd_mu)) \
@@ -167,8 +167,7 @@ class TestBeliefPropagation:
         b = GaussianBelief.observed([0.0, 0.0, 0.1, 0.0])
         for t in range(60):
             b = moment_match(cartpole_model, b, rng.uniform(-3, 3, 1),
-                             cartpole.control_matrix, 0.02,
-                             compute_jac=False)
+                             cartpole.control_matrix, 0.02)
             b.validate()
             eig = np.linalg.eigvalsh(b.sigma)
             assert eig[0] >= -1e-12 * np.trace(b.sigma)
