@@ -2,8 +2,9 @@
 and a finite-horizon LQR/LQG solver.
 
 Both are independent of the analytic forward-backward scheme and exist to
-cross-check it.  The sampling controller draws controlled-diffusion rollouts
-from the true plant and averages the realized Brownian increments with
+cross-check it.  The sampling controller steps its whole sample batch of
+controlled-diffusion rollouts through the true plant's own integrator
+(`Plant.step_batch`) and averages the realized Brownian increments with
 exponentiated path-cost weights; the control-cost weight it implies is tied
 to the plant noise through the classical constraint
 lam G R^-1 G' = B Sigma_w B' (enforced on range(G)).
@@ -52,44 +53,15 @@ class SamplingPiResult:
 
 
 def _rollout_batch(plant, x0, u_seq, n_samples, rng):
-    """Vectorized plant rollouts; returns (states, brownian increments).
-
-    The plant's RK4-substep integrator is mirrored here over a batch of
-    noise realizations so that 10^4-sample baselines stay affordable.
-    """
+    """Plant rollouts of a sample batch; returns (states, Brownian increments)."""
     T, _ = u_seq.shape
-    n = plant.spec.n
-    p = plant.spec.B.shape[1]
-    h = plant.spec.dt / plant.spec.substeps
-    sq = np.sqrt(h)
-    Lw = np.linalg.cholesky(plant.spec.sigma_omega
-                            + 1e-300 * np.eye(p))
-    states = np.empty((n_samples, T + 1, n))
-    noises = np.empty((n_samples, T, p))
-    x = np.broadcast_to(x0, (n_samples, n)).copy()
-    states[:, 0] = x
+    states = np.empty((n_samples, T + 1, plant.spec.n))
+    noises = np.empty((n_samples, T, plant.spec.B.shape[1]))
+    states[:, 0] = x0
     for t in range(T):
-        u = u_seq[t]
-        acc = np.zeros((n_samples, p))
-        for _ in range(plant.spec.substeps):
-            k1 = _batch_rate(plant, x, u)
-            k2 = _batch_rate(plant, x + 0.5 * h * k1, u)
-            k3 = _batch_rate(plant, x + 0.5 * h * k2, u)
-            k4 = _batch_rate(plant, x + h * k3, u)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            dw = sq * rng.standard_normal((n_samples, p)) @ Lw.T
-            x = x + dw @ plant.spec.B.T
-            acc += dw
-        states[:, t + 1] = x
-        noises[:, t] = acc
+        states[:, t + 1], noises[:, t] = plant.step_batch(states[:, t],
+                                                          u_seq[t], rng)
     return states, noises
-
-
-def _batch_rate(plant, xs, u):
-    out = np.empty_like(xs)
-    for i in range(xs.shape[0]):
-        out[i] = plant.drift(xs[i]) + plant.control_matrix(xs[i]) @ u
-    return out
 
 
 def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,

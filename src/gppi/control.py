@@ -358,8 +358,7 @@ def _evaluate_log_psi0(model, x0, controls, plant, cost) -> float:
 
 def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
                    cost: CostSpec, plant, max_iters: int = 50,
-                   tol: float = 1e-3,
-                   expansion_max: float = EXPANSION_MAX) -> InnerOptResult:
+                   tol: float = 1e-3) -> InnerOptResult:
     """Alternate forward / backward / update with damped acceptance.
 
     A proposed update u_old + alpha delta_u is accepted only if it does not
@@ -404,7 +403,7 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
             # the raw uncertainty-scaled step is often very conservative when
             # the model is confident; expand while the value keeps improving
             scale = 2.0
-            while scale <= expansion_max:
+            while scale <= EXPANSION_MAX:
                 cand = replace(proposal, u=u_cur.clamp(u_cur.u + scale * du))
                 try:
                     cand_val = _evaluate_log_psi0(model, x0, cand, plant, cost)
@@ -479,10 +478,7 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                       u_max: float = 10.0, inner_max_iters: int = 2,
                       inner_tol: float = 1e-3, max_points: int | None = 250,
                       x0=None, fit_restarts: int = 4, fit_max_iters: int = 150,
-                      refit_max_iters: int = 60, share_lengthscales: bool = True,
-                      clamp_controls: bool = True,
-                      inner_max_iters_first=None, expansion_max=EXPANSION_MAX,
-                      early_stop=None, on_trial=None) -> LearnResult:
+                      refit_max_iters: int = 60) -> LearnResult:
     """Model learning and receding-horizon control, one plant rollout per trial.
 
     Random-control initialization rollouts seed the GP; each trial then runs
@@ -523,12 +519,12 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                                           plant.control_matrix, cost.dt)
             x = x_next
     model = refit(model, rng=hub.stream("hyper-fit"), n_restarts=fit_restarts,
-                  max_iters=fit_max_iters, share_lengthscales=share_lengthscales)
+                  max_iters=fit_max_iters, share_lengthscales=True)
 
     metrics: list[TrialMetrics] = []
     last_full = None
     best_terminal = -np.inf
-    bounds = (np.full(m, -u_max), np.full(m, u_max)) if clamp_controls else (None, None)
+    u_lo, u_hi = np.full(m, -u_max), np.full(m, u_max)
 
     for trial in range(trials):
         t_start = _time.perf_counter()
@@ -541,25 +537,12 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
             step_logpsi, step_grad = [], []
             try:
                 for t in range(T):
-                    tail_cost = cost.tail(t)
-                    if t > 0 or inner_max_iters_first is None:
-                        iters = inner_max_iters
-                    elif np.ndim(inner_max_iters_first) == 0:
-                        iters = int(inner_max_iters_first)
-                    else:
-                        sched = inner_max_iters_first
-                        iters = int(sched[min(trial, len(sched) - 1)])
-                    if np.ndim(expansion_max) == 0:
-                        cap = float(expansion_max)
-                    else:
-                        cap = float(expansion_max[min(trial,
-                                                      len(expansion_max) - 1)])
                     res = inner_optimize(
                         model, x,
-                        ControlSequence(trial_u[t:].copy(), u_min=bounds[0],
-                                        u_max=bounds[1]),
-                        tail_cost, plant, max_iters=iters,
-                        tol=inner_tol, expansion_max=cap)
+                        ControlSequence(trial_u[t:].copy(), u_min=u_lo,
+                                        u_max=u_hi),
+                        cost.tail(t), plant, max_iters=inner_max_iters,
+                        tol=inner_tol)
                     trial_u[t:] = res.controls.u
                     x_next = plant.step(x, trial_u[t], w_rng)
                     model, _ = incorporate_sample(
@@ -594,11 +577,7 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                 _time.perf_counter() - t_start, states=last_full[3]))
         model = refit(model, rng=hub.spawn("hyper-refit", trial),
                       n_restarts=0, max_iters=refit_max_iters,
-                      share_lengthscales=share_lengthscales)
-        if on_trial is not None:
-            on_trial(metrics[-1])
-        if early_stop is not None and early_stop(metrics):
-            break
+                      share_lengthscales=True)
 
     if last_full is None:
         raise NumericalError("every trial aborted; no controller learned")

@@ -154,7 +154,7 @@ def _flush_failure(out_dir: Path, exc: Exception) -> None:
         fh.write(f"{type(exc).__name__}: {exc}\n")
 
 
-def run_learn(config: dict, early_stop=None, on_trial=None) -> dict:
+def run_learn(config: dict) -> dict:
     """Execute the learning protocol and write all run artifacts."""
     config = fill_defaults(config)
     out = _prepare_run_dir(config)
@@ -171,8 +171,7 @@ def run_learn(config: dict, early_stop=None, on_trial=None) -> dict:
             u_max=float(proto["u_max"]),
             inner_max_iters=int(proto["inner_max_iters"]),
             inner_tol=float(proto["inner_tol"]),
-            max_points=proto["max_points"], x0=x0,
-            early_stop=early_stop, on_trial=on_trial)
+            max_points=proto["max_points"], x0=x0)
     except Exception as exc:
         _flush_failure(out, exc)
         raise
@@ -205,8 +204,7 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     """Build and execute a composite controller from a record library."""
     doc = load_manifest(manifest_path)
     records = [load_record(p) for p in doc["records"]]
-    plant_cfg = {**_DEFAULT_CONFIG["plant"], **(doc.get("plant") or {})}
-    plant = build_plant(plant_cfg)
+    plant = build_plant({**_DEFAULT_CONFIG["plant"], **doc["plant"]})
     new_target = np.asarray(new_target, dtype=float)
     if new_target.shape[0] != plant.spec.n:
         raise ConfigError("target dimension does not match plant state")

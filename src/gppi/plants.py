@@ -9,6 +9,10 @@ Plain explicit-Euler sub-stepping cannot hold the noise-free energy drift
 inside the tolerance the invariant suite demands, so RK4 is used for the
 drift while the noise handling stays Euler-Maruyama.
 
+There is one integrator, `Plant.step_batch`, which steps a batch of states
+(S, n) under one control; `Plant.step` is a batch of one.  The sampling
+baseline steps its whole sample batch through it.
+
 Angles are raw (unwrapped); "hanging down" is 0 and "upright" is pi.
 """
 
@@ -74,29 +78,43 @@ class Plant:
         raise NotImplementedError(f"{self.spec.name} has no energy function")
 
     # --- integration --------------------------------------------------------
-    def _controlled_rate(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.drift(x) + self.control_matrix(x) @ u
+    def _controlled_rate(self, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return np.array([self.drift(x) + self.control_matrix(x) @ u for x in xs])
 
     def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
-        """One control step; Brownian noise is added when `rng` is given."""
-        x = np.asarray(x, dtype=float)
+        """One control step of one state, a batch of one for `step_batch`;
+        Brownian noise is added when `rng` is given."""
+        xs, _ = self.step_batch(np.asarray(x, dtype=float)[None], u, rng)
+        return xs[0]
+
+    def step_batch(self, xs, u, rng: np.random.Generator | None = None):
+        """One control step of every state of a batch `xs` (S, n) under `u`.
+
+        Returns the next states (S, n) and the Brownian increments summed
+        over the sub-steps (S, p), zero without `rng`.  Each sub-step draws
+        one (S, p) block of standard normals from `rng`; for S = 1 that is
+        one p-vector per sub-step.
+        """
+        xs = np.asarray(xs, dtype=float)
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(u)):
+        if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(u)):
             raise NumericalError("non-finite state or control in plant step")
         if u.shape[0] != self.spec.m:
             raise ConfigError(
                 f"control dimension {u.shape[0]} != plant m={self.spec.m}")
         h = self.spec.dt / self.spec.substeps
         sq = np.sqrt(h)
-        p = self.spec.B.shape[1]
+        B = self.spec.B
+        dw_sum = np.zeros((xs.shape[0], B.shape[1]))
         for _ in range(self.spec.substeps):
-            x = _rk4(self._controlled_rate, x, u, h)
+            xs = _rk4(self._controlled_rate, xs, u, h)
             if rng is not None:
-                dw = sq * (self._noise_chol @ rng.standard_normal(p))
-                x = x + self.spec.B @ dw
-            if np.linalg.norm(x) > DIVERGENCE_NORM:
+                dw = sq * (rng.standard_normal(dw_sum.shape) @ self._noise_chol.T)
+                xs = xs + dw @ B.T
+                dw_sum += dw
+            if np.any(np.linalg.norm(xs, axis=1) > DIVERGENCE_NORM):
                 raise NumericalError("plant state diverged", step=None)
-        return x
+        return xs, dw_sum
 
 
 def _rk4(rate, x, u, h):

@@ -12,7 +12,9 @@ resolves it against that directory again.  An empty `model_ref` stays empty,
 and an absolute one in an older record loads unchanged.
 
 A library manifest lists record paths under the same convention: relative
-entries are relative to the manifest's own directory.
+entries are relative to the manifest's own directory.  It also carries the
+`plant` config section the library was learned on, which composition needs
+to simulate the composite controller.
 """
 
 from __future__ import annotations
@@ -136,14 +138,15 @@ def export_trace_csv(path, dt, mus, sigma_diags, controls, log_psis) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def save_manifest(path, record_paths, p_diag, default_mode: str = "stored") -> None:
+def save_manifest(path, record_paths, p_diag, plant: dict) -> None:
     """Relative `record_paths` (to the working directory) are stored relative
-    to the manifest's directory; absolute ones are stored as given."""
+    to the manifest's directory; absolute ones are stored as given.  `plant`
+    is the plant config section (at least its `name`) of the library."""
     base = os.path.dirname(path) or "."
     doc = {"records": [str(p) if os.path.isabs(p) else os.path.relpath(p, base)
                        for p in record_paths],
            "P_diag": [float(v) for v in np.atleast_1d(p_diag)],
-           "default_mode": default_mode}
+           "plant": plant}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
@@ -153,6 +156,8 @@ def load_manifest(path) -> dict:
         doc = json.load(fh)
     if "records" not in doc or not doc["records"]:
         raise ConfigError("manifest must list at least one record")
+    if not isinstance(doc.get("plant"), dict) or "name" not in doc["plant"]:
+        raise ConfigError("manifest has no 'plant' section naming the plant")
     base = os.path.dirname(path)
     doc["records"] = [
         p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))

@@ -5,7 +5,7 @@ from gppi.baselines import (LqgSolution, PathCostSample, lqg_solve,
                             noise_tied_control_weight, riccati_residual,
                             sampling_pi_control)
 from gppi.control import CostSpec
-from gppi.errors import ConfigError
+from gppi.errors import ConfigError, NumericalError
 from gppi.plants import make_plant
 
 
@@ -105,6 +105,23 @@ class TestSamplingPi:
         with pytest.raises(ConfigError):
             sampling_pi_control(plant, [0.0], np.zeros((3, 1)), cost, 0,
                                 np.random.default_rng(0))
+
+    def test_rank_deficient_noise_gives_finite_controls(self):
+        plant = make_plant("linear", params=dict(
+            A=[[-0.5, 0.0], [0.0, -0.5]], Bc=[[1.0], [0.0]],
+            B=0.1 * np.eye(2), sigma_omega=[[1.0, 1.0], [1.0, 1.0]]))
+        cost = CostSpec(np.eye(2), [0.3, 0.0], 1.0, 0.02, 5)
+        res = sampling_pi_control(plant, [0.0, 0.0], np.zeros((5, 1)), cost,
+                                  n_samples=50, rng=np.random.default_rng(0))
+        assert res.controls.shape == (5, 1)
+        assert np.all(np.isfinite(res.controls))
+
+    def test_diverging_plant_raises(self):
+        plant = make_plant("linear", params=dict(A=[[300.0]], Bc=[[1.0]]))
+        cost = CostSpec([[1.0]], [0.0], 1.0, 0.02, 40)
+        with pytest.raises(NumericalError):
+            sampling_pi_control(plant, [1.0], np.zeros((40, 1)), cost,
+                                n_samples=5, rng=np.random.default_rng(0))
 
     def test_n_iterations_validated(self):
         plant = make_plant("linear", params=dict(A=[[0.0]], Bc=[[1.0]]))

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import logsumexp
 
 from gppi.cli import main as cli_main
-from gppi.errors import ConfigError
+from gppi.errors import AlignmentError, ConfigError
 from gppi.gp import load_model
 from gppi.harness import (fill_defaults, load_config, run_baseline,
                           run_compose, run_learn)
@@ -162,12 +162,7 @@ class TestRunCompose:
             out = run_learn(cfg)["out_dir"]
             paths.append(out / "controller.json")
         manifest = tmp_path / "manifest.json"
-        save_manifest(manifest, paths, [2.0])
-        doc = json.loads(manifest.read_text())
-        doc["plant"] = {"name": "linear",
-                        "params": {"A": [[-0.4]], "Bc": [[1.0]],
-                                   "B": [[0.08]], "sigma_omega": [[1.0]]}}
-        manifest.write_text(json.dumps(doc))
+        save_manifest(manifest, paths, [2.0], cfg["plant"])
         return manifest
 
     def test_single_task_manifest_reproduces_record(self, tmp_path):
@@ -226,11 +221,9 @@ class TestRunCompose:
             paths.append(tmp_path / f"task{k}.json")
             save_record(rec, paths[-1])
         manifest = tmp_path / "manifest.json"
-        save_manifest(manifest, paths, [2.0])
-        doc = json.loads(manifest.read_text())
-        doc["plant"] = {"name": "linear", "params": {"A": [[-0.4]],
-                                                     "Bc": [[1.0]]}}
-        manifest.write_text(json.dumps(doc))
+        save_manifest(manifest, paths, [2.0],
+                      {"name": "linear", "params": {"A": [[-0.4]],
+                                                    "Bc": [[1.0]]}})
         res = run_compose(manifest, [0.4])
         records = [load_record(p) for p in paths]
         omega = res["weights"].omega_tilde
@@ -245,6 +238,20 @@ class TestRunCompose:
         code = cli_main(["compose", str(bad), "--target", "0.1"])
         assert code == 2
 
+    def test_manifest_without_plant_rejected(self, tmp_path):
+        T = 3
+        rec = ControllerRecord("task0", [0.3], CostFields([1.0], 0.5, 0.02, T),
+                               np.zeros((T, 1)), np.zeros(T + 1),
+                               np.zeros((T + 1, 1)))
+        save_record(rec, tmp_path / "task0.json")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"records": ["task0.json"],
+                                        "P_diag": [2.0]}))
+        with pytest.raises(ConfigError, match="no 'plant' section"):
+            run_compose(manifest, [0.4])
+        code = cli_main(["compose", str(manifest), "--target", "0.4"])
+        assert code == 2
+
     def test_misaligned_records_error(self, tmp_path):
         paths = []
         for k, lam in enumerate((0.5, 0.7)):
@@ -253,8 +260,8 @@ class TestRunCompose:
             out = run_learn(cfg)["out_dir"]
             paths.append(out / "controller.json")
         manifest = tmp_path / "m.json"
-        save_manifest(manifest, paths, [1.0])
-        with pytest.raises(ConfigError):
+        save_manifest(manifest, paths, [1.0], cfg["plant"])
+        with pytest.raises(AlignmentError):
             run_compose(manifest, [0.4])
 
 

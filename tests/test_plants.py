@@ -100,7 +100,7 @@ def test_sde_one_step_moments():
     ref_std = 0.1 * np.sqrt(lin.spec.dt)
     assert abs(xs.mean() - exact_mean) < 3 * ref_std / np.sqrt(n)
     assert abs(xs.std() - ref_std) / ref_std < 0.02
-    # the plant's own integrator agrees with the vectorized mirror
+    # the plant's own integrator agrees with the analytic mean
     rng2 = np.random.default_rng(99)
     single = np.array([lin.step(np.array([1.0]), np.zeros(1), rng2)[0]
                        for _ in range(2000)])
@@ -123,3 +123,31 @@ def test_unknown_plant_rejected():
 def test_control_dimension_checked(cartpole):
     with pytest.raises(ConfigError):
         cartpole.step(np.zeros(4), np.zeros(2), None)
+
+
+def test_batch_step_equals_single_steps_noise_free(cartpole, rng):
+    xs = rng.normal(size=(5, 4))
+    u = np.array([0.7])
+    batch, dw_sum = cartpole.step_batch(xs, u, None)
+    single = np.array([cartpole.step(x, u, None) for x in xs])
+    assert np.array_equal(batch, single)
+    assert np.array_equal(dw_sum, np.zeros((5, 2)))
+
+
+def test_batch_of_one_equals_step_under_seed(cartpole):
+    x = np.array([0.1, -0.2, 0.5, 0.3])
+    u = np.array([1.5])
+    single = cartpole.step(x, u, np.random.default_rng(7))
+    batch, _ = cartpole.step_batch(x[None], u, np.random.default_rng(7))
+    assert np.array_equal(batch[0], single)
+
+
+def test_batch_step_returns_summed_increments():
+    B = np.array([[1.0, 0.5], [0.0, 2.0]])
+    lin = make_plant("linear", params=dict(A=np.zeros((2, 2)),
+                                           Bc=np.zeros((2, 1)), B=B,
+                                           sigma_omega=[[1.0, 0.3], [0.3, 0.5]]))
+    xs = np.array([[0.1, -0.2], [1.0, 2.0], [-3.0, 0.0]])
+    x_next, dw_sum = lin.step_batch(xs, np.zeros(1), np.random.default_rng(5))
+    assert dw_sum.shape == (3, 2)
+    assert np.max(np.abs((x_next - xs) - dw_sum @ B.T)) < 1e-14
