@@ -59,8 +59,12 @@ def _rollout_batch(plant, x0, u_seq, n_samples, rng):
     noises = np.empty((n_samples, T, plant.spec.B.shape[1]))
     states[:, 0] = x0
     for t in range(T):
-        states[:, t + 1], noises[:, t] = plant.step_batch(states[:, t],
-                                                          u_seq[t], rng)
+        try:
+            states[:, t + 1], noises[:, t] = plant.step_batch(states[:, t],
+                                                              u_seq[t], rng)
+        except NumericalError as exc:
+            raise NumericalError(f"sample rollout failed at step {t}: {exc}",
+                                 jitter=exc.jitter, step=t) from exc
     return states, noises
 
 

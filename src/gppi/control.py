@@ -7,6 +7,16 @@ the transposed step maps (the adjoint pass), which gives grad Psi_t / Psi_t
 at each step's own state.  Update: the analytic control correction
 delta_u_t = G^+ Sigma_f (grad Psi_t / Psi_t), damped by a backtracking
 acceptance rule on log Psi_0.
+
+The line search evaluates its candidate step scales together: a
+value-only `forward_rollout` takes a batch of control sequences (C, T, m)
+and propagates all C beliefs with one `moment_match` call per step, and
+`backward_desirability` returns log Psi per candidate.  A candidate that
+fails numerically is masked (log Psi = -inf, its belief frozen) rather than
+raised, and `inner_optimize` replays the one-by-one acceptance rule on the
+batch's values.  A single sequence is a batch of one through the same
+arithmetic, so every candidate's value is bit-identical to a rollout of
+that candidate alone.
 """
 
 from __future__ import annotations
@@ -18,7 +28,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gp import GpModel, incorporate_sample, refit
-from .moments import GaussianBelief, IncrementPrediction, moment_match
+from .moments import (GaussianBelief, IncrementPrediction, RowChecks,
+                      identity_where, moment_match)
 from .rng import RngHub
 
 logger = logging.getLogger(__name__)
@@ -26,6 +37,8 @@ logger = logging.getLogger(__name__)
 LOG_PHI_FLOOR = -700.0
 DAMPING_LADDER = tuple(0.5 ** k for k in range(7))  # 1 .. 1/64
 EXPANSION_MAX = 256.0
+EXPANSION_SCALES = tuple(2.0 ** k for k in
+                         range(int(np.log2(EXPANSION_MAX)) + 1))  # 1 .. 256
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +100,13 @@ class CostSpec:
 
 @dataclass
 class ControlSequence:
-    """Open-loop control plan with optional saturation bounds."""
+    """Open-loop control plan with optional saturation bounds.
 
-    u: np.ndarray                       # (T, m)
+    u is (T, m) for one plan, or (C, T, m) for a batch of C candidate plans
+    that a value-only `forward_rollout` evaluates together.
+    """
+
+    u: np.ndarray                       # (T, m) or (C, T, m)
     R: list = field(default_factory=list)   # per-step implied control weight
     u_min: np.ndarray | None = None
     u_max: np.ndarray | None = None
@@ -102,7 +119,7 @@ class ControlSequence:
 
     @property
     def horizon(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[-2]
 
     def clamp(self, u: np.ndarray) -> np.ndarray:
         if self.u_min is not None:
@@ -118,7 +135,7 @@ class ControlSequence:
 
 @dataclass
 class BeliefTrajectory:
-    beliefs: list                       # T+1 GaussianBelief
+    beliefs: list                       # T+1 GaussianBelief (batched for a batch)
     controls_old: ControlSequence
     predictions: list                   # T IncrementPrediction
     step_maps: list = field(default_factory=list)  # T StepMap with compute_jac
@@ -134,9 +151,12 @@ class DesirabilityTrace:
     covariance held fixed, stored as grad Psi / Psi for numerical stability.
     At t = 0 the belief is the observed start state, so entry 0 is the
     gradient with respect to x0.
+
+    For a batch of C rollouts log_psi is (C, T+1), a failed candidate's row
+    is -inf throughout, and no gradient is formed.
     """
 
-    log_psi: np.ndarray                 # (T+1,)
+    log_psi: np.ndarray                 # (T+1,) or (C, T+1)
     grad_psi_over_psi: np.ndarray       # (T+1, n)
     saturated: bool = False
     has_gradient: bool = False
@@ -154,30 +174,36 @@ def log_phi_step(belief: GaussianBelief, cost: CostSpec, step_weight: float,
 
     Phi = |I + Sigma M|^{-1/2} exp(-0.5 delta' M (I + Sigma M)^{-1} delta)
     with M = (step_weight / lambda) Q and delta = mu - x_d.
+
+    A single belief gives a float and raises NumericalError on failure.  A
+    batch gives log Phi (C,), -inf on the failed and the already dead rows,
+    with partials (C, n) and (C, n, n); a single belief runs as a batch of
+    one through the same arithmetic.
     """
     q = cost.Q_terminal if terminal else cost.Q
     n = cost.dim
     M = (step_weight / cost.lam) * q
     target = cost.target_at(cost.horizon_steps if step_index is None
                             else step_index)
-    delta = belief.mu - target
-    J = np.eye(n) + M @ belief.sigma
-    try:
-        W = np.linalg.solve(J, M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("phi normalization matrix singular",
-                             step=step_index) from exc
-    W = 0.5 * (W + W.T)
+    mu = belief.mu.reshape(-1, n)
+    sigma = belief.sigma.reshape(-1, n, n)
+    checks = RowChecks(belief.ok)
+    delta = mu - target
+    J = np.eye(n) + M @ sigma
     sign, logdet = np.linalg.slogdet(J)
-    if sign <= 0:
-        raise NumericalError("phi determinant non-positive", step=step_index)
-    y = W @ delta
-    log_phi = -0.5 * logdet - 0.5 * float(delta @ y)
-    if not np.isfinite(log_phi):
-        raise NumericalError("phi overflowed", step=step_index)
+    checks.fail(sign == 0, "phi normalization matrix singular", step=step_index)
+    bad = ~(sign > 0)
+    checks.fail(bad, "phi determinant non-positive", step=step_index)
+    W = np.linalg.solve(identity_where(bad, J), np.broadcast_to(M, J.shape))
+    W = 0.5 * (W + W.transpose(0, 2, 1))
+    y = (W @ delta[:, :, None])[:, :, 0]
+    log_phi = -0.5 * logdet - 0.5 * (delta[:, None, :] @ y[:, :, None])[:, 0, 0]
+    checks.fail(~np.isfinite(log_phi), "phi overflowed", step=step_index)
     dlog_dmu = -y
-    dlog_dsigma = 0.5 * (np.outer(y, y) - W)
-    return log_phi, dlog_dmu, dlog_dsigma
+    dlog_dsigma = 0.5 * (y[:, :, None] * y[:, None, :] - W)
+    if checks.single:
+        return float(log_phi[0]), dlog_dmu[0], dlog_dsigma[0]
+    return np.where(checks.ok, log_phi, -np.inf), dlog_dmu, dlog_dsigma
 
 
 def phi_step(belief: GaussianBelief, cost: CostSpec, step_weight: float,
@@ -200,17 +226,30 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
     beliefs[0] is the observed state; step t applies controls.u[t] through
     the known control matrix.  With `compute_jac` the step maps of the
     adjoint gradient pass are recorded as well.
+
+    Without `compute_jac`, controls.u may be a batch (C, T, m) of candidate
+    plans: every step is then one `moment_match` call for all of them, and
+    the beliefs are batches.  A candidate that fails at some step is
+    dropped from the beliefs' `ok` mask and frozen, and the batch runs on;
+    a single plan raises NumericalError carrying the step instead.
     """
     if controls.horizon != cost.horizon_steps:
         raise ConfigError("controls length must equal horizon_steps")
+    u = controls.u
     belief = GaussianBelief.observed(x0)
+    if u.ndim == 3:
+        if compute_jac:
+            raise ConfigError("step maps are recorded for a single plan only")
+        C, n = u.shape[0], belief.dim
+        belief = GaussianBelief(np.tile(belief.mu, (C, 1)), np.zeros((C, n, n)),
+                                np.ones(C, dtype=bool))
     beliefs = [belief]
     preds: list[IncrementPrediction] = []
     maps: list = []
     for t in range(cost.horizon_steps):
         try:
             belief = moment_match(
-                model, belief, controls.u[t], plant.control_matrix, cost.dt,
+                model, belief, u[..., t, :], plant.control_matrix, cost.dt,
                 plant_G_jac=plant.control_matrix_jac,
                 prediction_out=preds,
                 step_map_out=maps if compute_jac else None)
@@ -230,34 +269,38 @@ def backward_desirability(traj: BeliefTrajectory, cost: CostSpec) -> Desirabilit
 
     The terminal boundary is integrated with unit weight against the
     terminal belief; interior steps carry weight dt.  log_psi[t] is the tail
-    beyond step t, so log_psi[T-1] equals log_psi[T].
+    beyond step t, so log_psi[T-1] equals log_psi[T].  On a batched
+    trajectory every row runs the same recursion; a candidate whose rollout
+    or whose log phi failed is -inf.
     """
     T = cost.horizon_steps
     if len(traj.beliefs) != T + 1:
         raise ConfigError("trajectory length does not match horizon")
-    log_psi = np.zeros(T + 1)
+    log_psi = np.zeros(traj.beliefs[0].mu.shape[:-1] + (T + 1,))
     phi_mu = [None] * (T + 1)
     phi_sigma = [None] * (T + 1)
     saturated = False
 
+    def floored(lp):
+        nonlocal saturated
+        low = (lp < LOG_PHI_FLOOR) & (lp > -np.inf)
+        saturated = saturated or bool(np.any(low))
+        return np.where(low, LOG_PHI_FLOOR, lp)
+
     lp, dmu, dsig = log_phi_step(traj.beliefs[T], cost, 1.0, terminal=True,
                                  step_index=T)
-    if lp < LOG_PHI_FLOOR:
-        lp, saturated = LOG_PHI_FLOOR, True
-    log_psi[T] = lp
+    log_psi[..., T] = floored(lp)
     phi_mu[T], phi_sigma[T] = dmu, dsig
     if T >= 1:
-        log_psi[T - 1] = log_psi[T]
+        log_psi[..., T - 1] = log_psi[..., T]
     for t in range(T - 2, -1, -1):
         lp, dmu, dsig = log_phi_step(traj.beliefs[t + 1], cost, cost.dt,
                                      step_index=t + 1)
-        if lp < LOG_PHI_FLOOR:
-            lp, saturated = LOG_PHI_FLOOR, True
         phi_mu[t + 1], phi_sigma[t + 1] = dmu, dsig
-        log_psi[t] = lp + log_psi[t + 1]
+        log_psi[..., t] = floored(lp) + log_psi[..., t + 1]
     if saturated:
         logger.warning("desirability trace saturated at the log floor")
-    return DesirabilityTrace(log_psi, np.zeros((T + 1, cost.dim)),
+    return DesirabilityTrace(log_psi, np.zeros(log_psi.shape + (cost.dim,)),
                              saturated=saturated, _phi_mu=phi_mu,
                              _phi_sigma=phi_sigma)
 
@@ -347,13 +390,21 @@ class InnerOptResult:
     trajectory: BeliefTrajectory
     log_psi0: float
     accepted_log_psi: list
-    status: str                         # converged | max-iters | no-progress
+    status: str                         # converged | max-iters | no-progress | stalled
     n_iters: int
+    accepted_scales: list = field(default_factory=list)  # one per accepted step
+    candidates_evaluated: int = 0       # line-search candidates rolled out
+    candidates_failed: int = 0          # of those, masked as numerical failures
 
 
-def _evaluate_log_psi0(model, x0, controls, plant, cost) -> float:
-    traj = forward_rollout(model, x0, controls, plant, cost, compute_jac=False)
-    return float(backward_desirability(traj, cost).log_psi[0])
+def _candidate_values(model, x0, proposal: ControlSequence, u_cur, du, scales,
+                      plant, cost):
+    """log Psi_0 of the clamped candidates u_cur + s du over `scales`, from
+    one batched value-only rollout; -inf marks a failed candidate."""
+    s = np.asarray(scales)[:, None, None]
+    batch = replace(proposal, u=u_cur.clamp(u_cur.u + s * du))
+    traj = forward_rollout(model, x0, batch, plant, cost, compute_jac=False)
+    return batch.u, backward_desirability(traj, cost).log_psi[:, 0]
 
 
 def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
@@ -362,9 +413,22 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
     """Alternate forward / backward / update with damped acceptance.
 
     A proposed update u_old + alpha delta_u is accepted only if it does not
-    decrease log Psi_0, halving alpha down the ladder otherwise; the
-    best-Psi_0 iterate is returned.  Exactly one update is attempted per
-    iteration, so tol = inf returns after a single update.
+    decrease log Psi_0, halving alpha down the ladder otherwise; an accepted
+    full step (alpha = 1) is then doubled up to EXPANSION_MAX while the value
+    keeps not decreasing.  The best-Psi_0 iterate is returned.  Exactly one
+    update is attempted per iteration, so tol = inf returns after a single
+    update.
+
+    The candidates are not rolled out one by one.  Each iteration evaluates
+    every expansion scale (1, 2, ..., EXPANSION_MAX) in one batched
+    value-only rollout and, only when scale 1 is rejected, the damped
+    scales (1/2 .. 1/64) in a second one.  The sequential rule is then
+    replayed on the values: the ladder accepts the first candidate whose
+    value is >= log Psi_0, and the expansion stops at the first failed or
+    decreasing candidate.  A candidate that fails numerically is masked
+    (value -inf) instead of raising, and counts as rejected.  Each value
+    equals that of a rollout of the candidate alone bit for bit, so the
+    accepted controls are those of the one-by-one search.
 
     The returned trace is the gradient pass that generated the returned
     controls (one update behind them); log_psi0 is evaluated at the returned
@@ -380,6 +444,8 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
     # (value at controls, controls, generating trace, generating trajectory)
     best = (log_psi0, u_cur, trace, traj)
     accepted = [log_psi0]
+    scales_taken = []
+    searched = []                       # candidate values of every batch
     status = "max-iters"
     n_done = 0
 
@@ -390,35 +456,33 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
         du_norm = float(np.max(np.abs(du))) if du.size else 0.0
         stepped = False
         chosen = None
-        for alpha in DAMPING_LADDER:
-            cand = replace(proposal, u=u_cur.clamp(u_cur.u + alpha * du))
-            try:
-                cand_val = _evaluate_log_psi0(model, x0, cand, plant, cost)
-            except NumericalError:
-                continue
-            if cand_val >= log_psi0:
-                chosen = (cand_val, cand)
-                break
-        if chosen is not None and alpha == DAMPING_LADDER[0]:
+        us, vals = _candidate_values(model, x0, proposal, u_cur, du,
+                                     EXPANSION_SCALES, plant, cost)
+        searched.append(vals)
+        if vals[0] >= log_psi0:
             # the raw uncertainty-scaled step is often very conservative when
             # the model is confident; expand while the value keeps improving
-            scale = 2.0
-            while scale <= EXPANSION_MAX:
-                cand = replace(proposal, u=u_cur.clamp(u_cur.u + scale * du))
-                try:
-                    cand_val = _evaluate_log_psi0(model, x0, cand, plant, cost)
-                except NumericalError:
-                    break
-                if cand_val < chosen[0]:
-                    break
-                chosen = (cand_val, cand)
-                scale *= 2.0
+            k = 0
+            while k + 1 < len(vals) and vals[k + 1] >= vals[k]:
+                k += 1
+            chosen = (EXPANSION_SCALES[k], vals[k], us[k])
+        else:
+            us, vals = _candidate_values(model, x0, proposal, u_cur, du,
+                                         DAMPING_LADDER[1:], plant, cost)
+            searched.append(vals)
+            hits = np.flatnonzero(vals >= log_psi0)
+            if hits.size:
+                k = int(hits[0])
+                chosen = (DAMPING_LADDER[1 + k], vals[k], us[k])
         if chosen is not None:
-            cand_val, cand = chosen
+            scale, cand_val, cand_u = chosen
+            cand_val = float(cand_val)
+            cand = replace(proposal, u=cand_u.copy())
             if cand_val >= best[0]:
                 best = (cand_val, cand, trace, traj)
             u_cur, log_psi0, stepped = cand, cand_val, True
             accepted.append(cand_val)
+            scales_taken.append(scale)
         if not stepped:
             status = "no-progress" if log_psi0 <= initial_log_psi0 else "stalled"
             break
@@ -432,12 +496,16 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
                 traj, backward_desirability(traj, cost), cost)
             log_psi0 = float(trace.log_psi[0])
 
+    search = dict(accepted_scales=scales_taken,
+                  candidates_evaluated=sum(v.size for v in searched),
+                  candidates_failed=sum(int(np.sum(v == -np.inf))
+                                        for v in searched))
     if status == "no-progress":
         logger.warning("inner optimization made no progress")
         return InnerOptResult(controls_init, trace, traj, initial_log_psi0,
-                              accepted, status, n_done)
+                              accepted, status, n_done, **search)
     return InnerOptResult(best[1], best[2], best[3], best[0], accepted,
-                          status, n_done)
+                          status, n_done, **search)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +612,12 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                         cost.tail(t), plant, max_iters=inner_max_iters,
                         tol=inner_tol)
                     trial_u[t:] = res.controls.u
-                    x_next = plant.step(x, trial_u[t], w_rng)
+                    try:
+                        x_next = plant.step(x, trial_u[t], w_rng)
+                    except NumericalError as exc:
+                        raise NumericalError(
+                            f"plant step failed at step {t}: {exc}",
+                            jitter=exc.jitter, step=t) from exc
                     model, _ = incorporate_sample(
                         model, x, trial_u[t], x_next, plant.control_matrix,
                         cost.dt)

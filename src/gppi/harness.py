@@ -26,7 +26,7 @@ from .compose import (CompositeWeights, TaskLibrary,
 from .control import (ControlSequence, CostSpec, mpc_learning_loop,
                       terminal_log_desirability)
 from .baselines import PathCostSample, sampling_pi_control
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .gp import save_model
 from .plants import canonical_plant_name, make_plant
 from .records import (ControllerRecord, CostFields, export_trace_csv,
@@ -56,6 +56,32 @@ _DEFAULT_CONFIG = {
 }
 
 
+def _merge_section(section: str, defaults: dict, values: dict) -> dict:
+    """`values` over a shallow copy of `defaults`; an unknown key raises
+    ConfigError."""
+    out = dict(defaults)
+    for key, v in values.items():
+        if key not in out:
+            raise ConfigError(f"unknown key '{section}.{key}'")
+        out[key] = v
+    return out
+
+
+def _executed_rollout(plant, x0, controls, rng) -> np.ndarray:
+    """States of one plant rollout under `controls`; a divergence raises
+    NumericalError carrying the control step."""
+    states = [x0]
+    x = x0
+    for t, u in enumerate(controls):
+        try:
+            x = plant.step(x, u, rng)
+        except NumericalError as exc:
+            raise NumericalError(f"executed rollout failed at step {t}: {exc}",
+                                 jitter=exc.jitter, step=t) from exc
+        states.append(x)
+    return np.array(states)
+
+
 def fill_defaults(config: dict) -> dict:
     """Deep-merge a user config over the defaults and resolve plant fields.
 
@@ -71,10 +97,7 @@ def fill_defaults(config: dict) -> dict:
         if isinstance(out[section], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"section '{section}' must be an object")
-            for key, v in value.items():
-                if key not in out[section]:
-                    raise ConfigError(f"unknown key '{section}.{key}'")
-                out[section][key] = v
+            out[section] = _merge_section(section, out[section], value)
         else:
             out[section] = value
     proto = _PLANT_PROTOCOLS[canonical_plant_name(out["plant"]["name"])]
@@ -204,7 +227,8 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     """Build and execute a composite controller from a record library."""
     doc = load_manifest(manifest_path)
     records = [load_record(p) for p in doc["records"]]
-    plant = build_plant({**_DEFAULT_CONFIG["plant"], **doc["plant"]})
+    plant = build_plant(_merge_section("plant", _DEFAULT_CONFIG["plant"],
+                                       doc["plant"]))
     new_target = np.asarray(new_target, dtype=float)
     if new_target.shape[0] != plant.spec.n:
         raise ConfigError("target dimension does not match plant state")
@@ -228,13 +252,8 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     ref = records[0].cost_fields
     x0 = doc.get("x0")
     x0 = np.zeros(plant.spec.n) if x0 is None else np.asarray(x0, dtype=float)
-    rng = hub.stream("compose-noise")
-    states = [x0]
-    x = x0
-    for t in range(ref.horizon_steps):
-        x = plant.step(x, controls.u[t], rng)
-        states.append(x)
-    states = np.array(states)
+    states = _executed_rollout(plant, x0, controls.u[:ref.horizon_steps],
+                               hub.stream("compose-noise"))
     term = composite_terminal_log_desirability(library, weights, states[-1])
 
     log_psi = np.array([log_mixture(weights.omega_tilde,
@@ -280,13 +299,8 @@ def run_baseline(config: dict) -> dict:
         _flush_failure(out, exc)
         raise
     # executed trace under the final controls
-    rng = hub.stream("baseline-exec")
-    x = x0
-    states = [x0]
-    for t in range(cost.horizon_steps):
-        x = plant.step(x, res.controls[t], rng)
-        states.append(x)
-    states = np.array(states)
+    states = _executed_rollout(plant, x0, res.controls[:cost.horizon_steps],
+                               hub.stream("baseline-exec"))
     # per-step log-desirability surrogate: minus cost-to-go over lambda
     log_psi = np.zeros(cost.horizon_steps + 1)
     for t in range(cost.horizon_steps + 1):

@@ -1,9 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from gppi.control import CostSpec
-from gppi.gp import GpModel, TrainingSet, fit_hyperparameters, incorporate_sample
-from gppi.plants import make_plant
+# One BLAS thread, set before numpy loads BLAS: on two cores the default
+# multi-threaded OpenBLAS makes the GP fits several times slower.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from gppi.control import CostSpec  # noqa: E402
+from gppi.gp import GpModel, TrainingSet, fit_hyperparameters, incorporate_sample  # noqa: E402
+from gppi.plants import make_plant  # noqa: E402
 
 
 @pytest.fixture

@@ -123,6 +123,16 @@ class TestSamplingPi:
             sampling_pi_control(plant, [1.0], np.zeros((40, 1)), cost,
                                 n_samples=5, rng=np.random.default_rng(0))
 
+    def test_divergence_error_carries_control_step(self):
+        plant = make_plant("linear", params=dict(A=[[300.0]], Bc=[[1.0]]))
+        cost = CostSpec([[1.0]], [0.0], 1.0, 0.02, 40)
+        with pytest.raises(NumericalError) as info:
+            sampling_pi_control(plant, [1.0], np.zeros((40, 1)), cost,
+                                n_samples=5, rng=np.random.default_rng(0))
+        assert isinstance(info.value.step, int)
+        assert 0 <= info.value.step < 40
+        assert isinstance(info.value.__cause__, NumericalError)
+
     def test_n_iterations_validated(self):
         plant = make_plant("linear", params=dict(A=[[0.0]], Bc=[[1.0]]))
         cost = CostSpec([[1.0]], [0.0], 1.0, 0.02, 3)

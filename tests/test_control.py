@@ -1,17 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gppi.baselines import lqg_solve
 from gppi.checks import fd_tail_gradient
-from gppi.control import (BeliefTrajectory, ControlSequence, CostSpec,
+from gppi.control import (DAMPING_LADDER, EXPANSION_MAX, EXPANSION_SCALES,
+                          BeliefTrajectory, ControlSequence, CostSpec,
                           DesirabilityTrace, backward_desirability,
                           control_update, desirability_gradient,
                           forward_rollout, inner_optimize, log_phi_step,
                           mpc_learning_loop, phi_step,
                           terminal_log_desirability)
-from gppi.errors import ConfigError
-from gppi.gp import GpModel
-from gppi.moments import GaussianBelief, IncrementPrediction, predict_increment
+from gppi.errors import ConfigError, NumericalError
+from gppi.gp import GpModel, KernelHyper
+from gppi.moments import (GaussianBelief, IncrementPrediction, _stacks,
+                          predict_increment)
 from gppi.oracles import (linear_chain_log_integral, path_integral_quadrature,
                           quadrature_phi)
 from gppi.plants import make_plant
@@ -363,3 +367,183 @@ class TestMpcLoop:
         cost = CostSpec([[2.0]], [1.0], 0.5, 0.02, 5)
         lp = terminal_log_desirability(cost, [0.0])
         assert lp == pytest.approx(-2.0 * 1.0 / (2 * 0.5))
+
+
+def _sequential_inner_optimize(model, x0, controls_init, cost, plant,
+                               max_iters, tol):
+    """Reference: the one-candidate-per-rollout line search that
+    `inner_optimize` replaced, with the same loop and acceptance rule."""
+    def evaluate(controls):
+        traj = forward_rollout(model, x0, controls, plant, cost,
+                               compute_jac=False)
+        return float(backward_desirability(traj, cost).log_psi[0])
+
+    u_cur = controls_init
+    traj = forward_rollout(model, x0, u_cur, plant, cost, compute_jac=True)
+    trace = desirability_gradient(traj, backward_desirability(traj, cost), cost)
+    log_psi0 = float(trace.log_psi[0])
+    initial_log_psi0 = log_psi0
+    best = (log_psi0, u_cur)
+    accepted = [log_psi0]
+    scales = []
+    status = "max-iters"
+    n_done = 0
+    for it in range(max_iters):
+        n_done += 1
+        proposal = control_update(trace, traj, u_cur, plant, cost.lam)
+        du = proposal.u - u_cur.u
+        du_norm = float(np.max(np.abs(du))) if du.size else 0.0
+        stepped = False
+        chosen = None
+        for alpha in DAMPING_LADDER:
+            cand = replace(proposal, u=u_cur.clamp(u_cur.u + alpha * du))
+            try:
+                cand_val = evaluate(cand)
+            except NumericalError:
+                continue
+            if cand_val >= log_psi0:
+                chosen = (cand_val, cand, alpha)
+                break
+        if chosen is not None and alpha == DAMPING_LADDER[0]:
+            scale = 2.0
+            while scale <= EXPANSION_MAX:
+                cand = replace(proposal, u=u_cur.clamp(u_cur.u + scale * du))
+                try:
+                    cand_val = evaluate(cand)
+                except NumericalError:
+                    break
+                if cand_val < chosen[0]:
+                    break
+                chosen = (cand_val, cand, scale)
+                scale *= 2.0
+        if chosen is not None:
+            cand_val, cand, taken = chosen
+            if cand_val >= best[0]:
+                best = (cand_val, cand)
+            u_cur, log_psi0, stepped = cand, cand_val, True
+            accepted.append(cand_val)
+            scales.append(taken)
+        if not stepped:
+            status = "no-progress" if log_psi0 <= initial_log_psi0 else "stalled"
+            break
+        if du_norm < tol:
+            status = "converged"
+            break
+        if it + 1 < max_iters:
+            traj = forward_rollout(model, x0, u_cur, plant, cost,
+                                   compute_jac=True)
+            trace = desirability_gradient(
+                traj, backward_desirability(traj, cost), cost)
+            log_psi0 = float(trace.log_psi[0])
+    if status == "no-progress":
+        return controls_init.u, initial_log_psi0, accepted, scales, status, n_done
+    return best[1].u, best[0], accepted, scales, status, n_done
+
+
+def _assert_matches_sequential(model, x0, us, cost, plant, max_iters=4,
+                               tol=1e-6):
+    res = inner_optimize(model, x0, us, cost, plant, max_iters=max_iters,
+                         tol=tol)
+    u, log_psi0, accepted, scales, status, n_iters = \
+        _sequential_inner_optimize(model, x0, us, cost, plant, max_iters, tol)
+    assert np.array_equal(res.controls.u, u)
+    assert res.log_psi0 == log_psi0
+    assert res.accepted_log_psi == accepted
+    assert res.accepted_scales == scales
+    assert res.status == status and res.n_iters == n_iters
+    return res
+
+
+class _EdgePlant:
+    """x' = u in 1-D, with a control matrix that is non-finite outside
+    |x| < 0.5, so that the long line-search steps fail numerically."""
+
+    def control_matrix(self, x):
+        return np.array([[1.0 if abs(x[0]) < 0.5 else np.inf]])
+
+    def control_matrix_jac(self, x):
+        return np.zeros((1, 1, 1))
+
+
+class TestBatchedLineSearch:
+    def test_backward_rows_equal_single_rollouts(self, cartpole,
+                                                 cartpole_model, swing_cost,
+                                                 rng):
+        batch = ControlSequence(rng.uniform(-3, 3, (5, 20, 1)))
+        traj = forward_rollout(cartpole_model, np.zeros(4), batch, cartpole,
+                               swing_cost, compute_jac=False)
+        trace = backward_desirability(traj, swing_cost)
+        assert trace.log_psi.shape == (5, 21)
+        for c in range(5):
+            one = forward_rollout(cartpole_model, np.zeros(4),
+                                  ControlSequence(batch.u[c:c + 1]), cartpole,
+                                  swing_cost, compute_jac=False)
+            single = forward_rollout(cartpole_model, np.zeros(4),
+                                     ControlSequence(batch.u[c]), cartpole,
+                                     swing_cost, compute_jac=False)
+            assert np.array_equal(
+                trace.log_psi[c], backward_desirability(one, swing_cost).log_psi[0])
+            assert np.array_equal(
+                trace.log_psi[c], backward_desirability(single, swing_cost).log_psi)
+
+    def test_batch_needs_value_only_rollout(self, cartpole, cartpole_model,
+                                            swing_cost):
+        with pytest.raises(ConfigError):
+            forward_rollout(cartpole_model, np.zeros(4),
+                            ControlSequence(np.zeros((2, 20, 1))), cartpole,
+                            swing_cost, compute_jac=True)
+
+    def test_matches_sequential_search_shared_scales(self, cartpole,
+                                                     cartpole_model,
+                                                     swing_cost, rng):
+        us = ControlSequence(rng.uniform(-1, 1, (20, 1)), u_min=np.full(1, -10.0),
+                             u_max=np.full(1, 10.0))
+        res = _assert_matches_sequential(cartpole_model, np.zeros(4), us,
+                                         swing_cost, cartpole)
+        assert res.candidates_evaluated >= len(EXPANSION_SCALES) * res.n_iters
+        assert res.candidates_failed == 0
+
+    def test_matches_sequential_search_per_dimension_scales(
+            self, cartpole, cartpole_model, swing_cost, rng):
+        hyper = [KernelHyper(h.log_sigma_s, h.log_sigma_w, h.log_w + 0.2 * d)
+                 for d, h in enumerate(cartpole_model.hyper)]
+        model = GpModel.from_data(cartpole_model.train, hyper)
+        assert not _stacks(model).shared_w
+        us = ControlSequence(rng.uniform(-1, 1, (20, 1)), u_min=np.full(1, -10.0),
+                             u_max=np.full(1, 10.0))
+        _assert_matches_sequential(model, np.zeros(4), us, swing_cost,
+                                   cartpole)
+
+    def test_tie_when_every_control_clamped(self, cartpole, cartpole_model,
+                                            swing_cost):
+        # every candidate clamps to u_max, so all candidates tie with u_cur
+        cap = np.full(1, 2.0)
+        us = ControlSequence(np.full((20, 1), 2.0), u_min=cap, u_max=cap)
+        res = _assert_matches_sequential(cartpole_model, np.zeros(4), us,
+                                         swing_cost, cartpole)
+        assert res.accepted_scales == [EXPANSION_MAX]
+        assert np.array_equal(res.controls.u, us.u)
+
+    def test_failing_expansion_candidates_masked(self):
+        plant = _EdgePlant()
+        cost = CostSpec([[1.0]], [2.0], 1.0, 0.02, 10)
+        us = ControlSequence(np.zeros((10, 1)))
+        res = _assert_matches_sequential(GpModel.empty(1), [0.0], us, cost,
+                                         plant, max_iters=3)
+        assert res.candidates_failed > 0
+        # the first expansion stops at a failed candidate; a later scale 1
+        # fails too and the damping ladder takes over
+        assert 1.0 <= res.accepted_scales[0] < EXPANSION_MAX
+        assert min(res.accepted_scales) < 1.0
+        scales = np.array(EXPANSION_SCALES)
+        batch = ControlSequence(scales[:, None, None]
+                                * np.ones((len(scales), 10, 1)))
+        traj = forward_rollout(GpModel.empty(1), [0.0], batch, plant, cost,
+                               compute_jac=False)
+        log_psi0 = backward_desirability(traj, cost).log_psi[:, 0]
+        assert np.isfinite(log_psi0[0]) and log_psi0[-1] == -np.inf
+        assert not traj.beliefs[-1].ok[-1]
+        with pytest.raises(NumericalError):
+            forward_rollout(GpModel.empty(1), [0.0],
+                            ControlSequence(batch.u[-1]), plant, cost,
+                            compute_jac=False)

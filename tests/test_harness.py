@@ -252,6 +252,21 @@ class TestRunCompose:
         code = cli_main(["compose", str(manifest), "--target", "0.4"])
         assert code == 2
 
+    def test_misspelt_manifest_plant_key_rejected(self, tmp_path):
+        T = 3
+        rec = ControllerRecord("task0", [0.3], CostFields([1.0], 0.5, 0.02, T),
+                               np.zeros((T, 1)), np.zeros(T + 1),
+                               np.zeros((T + 1, 1)))
+        save_record(rec, tmp_path / "task0.json")
+        manifest = tmp_path / "manifest.json"
+        save_manifest(manifest, [tmp_path / "task0.json"], [2.0],
+                      {"name": "linear", "noise_sd": 0.5,
+                       "params": {"A": [[-0.4]], "Bc": [[1.0]]}})
+        with pytest.raises(ConfigError, match="plant.noise_sd"):
+            run_compose(manifest, [0.4])
+        code = cli_main(["compose", str(manifest), "--target", "0.4"])
+        assert code == 2
+
     def test_misaligned_records_error(self, tmp_path):
         paths = []
         for k, lam in enumerate((0.5, 0.7)):

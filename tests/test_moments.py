@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gppi.errors import NumericalError
+from gppi.errors import ConfigError, NumericalError
 from gppi.gp import GpModel, KernelHyper, TrainingSet, posterior_predict
 from gppi.moments import (GaussianBelief, moment_match, predict_increment,
                           _stacks)
@@ -177,3 +177,67 @@ class TestBeliefPropagation:
         bad = GaussianBelief(np.zeros(2), np.array([[1.0, 0.0], [0.0, -0.5]]))
         with pytest.raises(NumericalError):
             moment_match(model, bad, [0.0], lambda x: np.eye(2)[:, :1], 0.02)
+
+
+class TestCandidateBatch:
+    """Row c of a batched evaluation equals a batch of one, bit for bit."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_predict_rows_equal_batch_of_one(self, rng, shared):
+        model = _random_model(rng, n=4, n_points=40, shared=shared)
+        assert _stacks(model).shared_w == shared
+        inputs = [_random_input(rng, 4) for _ in range(6)]
+        mus = np.array([m for m, _ in inputs])
+        sigmas = np.array([S for _, S in inputs])
+        batch = predict_increment(model, mus, sigmas)
+        assert batch.mu_f.shape == (6, 4) and batch.ok.all()
+        for c in range(6):
+            one = predict_increment(model, mus[c:c + 1], sigmas[c:c + 1])
+            single = predict_increment(model, mus[c], sigmas[c])
+            for field in ("mu_f", "sigma_f", "cov_x_dx"):
+                assert np.array_equal(getattr(batch, field)[c],
+                                      getattr(one, field)[0])
+                assert np.array_equal(getattr(batch, field)[c],
+                                      getattr(single, field))
+
+    def test_batch_rejects_directions(self, rng):
+        model = _random_model(rng, n=2)
+        m, S = _random_input(rng, 2)
+        with pytest.raises(ConfigError):
+            predict_increment(model, m[None], S[None], np.eye(2))
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_moment_match_rows_equal_batch_of_one(self, rng, shared):
+        model = _random_model(rng, n=3, n_points=30, shared=shared)
+        plant_G = lambda x: np.array([[0.0], [1.0 + 0.1 * x[0]], [0.5]])
+        inputs = [_random_input(rng, 3) for _ in range(5)]
+        belief = GaussianBelief(np.array([m for m, _ in inputs]),
+                                np.array([S for _, S in inputs]),
+                                np.ones(5, dtype=bool))
+        u = rng.uniform(-2, 2, (5, 1))
+        out = moment_match(model, belief, u, plant_G, 0.02)
+        assert out.ok.all()
+        for c in range(5):
+            one = moment_match(
+                model, GaussianBelief(belief.mu[c:c + 1], belief.sigma[c:c + 1],
+                                      np.ones(1, dtype=bool)),
+                u[c:c + 1], plant_G, 0.02)
+            single = moment_match(
+                model, GaussianBelief(belief.mu[c], belief.sigma[c]), u[c],
+                plant_G, 0.02)
+            assert np.array_equal(out.mu[c], one.mu[0])
+            assert np.array_equal(out.sigma[c], one.sigma[0])
+            assert np.array_equal(out.mu[c], single.mu)
+            assert np.array_equal(out.sigma[c], single.sigma)
+
+    def test_failed_row_masked_and_frozen(self):
+        model = GpModel.empty(2)
+        sigma = np.array([0.1 * np.eye(2), [[1.0, 0.0], [0.0, -0.5]]])
+        belief = GaussianBelief(np.zeros((2, 2)), sigma, np.ones(2, dtype=bool))
+        out = moment_match(model, belief, np.zeros((2, 1)),
+                           lambda x: np.eye(2)[:, :1], 0.02)
+        assert out.ok.tolist() == [True, False]
+        assert np.array_equal(out.sigma[1], sigma[1])
+        single = moment_match(model, GaussianBelief(np.zeros(2), sigma[0]),
+                              [0.0], lambda x: np.eye(2)[:, :1], 0.02)
+        assert np.array_equal(out.sigma[0], single.sigma)
