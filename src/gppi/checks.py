@@ -15,7 +15,8 @@ import numpy as np
 from .control import (ControlSequence, CostSpec, backward_desirability,
                       desirability_gradient, forward_rollout, phi_step)
 from .gp import (GpModel, KernelHyper, TrainingSet, fit_hyperparameters,
-                 incorporate_sample, log_marginal_likelihood)
+                 incorporate_sample, log_marginal_likelihood,
+                 tied_log_marginal_likelihood)
 from .baselines import lqg_solve, riccati_residual
 from .moments import GaussianBelief, moment_match, predict_increment
 from .oracles import (mc_increment_moments, path_integral_quadrature,
@@ -100,8 +101,7 @@ def check_desirability_gradient(rng) -> bool:
         xn = cp.step(x, u, rng)
         model, _ = incorporate_sample(model, x, u, xn, cp.control_matrix, 0.02)
         x = xn if np.linalg.norm(xn) < 20 else np.zeros(4)
-    hy, _ = fit_hyperparameters(model.train, rng=rng, n_restarts=1,
-                                max_iters=60, share_lengthscales=True)
+    hy, _ = fit_hyperparameters(model.train, rng=rng, n_restarts=1, max_iters=60)
     model = GpModel.from_data(model.train, hy)
     cost = CostSpec(np.diag([0.5, 0.05, 2.0, 0.05]), [0, 0, np.pi, 0],
                     1.0, 0.02, 15)
@@ -119,21 +119,23 @@ def check_desirability_gradient(rng) -> bool:
 
 
 def check_lml_gradient(rng) -> bool:
-    X = rng.normal(size=(10, 2))
-    Y = rng.normal(size=(10, 2))
-    train = TrainingSet(X, Y)
+    """Central differences of the likelihood gradient: one dimension, and
+    both dimensions jointly under tied length scales."""
+    train = TrainingSet(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)))
     h = KernelHyper.create(0.8, 0.15, [1.0, 2.0])
-    _, g = log_marginal_likelihood(train, h, 0)
-    v = h.as_vector()
+    cases = [(lambda v: log_marginal_likelihood(
+                  train, KernelHyper.from_vector(v), 0), h.as_vector()),
+             (lambda v: tied_log_marginal_likelihood(train, v),
+              np.log([0.8, 1.3, 0.15, 0.05, 1.0, 2.0]))]
     worst = 0.0
-    for k in range(v.size):
-        vp, vm = v.copy(), v.copy()
-        vp[k] += 1e-6
-        vm[k] -= 1e-6
-        fp, _ = log_marginal_likelihood(train, KernelHyper.from_vector(vp), 0)
-        fm, _ = log_marginal_likelihood(train, KernelHyper.from_vector(vm), 0)
-        fd = (fp - fm) / 2e-6
-        worst = max(worst, abs(g[k] - fd) / max(abs(fd), 1e-8))
+    for objective, v in cases:
+        _, g = objective(v)
+        for k in range(v.size):
+            vp, vm = v.copy(), v.copy()
+            vp[k] += 1e-6
+            vm[k] -= 1e-6
+            fd = (objective(vp)[0] - objective(vm)[0]) / 2e-6
+            worst = max(worst, abs(g[k] - fd) / max(abs(fd), 1e-8))
     return _check("marginal likelihood gradient vs finite differences",
                   worst < 1e-5, f"worst rel {worst:.2e}")
 

@@ -527,7 +527,11 @@ class LearnResult:
     model: GpModel
     metrics: list
     controls: np.ndarray               # executed controls of last full trial
-    log_psi: np.ndarray                # per-step log Psi at the visited states
+    # per-step log Psi_0 of the planned tail at each visited state, evaluated
+    # at the returned controls (InnerOptResult.log_psi0), then the terminal
+    log_psi: np.ndarray
+    # per-step gradient of the pass that generated the returned controls (one
+    # update behind them), then zeros at the terminal row
     grad_psi_over_psi: np.ndarray
     states: np.ndarray                 # visited states of last full trial
     cost: CostSpec
@@ -587,7 +591,7 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                                           plant.control_matrix, cost.dt)
             x = x_next
     model = refit(model, rng=hub.stream("hyper-fit"), n_restarts=fit_restarts,
-                  max_iters=fit_max_iters, share_lengthscales=True)
+                  max_iters=fit_max_iters)
 
     metrics: list[TrialMetrics] = []
     last_full = None
@@ -621,7 +625,7 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                     model, _ = incorporate_sample(
                         model, x, trial_u[t], x_next, plant.control_matrix,
                         cost.dt)
-                    step_logpsi.append(float(res.trace.log_psi[0]))
+                    step_logpsi.append(res.log_psi0)
                     step_grad.append(res.trace.grad_psi_over_psi[0])
                     states.append(x_next)
                     x = x_next
@@ -649,8 +653,7 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                 cost.terminal_cost(x_term),
                 _time.perf_counter() - t_start, states=last_full[3]))
         model = refit(model, rng=hub.spawn("hyper-refit", trial),
-                      n_restarts=0, max_iters=refit_max_iters,
-                      share_lengthscales=True)
+                      n_restarts=0, max_iters=refit_max_iters)
 
     if last_full is None:
         raise NumericalError("every trial aborted; no controller learned")

@@ -8,6 +8,12 @@ under any control sequence.
 
 Kernel: k(xi, xj) = sigma_s^2 exp(-0.5 (xi-xj)' W (xi-xj)) + delta_ij sigma_w^2
 with W a diagonal matrix of inverse squared length scales.
+
+Hyperparameters are fitted with W tied across output dimensions, and the
+marginal likelihood is evaluated in the eigenbasis of the one length-scale
+Gram, with a jitter ladder on its eigenvalues (`tied_log_marginal_likelihood`).
+Fitted models keep per-dimension Cholesky factors for the rank-1 extension
+and the point posterior.
 """
 
 from __future__ import annotations
@@ -164,13 +170,18 @@ def kernel_eval(xi, xj, hyper: KernelHyper, same_index: bool = False) -> float:
     return float(val)
 
 
-def kernel_matrix(X: np.ndarray, hyper: KernelHyper, with_noise: bool = True) -> np.ndarray:
-    """Gram matrix of the kernel over rows of X."""
-    Xs = X * np.sqrt(hyper.w)
+def _sq_dist(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Squared distances (xi-xj)' W (xi-xj) between rows of X, clipped at 0."""
+    Xs = X * np.sqrt(w)
     sq = np.sum(Xs ** 2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
     np.maximum(d2, 0.0, out=d2)
-    K = hyper.sigma_s ** 2 * np.exp(-0.5 * d2)
+    return d2
+
+
+def kernel_matrix(X: np.ndarray, hyper: KernelHyper, with_noise: bool = True) -> np.ndarray:
+    """Gram matrix of the kernel over rows of X."""
+    K = hyper.sigma_s ** 2 * np.exp(-0.5 * _sq_dist(X, hyper.w))
     if with_noise:
         K[np.diag_indices_from(K)] += hyper.sigma_w ** 2
     return K
@@ -228,43 +239,71 @@ def _factorize_all(train: TrainingSet, hyper):
 # Marginal likelihood and hyperparameter fitting
 # ---------------------------------------------------------------------------
 
-def log_marginal_likelihood(train: TrainingSet, hyper: KernelHyper, dim: int):
-    """Log marginal likelihood of one output dimension and its gradient.
+def tied_log_marginal_likelihood(train: TrainingSet, theta):
+    """Summed log marginal likelihood of the output columns of `train` under
+    tied length scales, and its gradient in
+    theta = (log_sigma_s (E), log_sigma_w (E), log_w (n)).
 
-    The gradient is taken with respect to the log hyperparameters in the
-    order (log_sigma_s, log_sigma_w, log_w_1..log_w_n).
+    With K_w = exp(-0.5 d^2) = Q diag(lam) Q', column d has the Gram matrix
+    Q diag(D[:, d]) Q' with D[:, d] = sigma_s,d^2 lam + sigma_w,d^2, so one
+    `eigh` yields every log-determinant, alpha and sigma gradient, and the
+    length scales need one M = sum_d sigma_s,d^2 (alpha_d alpha_d' - K_d^-1).
+
+    Positivity rule: column d of D is accepted when all of it exceeds
+    N eps scale_d, with scale_d = sigma_s,d^2 + sigma_w,d^2 = trace(K_d) / N;
+    that is the rounding `eigh` can leave, as K_w's eigenvalues are at most
+    N.  A column below it gets the `chol_with_jitter` ladder, JITTER_BASE
+    scale_d raised tenfold up to JITTER_MAX scale_d.  Past that, or for a
+    non-finite D, the sentinel (-1e18, zero gradient) is returned.
     """
     if train.size < 1:
         raise ConfigError("need at least one training pair")
-    X = train.inputs
-    y = train.outputs[:, dim]
-    N, n = X.shape
-    K = kernel_matrix(X, hyper)
-    try:
-        L, _ = chol_with_jitter(K)
-    except NumericalError:
-        return -1e18, np.zeros(n + 2)
-    alpha = cho_solve((L, True), y)
-    lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) \
-        - 0.5 * N * np.log(2.0 * np.pi)
+    X, Y = train.inputs, train.outputs
+    N, E = Y.shape
+    theta = np.asarray(theta, dtype=float)
+    s2 = np.exp(2.0 * theta[:E])
+    noise2 = np.exp(2.0 * theta[E:2 * E])
+    w = np.exp(theta[2 * E:])
+    Kw = np.exp(-0.5 * _sq_dist(X, w))
+    lam, Q = np.linalg.eigh(Kw)
+    scale = s2 + noise2
+    D = lam[:, None] * s2 + noise2
+    floor = N * np.finfo(float).eps * scale
+    jitter = np.zeros(E)
+    rung = JITTER_BASE
+    bad = ~(np.min(D, axis=0) > floor)          # a NaN counts as bad
+    while np.any(bad):
+        if rung > JITTER_MAX:
+            return -1e18, np.zeros(theta.size)
+        jitter[bad] = rung * scale[bad]
+        bad = ~(np.min(D, axis=0) + jitter > floor)
+        rung *= 10.0
+    D += jitter
 
-    iK = cho_solve((L, True), np.eye(N))
-    U = np.outer(alpha, alpha) - iK
-    Ksig = kernel_matrix(X, hyper, with_noise=False)
+    Yt = Q.T @ Y
+    A = Yt / D                       # alphas in the eigenbasis
+    inv_D = 1.0 / D
+    lml = -0.5 * float(np.sum(Yt * A) + np.sum(np.log(D))) \
+        - 0.5 * N * E * np.log(2.0 * np.pi)
 
-    grad = np.empty(n + 2)
-    grad[0] = float(np.sum(U * Ksig))                       # d/d log sigma_s
-    grad[1] = hyper.sigma_w ** 2 * float(np.trace(U))       # d/d log sigma_w
-    V = U * Ksig
-    w = hyper.w
-    for j in range(n):
-        a = X[:, j]
-        row = V @ a
-        s_r = V.sum(axis=1)
-        s_c = V.sum(axis=0)
-        quad = float(a ** 2 @ s_r + a ** 2 @ s_c - 2.0 * a @ row)
-        grad[2 + j] = -0.25 * w[j] * quad
+    A2 = A * A
+    grad = np.empty(theta.size)
+    grad[:E] = s2 * (lam @ (A2 - inv_D))               # d/d log sigma_s
+    grad[E:2 * E] = noise2 * np.sum(A2 - inv_D, axis=0)  # d/d log sigma_w
+    alpha = Q @ A
+    M = (alpha * s2) @ alpha.T - (Q * (inv_D @ s2)) @ Q.T
+    V = M * Kw
+    quad = 2.0 * ((X * X).T @ V.sum(axis=1) - np.sum(X * (V @ X), axis=0))
+    grad[2 * E:] = -0.25 * w * quad                    # d/d log w
     return lml, grad
+
+
+def log_marginal_likelihood(train: TrainingSet, hyper: KernelHyper, dim: int):
+    """Log marginal likelihood of output dimension `dim` and its gradient in
+    (log_sigma_s, log_sigma_w, log_w_1..log_w_n): the tied likelihood of
+    that one column."""
+    return tied_log_marginal_likelihood(
+        TrainingSet(train.inputs, train.outputs[:, [dim]]), hyper.as_vector())
 
 
 def _default_init(train: TrainingSet, dim: int) -> KernelHyper:
@@ -312,83 +351,39 @@ def _restarted_ascent(objective, theta_base, rng, n_restarts, probe_iters,
 
 def fit_hyperparameters(train: TrainingSet, *, rng=None, n_restarts: int = 4,
                         max_iters: int = 200, probe_iters: int = 30,
-                        init=None, share_lengthscales: bool = False):
+                        init=None):
     """Fit kernel hyperparameters by restarted gradient ascent.
 
-    Random restarts are probed with a short iteration budget and only the
-    most promising candidate is polished to the full budget.  With
-    `share_lengthscales` the length scales are tied across output dimensions
-    and the summed marginal likelihood is ascended jointly (the tied model
-    makes the uncertain-input moment computation far cheaper).  Returns
-    (hypers, status) where status is 'ok' or 'no-improvement'.
+    The length scales are tied across output dimensions (the tied model makes
+    the uncertain-input moment computation far cheaper), and
+    `tied_log_marginal_likelihood` is ascended over all dimensions jointly:
+    one `eigh` of the length-scale Gram per evaluation, with the jitter rule
+    stated there.  `init` warm-starts from one KernelHyper per dimension and
+    the mean of their log_w.  Random restarts are probed with a short
+    iteration budget and only the most promising candidate is polished to
+    the full budget.  Returns (hypers, status) where status is 'ok' or
+    'no-improvement'.
     """
     if train.size < 2:
         raise ConfigError("need at least two training pairs to fit")
     if rng is None:
         rng = np.random.default_rng(0)
-    n = train.inputs.shape[1]
-
-    if share_lengthscales:
-        return _fit_shared(train, rng, n_restarts, max_iters, probe_iters, init)
-
-    hypers = []
-    status = "ok"
-    for dim in range(n):
-        def objective(theta, _dim=dim):
-            return log_marginal_likelihood(
-                train, KernelHyper.from_vector(theta), _dim)
-
-        base = init[dim] if init is not None else _default_init(train, dim)
-        theta_base = np.clip(base.as_vector(), *LOG_HYPER_BOUNDS)
-        f0, _ = objective(theta_base)
-        theta, f = _restarted_ascent(objective, theta_base, rng, n_restarts,
-                                     probe_iters, max_iters)
-        if f < f0:
-            logger.warning("hyperparameter fit failed to improve (dim %d)", dim)
-            status = "no-improvement"
-            theta, f = theta_base, f0
-        hypers.append(KernelHyper.from_vector(theta))
-    return hypers, status
-
-
-def _fit_shared(train, rng, n_restarts, max_iters, probe_iters, init):
-    """Joint fit with one set of length scales for all output dimensions.
-
-    Parameter vector: per-dim log sigma_s (E), per-dim log sigma_w (E),
-    shared log_w (n).
-    """
-    n = train.inputs.shape[1]
-    E = n
+    E = train.outputs.shape[1]
+    base = init if init is not None else \
+        [_default_init(train, dim) for dim in range(E)]
+    theta_base = np.clip(np.concatenate([
+        [h.log_sigma_s for h in base], [h.log_sigma_w for h in base],
+        np.mean([h.log_w for h in base], axis=0)]), *LOG_HYPER_BOUNDS)
 
     def objective(theta):
-        total = 0.0
-        grad = np.zeros_like(theta)
-        log_w = theta[2 * E:]
-        for dim in range(E):
-            h = KernelHyper(float(theta[dim]), float(theta[E + dim]), log_w)
-            f, g = log_marginal_likelihood(train, h, dim)
-            total += f
-            grad[dim] += g[0]
-            grad[E + dim] += g[1]
-            grad[2 * E:] += g[2:]
-        return total, grad
+        return tied_log_marginal_likelihood(train, theta)
 
-    if init is not None:
-        sig = [h.log_sigma_s for h in init]
-        noi = [h.log_sigma_w for h in init]
-        log_w = np.mean([h.log_w for h in init], axis=0)
-    else:
-        defaults = [_default_init(train, dim) for dim in range(E)]
-        sig = [h.log_sigma_s for h in defaults]
-        noi = [h.log_sigma_w for h in defaults]
-        log_w = np.mean([h.log_w for h in defaults], axis=0)
-    theta_base = np.clip(np.concatenate([sig, noi, log_w]), *LOG_HYPER_BOUNDS)
     f0, _ = objective(theta_base)
     theta, f = _restarted_ascent(objective, theta_base, rng, n_restarts,
                                  probe_iters, max_iters)
     status = "ok"
     if f < f0:
-        logger.warning("shared hyperparameter fit failed to improve")
+        logger.warning("hyperparameter fit failed to improve")
         status = "no-improvement"
         theta = theta_base
     hypers = [KernelHyper(float(theta[d]), float(theta[E + d]),

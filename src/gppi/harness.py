@@ -26,7 +26,7 @@ from .compose import (CompositeWeights, TaskLibrary,
 from .control import (ControlSequence, CostSpec, mpc_learning_loop,
                       terminal_log_desirability)
 from .baselines import PathCostSample, sampling_pi_control
-from .errors import ConfigError, NumericalError
+from .errors import AlignmentError, ConfigError, NumericalError
 from .gp import save_model
 from .plants import canonical_plant_name, make_plant
 from .records import (ControllerRecord, CostFields, export_trace_csv,
@@ -126,6 +126,18 @@ def build_plant(plant_cfg: dict):
                       noise_std=plant_cfg["noise_std"])
 
 
+def _same_plant(a, b) -> bool:
+    """Whether two built plants have the same dynamics: name, integration
+    settings, noise and every parameter."""
+    sa, sb = a.spec, b.spec
+    return ((sa.name, sa.dt, sa.substeps) == (sb.name, sb.dt, sb.substeps)
+            and np.array_equal(sa.B, sb.B)
+            and np.array_equal(sa.sigma_omega, sb.sigma_omega)
+            and sa.params.keys() == sb.params.keys()
+            and all(np.array_equal(sa.params[k], sb.params[k])
+                    for k in sa.params))
+
+
 def build_cost(cost_cfg: dict, dt: float) -> CostSpec:
     q = np.diag(np.asarray(cost_cfg["Q_diag"], dtype=float))
     q_term = cost_cfg["terminal_scale"] * q
@@ -214,7 +226,8 @@ def run_learn(config: dict) -> dict:
         controls=result.controls,
         log_psi=result.log_psi,
         grad_psi_over_psi=result.grad_psi_over_psi,
-        model_ref=str(out / "model.json"))   # saved relative to out
+        model_ref=str(out / "model.json"),   # saved relative to out
+        plant=config["plant"])
     save_record(record, out / "controller.json")
     export_trace_csv(out / "trace.csv", cost.dt, result.states,
                      np.zeros_like(result.states), result.controls,
@@ -224,11 +237,21 @@ def run_learn(config: dict) -> dict:
 
 
 def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> dict:
-    """Build and execute a composite controller from a record library."""
+    """Build and execute a composite controller from a record library.
+
+    Every record must have been learned on the manifest's plant; a record
+    whose plant differs raises AlignmentError on the field 'plant'.
+    """
     doc = load_manifest(manifest_path)
+    plant_cfg = _merge_section("plant", _DEFAULT_CONFIG["plant"], doc["plant"])
+    plant = build_plant(plant_cfg)
     records = [load_record(p) for p in doc["records"]]
-    plant = build_plant(_merge_section("plant", _DEFAULT_CONFIG["plant"],
-                                       doc["plant"]))
+    for path, rec in zip(doc["records"], records):
+        learned_on = build_plant(_merge_section(
+            "plant", _DEFAULT_CONFIG["plant"], rec.plant))
+        if not _same_plant(learned_on, plant):
+            raise AlignmentError("plant", f"record {path} was learned on a "
+                                 "different plant than the manifest names")
     new_target = np.asarray(new_target, dtype=float)
     if new_target.shape[0] != plant.spec.n:
         raise ConfigError("target dimension does not match plant state")
@@ -266,7 +289,8 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
         controls=controls.u,
         log_psi=log_psi,
         grad_psi_over_psi=np.zeros((ref.horizon_steps + 1, plant.spec.n)),
-        model_ref=records[0].model_ref)
+        model_ref=records[0].model_ref,
+        plant=plant_cfg)
     if out is not None:
         save_record(record, out / "controller.json")
         export_trace_csv(out / "trace.csv", ref.dt, states,

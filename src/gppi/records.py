@@ -15,6 +15,10 @@ A library manifest lists record paths under the same convention: relative
 entries are relative to the manifest's own directory.  It also carries the
 `plant` config section the library was learned on, which composition needs
 to simulate the composite controller.
+
+A record file carries the `plant` config section of the run that learned
+it, so composition can check that a record matches the plant it is run on;
+`load_record` rejects a record file without one.
 """
 
 from __future__ import annotations
@@ -49,9 +53,10 @@ class ControllerRecord:
     x_d: np.ndarray
     cost_fields: CostFields
     controls: np.ndarray            # (T, m)
-    log_psi: np.ndarray             # (T+1,)
-    grad_psi_over_psi: np.ndarray   # (T+1, n)
+    log_psi: np.ndarray             # (T+1,) at the executed controls
+    grad_psi_over_psi: np.ndarray   # (T+1, n) of the generating pass
     model_ref: str = ""
+    plant: dict | None = None       # plant config section; required on disk
 
     def __post_init__(self):
         self.x_d = np.atleast_1d(np.asarray(self.x_d, dtype=float))
@@ -79,6 +84,8 @@ def save_record(record: ControllerRecord, path) -> None:
         "grad_psi_over_psi": record.grad_psi_over_psi.tolist(),
         "model_ref": model_ref,
     }
+    if record.plant is not None:
+        doc["plant"] = record.plant
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
@@ -86,6 +93,9 @@ def save_record(record: ControllerRecord, path) -> None:
 def load_record(path) -> ControllerRecord:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc.get("plant"), dict) or "name" not in doc["plant"]:
+        raise ConfigError(f"controller record {path} has no 'plant' section "
+                          "naming the plant it was learned on")
     try:
         model_ref = str(doc.get("model_ref", ""))
         if model_ref and not os.path.isabs(model_ref):
@@ -103,6 +113,7 @@ def load_record(path) -> ControllerRecord:
             np.asarray(doc["log_psi"], dtype=float),
             np.asarray(doc["grad_psi_over_psi"], dtype=float),
             model_ref,
+            doc["plant"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed controller record: {exc}") from exc

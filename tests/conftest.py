@@ -36,8 +36,7 @@ def cartpole_model(cartpole):
                                       cartpole.control_matrix, 0.02)
         x = xn if np.linalg.norm(xn) < 20 else np.zeros(4)
     hypers, _ = fit_hyperparameters(model.train, rng=np.random.default_rng(3),
-                                    n_restarts=1, max_iters=80,
-                                    share_lengthscales=True)
+                                    n_restarts=1, max_iters=80)
     return GpModel.from_data(model.train, hypers)
 
 

@@ -363,6 +363,32 @@ class TestMpcLoop:
         assert res.log_psi.shape == (11,)
         assert np.all(np.isfinite(res.log_psi))
 
+    def test_log_psi_is_value_at_executed_controls(self, monkeypatch):
+        # the recorded log Psi of each step must be the value of the returned
+        # controls, not of the pass that generated them
+        from gppi import control
+        results = []
+
+        def recording(*args, **kwargs):
+            res = inner_optimize(*args, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(control, "inner_optimize", recording)
+        plant = make_plant("linear", params=dict(A=[[-0.3]], Bc=[[1.0]],
+                                                 B=[[0.05]],
+                                                 sigma_omega=[[1.0]]))
+        cost = CostSpec([[1.0]], [0.5], 0.5, 0.02, 10)
+        res = mpc_learning_loop(plant, cost, trials=1, seed=1,
+                                init_rollouts=1, u_max=2.0,
+                                inner_max_iters=2, max_points=80,
+                                fit_restarts=1, fit_max_iters=40,
+                                refit_max_iters=20)
+        assert len(results) == 10
+        assert np.array_equal(res.log_psi[:-1],
+                              [r.log_psi0 for r in results])
+        assert any(r.log_psi0 != r.trace.log_psi[0] for r in results)
+
     def test_terminal_log_desirability_point_value(self):
         cost = CostSpec([[2.0]], [1.0], 0.5, 0.02, 5)
         lp = terminal_log_desirability(cost, [0.0])

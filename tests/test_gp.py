@@ -1,11 +1,43 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from gppi.errors import ConfigError
-from gppi.gp import (GpModel, KernelHyper, TrainingSet, chol_with_jitter,
-                     fit_hyperparameters, incorporate_sample, kernel_eval,
-                     kernel_matrix, load_model, log_marginal_likelihood,
-                     posterior_predict, save_model)
+from gppi.gp import (JITTER_BASE, GpModel, KernelHyper, TrainingSet,
+                     chol_with_jitter, fit_hyperparameters, incorporate_sample,
+                     kernel_eval, kernel_matrix, load_model,
+                     log_marginal_likelihood, posterior_predict, save_model,
+                     tied_log_marginal_likelihood)
+
+
+def _cholesky_reference(train, theta):
+    """Tied likelihood and gradient as a sum of per-dimension Cholesky
+    evaluations, with the kernel built from explicit differences."""
+    X, Y = train.inputs, train.outputs
+    N, E = Y.shape
+    w = np.exp(theta[2 * E:])
+    diff2 = (X[:, None, :] - X[None, :, :]) ** 2       # (N, N, n)
+    Kw = np.exp(-0.5 * diff2 @ w)
+    total, grad = 0.0, np.zeros(theta.size)
+    for d in range(E):
+        s2, noise2 = np.exp(2 * theta[d]), np.exp(2 * theta[E + d])
+        L = np.linalg.cholesky(s2 * Kw + noise2 * np.eye(N))
+        alpha = cho_solve((L, True), Y[:, d])
+        total += (-0.5 * Y[:, d] @ alpha - np.sum(np.log(np.diag(L)))
+                  - 0.5 * N * np.log(2 * np.pi))
+        U = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(N))
+        grad[d] = np.sum(U * s2 * Kw)
+        grad[E + d] = noise2 * np.trace(U)
+        grad[2 * E:] += -0.25 * w * np.einsum("ik,ikj->j", U * s2 * Kw, diff2)
+    return total, grad
+
+
+def _tied_case(rng, N, E):
+    train = TrainingSet(rng.normal(size=(N, E)), rng.normal(size=(N, E)))
+    theta = np.concatenate([rng.normal(0.0, 0.3, E),
+                            np.log(rng.uniform(0.05, 0.3, E)),
+                            rng.normal(-1.0, 0.3, E)])
+    return train, theta
 
 
 class TestKernel:
@@ -69,6 +101,60 @@ class TestMarginalLikelihood:
         assert lml < -1e4
 
 
+class TestTiedMarginalLikelihood:
+    @pytest.mark.parametrize("N,E", [(1, 1), (12, 3), (100, 6)])
+    def test_matches_cholesky_reference(self, rng, N, E):
+        train, theta = _tied_case(rng, N, E)
+        f, g = tied_log_marginal_likelihood(train, theta)
+        f_ref, g_ref = _cholesky_reference(train, theta)
+        assert f == pytest.approx(f_ref, rel=1e-10)
+        assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+
+    def test_gradient_matches_finite_differences(self, rng):
+        train, theta = _tied_case(rng, 12, 3)
+        _, g = tied_log_marginal_likelihood(train, theta)
+        for k in range(theta.size):
+            tp, tm = theta.copy(), theta.copy()
+            tp[k] += 1e-6
+            tm[k] -= 1e-6
+            fd = (tied_log_marginal_likelihood(train, tp)[0]
+                  - tied_log_marginal_likelihood(train, tm)[0]) / 2e-6
+            assert abs(g[k] - fd) <= 1e-5 * max(abs(fd), 1.0)
+
+    def test_single_column_is_per_dimension_likelihood(self, rng):
+        train, theta = _tied_case(rng, 12, 3)
+        h = KernelHyper(theta[1], theta[4], theta[6:])
+        f, g = log_marginal_likelihood(train, h, 1)
+        f_ref, g_ref = _cholesky_reference(
+            TrainingSet(train.inputs, train.outputs[:, [1]]), h.as_vector())
+        assert f == pytest.approx(f_ref, rel=1e-10)
+        assert np.allclose(g, g_ref, rtol=1e-10, atol=1e-12)
+
+    def test_duplicate_inputs_take_first_jitter_rung(self):
+        # K_w = ones(2, 2) has eigenvalues (0, 2); sigma_w^2 = 1e-18 is below
+        # the positivity floor, so the first rung JITTER_BASE * scale applies
+        train = TrainingSet([[0.5], [0.5]], [[0.3], [0.1]])
+        theta = np.log([1.0, 1e-9, 1.0])
+        lml, g = tied_log_marginal_likelihood(train, theta)
+        jitter = JITTER_BASE * (1.0 + 1e-18)
+        D = np.array([1e-18 + jitter, 2.0 + 1e-18 + jitter])
+        y_rot2 = np.array([0.2 ** 2 / 2, 0.4 ** 2 / 2])
+        expected = -0.5 * np.sum(y_rot2 / D + np.log(D)) - np.log(2 * np.pi)
+        assert np.isfinite(lml) and lml < -1e4
+        assert lml == pytest.approx(expected, rel=1e-9)
+        assert np.all(np.isfinite(g))
+
+    def test_beyond_jitter_max_returns_sentinel(self):
+        # far from the origin the squared distances are lost to cancellation
+        # and K_w is indefinite by far more than JITTER_MAX
+        rng = np.random.default_rng(0)
+        X = 1e8 + rng.uniform(0.0, 3.0, size=(30, 1))
+        train = TrainingSet(X, rng.normal(size=(30, 1)))
+        lml, g = tied_log_marginal_likelihood(train, np.log([1.0, 0.1, 1.0]))
+        assert lml == -1e18
+        assert np.array_equal(g, np.zeros(3))
+
+
 class TestFit:
     def test_recovers_known_hyperparameters(self):
         rng = np.random.default_rng(3)
@@ -107,7 +193,6 @@ class TestFit:
         X = rng.normal(size=(20, 2))
         Y = rng.normal(size=(20, 2))
         hypers, _ = fit_hyperparameters(TrainingSet(X, Y), rng=rng,
-                                        share_lengthscales=True,
                                         n_restarts=1, max_iters=40)
         assert np.array_equal(hypers[0].log_w, hypers[1].log_w)
 

@@ -139,7 +139,8 @@ class TestRunLearn:
         out = run_learn(_linear_config(tmp_path))["out_dir"]
         doc = json.loads((out / "controller.json").read_text())
         assert set(doc) == {"task_id", "x_d", "cost", "controls", "log_psi",
-                            "grad_psi_over_psi", "model_ref"}
+                            "grad_psi_over_psi", "model_ref", "plant"}
+        assert doc["plant"] == fill_defaults(_linear_config(tmp_path))["plant"]
         assert set(doc["cost"]) == {"Q_diag", "lambda", "dt", "horizon_steps"}
         assert len(doc["controls"]) == 10
         assert len(doc["log_psi"]) == 11
@@ -212,18 +213,17 @@ class TestRunCompose:
     def test_composite_log_psi_mixed_in_log_domain(self, tmp_path):
         # Psi_t = exp(log_psi_t) underflows to zero at log_psi ~ -800
         T = 4
+        plant = {"name": "linear", "params": {"A": [[-0.4]], "Bc": [[1.0]]}}
         paths = []
         for k, (target, offset) in enumerate(((0.3, -800.0), (0.6, -803.0))):
             rec = ControllerRecord(
                 f"task{k}", [target], CostFields([1.0], 0.5, 0.02, T),
                 np.zeros((T, 1)), offset - 0.5 * np.arange(T + 1),
-                np.zeros((T + 1, 1)))
+                np.zeros((T + 1, 1)), plant=plant)
             paths.append(tmp_path / f"task{k}.json")
             save_record(rec, paths[-1])
         manifest = tmp_path / "manifest.json"
-        save_manifest(manifest, paths, [2.0],
-                      {"name": "linear", "params": {"A": [[-0.4]],
-                                                    "Bc": [[1.0]]}})
+        save_manifest(manifest, paths, [2.0], plant)
         res = run_compose(manifest, [0.4])
         records = [load_record(p) for p in paths]
         omega = res["weights"].omega_tilde
@@ -266,6 +266,31 @@ class TestRunCompose:
             run_compose(manifest, [0.4])
         code = cli_main(["compose", str(manifest), "--target", "0.4"])
         assert code == 2
+
+    def test_records_learned_on_other_plant_rejected(self, tmp_path):
+        manifest = self._make_library(tmp_path, targets=(0.3,))
+        doc = json.loads(manifest.read_text())
+        doc["plant"]["params"]["A"] = [[5.0]]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(AlignmentError) as info:
+            run_compose(manifest, [0.3])
+        assert info.value.field == "plant"
+        assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2
+
+    def test_record_without_plant_rejected(self, tmp_path):
+        T = 3
+        rec = ControllerRecord("task0", [0.3], CostFields([1.0], 0.5, 0.02, T),
+                               np.zeros((T, 1)), np.zeros(T + 1),
+                               np.zeros((T + 1, 1)))
+        save_record(rec, tmp_path / "task0.json")
+        with pytest.raises(ConfigError, match="no 'plant' section"):
+            load_record(tmp_path / "task0.json")
+        manifest = tmp_path / "manifest.json"
+        save_manifest(manifest, [tmp_path / "task0.json"], [2.0],
+                      {"name": "linear",
+                       "params": {"A": [[-0.4]], "Bc": [[1.0]]}})
+        with pytest.raises(ConfigError, match="no 'plant' section"):
+            run_compose(manifest, [0.4])
 
     def test_misaligned_records_error(self, tmp_path):
         paths = []
