@@ -123,10 +123,15 @@ def check_lml_gradient(rng) -> bool:
     both dimensions jointly under tied length scales."""
     train = TrainingSet(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)))
     h = KernelHyper.create(0.8, 0.15, [1.0, 2.0])
-    cases = [(lambda v: log_marginal_likelihood(
-                  train, KernelHyper.from_vector(v), 0), h.as_vector()),
-             (lambda v: tied_log_marginal_likelihood(train, v),
-              np.log([0.8, 1.3, 0.15, 0.05, 1.0, 2.0]))]
+
+    def one_dim(v):
+        return log_marginal_likelihood(train, KernelHyper.from_vector(v), 0)
+
+    def tied(v):
+        return tied_log_marginal_likelihood(train, v)
+
+    cases = [(one_dim, h.as_vector()),
+             (tied, np.log([0.8, 1.3, 0.15, 0.05, 1.0, 2.0]))]
     worst = 0.0
     for objective, v in cases:
         _, g = objective(v)
