@@ -65,6 +65,45 @@ def check_moment_matching_mc(rng, n_cases=3) -> bool:
     return _check("moment matching vs Monte Carlo", ok)
 
 
+def check_step_pullback(rng) -> bool:
+    """One step's pullback against central differences of a random
+    functional <a, mu'> + <B, Sigma'> along random (dm, dS), at n = 6 with
+    shared length scales and the double pendulum's state-dependent G."""
+    dpc = make_plant("dpc")
+    n, n_points = 6, 40
+    w = rng.uniform(0.3, 2.0, n)
+    train = TrainingSet(rng.normal(size=(n_points, n)),
+                        0.1 * rng.normal(size=(n_points, n)))
+    hyper = [KernelHyper.create(0.5 + 0.1 * d, 0.05, w) for d in range(n)]
+    model = GpModel.from_data(train, hyper)
+    m = 0.5 * rng.normal(size=n)
+    a = 0.3 * rng.normal(size=(n, n))
+    S = a @ a.T + 0.05 * np.eye(n)
+    u = rng.uniform(-2, 2, 1)
+    wa, wB = rng.normal(size=n), rng.normal(size=(n, n))
+
+    def f(mv, Sv):
+        out = moment_match(model, GaussianBelief(mv, Sv), u,
+                           dpc.control_matrix, 0.02)
+        return wa @ out.mu + np.sum(wB * out.sigma)
+
+    maps = []
+    moment_match(model, GaussianBelief(m, S), u, dpc.control_matrix, 0.02,
+                 plant_G_jac=dpc.control_matrix_jac, step_map_out=maps)
+    d_mu, d_sig = maps[0].pullback(wa, wB)
+    worst = 0.0
+    for _ in range(4):
+        dm = rng.normal(size=n)
+        dS = rng.normal(size=(n, n))
+        dS = 0.5 * (dS + dS.T)
+        fd = (f(m + 1e-6 * dm, S + 1e-6 * dS)
+              - f(m - 1e-6 * dm, S - 1e-6 * dS)) / 2e-6
+        worst = max(worst, abs(d_mu @ dm + np.sum(d_sig * dS) - fd)
+                    / max(abs(fd), 1e-8))
+    return _check("step pullback vs finite differences (n = 6)", worst < 1e-6,
+                  f"worst rel {worst:.2e}")
+
+
 def fd_tail_gradient(model, traj, plant, cost, j, eps=1e-5) -> np.ndarray:
     """Central differences of log Psi_j over the mean of belief j.
 
@@ -184,6 +223,8 @@ def run_checks(fast: bool = False) -> bool:
         check_phi_quadrature(rng, n_cases=15 if fast else 40),
         check_lml_gradient(rng),
         check_riccati(rng),
+        # its own stream, so that the other checks keep their draws
+        check_step_pullback(np.random.default_rng(6)),
         check_desirability_gradient(rng),
         check_path_integral(rng, fast=fast),
     ]

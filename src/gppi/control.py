@@ -1,10 +1,11 @@
 """Forward-backward path integral control on GP belief trajectories.
 
 Forward: propagate the state belief under the current control sequence,
-recording the linearized step map of every step.  Backward: accumulate the
-desirability recursion in log domain, then pull its partials back through
-the transposed step maps (the adjoint pass), which gives grad Psi_t / Psi_t
-at each step's own state.  Update: the analytic control correction
+recording the pullback of every step (`moments.StepPullback`).  Backward:
+accumulate the desirability recursion in log domain, then carry its
+partials backward through the step pullbacks, one vector-Jacobian product
+per step (the adjoint pass), which gives grad Psi_t / Psi_t at each step's
+own state.  Update: the analytic control correction
 delta_u_t = G^+ Sigma_f (grad Psi_t / Psi_t), damped by a backtracking
 acceptance rule on log Psi_0.
 
@@ -138,7 +139,8 @@ class BeliefTrajectory:
     beliefs: list                       # T+1 GaussianBelief (batched for a batch)
     controls_old: ControlSequence
     predictions: list                   # T IncrementPrediction
-    step_maps: list = field(default_factory=list)  # T StepMap with compute_jac
+    # with compute_jac: T moments.StepPullback, one per step
+    step_maps: list = field(default_factory=list)
 
 
 @dataclass
@@ -224,7 +226,7 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
     """Propagate beliefs over the horizon under the current controls.
 
     beliefs[0] is the observed state; step t applies controls.u[t] through
-    the known control matrix.  With `compute_jac` the step maps of the
+    the known control matrix.  With `compute_jac` the step pullbacks of the
     adjoint gradient pass are recorded as well.
 
     Without `compute_jac`, controls.u may be a batch (C, T, m) of candidate
@@ -239,7 +241,7 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
     belief = GaussianBelief.observed(x0)
     if u.ndim == 3:
         if compute_jac:
-            raise ConfigError("step maps are recorded for a single plan only")
+            raise ConfigError("step pullbacks need a single plan")
         C, n = u.shape[0], belief.dim
         belief = GaussianBelief(np.tile(belief.mu, (C, 1)), np.zeros((C, n, n)),
                                 np.ones(C, dtype=bool))
@@ -309,28 +311,27 @@ def desirability_gradient(traj: BeliefTrajectory, trace: DesirabilityTrace,
                           cost: CostSpec) -> DesirabilityTrace:
     """Fill grad_psi_over_psi by one adjoint pass.
 
-    The co-state (chi_mu, chi_sig) = d log Psi_t / d(mu_t, vec Sigma_t) is
+    The co-state (chi_mu, chi_sig) = d log Psi_t / d(mu_t, Sigma_t) is
     seeded at step T with the terminal log-phi partials and pulled back one
-    step at a time through the transposed step maps, absorbing the interior
-    log-phi partials of each step it crosses.  Its mean component at step t
-    is grad_psi_over_psi[t].  Everything is analytic.
+    step at a time, absorbing the interior log-phi partials of each step it
+    crosses.  Each step is one vector-Jacobian product, the `pullback` of
+    the step's `StepPullback`; no Jacobian is formed.  The mean component
+    at step t is grad_psi_over_psi[t].  Everything is analytic.
     """
     T = cost.horizon_steps
     if len(traj.step_maps) != T:
-        raise ConfigError("trajectory was built without step maps")
+        raise ConfigError("trajectory was built without step pullbacks")
     grad = np.zeros((T + 1, cost.dim))
 
-    chi_mu = trace._phi_mu[T].copy()
-    chi_sig = trace._phi_sigma[T].reshape(-1).copy()
+    chi_mu = trace._phi_mu[T]
+    chi_sig = trace._phi_sigma[T]
     grad[T] = chi_mu
     for t in range(T - 1, -1, -1):
         if t < T - 1:
             # log Psi_t = log phi_{t+1} + log Psi_{t+1} below the terminal step
             chi_mu = chi_mu + trace._phi_mu[t + 1]
-            chi_sig = chi_sig + trace._phi_sigma[t + 1].reshape(-1)
-        smap = traj.step_maps[t]
-        chi_mu, chi_sig = (smap.mu_mu.T @ chi_mu + smap.sig_mu.T @ chi_sig,
-                           smap.mu_sig.T @ chi_mu + smap.sig_sig.T @ chi_sig)
+            chi_sig = chi_sig + trace._phi_sigma[t + 1]
+        chi_mu, chi_sig = traj.step_maps[t].pullback(chi_mu, chi_sig)
         grad[t] = chi_mu
     trace.grad_psi_over_psi = grad
     trace.has_gradient = True

@@ -1,13 +1,18 @@
-"""Gaussian-input moments of the GP increment model, with derivatives.
+"""Gaussian-input moments of the GP increment model, with their pullback.
 
 Given an input belief N(m, S), the exact squared-exponential moments of the
 posterior increment are computed per output dimension: predictive mean,
 predictive covariance (including the noise floor) and the input-increment
-cross covariance.  The same routine evaluates directional derivatives of all
-three along caller-supplied directions (dm, dS) in input-moment space.
-Feeding the canonical basis directions recovers the full partial-derivative
-tensors, from which belief propagation assembles the linearized step map
-that the adjoint desirability gradient pulls back through; no numerical
+cross covariance (Deisenroth and Rasmussen, PILCO, ICML 2011).
+
+Derivatives are taken in reverse mode.  Asked for a pullback record, a
+single-belief evaluation keeps its small value intermediates, and the
+record's vector-Jacobian product maps weights on the three output moments
+back to weights on (m, S).  The product folds those weights into a few N x N
+and N-vector weights before it touches the kernel terms, so one pullback
+costs a few N x N products, whatever the state dimension.  Belief
+propagation wraps it into the `StepPullback` of a whole step, through which
+the adjoint desirability gradient carries its co-state; no numerical
 differentiation is involved.
 
 All inner loops over output dimensions and dimension pairs are batched
@@ -21,13 +26,15 @@ candidates with one call per step.  A single belief runs as a batch of one
 through the same code, and every reduction keeps the summation order of
 the single evaluation, so row c of a batch is bit-identical to evaluating
 its belief alone.  Checks that raise NumericalError for a single belief
-(`RowChecks`) instead mask the failing row of a batch.  Derivatives are
-computed for a single belief only, from the same value intermediates.
+(`RowChecks`) instead mask the failing row of a batch.  Pullback records
+are kept for a single belief only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -55,7 +62,7 @@ class GaussianBelief:
     whose propagation has not failed.  A failed row keeps its last finite
     belief.  An observed (deterministic) state carries zero covariance.
     Gradients are not stored on beliefs: the adjoint pass of the
-    desirability gradient pulls back through the step maps that
+    desirability gradient pulls back through the step pullbacks that
     `moment_match` records.
     """
 
@@ -87,29 +94,21 @@ class GaussianBelief:
 
 
 @dataclass
-class IncrementJacobian:
-    """Directional derivatives of the increment moments.
-
-    Columns index the K supplied directions; with canonical basis directions
-    these are the raw partials with respect to (mu_in, sigma_in).
-    """
-
-    dmu: np.ndarray     # (n_out, K)
-    dsigma: np.ndarray  # (n_out, n_out, K)
-    dcov: np.ndarray    # (n_in, n_out, K)
-
-
-@dataclass
 class IncrementPrediction:
     """One-step increment moments under a Gaussian input belief.
 
-    For a batch of C beliefs every array gains a leading axis C.
+    For a batch of C beliefs every array gains a leading axis C.  `vjp`,
+    kept on request for a single belief, maps weights (g_mu (n,),
+    g_sigma (n, n), g_cov (n, n)) on (mu_f, sigma_f, cov_x_dx) to the
+    gradient (d_mu (n,), d_sigma (n, n)) of that weighted sum with respect
+    to the input (mu, sigma); it is None when the moments do not depend on
+    the input (an empty model).
     """
 
     mu_f: np.ndarray        # (n,)
     sigma_f: np.ndarray     # (n, n)
     cov_x_dx: np.ndarray    # (n, n); rows input state, cols increment dim
-    jac: IncrementJacobian | None = None
+    vjp: Callable | None = None
     ok: np.ndarray | None = None   # (C,) for a batch: rows whose checks passed
 
 
@@ -124,12 +123,17 @@ class _ModelStacks:
         self.prior_var = np.array([h.sigma_s ** 2 + h.sigma_w ** 2
                                    for h in model.hyper])
         self.sig_s2 = np.array([h.sigma_s ** 2 for h in model.hyper])
-        if model.n_points:
+        N = model.n_points
+        self.inputs = model.train.inputs                               # (N, n)
+        # C-contiguous, so that the trace terms run as BLAS products on
+        # the flat (E, N*N) view
+        self.inv_grams = np.empty((n, N, N))
+        if N:
             self.alphas = np.stack(model.alphas)                       # (E, N)
-            self.inv_grams = np.stack(model.inv_grams)                 # (E, N, N)
+            np.stack(model.inv_grams, out=self.inv_grams)
         else:
             self.alphas = np.zeros((n, 0))
-            self.inv_grams = np.zeros((n, 0, 0))
+        self.inv_grams_flat = self.inv_grams.reshape(n, N * N)
         ai, bi = np.triu_indices(n)
         self.pair_a = ai
         self.pair_b = bi
@@ -196,8 +200,8 @@ def _check_covariances(sigma, checks: RowChecks) -> None:
 # Core computation
 # ---------------------------------------------------------------------------
 
-def predict_increment(model: GpModel, mu_in, sigma_in, dmu_dirs=None,
-                      dsigma_dirs=None) -> IncrementPrediction:
+def predict_increment(model: GpModel, mu_in, sigma_in, *,
+                      with_vjp: bool = False) -> IncrementPrediction:
     """Exact SE-kernel moments of the increment under N(mu_in, sigma_in).
 
     mu_in (n,) and sigma_in (n, n) give one input belief; mu_in (C, n) and
@@ -208,36 +212,25 @@ def predict_increment(model: GpModel, mu_in, sigma_in, dmu_dirs=None,
     evaluation raises NumericalError when a check fails; a batch clears the
     row's entry in `ok` instead.
 
-    dmu_dirs (n, K) and dsigma_dirs (n, n, K) optionally request directional
-    derivatives of all outputs along K directions of the input moments;
-    they are defined for a single belief only.
+    `with_vjp` (a single belief only) keeps the value intermediates and
+    returns the pullback of the moments as `IncrementPrediction.vjp`.
     """
     n = model.state_dim
     m = np.asarray(mu_in, dtype=float)
     single = m.ndim <= 1
-    want_jac = dmu_dirs is not None
-    if want_jac and not single:
-        raise ConfigError("directional derivatives need a single input belief")
+    if with_vjp and not single:
+        raise ConfigError("a pullback record needs a single input belief")
     m = m.reshape(-1, n)
     S = np.asarray(sigma_in, dtype=float).reshape(-1, n, n)
     C = m.shape[0]
     checks = RowChecks(None if single else np.ones(C, dtype=bool))
-    if want_jac:
-        dm = np.asarray(dmu_dirs, dtype=float).reshape(n, -1)
-        Kd = dm.shape[1]
-        dS = (np.zeros((n, n, Kd)) if dsigma_dirs is None
-              else np.asarray(dsigma_dirs, dtype=float).reshape(n, n, Kd))
 
     if model.n_points == 0:
         sig = np.diag([h.sigma_s ** 2 + h.sigma_w ** 2 for h in model.hyper])
         if not single:
             return IncrementPrediction(np.zeros((C, n)), np.tile(sig, (C, 1, 1)),
                                        np.zeros((C, n, n)), ok=checks.ok)
-        jac = None
-        if want_jac:
-            jac = IncrementJacobian(np.zeros((n, Kd)), np.zeros((n, n, Kd)),
-                                    np.zeros((n, n, Kd)))
-        return IncrementPrediction(np.zeros(n), sig, np.zeros((n, n)), jac)
+        return IncrementPrediction(np.zeros(n), sig, np.zeros((n, n)))
 
     st = _stacks(model)
     zeta = model.train.inputs[None, :, :] - m[:, None, :]         # (C, N, n)
@@ -245,19 +238,42 @@ def predict_increment(model: GpModel, mu_in, sigma_in, dmu_dirs=None,
     mu_f, sigma_f, cov, parts = values(st, zeta, S, checks)
     if not single:
         return IncrementPrediction(mu_f, sigma_f, cov, ok=checks.ok)
-    jac = None
-    if want_jac:
+    vjp = None
+    if with_vjp:
         row = {k: a[0] for k, a in parts.items()}
-        derivs = _shared_jac if st.shared_w else _general_jac
-        jac = derivs(st, S[0], mu_f[0], row, dm, dS)
-    return IncrementPrediction(mu_f[0], sigma_f[0], cov[0], jac)
+        pullback = _shared_vjp if st.shared_w else _general_vjp
+        vjp = partial(pullback, st, m[0], S[0], mu_f[0], row)
+    return IncrementPrediction(mu_f[0], sigma_f[0], cov[0], vjp)
+
+
+def _log_pair_q(st: "_ModelStacks", zeta, Y, logdet_r):
+    """eta (C, E, N, n) and log Q_ab[i, j] of every dimension pair a <= b,
+    (C, P, N, N).
+
+    Q_ab[i, j] = k_a(x_i, m) k_b(x_j, m) |R_ab|^-1/2
+                 exp(0.5 z_ij' R_ab^-1 S z_ij),  z_ij = eta_a,i + eta_b,j.
+    """
+    eta = zeta[:, None, :, :] * st.w[:, None, :]                 # (C, E, N, n)
+    logk = st.two_log_ss[:, None] \
+        - 0.5 * np.einsum("cenj,cnj->cen", eta, zeta)            # (C, E, N)
+    ai, bi = st.pair_a, st.pair_b
+    eta_a, eta_b = eta[:, ai], eta[:, bi]                        # (C, P, N, n)
+    ua = np.matmul(eta_a, Y)                                     # (C, P, N, n)
+    row_a = logk[:, ai] + 0.5 * np.einsum("cpnj,cpnj->cpn", ua, eta_a)
+    ub = np.matmul(eta_b, Y)
+    row_b = logk[:, bi] + 0.5 * np.einsum("cpnj,cpnj->cpn", ub, eta_b)
+    n2 = np.matmul(ua, eta_b.transpose(0, 1, 3, 2))              # (C, P, N, N)
+    n2 += row_a[:, :, :, None]
+    n2 += row_b[:, :, None, :]
+    n2 -= 0.5 * logdet_r[:, :, None, None]
+    return eta, n2
 
 
 def _general_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
     """Value moments with per-dimension length scales for a batch.
 
     Returns (mu_f, sigma_f, cov, parts); `parts` holds the batched
-    intermediates the derivative pass reuses.
+    intermediates a pullback reuses.
     """
     C, N, n = zeta.shape
     E = n
@@ -283,9 +299,6 @@ def _general_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
     # --- pairs: predictive covariance --------------------------------------
     ai, bi = st.pair_a, st.pair_b
     P = ai.shape[0]
-    eta = zeta[:, None, :, :] * st.w[:, None, :]                 # (C, E, N, n)
-    logk = st.two_log_ss[:, None] \
-        - 0.5 * np.einsum("cenj,cnj->cen", eta, zeta)            # (C, E, N)
     g = st.w[ai] + st.w[bi]                                      # (P, n)
     R = S[:, None, :, :] * g[:, None, :] + eye[None, :, :]       # (C, P, n, n)
     sign_r, logdet_r = np.linalg.slogdet(R)
@@ -294,15 +307,7 @@ def _general_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
     Y = np.linalg.solve(identity_where(bad, R),
                         np.broadcast_to(S[:, None], (C, P, n, n)))
     Y = 0.5 * (Y + Y.transpose(0, 1, 3, 2))
-    eta_a, eta_b = eta[:, ai], eta[:, bi]                        # (C, P, N, n)
-    ua = np.matmul(eta_a, Y)                                     # (C, P, N, n)
-    row_a = logk[:, ai] + 0.5 * np.einsum("cpnj,cpnj->cpn", ua, eta_a)
-    ub = np.matmul(eta_b, Y)
-    row_b = logk[:, bi] + 0.5 * np.einsum("cpnj,cpnj->cpn", ub, eta_b)
-    n2 = np.matmul(ua, eta_b.transpose(0, 1, 3, 2))              # (C, P, N, N)
-    n2 += row_a[:, :, :, None]
-    n2 += row_b[:, :, None, :]
-    n2 -= 0.5 * logdet_r[:, :, None, None]
+    _, n2 = _log_pair_q(st, zeta, Y, logdet_r)
     Q = np.exp(n2, out=n2)
     alpha_a, alpha_b = st.alphas[ai], st.alphas[bi]              # (P, N)
     e2 = np.einsum("pn,cpnm,pm->cp", alpha_a, Q, alpha_b)
@@ -319,54 +324,21 @@ def _general_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
     checks.fail(~(np.all(np.isfinite(sigma_f), axis=(1, 2))
                   & np.all(np.isfinite(mu_f), axis=1)),
                 "moment computation overflowed")
-    parts = dict(A=A, Ta=Ta, lq=lq, v=v, eta=eta, Y=Y, R=R, Q=Q, tr=tr,
-                 eta_a=eta_a, eta_b=eta_b)
+    parts = dict(A=A, T=Ta, lq=lq, v=v, Y=Y, R=R, logdet_r=logdet_r, tr=tr)
     return mu_f, 0.5 * (sigma_f + sigma_f.transpose(0, 2, 1)), cov, parts
 
 
-def _general_jac(st: "_ModelStacks", S, mu_f, p: dict, dm, dS):
-    """Directional derivatives of the per-dimension path for one belief."""
-    A, Ta, lq, v, eta = p["A"], p["Ta"], p["lq"], p["v"], p["eta"]
-    N, n = eta.shape[1:]
-    E = n
-    Kd = dm.shape[1]
-    ai, bi = st.pair_a, st.pair_b
-    g = st.w[ai] + st.w[bi]
-
-    # --- per-dimension directional derivatives -----------------------------
-    dS_flat = dS.reshape(n, n * Kd)
-    AinvdS = np.linalg.solve(A, np.broadcast_to(dS_flat, (E, n, n * Kd)))
-    AinvdS = AinvdS.reshape(E, n, n, Kd)
-    trA = np.einsum("eiik->ek", AinvdS)                          # (E, K)
-    TdS = np.matmul(Ta, dS_flat).reshape(E, N, n, Kd)
-    dlogq = -0.5 * trA[:, None, :] + np.matmul(Ta, dm)[:, :, :] \
-        + 0.5 * np.einsum("enjk,enj->enk", TdS, Ta)              # (E, N, K)
-    dmu = np.einsum("en,enk->ek", lq, dlogq)                     # (E, K)
-    rhs = np.einsum("ijk,ej->eik", dS, v) \
-        + lq.sum(axis=1)[:, None, None] * dm[None, :, :]         # (E, n, K)
-    dva = np.einsum("enj,enk->ejk", Ta, lq[:, :, None] * dlogq) \
-        - np.linalg.solve(A, rhs.reshape(E, n, Kd))
-    dcov_en = np.einsum("ijk,ej->eik", dS, v) \
-        + np.einsum("ij,ejk->eik", S, dva)                       # (E, n, K)
-    dcov = dcov_en.transpose(1, 0, 2)                            # (n, E, K)
-
-    # --- pair directional derivatives --------------------------------------
-    Q, Y, R = p["Q"], p["Y"], p["R"]
-    alpha_a, alpha_b = st.alphas[ai], st.alphas[bi]
-    B = alpha_a[:, :, None] * alpha_b[:, None, :] * Q            # (P, N, N)
-    de2 = _pair_directional_batch(B, p["eta_a"], p["eta_b"], g, Y, R, dm, dS)
-    dvals = de2 - dmu[ai] * mu_f[bi, None] - mu_f[ai, None] * dmu[bi]
-    Bt = st.inv_grams * Q[st.diag_mask]
-    dtr = _pair_directional_batch(
-        Bt, eta, eta, g[st.diag_mask], Y[st.diag_mask], R[st.diag_mask],
-        dm, dS)
-    active = (st.sig_s2 - p["tr"]) > 0.0
-    dsig = np.zeros((n, n, Kd))
-    dsig[ai, bi, :] = dvals
-    dsig[bi, ai, :] = dvals
-    dsig[np.arange(n), np.arange(n), :] -= np.where(
-        active[:, None], dtr, 0.0)
-    return IncrementJacobian(dmu, dsig, dcov)
+def _log_qbar(st: "_ModelStacks", zeta, Y, logdet_r):
+    """eta (C, N, n) and log Qbar (C, N, N) of the shared-length-scale path."""
+    eta = zeta * st.w[0]                                         # (C, N, n)
+    u = eta @ Y                                                  # (C, N, n)
+    r_row = -0.5 * np.einsum("cnj,cnj->cn", eta, zeta) \
+        + 0.5 * np.einsum("cnj,cnj->cn", u, eta)                 # (C, N)
+    Kbar = u @ eta.transpose(0, 2, 1)
+    Kbar += r_row[:, :, None]
+    Kbar += r_row[:, None, :]
+    Kbar -= 0.5 * logdet_r[:, None, None]
+    return eta, Kbar
 
 
 def _shared_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
@@ -375,7 +347,7 @@ def _shared_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
     Every pair matrix Q_ab equals sigma_s_a^2 sigma_s_b^2 Qbar for a single
     shared Qbar, so the whole covariance block costs one N x N exponential
     per belief.  Returns the same (mu_f, sigma_f, cov, parts) as the general
-    path.
+    path; `parts` holds no N x N array, and T is its one N x n array.
     """
     n = zeta.shape[2]
     w = st.w[0]
@@ -404,21 +376,13 @@ def _shared_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
     checks.fail(bad, "pair normalization matrix not PD")
     Y = np.linalg.solve(identity_where(bad, R), S)
     Y = 0.5 * (Y + Y.transpose(0, 2, 1))
-    eta = zeta * w                                               # (C, N, n)
-    u = eta @ Y                                                  # (C, N, n)
-    r_row = -0.5 * np.einsum("cnj,cnj->cn", eta, zeta) \
-        + 0.5 * np.einsum("cnj,cnj->cn", u, eta)                 # (C, N)
-    Kbar = u @ eta.transpose(0, 2, 1)
-    Kbar += r_row[:, :, None]
-    Kbar += r_row[:, None, :]
-    Kbar -= 0.5 * logdet_r[:, None, None]
+    _, Kbar = _log_qbar(st, zeta, Y, logdet_r)
     Qbar = np.exp(Kbar, out=Kbar)                                # (C, N, N)
 
-    QA = Qbar @ st.alphas.T                                      # (C, N, E)
-    M2 = st.alphas @ QA                                          # (C, E, E)
+    M2 = st.alphas @ (Qbar @ st.alphas.T)                        # (C, E, E)
     e2 = np.outer(sig2, sig2) * M2
-    # per-row einsums: a batched contraction sums in a different order
-    tr_base = np.stack([np.einsum("enm,nm->e", st.inv_grams, q)
+    # one BLAS product per row: a batched product sums in a different order
+    tr_base = np.stack([st.inv_grams_flat @ q.reshape(-1)
                         for q in Qbar])                          # (C, E)
     tr = sig2 ** 2 * tr_base
     model_var = np.maximum(st.sig_s2 - tr, 0.0) + st.prior_var - st.sig_s2
@@ -428,123 +392,126 @@ def _shared_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
     checks.fail(~(np.all(np.isfinite(sigma_f), axis=(1, 2))
                   & np.all(np.isfinite(mu_f), axis=1)),
                 "moment computation overflowed")
-    parts = dict(A=A, T=T, lq=lq, v=v, Y=Y, R=R, eta=eta, QA=QA, M2=M2,
-                 Qbar=Qbar, tr_base=tr_base, tr=tr)
+    parts = dict(A=A, T=T, qbar=qbar, v=v, Y=Y, R=R, logdet_r=logdet_r,
+                 tr=tr)
     return mu_f, sigma_f, cov, parts
 
 
-def _shared_jac(st: "_ModelStacks", S, mu_f, p: dict, dm, dS):
-    """Directional derivatives of the shared-length-scale path for one belief."""
-    A, T, lq, v, eta = p["A"], p["T"], p["lq"], p["v"], p["eta"]
-    N, n = eta.shape
-    Kd = dm.shape[1]
-    sig2 = st.sig_s2
-    g = 2.0 * st.w[0]
-    Y, R, QA, M2, Qbar = p["Y"], p["R"], p["QA"], p["M2"], p["Qbar"]
+# ---------------------------------------------------------------------------
+# Pullback of the moments
+# ---------------------------------------------------------------------------
+#
+# Both paths share two pieces.  With c_i the weight on d log q_i,
+#     d log q_i = -0.5 tr(A^-1 dS) + T_i' dm + 0.5 T_i' dS T_i,
+# and with B_ij the weight on d log Q_ij (Q_ij = Qbar or Q_ab),
+#     d log Q_ij = ((I - G Y) z_ij)' dm + 0.5 z_ij' dY z_ij
+#                  - 0.5 tr(R^-1 dS G),   dY = R^-1 dS (I - G Y).
+# Derivatives are taken with respect to every entry of S separately.
 
-    dS_flat = dS.reshape(n, n * Kd)
-    # mean and cross-covariance directions (shared d log q across dims)
-    AinvdS = np.linalg.solve(A, dS_flat).reshape(n, n, Kd)
-    trA = np.einsum("iik->k", AinvdS)
-    TdS = (T @ dS_flat).reshape(N, n, Kd)
-    dlogq = -0.5 * trA[None, :] + T @ dm \
-        + 0.5 * np.einsum("njk,nj->nk", TdS, T)                  # (N, K)
-    dmu = lq @ dlogq                                             # (E, K)
-    rhs = np.einsum("ijk,ej->eik", dS, v) \
-        + lq.sum(axis=1)[:, None, None] * dm[None, :, :]         # (E, n, K)
-    dva = np.einsum("nj,enk->ejk", T, lq[:, :, None] * dlogq[None, :, :]) \
-        - np.linalg.solve(A, rhs)
-    dcov_en = np.einsum("ijk,ej->eik", dS, v) \
-        + np.einsum("ij,ejk->eik", S, dva)
-    dcov = dcov_en.transpose(1, 0, 2)                            # (n, E, K)
+def _gauss_pullback(A, T, c, psi_v, psi_mu):
+    """Gradient of the log q and cross-covariance terms for K groups.
 
-    # pair directions; per-pair weight sums reuse the shared Qbar products
-    ai, bi = st.pair_a, st.pair_b
-    scale = sig2[ai] * sig2[bi]                                  # (P,)
-    s_row = st.alphas[ai] * QA[:, bi].T + st.alphas[bi] * QA[:, ai].T
-    s_row *= scale[:, None]                                      # (P, N) = s1+s2
-    sumB = scale * M2[ai, bi]
-    s_z = np.einsum("pn,ni->pi", s_row, eta)                     # (P, n)
-    c_dims = st.alphas[:, :, None] * eta[None, :, :]             # (E, N, n)
-    QC = np.matmul(Qbar[None, :, :], c_dims)                     # (E, N, n)
-    crossZ = np.einsum("pni,pnj->pij",
-                       c_dims[ai], QC[bi]) * scale[:, None, None]
-    diag_w = st.alphas[ai] * QA[:, bi].T * scale[:, None]        # s1 (P, N)
-    diag_w2 = st.alphas[bi] * QA[:, ai].T * scale[:, None]       # s2 (P, N)
-    Za = np.einsum("pn,ni,nj->pij", diag_w, eta, eta)
-    Zb = np.einsum("pn,ni,nj->pij", diag_w2, eta, eta)
-    Z = Za + Zb + crossZ + crossZ.transpose(0, 2, 1)
-
-    de2 = _coeff_contract(Z, s_z, sumB, g, Y, R, dm, dS)
-    dvals = de2 - dmu[ai] * mu_f[bi, None] - mu_f[ai, None] * dmu[bi]
-
-    # model-variance trace term per dimension
-    Wt = st.inv_grams * Qbar[None, :, :]                         # (E, N, N)
-    st1 = Wt.sum(axis=2)
-    st2 = Wt.sum(axis=1)
-    sz_t = np.einsum("en,ni->ei", st1 + st2, eta)
-    WH = np.matmul(Wt, eta)                                      # (E, N, n)
-    crossT = np.matmul(eta.T[None, :, :], WH)                    # (E, n, n)
-    Zt = np.einsum("en,ni,nj->eij", st1 + st2, eta, eta) \
-        + crossT + crossT.transpose(0, 2, 1)
-    dtr = _coeff_contract(Zt, sz_t, p["tr_base"], g, Y, R, dm, dS)
-    dtr *= sig2[:, None] ** 2
-    active = (st.sig_s2 - p["tr"]) > 0.0
-
-    dsig = np.zeros((n, n, Kd))
-    dsig[ai, bi, :] = dvals
-    dsig[bi, ai, :] = dvals
-    dsig[np.arange(n), np.arange(n), :] -= np.where(active[:, None], dtr, 0.0)
-    return IncrementJacobian(dmu, dsig, dcov)
-
-
-def _coeff_contract(Z, s_z, sumB, g, Y, R, dm, dS):
-    """Shared-scale analogue of the per-pair directional contraction.
-
-    Z (P, n, n), s_z (P, n), sumB (P,) with one common (g, Y, R).
+    A (K, n, n) and T (K, N, n) of each group, c (K, N) the weights on
+    d log q, psi_v (K, n, n) = sum_e psi_e v_e' and psi_mu (K, n) =
+    sum_e psi_e mu_f,e over the group's output dimensions, psi_e the weight
+    on its v_e = sum_i lq_ei T_i.  Returns (d_m (n,), d_S (n, n)).
     """
-    P, n, _ = Z.shape
-    mvec = s_z - g[None, :] * (s_z @ Y)
-    out = mvec @ dm
-    GY = g[:, None] * Y
-    Pm = (np.eye(n) - GY) @ Z.transpose(0, 2, 1)                 # (P, n, n)
-    Rt = R.T
-    Pm = np.linalg.solve(Rt[None, :, :], Pm.transpose(0, 2, 1)).transpose(0, 2, 1)
-    D = np.linalg.solve(Rt, np.diag(g))
-    coeff = 0.5 * Pm.transpose(0, 2, 1) - 0.5 * sumB[:, None, None] * D[None]
-    out = out + np.einsum("pij,ijk->pk", coeff, dS)
-    return out
+    n = A.shape[-1]
+    rhs = np.empty(A.shape[:1] + (n, n + 1))
+    rhs[:, :, :n] = -0.5 * c.sum(axis=1)[:, None, None] * np.eye(n) - psi_v
+    rhs[:, :, n] = -psi_mu
+    sol = np.linalg.solve(A.transpose(0, 2, 1), rhs).sum(axis=0)
+    cT = T * c[:, :, None]
+    d_m = cT.sum(axis=(0, 1)) + sol[:, n]
+    d_S = sol[:, :n] + 0.5 * np.matmul(cT.transpose(0, 2, 1), T).sum(axis=0)
+    return d_m, d_S
 
 
-def _pair_directional_batch(B, eta_a, eta_b, g, Y, R, dm, dS):
-    """Directional derivatives of sum_ij B_ij Q_ij for stacked pairs.
+def _pair_pullback(B, eta_a, eta_b, g, Y, R):
+    """Gradient of sum_ij B_ij log Q_ij over P stacked pair matrices.
 
-    B already carries the Q factor.  Returns (P, K).
+    B (P, N, N) already carries the Q factor; eta_a, eta_b (P, N, n), g
+    (P, n), Y and R (P, n, n).  Returns (d_m (n,), d_S (n, n)).
     """
-    P, N, n = eta_a.shape
-    Kd = dm.shape[1]
+    n = Y.shape[-1]
     s1 = B.sum(axis=2)                                           # (P, N)
     s2 = B.sum(axis=1)
     sumB = s1.sum(axis=1)                                        # (P,)
     s_z = np.einsum("pn,pni->pi", s1, eta_a) \
         + np.einsum("pn,pni->pi", s2, eta_b)                     # (P, n)
-    t = np.matmul(B, eta_b)                                      # (P, N, n)
-    cross = np.matmul(eta_a.transpose(0, 2, 1), t)               # (P, n, n)
-    Za = np.matmul((eta_a * s1[:, :, None]).transpose(0, 2, 1), eta_a)
-    Zb = np.matmul((eta_b * s2[:, :, None]).transpose(0, 2, 1), eta_b)
-    Z = Za + Zb + cross + cross.transpose(0, 2, 1)               # (P, n, n)
+    cross = np.matmul(eta_a.transpose(0, 2, 1), np.matmul(B, eta_b))
+    Z = np.matmul((eta_a * s1[:, :, None]).transpose(0, 2, 1), eta_a) \
+        + np.matmul((eta_b * s2[:, :, None]).transpose(0, 2, 1), eta_b) \
+        + cross + cross.transpose(0, 2, 1)                       # (P, n, n)
+    d_m = (s_z - g * np.einsum("pij,pj->pi", Y, s_z)).sum(axis=0)
+    rhs = 0.5 * (Z - np.matmul(Z, Y) * g[:, None, :]) \
+        - 0.5 * sumB[:, None, None] * (np.eye(n) * g[:, None, :])
+    d_S = np.linalg.solve(R.transpose(0, 2, 1), rhs).sum(axis=0)
+    return d_m, d_S
 
-    mvec = s_z - g * np.einsum("pij,pj->pi", Y, s_z)             # (P, n)
-    out = mvec @ dm                                              # (P, K)
 
-    GY = g[:, :, None] * Y
-    Pm = np.matmul(np.eye(n)[None, :, :] - GY, Z.transpose(0, 2, 1))
-    Rt = R.transpose(0, 2, 1)
-    Pm = np.linalg.solve(Rt, Pm.transpose(0, 2, 1)).transpose(0, 2, 1)
-    D = np.linalg.solve(Rt, np.broadcast_to(np.eye(n), (P, n, n)) * g[:, :, None])
-    coeff = 0.5 * Pm.transpose(0, 2, 1) - 0.5 * sumB[:, None, None] * D
-    out = out + np.einsum("pij,ijk->pk", coeff, dS)
-    return out
+def _output_weights(mu_f, g_mu, g_sig, g_cov, S):
+    """Fold the output weights: the symmetric weight on sigma_f, the total
+    weight on mu_f (sigma_f holds -mu_f mu_f') and psi (E, n), the weight
+    on each v_e of cov[:, e] = S v_e."""
+    Csym = 0.5 * (g_sig + g_sig.T)
+    return Csym, g_mu - 2.0 * (Csym @ mu_f), g_cov.T @ S
+
+
+def _shared_vjp(st: "_ModelStacks", m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
+    """Pullback of the shared-length-scale moments for one belief."""
+    T, v = p["T"], p["v"]
+    N = T.shape[0]
+    sig2 = st.sig_s2
+    a2 = sig2[:, None] * st.alphas                               # (E, N)
+    Csym, g_mf, psi = _output_weights(mu_f, g_mu, g_sig, g_cov, S)
+
+    # mean and cross covariance: one weight per training point on d log q,
+    # with lq = a2 * qbar
+    c = p["qbar"] * (g_mf @ a2 + np.sum(T * (a2.T @ psi), axis=1))  # (N,)
+    d_m, d_S = _gauss_pullback(p["A"][None], T[None], c[None],
+                               (psi.T @ v)[None], (psi.T @ mu_f)[None])
+    d_S += g_cov @ v
+
+    # pair and trace weights folded into one N x N weight on Qbar
+    active = (sig2 - p["tr"]) > 0.0
+    t = np.where(active, sig2 ** 2 * np.diag(Csym), 0.0)
+    Wq = a2.T @ (Csym @ a2)
+    Wq -= (t @ st.inv_grams_flat).reshape(N, N)
+    # Qbar is recomputed, not stored: it is the one N x N array of the step
+    zeta = st.inputs[None, :, :] - m[None, None, :]
+    eta, B = _log_qbar(st, zeta, p["Y"][None], p["logdet_r"][None])
+    B = np.exp(B, out=B)
+    B *= Wq
+    pm, pS = _pair_pullback(B, eta, eta, 2.0 * st.w[:1], p["Y"][None],
+                            p["R"][None])
+    return d_m + pm, d_S + pS
+
+
+def _general_vjp(st: "_ModelStacks", m, S, mu_f, p: dict, g_mu, g_sig,
+                 g_cov):
+    """Pullback of the per-dimension moments for one belief."""
+    T, lq, v = p["T"], p["lq"], p["v"]
+    Csym, g_mf, psi = _output_weights(mu_f, g_mu, g_sig, g_cov, S)
+
+    c = lq * (g_mf[:, None] + np.einsum("enj,ej->en", T, psi))  # (E, N)
+    d_m, d_S = _gauss_pullback(p["A"], T, c, psi[:, :, None] * v[:, None, :],
+                               psi * mu_f[:, None])
+    d_S += g_cov @ v
+
+    ai, bi, diag = st.pair_a, st.pair_b, st.diag_mask
+    wp = np.where(diag, 1.0, 2.0) * Csym[ai, bi]                 # (P,)
+    Wq = wp[:, None, None] * st.alphas[ai][:, :, None] \
+        * st.alphas[bi][:, None, :]                              # (P, N, N)
+    active = (st.sig_s2 - p["tr"]) > 0.0
+    Wq[diag] -= np.where(active, np.diag(Csym), 0.0)[:, None, None] \
+        * st.inv_grams
+    zeta = st.inputs[None, :, :] - m[None, None, :]
+    eta, n2 = _log_pair_q(st, zeta, p["Y"][None], p["logdet_r"][None])
+    eta = eta[0]
+    pm, pS = _pair_pullback(Wq * np.exp(n2[0]), eta[ai], eta[bi],
+                            st.w[ai] + st.w[bi], p["Y"], p["R"])
+    return d_m + pm, d_S + pS
 
 
 # ---------------------------------------------------------------------------
@@ -552,44 +519,27 @@ def _pair_directional_batch(B, eta_a, eta_b, g, Y, R, dm, dS):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StepMap:
-    """Linearization of one belief-propagation step around its input.
+class StepPullback:
+    """Reverse-mode linearization of one belief-propagation step.
 
-    Written on the flattened (mu, vec Sigma) pair:
-        d mu'    = mu_mu  d mu + mu_sig  d vec(Sigma)
-        d Sigma' = sig_mu d mu + sig_sig d vec(Sigma)
-    The adjoint pass of the desirability gradient applies it transposed,
-    pulling the co-state back from step t+1 to step t.
+    `pullback` maps a co-state (chi_mu, chi_sig) = (d f / d mu',
+    d f / d Sigma') of any scalar f of the step's output belief to
+    (d f / d mu, d f / d Sigma) at its input: one vector-Jacobian product.
+    Every covariance entry counts as a separate variable.
     """
 
-    mu_mu: np.ndarray     # (n, n)
-    mu_sig: np.ndarray    # (n, n^2)
-    sig_mu: np.ndarray    # (n^2, n)
-    sig_sig: np.ndarray   # (n^2, n^2)
+    increment_vjp: Callable | None   # IncrementPrediction.vjp of the step
+    control_jac: np.ndarray | None   # dt * d(G(mu) u) / d mu, (n, n)
 
-
-def _canonical_directions(n: int):
-    K = n + n * n
-    dm = np.zeros((n, K))
-    dm[:, :n] = np.eye(n)
-    dS = np.zeros((n, n, K))
-    idx = np.arange(n * n)
-    dS.reshape(n * n, K)[idx, n + idx] = 1.0
-    return dm, dS
-
-
-def _assemble_step_map(pred: IncrementPrediction, dGu, dt: float,
-                       n: int) -> StepMap:
-    """Combine the canonical moment partials into the one-step linear map."""
-    jac = pred.jac
-    full_dsig = jac.dsigma + jac.dcov + np.transpose(jac.dcov, (1, 0, 2))
-    mu_mu = np.eye(n) + jac.dmu[:, :n]
-    if dGu is not None:
-        mu_mu = mu_mu + dt * dGu
-    mu_sig = jac.dmu[:, n:]
-    sig_mu = full_dsig[:, :, :n].reshape(n * n, n)
-    sig_sig = full_dsig[:, :, n:].reshape(n * n, n * n) + np.eye(n * n)
-    return StepMap(mu_mu, mu_sig, sig_mu, sig_sig)
+    def pullback(self, chi_mu, chi_sig):
+        d_mu, d_sig = chi_mu, chi_sig
+        if self.increment_vjp is not None:
+            # sigma' = sigma + sigma_f + cov + cov'
+            dm, dS = self.increment_vjp(chi_mu, chi_sig, chi_sig + chi_sig.T)
+            d_mu, d_sig = d_mu + dm, d_sig + dS
+        if self.control_jac is not None:
+            d_mu = d_mu + self.control_jac.T @ chi_mu
+        return d_mu, d_sig
 
 
 def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
@@ -606,17 +556,18 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     makes one `predict_increment` call for all rows; a row that fails a
     check is dropped from `ok` and keeps its input belief, and the other
     rows go on unchanged.  A single belief runs as a batch of one through
-    the same arithmetic.
+    the same arithmetic.  `plant_G` maps states (C, n) to control matrices
+    (C, n, m) and is called once per step.
 
-    With `step_map_out` (single belief only) the step is also linearized:
-    the analytic moment partials and, via the plant's analytic G Jacobian
-    when supplied, the control term dt * d(G(mu) u)/dmu form a StepMap,
-    appended to `step_map_out` for the adjoint gradient pass.
-    `prediction_out` collects the per-step increment moments.
+    With `step_map_out` (single belief only) the step's `StepPullback` is
+    appended to it for the adjoint gradient pass: the moments' pullback
+    and, via the plant's analytic G Jacobian when supplied, the control
+    term dt * d(G(mu) u)/dmu.  `prediction_out` collects the per-step
+    increment moments.
     """
     single = belief_in.ok is None
     if step_map_out is not None and not single:
-        raise ConfigError("step maps are recorded for a single belief only")
+        raise ConfigError("step pullbacks need a single belief")
     n = belief_in.dim
     mu = belief_in.mu.reshape(-1, n)
     sigma = belief_in.sigma.reshape(-1, n, n)
@@ -626,11 +577,9 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     checks.fail(~np.all(np.isfinite(u), axis=1),
                 "non-finite control in moment_match")
 
-    if step_map_out is not None:
-        dm_dirs, dS_dirs = _canonical_directions(n)
-        pred = predict_increment(model, mu[0], sigma[0], dm_dirs, dS_dirs)
-    elif single:
-        pred = predict_increment(model, mu[0], sigma[0])
+    if single:
+        pred = predict_increment(model, mu[0], sigma[0],
+                                 with_vjp=step_map_out is not None)
     else:
         # failed rows are evaluated at zero covariance and discarded
         pred = predict_increment(
@@ -640,7 +589,7 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     sigma_f = pred.sigma_f.reshape(sigma.shape)
     cov = pred.cov_x_dx.reshape(sigma.shape)
 
-    G = np.stack([plant_G(x) for x in mu])                       # (C, n, m)
+    G = plant_G(mu)                                              # (C, n, m)
     mu_out = mu + mu_f + (G @ u[:, :, None])[:, :, 0] * dt
     sigma_out = sigma + sigma_f + cov + cov.transpose(0, 2, 1)
     sigma_out = 0.5 * (sigma_out + sigma_out.transpose(0, 2, 1))
@@ -649,10 +598,10 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
                 "belief covariance overflowed")
 
     if step_map_out is not None:
-        dGu = None
+        control_jac = None
         if plant_G_jac is not None and np.any(u[0]):
-            dGu = np.einsum("ijk,j->ik", plant_G_jac(mu[0]), u[0])
-        step_map_out.append(_assemble_step_map(pred, dGu, dt, n))
+            control_jac = dt * np.einsum("ijk,j->ik", plant_G_jac(mu[0]), u[0])
+        step_map_out.append(StepPullback(pred.vjp, control_jac))
     if prediction_out is not None:
         prediction_out.append(pred)
     if single:

@@ -1,10 +1,12 @@
 """Simulated benchmark systems: dx = (f(x) + G(x) u) dt + B dw.
 
-Each plant exposes the passive drift f, the control matrix G, the analytic
-Jacobian of G (needed by the belief-propagation gradient chain, since the
-control contribution G(mu) u dt depends on the state), and a stochastic
-integrator.  The deterministic part of a step is integrated with RK4
-sub-steps; the Brownian term is added per sub-step as B * sqrt(h) * L_w xi.
+Each plant exposes the passive drift f, the control matrix G (vectorized
+over leading axes, so that belief propagation evaluates a whole candidate
+batch in one call), the analytic Jacobian of G (needed by the
+belief-propagation gradient chain, since the control contribution
+G(mu) u dt depends on the state), and a stochastic integrator.  The
+deterministic part of a step is integrated with RK4 sub-steps; the
+Brownian term is added per sub-step as B * sqrt(h) * L_w xi.
 Plain explicit-Euler sub-stepping cannot hold the noise-free energy drift
 inside the tolerance the invariant suite demands, so RK4 is used for the
 drift while the noise handling stays Euler-Maruyama.
@@ -68,6 +70,7 @@ class Plant:
         raise NotImplementedError
 
     def control_matrix(self, x: np.ndarray) -> np.ndarray:
+        """G(x): states (..., n) to control matrices (..., n, m)."""
         raise NotImplementedError
 
     def control_matrix_jac(self, x: np.ndarray) -> np.ndarray:
@@ -133,6 +136,11 @@ def _psd_sqrt(w: np.ndarray) -> np.ndarray:
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
+# a unit force on the cart, the first generalized coordinate
+_FORCE_2 = np.array([[1.0], [0.0]])
+_FORCE_3 = np.array([[1.0], [0.0], [0.0]])
+
+
 def _solve_inertia(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(h, rhs)
@@ -158,7 +166,7 @@ class LinearPlant(Plant):
         return self.A @ np.asarray(x, dtype=float)
 
     def control_matrix(self, x):
-        return self.Bc
+        return np.broadcast_to(self.Bc, np.shape(x)[:-1] + self.Bc.shape)
 
     def control_matrix_jac(self, x):
         return np.zeros((self.spec.n, self.spec.m, self.spec.n))
@@ -182,10 +190,11 @@ class CartPole(Plant):
 
     def _inertia(self, theta):
         c = np.cos(theta)
-        return np.array([
-            [self.M + self.m, 0.5 * self.m * self.L * c],
-            [0.5 * self.m * self.L * c, self.m * self.L ** 2 / 3.0],
-        ])
+        h = np.empty(c.shape + (2, 2))
+        h[..., 0, 0] = self.M + self.m
+        h[..., 0, 1] = h[..., 1, 0] = 0.5 * self.m * self.L * c
+        h[..., 1, 1] = self.m * self.L ** 2 / 3.0
+        return h
 
     def drift(self, x):
         x = np.asarray(x, dtype=float)
@@ -199,10 +208,9 @@ class CartPole(Plant):
         return np.array([xd, acc[0], thd, acc[1]])
 
     def control_matrix(self, x):
-        col = _solve_inertia(self._inertia(x[2]), np.array([1.0, 0.0]))
-        g = np.zeros((4, 1))
-        g[1, 0] = col[0]
-        g[3, 0] = col[1]
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (4, 1))
+        g[..., 1::2, :] = _solve_inertia(self._inertia(x[..., 2]), _FORCE_2)
         return g
 
     def control_matrix_jac(self, x):
@@ -254,13 +262,13 @@ class DoublePendulumCart(Plant):
     def _inertia(self, th1, th2):
         m1, m2, l1, l2 = self.m1, self.m2, self.l1, self.l2
         c1, c2, c12 = np.cos(th1), np.cos(th2), np.cos(th1 - th2)
-        h = np.empty((3, 3))
-        h[0, 0] = self.M + m1 + m2
-        h[0, 1] = h[1, 0] = (0.5 * m1 + m2) * l1 * c1
-        h[0, 2] = h[2, 0] = 0.5 * m2 * l2 * c2
-        h[1, 1] = (m1 / 3.0 + m2) * l1 ** 2
-        h[1, 2] = h[2, 1] = 0.5 * m2 * l1 * l2 * c12
-        h[2, 2] = m2 * l2 ** 2 / 3.0
+        h = np.empty(c1.shape + (3, 3))
+        h[..., 0, 0] = self.M + m1 + m2
+        h[..., 0, 1] = h[..., 1, 0] = (0.5 * m1 + m2) * l1 * c1
+        h[..., 0, 2] = h[..., 2, 0] = 0.5 * m2 * l2 * c2
+        h[..., 1, 1] = (m1 / 3.0 + m2) * l1 ** 2
+        h[..., 1, 2] = h[..., 2, 1] = 0.5 * m2 * l1 * l2 * c12
+        h[..., 2, 2] = m2 * l2 ** 2 / 3.0
         return h
 
     def drift(self, x):
@@ -278,9 +286,10 @@ class DoublePendulumCart(Plant):
         return np.array([xd, acc[0], th1d, acc[1], th2d, acc[2]])
 
     def control_matrix(self, x):
-        col = _solve_inertia(self._inertia(x[2], x[4]), np.array([1.0, 0.0, 0.0]))
-        g = np.zeros((6, 1))
-        g[1, 0], g[3, 0], g[5, 0] = col
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (6, 1))
+        g[..., 1::2, :] = _solve_inertia(self._inertia(x[..., 2], x[..., 4]),
+                                         _FORCE_3)
         return g
 
     def control_matrix_jac(self, x):
@@ -346,11 +355,13 @@ class TwoLinkArm(Plant):
 
     def _inertia(self, th2):
         c2 = np.cos(th2)
-        m11 = self.m1 * self.lc1 ** 2 + self.I1 + self.I2 \
+        h = np.empty(c2.shape + (2, 2))
+        h[..., 0, 0] = self.m1 * self.lc1 ** 2 + self.I1 + self.I2 \
             + self.m2 * (self.l1 ** 2 + self.lc2 ** 2 + 2 * self.l1 * self.lc2 * c2)
-        m12 = self.m2 * (self.lc2 ** 2 + self.l1 * self.lc2 * c2) + self.I2
-        m22 = self.m2 * self.lc2 ** 2 + self.I2
-        return np.array([[m11, m12], [m12, m22]])
+        h[..., 0, 1] = h[..., 1, 0] = \
+            self.m2 * (self.lc2 ** 2 + self.l1 * self.lc2 * c2) + self.I2
+        h[..., 1, 1] = self.m2 * self.lc2 ** 2 + self.I2
+        return h
 
     def drift(self, x):
         x = np.asarray(x, dtype=float)
@@ -362,9 +373,9 @@ class TwoLinkArm(Plant):
         return np.array([w1, w2, acc[0], acc[1]])
 
     def control_matrix(self, x):
-        minv = np.linalg.inv(self._inertia(x[1]))
-        g = np.zeros((4, 2))
-        g[2:, :] = minv
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (4, 2))
+        g[..., 2:, :] = np.linalg.inv(self._inertia(x[..., 1]))
         return g
 
     def control_matrix_jac(self, x):

@@ -41,6 +41,27 @@ def cartpole_model(cartpole):
 
 
 @pytest.fixture(scope="session")
+def dpc():
+    return make_plant("dpc")
+
+
+@pytest.fixture(scope="session")
+def dpc_model(dpc):
+    """Small GP trained on random-control double-pendulum-cart transitions."""
+    rng = np.random.default_rng(13)
+    model = GpModel.empty(6)
+    x = np.zeros(6)
+    for _ in range(80):
+        u = rng.uniform(-8, 8, 1)
+        xn = dpc.step(x, u, rng)
+        model, _ = incorporate_sample(model, x, u, xn, dpc.control_matrix, 0.02)
+        x = xn if np.linalg.norm(xn) < 20 else np.zeros(6)
+    hypers, _ = fit_hyperparameters(model.train, rng=np.random.default_rng(3),
+                                    n_restarts=1, max_iters=80)
+    return GpModel.from_data(model.train, hypers)
+
+
+@pytest.fixture(scope="session")
 def linear_plant():
     return make_plant("linear", params=dict(A=[[-0.5]], Bc=[[1.0]],
                                             B=[[0.02]], sigma_omega=[[1.0]]))

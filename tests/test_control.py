@@ -216,19 +216,26 @@ class TestDesirabilityGradient:
                                       cost)
         assert np.allclose(trace.grad_psi_over_psi[0], 0.0, atol=1e-12)
 
-    def test_matches_fd_over_x0(self, cartpole, cartpole_model, rng):
-        cost = CostSpec(np.diag([0.5, 0.05, 2.0, 0.05]), [0, 0, np.pi, 0],
-                        1.0, 0.02, 20)
-        us = ControlSequence(rng.uniform(-2, 2, (20, 1)))
-        x0 = np.array([0.0, 0.1, 0.3, -0.2])
-        traj = forward_rollout(cartpole_model, x0, us, cartpole, cost)
-        trace = desirability_gradient(traj, backward_desirability(traj, cost),
-                                      cost)
-        # entry j is d log Psi_j / d mu_j; at j = 0 that is d / d x0
-        for j in (0, 5, 13, 20):
-            fd = fd_tail_gradient(cartpole_model, traj, cartpole, cost, j)
-            denom = max(np.max(np.abs(fd)), 1e-12)
-            assert np.max(np.abs(trace.grad_psi_over_psi[j] - fd)) / denom < 1e-4
+    def test_matches_fd_over_x0(self, cartpole, cartpole_model, dpc,
+                                dpc_model, rng):
+        cases = [
+            (cartpole, cartpole_model, [0.5, 0.05, 2.0, 0.05],
+             [0, 0, np.pi, 0], [0.0, 0.1, 0.3, -0.2]),
+            (dpc, dpc_model, [0.5, 0.05, 2.0, 0.05, 2.0, 0.05],
+             [0, 0, np.pi, 0, np.pi, 0], [0.0, 0.1, 0.3, -0.2, 0.2, 0.1]),
+        ]
+        for plant, model, q, x_d, x0 in cases:
+            cost = CostSpec(np.diag(q), x_d, 1.0, 0.02, 20)
+            us = ControlSequence(rng.uniform(-2, 2, (20, 1)))
+            traj = forward_rollout(model, np.array(x0), us, plant, cost)
+            trace = desirability_gradient(
+                traj, backward_desirability(traj, cost), cost)
+            # entry j is d log Psi_j / d mu_j; at j = 0 that is d / d x0
+            for j in (0, 5, 13, 20):
+                fd = fd_tail_gradient(model, traj, plant, cost, j)
+                denom = max(np.max(np.abs(fd)), 1e-12)
+                assert np.max(np.abs(trace.grad_psi_over_psi[j] - fd)) \
+                    / denom < 1e-4
 
     def test_terminal_gradient_is_log_phi_partial(self, cartpole,
                                                   cartpole_model, rng,
@@ -485,7 +492,8 @@ class _EdgePlant:
     |x| < 0.5, so that the long line-search steps fail numerically."""
 
     def control_matrix(self, x):
-        return np.array([[1.0 if abs(x[0]) < 0.5 else np.inf]])
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x[..., :1, None]) < 0.5, 1.0, np.inf)
 
     def control_matrix_jac(self, x):
         return np.zeros((1, 1, 1))

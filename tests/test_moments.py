@@ -28,6 +28,35 @@ def _random_input(rng, n):
     return m, a @ a.T + 0.05 * np.eye(n)
 
 
+def _const_G(G):
+    """A state-independent control matrix, for states (..., n)."""
+    G = np.asarray(G, dtype=float)
+    return lambda x: np.broadcast_to(G, np.shape(x)[:-1] + G.shape)
+
+
+def _plant_G(x):
+    """A state-dependent control matrix (..., 3, 1)."""
+    g = np.zeros(np.shape(x)[:-1] + (3, 1))
+    g[..., 1, 0] = 1.0 + 0.1 * x[..., 0]
+    g[..., 2, 0] = 0.5
+    return g
+
+
+def _plant_G_jac(x):
+    jac = np.zeros((3, 1, 3))
+    jac[1, 0, 0] = 0.1
+    return jac
+
+
+def _step_pullback(model, m, S, u, a, B):
+    """The pullback of f = <a, mu'> + <B, Sigma'> through one step."""
+    maps = []
+    moment_match(model, GaussianBelief(m, S), u, _plant_G, 0.02,
+                 plant_G_jac=_plant_G_jac, step_map_out=maps)
+    assert len(maps) == 1
+    return maps[0].pullback(a, B)
+
+
 class TestPrediction:
     def test_empty_model_prior(self):
         model = GpModel.empty(2)
@@ -56,46 +85,48 @@ class TestPrediction:
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_directional_derivatives_match_fd(self, rng, shared):
+        # the pullback of f = <a, mu'> + <B, Sigma'> contracted with a
+        # direction (dm, dS) is f's derivative along it
         model = _random_model(rng, shared=shared)
+        assert _stacks(model).shared_w == shared
         m, S = _random_input(rng, 3)
-        K = 4
-        dm = rng.normal(size=(3, K))
-        dS = rng.normal(size=(3, 3, K))
-        dS = 0.5 * (dS + np.transpose(dS, (1, 0, 2)))
-        pred = predict_increment(model, m, S, dm, dS)
+        u = np.array([0.7])
+        a, B = rng.normal(size=3), rng.normal(size=(3, 3))
+
+        def f(mv, Sv):
+            out = moment_match(model, GaussianBelief(mv, Sv), u, _plant_G, 0.02)
+            return a @ out.mu + np.sum(B * out.sigma)
+
+        d_mu, d_sig = _step_pullback(model, m, S, u, a, B)
         eps = 1e-6
-        for k in range(K):
-            hi = predict_increment(model, m + eps * dm[:, k],
-                                   S + eps * dS[:, :, k])
-            lo = predict_increment(model, m - eps * dm[:, k],
-                                   S - eps * dS[:, :, k])
-            assert np.allclose((hi.mu_f - lo.mu_f) / (2 * eps),
-                               pred.jac.dmu[:, k], atol=2e-7)
-            assert np.allclose((hi.sigma_f - lo.sigma_f) / (2 * eps),
-                               pred.jac.dsigma[:, :, k], atol=2e-7)
-            assert np.allclose((hi.cov_x_dx - lo.cov_x_dx) / (2 * eps),
-                               pred.jac.dcov[:, :, k], atol=2e-7)
+        for _ in range(4):
+            dm = rng.normal(size=3)
+            dS = rng.normal(size=(3, 3))
+            dS = 0.5 * (dS + dS.T)
+            fd = (f(m + eps * dm, S + eps * dS)
+                  - f(m - eps * dm, S - eps * dS)) / (2 * eps)
+            assert d_mu @ dm + np.sum(d_sig * dS) == pytest.approx(fd, abs=2e-7)
 
     def test_shared_fast_path_equals_general_path(self, rng):
         model = _random_model(rng, shared=True)
         st = _stacks(model)
         assert st.shared_w
         m, S = _random_input(rng, 3)
-        dm = rng.normal(size=(3, 2))
-        dS = rng.normal(size=(3, 3, 2))
-        dS = 0.5 * (dS + np.transpose(dS, (1, 0, 2)))
-        fast = predict_increment(model, m, S, dm, dS)
+        u = np.array([-0.4])
+        a, B = rng.normal(size=3), rng.normal(size=(3, 3))
+        fast = predict_increment(model, m, S)
+        fast_pb = _step_pullback(model, m, S, u, a, B)
         st.shared_w = False
         try:
-            general = predict_increment(model, m, S, dm, dS)
+            general = predict_increment(model, m, S)
+            general_pb = _step_pullback(model, m, S, u, a, B)
         finally:
             st.shared_w = True
         assert np.allclose(fast.mu_f, general.mu_f, atol=1e-13)
         assert np.allclose(fast.sigma_f, general.sigma_f, atol=1e-13)
         assert np.allclose(fast.cov_x_dx, general.cov_x_dx, atol=1e-13)
-        assert np.allclose(fast.jac.dmu, general.jac.dmu, atol=1e-12)
-        assert np.allclose(fast.jac.dsigma, general.jac.dsigma, atol=1e-12)
-        assert np.allclose(fast.jac.dcov, general.jac.dcov, atol=1e-12)
+        assert np.allclose(fast_pb[0], general_pb[0], rtol=0, atol=1e-12)
+        assert np.allclose(fast_pb[1], general_pb[1], rtol=0, atol=1e-12)
 
     def test_monte_carlo_oracle_1d(self):
         rng = np.random.default_rng(12)
@@ -114,7 +145,7 @@ class TestPrediction:
 class TestBeliefPropagation:
     def test_prior_fallback_step(self):
         model = GpModel.empty(2)
-        plant_G = lambda x: np.array([[0.0], [1.0]])
+        plant_G = _const_G([[0.0], [1.0]])
         b = GaussianBelief.observed([0.4, -0.1])
         out = moment_match(model, b, [0.0], plant_G, 0.02)
         assert np.allclose(out.mu, b.mu)
@@ -143,12 +174,17 @@ class TestBeliefPropagation:
         maps = []
         roll(x0, maps)
         assert len(maps) == k
-        # d(mu_k, vec Sigma_k)/dx0 = M_{k-1} ... M_0 [I; 0]
-        dmu, dsig = np.eye(4), np.zeros((16, 4))
-        for m in maps:
-            dmu, dsig = (m.mu_mu @ dmu + m.mu_sig @ dsig,
-                         m.sig_mu @ dmu + m.sig_sig @ dsig)
-        dsig = dsig.reshape(4, 4, 4)
+
+        def pull(chi_mu, chi_sig):
+            for m in reversed(maps):
+                chi_mu, chi_sig = m.pullback(chi_mu, chi_sig)
+            return chi_mu
+
+        # row i of d(mu_k, Sigma_k)/dx0 is the chained pullback of output i
+        eye = np.eye(4)
+        dmu = np.array([pull(eye[i], np.zeros((4, 4))) for i in range(4)])
+        dsig = np.array([pull(np.zeros(4), np.outer(eye[i], eye[j]))
+                         for i in range(4) for j in range(4)]).reshape(4, 4, 4)
         eps = 1e-4
         fd_mu = np.zeros((4, 4))
         fd_sig = np.zeros((4, 4, 4))
@@ -176,7 +212,7 @@ class TestBeliefPropagation:
         model = GpModel.empty(2)
         bad = GaussianBelief(np.zeros(2), np.array([[1.0, 0.0], [0.0, -0.5]]))
         with pytest.raises(NumericalError):
-            moment_match(model, bad, [0.0], lambda x: np.eye(2)[:, :1], 0.02)
+            moment_match(model, bad, [0.0], _const_G(np.eye(2)[:, :1]), 0.02)
 
 
 class TestCandidateBatch:
@@ -200,16 +236,21 @@ class TestCandidateBatch:
                 assert np.array_equal(getattr(batch, field)[c],
                                       getattr(single, field))
 
-    def test_batch_rejects_directions(self, rng):
+    def test_batch_rejects_pullback_record(self, rng):
         model = _random_model(rng, n=2)
         m, S = _random_input(rng, 2)
         with pytest.raises(ConfigError):
-            predict_increment(model, m[None], S[None], np.eye(2))
+            predict_increment(model, m[None], S[None], with_vjp=True)
+        with pytest.raises(ConfigError):
+            moment_match(model, GaussianBelief(m[None], S[None],
+                                               np.ones(1, dtype=bool)),
+                         np.zeros((1, 1)), _const_G([[0.0], [1.0]]), 0.02,
+                         step_map_out=[])
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_moment_match_rows_equal_batch_of_one(self, rng, shared):
         model = _random_model(rng, n=3, n_points=30, shared=shared)
-        plant_G = lambda x: np.array([[0.0], [1.0 + 0.1 * x[0]], [0.5]])
+        plant_G = _plant_G
         inputs = [_random_input(rng, 3) for _ in range(5)]
         belief = GaussianBelief(np.array([m for m, _ in inputs]),
                                 np.array([S for _, S in inputs]),
@@ -235,9 +276,9 @@ class TestCandidateBatch:
         sigma = np.array([0.1 * np.eye(2), [[1.0, 0.0], [0.0, -0.5]]])
         belief = GaussianBelief(np.zeros((2, 2)), sigma, np.ones(2, dtype=bool))
         out = moment_match(model, belief, np.zeros((2, 1)),
-                           lambda x: np.eye(2)[:, :1], 0.02)
+                           _const_G(np.eye(2)[:, :1]), 0.02)
         assert out.ok.tolist() == [True, False]
         assert np.array_equal(out.sigma[1], sigma[1])
         single = moment_match(model, GaussianBelief(np.zeros(2), sigma[0]),
-                              [0.0], lambda x: np.eye(2)[:, :1], 0.02)
+                              [0.0], _const_G(np.eye(2)[:, :1]), 0.02)
         assert np.array_equal(out.sigma[0], single.sigma)
