@@ -16,8 +16,8 @@ from .control import (BeliefTrajectory, ControlSequence, CostSpec,
 from .gp import (GpModel, KernelHyper, TrainingSet, fit_hyperparameters,
                  incorporate_sample, kernel_eval, load_model,
                  log_marginal_likelihood, posterior_predict, save_model)
-from .moments import (GaussianBelief, IncrementPrediction, StepPullback,
-                      moment_match, predict_increment)
+from .moments import (GaussianBelief, IncrementPrediction, moment_match,
+                      predict_increment)
 from .compose import (CompositeWeights, TaskLibrary, composite_control,
                       composite_terminal_cost, task_weights, verify_linearity)
 from .baselines import PathCostSample, lqg_solve, sampling_pi_control
@@ -28,8 +28,8 @@ from .rng import RngHub
 __all__ = [
     "BeliefTrajectory", "CompositeWeights", "ControlSequence",
     "ControllerRecord", "CostFields", "CostSpec", "DesirabilityTrace",
-    "GaussianBelief", "GpModel", "IncrementPrediction", "KernelHyper",
-    "PathCostSample", "Plant", "PlantSpec", "RngHub", "StepPullback",
+    "GaussianBelief", "GpModel", "IncrementPrediction",
+    "KernelHyper", "PathCostSample", "Plant", "PlantSpec", "RngHub",
     "TaskLibrary", "TrainingSet", "backward_desirability",
     "composite_control", "composite_terminal_cost", "control_update",
     "desirability_gradient", "fit_hyperparameters", "forward_rollout",
