@@ -77,6 +77,12 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
     controls by the weighted average of the realized noise mapped through
     G^+ B / dt.  Low effective sample size only degrades the estimate; the
     result is still returned with a warning status.
+
+    The path costs of all samples are one stacked quadratic form, and the
+    projection is one `control_matrix` call over the nominal path and one
+    stacked pseudoinverse; both equal the per-sample and per-step results
+    bit for bit, except that with a single interior step einsum may sum a
+    sample's quadratic form in another order (a last-bit difference).
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
@@ -89,16 +95,15 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
     x_t = np.asarray(x_t, dtype=float)
     status = "ok"
     ess = float(n_samples)
+    targets = np.array([cost.target_at(j) for j in range(1, T + 1)])
 
     for _ in range(n_iterations):
         states, noises = _rollout_batch(plant, x_t, u_seq, n_samples, rng)
-        costs = np.empty(n_samples)
-        interior = np.arange(1, T)
-        for s in range(n_samples):
-            traj = states[s]
-            diffs = traj[interior] - [cost.target_at(j) for j in interior]
-            qs = np.einsum("ij,jk,ik->i", diffs, cost.Q, diffs)
-            costs[s] = qs.sum() * cost.dt + cost.terminal_cost(traj[T])
+        diffs = states[:, 1:] - targets                     # (S, T, n)
+        qs = np.einsum("sij,jk,sik->si", diffs[:, :-1], cost.Q, diffs[:, :-1])
+        d_T = diffs[:, -1:]                                 # (S, 1, n)
+        costs = qs.sum(axis=1) * cost.dt + (
+            d_T @ cost.Q_terminal @ d_T.transpose(0, 2, 1))[:, 0, 0]
         logw = -costs / cost.lam
         logw -= logw.max()
         w = np.exp(logw)
@@ -106,13 +111,12 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
         ess = 1.0 / float(w @ w)
         if ess < ESS_WARN_THRESHOLD:
             status = "low-ess"
-        # G^+ B projection of the weighted noise, per step
+        # G^+ B projection of the weighted noise, all steps in one stack
         w_noise = np.einsum("s,stp->tp", w, noises)
         nominal = states[int(np.argmax(w))]
-        for t in range(T):
-            G = plant.control_matrix(nominal[t])
-            u_seq[t] = u_seq[t] + np.linalg.pinv(G) @ (
-                plant.spec.B @ w_noise[t]) / cost.dt
+        G_pinv = np.linalg.pinv(plant.control_matrix(nominal[:T]))   # (T, m, n)
+        u_seq = u_seq + (G_pinv @ (plant.spec.B @ w_noise[..., None])
+                         )[..., 0] / cost.dt
     return SamplingPiResult(u_seq, ess, w, status)
 
 

@@ -342,6 +342,12 @@ def desirability_gradient(traj: BeliefTrajectory, trace: DesirabilityTrace,
 # Control update
 # ---------------------------------------------------------------------------
 
+def _column_norms(v):
+    """Euclidean norms of a stack of columns (T, n, 1), each one dot
+    product, as `np.linalg.norm` forms it for a single vector."""
+    return np.sqrt((v.transpose(0, 2, 1) @ v)[:, 0, 0])
+
+
 def control_update(trace: DesirabilityTrace, traj: BeliefTrajectory,
                    controls_old: ControlSequence, plant,
                    lam: float = 1.0) -> ControlSequence:
@@ -354,29 +360,28 @@ def control_update(trace: DesirabilityTrace, traj: BeliefTrajectory,
     least-squares projection the pseudoinverse provides.
 
     Step t consumes grad_psi_over_psi[t], the adjoint gradient of its tail
-    at the step's own belief mean.
+    at the step's own belief mean.  All T steps are evaluated as one stack:
+    one `control_matrix` over the belief means, one stacked pseudoinverse
+    and one stacked inverse, where a step whose G^+ Sigma_f G^+' is singular
+    gets a NaN weight without failing the others.
     """
     if not trace.has_gradient:
         raise ConfigError("desirability gradient has not been computed")
     T = controls_old.horizon
-    new_u = np.empty_like(controls_old.u)
-    weights = []
-    flagged = []
-    for t in range(T):
-        G = plant.control_matrix(traj.beliefs[t].mu)
-        Gp = np.linalg.pinv(G)
-        sf = traj.predictions[t].sigma_f
-        target_vec = sf @ trace.grad_psi_over_psi[t]
-        du = Gp @ target_vec
-        resid = np.linalg.norm(G @ du - target_vec)
-        if resid > 1e-8 * max(np.linalg.norm(target_vec), 1e-300):
-            flagged.append(t)
-        new_u[t] = controls_old.clamp(controls_old.u[t] + du)
-        try:
-            weights.append(lam * np.linalg.inv(Gp @ sf @ Gp.T))
-        except np.linalg.LinAlgError:
-            weights.append(np.full((G.shape[1], G.shape[1]), np.nan))
-    return ControlSequence(new_u, weights, controls_old.u_min,
+    G = plant.control_matrix(np.array([b.mu for b in traj.beliefs[:T]]))
+    Gp = np.linalg.pinv(G)                                         # (T, m, n)
+    sf = np.array([p.sigma_f for p in traj.predictions[:T]])       # (T, n, n)
+    target_vec = sf @ trace.grad_psi_over_psi[:T, :, None]         # (T, n, 1)
+    du = Gp @ target_vec                                           # (T, m, 1)
+    resid = _column_norms(G @ du - target_vec)
+    scale = np.maximum(_column_norms(target_vec), 1e-300)
+    flagged = np.flatnonzero(resid > 1e-8 * scale).tolist()
+    new_u = controls_old.clamp(controls_old.u + du[..., 0])
+    core = Gp @ sf @ Gp.transpose(0, 2, 1)                         # (T, m, m)
+    singular = np.linalg.slogdet(core)[0] == 0
+    weights = lam * np.linalg.inv(identity_where(singular, core))
+    weights[singular] = np.nan
+    return ControlSequence(new_u, list(weights), controls_old.u_min,
                            controls_old.u_max, flagged)
 
 

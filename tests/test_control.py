@@ -315,6 +315,90 @@ class TestControlUpdate:
             control_update(trace, traj, us, cartpole)
 
 
+def _control_update_per_step(trace, traj, controls_old, plant, lam=1.0):
+    """`control_update` as one control_matrix, pinv and inv per step, as
+    it was written before the horizon became one stack."""
+    new_u = np.empty_like(controls_old.u)
+    weights, flagged = [], []
+    for t in range(controls_old.horizon):
+        G = plant.control_matrix(traj.beliefs[t].mu)
+        Gp = np.linalg.pinv(G)
+        sf = traj.predictions[t].sigma_f
+        target_vec = sf @ trace.grad_psi_over_psi[t]
+        du = Gp @ target_vec
+        resid = np.linalg.norm(G @ du - target_vec)
+        if resid > 1e-8 * max(np.linalg.norm(target_vec), 1e-300):
+            flagged.append(t)
+        new_u[t] = controls_old.clamp(controls_old.u[t] + du)
+        try:
+            weights.append(lam * np.linalg.inv(Gp @ sf @ Gp.T))
+        except np.linalg.LinAlgError:
+            weights.append(np.full((G.shape[1], G.shape[1]), np.nan))
+    return new_u, weights, flagged
+
+
+def _assert_update_matches_per_step(trace, traj, controls_old, plant, lam):
+    new = control_update(trace, traj, controls_old, plant, lam=lam)
+    u, weights, flagged = _control_update_per_step(trace, traj, controls_old,
+                                                   plant, lam)
+    assert np.array_equal(new.u, u)
+    assert len(new.R) == len(weights)
+    for r, ref in zip(new.R, weights):
+        assert np.array_equal(r, ref, equal_nan=True)
+    assert new.flagged_steps == flagged
+    return new
+
+
+class TestControlUpdateStacked:
+    """The stacked update against a per-step reference copy."""
+
+    @pytest.mark.parametrize("which", ["cartpole", "dpc"])
+    def test_rollout_bit_identical(self, which, cartpole, cartpole_model,
+                                   dpc, dpc_model):
+        plant, model = (cartpole, cartpole_model) if which == "cartpole" \
+            else (dpc, dpc_model)
+        n = plant.spec.n
+        x_d = np.zeros(n)
+        x_d[2::2] = np.pi
+        cost = CostSpec(np.diag(np.linspace(0.5, 3.0, n)), x_d, 0.3, 0.02, 30)
+        rng = np.random.default_rng(21)
+        us = ControlSequence(rng.uniform(-2, 2, (30, 1)), u_min=[-20.0],
+                             u_max=[20.0])
+        traj = forward_rollout(model, np.zeros(n), us, plant, cost)
+        trace = desirability_gradient(
+            traj, backward_desirability(traj, cost), cost)
+        new = _assert_update_matches_per_step(trace, traj, us, plant,
+                                              cost.lam)
+        assert new.flagged_steps    # underactuated: gradients leave range(G)
+
+    @pytest.mark.parametrize("name", ["arm", "linear"])
+    def test_singular_step_gets_nan_weight(self, name):
+        plant = make_plant("arm") if name == "arm" else make_plant(
+            "linear", params=dict(A=np.zeros((3, 3)),
+                                  Bc=[[1.0], [0.5], [0.0]]))
+        n, T = plant.spec.n, 12
+        rng = np.random.default_rng(8)
+        beliefs = [_belief(rng.normal(size=n), np.zeros((n, n)))
+                   for _ in range(T + 1)]
+        preds = []
+        for t in range(T):
+            a = rng.normal(size=(n, n))
+            sf = np.zeros((n, n)) if t == 4 else 0.01 * a @ a.T
+            preds.append(IncrementPrediction(np.zeros(n), sf, np.zeros((n, n))))
+        grad = rng.normal(size=(T + 1, n))
+        grad[7] = 0.0
+        trace = DesirabilityTrace(np.zeros(T + 1), grad, has_gradient=True)
+        us = ControlSequence(rng.normal(size=(T, plant.spec.m)),
+                             u_min=[-0.5] * plant.spec.m,
+                             u_max=[0.5] * plant.spec.m)
+        traj = BeliefTrajectory(beliefs, us, preds)
+        new = _assert_update_matches_per_step(trace, traj, us, plant, 0.7)
+        assert np.all(np.isnan(new.R[4]))
+        assert all(np.all(np.isfinite(r)) for t, r in enumerate(new.R)
+                   if t != 4)
+        assert 7 not in new.flagged_steps
+
+
 class TestInnerOptimize:
     def test_infinite_tol_single_update(self, cartpole, cartpole_model,
                                         swing_cost, rng):

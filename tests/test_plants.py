@@ -151,3 +151,25 @@ def test_batch_step_returns_summed_increments():
     x_next, dw_sum = lin.step_batch(xs, np.zeros(1), np.random.default_rng(5))
     assert dw_sum.shape == (3, 2)
     assert np.max(np.abs((x_next - xs) - dw_sum @ B.T)) < 1e-14
+
+
+def _any_plant(name):
+    if name == "linear":
+        return make_plant("linear", params=dict(
+            A=[[-0.5, 0.3], [0.1, -0.2]], Bc=[[1.0, 0.4], [-0.3, 2.0]]))
+    return make_plant(name)
+
+
+@pytest.mark.parametrize("name", ["cartpole", "dpc", "arm", "linear"])
+@pytest.mark.parametrize("n_rows", [1, 25])
+def test_batched_rate_and_step_rows_equal_single_rows(name, n_rows):
+    plant = _any_plant(name)
+    rng = np.random.default_rng(n_rows)
+    xs = rng.normal(size=(n_rows, plant.spec.n))
+    u = rng.normal(size=plant.spec.m)
+    rate = plant._controlled_rate(xs, u)
+    single = np.array([plant.drift(x) + plant.control_matrix(x) @ u
+                       for x in xs])
+    assert np.array_equal(rate, single)
+    batch, _ = plant.step_batch(xs, u, None)
+    assert np.array_equal(batch, [plant.step(x, u, None) for x in xs])
