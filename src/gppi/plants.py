@@ -15,14 +15,24 @@ There is one integrator, `Plant.step_batch`, which steps a batch of states
 (S, n) under one control; `Plant.step` is a batch of one.  The sampling
 baseline steps its whole sample batch through it.  Each RK4 stage of a
 batch evaluates G once for all S rows and f once per row; a batch of one
-evaluates G on the bare state, where a stacked solve costs more set-up than
-it saves.  Either way every row is bit-identical to stepping it alone.
+evaluates G on the bare state, where stacking costs more set-up than it
+saves.  Either way every row is bit-identical to stepping it alone.
+
+The articulated plants never call LAPACK on their mass matrix.  Each
+returns the upper triangle of its 2 x 2 or 3 x 3 inertia, and
+`_sym_inverse` inverts it in closed form, adjugate over determinant, with
+nothing but ``+ - * /``.  So the same formula serves `drift`, which takes
+one state as Python floats with `math` trigonometry (one call per row, at
+a fraction of a small `np.linalg.solve`), and `control_matrix`, which
+broadcasts it over any leading batch shape.  A singular or non-finite
+inertia raises `NumericalError`.
 
 Angles are raw (unwrapped); "hanging down" is 0 and "upright" is pi.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,7 +131,8 @@ class Plant:
                 dw = sq * (rng.standard_normal(dw_sum.shape) @ self._noise_chol.T)
                 xs = xs + dw @ B.T
                 dw_sum += dw
-            if np.any(np.linalg.norm(xs, axis=1) > DIVERGENCE_NORM):
+            # `not <=` so that a NaN row, which compares False, fails too
+            if not np.all(np.linalg.norm(xs, axis=1) <= DIVERGENCE_NORM):
                 raise NumericalError("plant state diverged", step=None)
         return xs, dw_sum
 
@@ -142,16 +153,57 @@ def _psd_sqrt(w: np.ndarray) -> np.ndarray:
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-# a unit force on the cart, the first generalized coordinate
-_FORCE_2 = np.array([[1.0], [0.0]])
-_FORCE_3 = np.array([[1.0], [0.0], [0.0]])
+def _sym_inverse(h, first_row=False):
+    """Inverse of a symmetric 2 x 2 or 3 x 3 matrix, adjugate over determinant.
+
+    `h` is the upper triangle row by row, ``((h00, h01), (h11,))`` or
+    ``((h00, h01, h02), (h11, h12), (h22,))``; the inverse comes back as a
+    tuple of full rows, only its first with `first_row` (all that a unit
+    force on the first coordinate needs).  Only ``+ - * /`` touch the
+    entries, so they may be floats (one state) or arrays of one shape (a
+    batch), and each batch row is bit-identical to its state alone.  Raises
+    NumericalError where h is singular or not finite.
+    """
+    if len(h) == 2:
+        (a, b), (d,) = h
+        det = a * d - b * b
+        _require_regular(det)
+        o = -b / det
+        return ((d / det, o),) if first_row else ((d / det, o), (o, a / det))
+    (a, b, c), (d, e), (f,) = h
+    # the first row's cofactors also expand the determinant
+    c00 = d * f - e * e
+    c01 = c * e - b * f
+    c02 = b * e - c * d
+    det = a * c00 + b * c01 + c * c02
+    _require_regular(det)
+    if first_row:
+        return ((c00 / det, c01 / det, c02 / det),)
+    i01, i02, i12 = c01 / det, c02 / det, (b * c - a * e) / det
+    return ((c00 / det, i01, i02),
+            (i01, (a * f - c * c) / det, i12),
+            (i02, i12, (a * d - b * b) / det))
 
 
-def _solve_inertia(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _require_regular(det):
+    """NumericalError unless every determinant is nonzero and finite."""
+    if isinstance(det, np.ndarray):
+        # count_nonzero is the cheapest reduction over a small batch
+        regular = np.count_nonzero(det) == np.count_nonzero(np.isfinite(det)) \
+            == det.size
+    else:
+        regular = det != 0 and math.isfinite(det)
+    if not regular:
+        raise NumericalError("singular or non-finite inertia matrix")
+
+
+def _sin_cos(theta: float):
+    """`math.sin` and `math.cos` of one angle.  An infinite angle raises
+    NumericalError, as the NaN inertia of a NaN angle does."""
     try:
-        return np.linalg.solve(h, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular inertia matrix") from exc
+        return math.sin(theta), math.cos(theta)
+    except ValueError:
+        raise NumericalError("non-finite angle in the plant dynamics") from None
 
 
 # ---------------------------------------------------------------------------
@@ -194,38 +246,34 @@ class CartPole(Plant):
         self.g = p["gravity"]
         self.b = p["friction"]
 
-    def _inertia(self, theta):
-        c = np.cos(theta)
-        h = np.empty(c.shape + (2, 2))
-        h[..., 0, 0] = self.M + self.m
-        h[..., 0, 1] = h[..., 1, 0] = 0.5 * self.m * self.L * c
-        h[..., 1, 1] = self.m * self.L ** 2 / 3.0
-        return h
+    def _inertia(self, c):
+        """Upper triangle of the mass matrix at cos(theta) = c."""
+        return ((self.M + self.m, 0.5 * self.m * self.L * c),
+                (self.m * self.L ** 2 / 3.0,))
 
     def drift(self, x):
-        x = np.asarray(x, dtype=float)
-        _, xd, th, thd = x
-        s = np.sin(th)
-        rhs = np.array([
-            -self.b * xd + 0.5 * self.m * self.L * thd ** 2 * s,
-            -0.5 * self.m * self.g * self.L * s,
-        ])
-        acc = _solve_inertia(self._inertia(th), rhs)
-        return np.array([xd, acc[0], thd, acc[1]])
+        _, xd, th, thd = np.asarray(x, dtype=float).tolist()
+        s, c = _sin_cos(th)
+        (a, b), (_, d) = _sym_inverse(self._inertia(c))
+        r0 = -self.b * xd + 0.5 * self.m * self.L * thd * thd * s
+        r1 = -0.5 * self.m * self.g * self.L * s
+        return np.array([xd, a * r0 + b * r1, thd, b * r0 + d * r1])
 
     def control_matrix(self, x):
         x = np.asarray(x, dtype=float)
+        # a unit force on the cart: G is the first column of the inverse
+        a, b = _sym_inverse(self._inertia(np.cos(x[..., 2])), first_row=True)[0]
         g = np.zeros(x.shape[:-1] + (4, 1))
-        g[..., 1::2, :] = _solve_inertia(self._inertia(x[..., 2]), _FORCE_2)
+        g[..., 1, 0] = a
+        g[..., 3, 0] = b
         return g
 
     def control_matrix_jac(self, x):
-        th = x[2]
-        h = self._inertia(th)
+        s, c = _sin_cos(float(x[2]))
+        inv = np.array(_sym_inverse(self._inertia(c)))
         dh = np.zeros((2, 2))
-        dh[0, 1] = dh[1, 0] = -0.5 * self.m * self.L * np.sin(th)
-        col = _solve_inertia(h, np.array([1.0, 0.0]))
-        dcol = _solve_inertia(h, -dh @ col)
+        dh[0, 1] = dh[1, 0] = -0.5 * self.m * self.L * s
+        dcol = -inv @ (dh @ inv[:, 0])
         jac = np.zeros((4, 1, 4))
         jac[1, 0, 2] = dcol[0]
         jac[3, 0, 2] = dcol[1]
@@ -265,45 +313,50 @@ class DoublePendulumCart(Plant):
         self.g = p["gravity"]
         self.b = p["friction"]
 
-    def _inertia(self, th1, th2):
+    def _inertia(self, c1, c2, c12):
+        """Upper triangle of the mass matrix at cos(theta1) = c1,
+        cos(theta2) = c2 and cos(theta1 - theta2) = c12."""
         m1, m2, l1, l2 = self.m1, self.m2, self.l1, self.l2
-        c1, c2, c12 = np.cos(th1), np.cos(th2), np.cos(th1 - th2)
-        h = np.empty(c1.shape + (3, 3))
-        h[..., 0, 0] = self.M + m1 + m2
-        h[..., 0, 1] = h[..., 1, 0] = (0.5 * m1 + m2) * l1 * c1
-        h[..., 0, 2] = h[..., 2, 0] = 0.5 * m2 * l2 * c2
-        h[..., 1, 1] = (m1 / 3.0 + m2) * l1 ** 2
-        h[..., 1, 2] = h[..., 2, 1] = 0.5 * m2 * l1 * l2 * c12
-        h[..., 2, 2] = m2 * l2 ** 2 / 3.0
-        return h
+        return ((self.M + m1 + m2, (0.5 * m1 + m2) * l1 * c1, 0.5 * m2 * l2 * c2),
+                ((m1 / 3.0 + m2) * l1 ** 2, 0.5 * m2 * l1 * l2 * c12),
+                (m2 * l2 ** 2 / 3.0,))
 
     def drift(self, x):
-        x = np.asarray(x, dtype=float)
-        _, xd, th1, th1d, th2, th2d = x
+        _, xd, th1, th1d, th2, th2d = np.asarray(x, dtype=float).tolist()
         m1, m2, l1, l2, g = self.m1, self.m2, self.l1, self.l2, self.g
-        s1, s2, s12 = np.sin(th1), np.sin(th2), np.sin(th1 - th2)
-        rhs = np.array([
-            -self.b * xd + (0.5 * m1 + m2) * l1 * s1 * th1d ** 2
-            + 0.5 * m2 * l2 * s2 * th2d ** 2,
-            -0.5 * m2 * l1 * l2 * s12 * th2d ** 2 - (0.5 * m1 + m2) * g * l1 * s1,
-            0.5 * m2 * l1 * l2 * s12 * th1d ** 2 - 0.5 * m2 * g * l2 * s2,
-        ])
-        acc = _solve_inertia(self._inertia(th1, th2), rhs)
-        return np.array([xd, acc[0], th1d, acc[1], th2d, acc[2]])
+        s1, c1 = _sin_cos(th1)
+        s2, c2 = _sin_cos(th2)
+        s12, c12 = _sin_cos(th1 - th2)
+        (a, b, c), (_, d, e), (_, _, f) = _sym_inverse(self._inertia(c1, c2, c12))
+        r0 = -self.b * xd + (0.5 * m1 + m2) * l1 * s1 * th1d * th1d \
+            + 0.5 * m2 * l2 * s2 * th2d * th2d
+        r1 = -0.5 * m2 * l1 * l2 * s12 * th2d * th2d - (0.5 * m1 + m2) * g * l1 * s1
+        r2 = 0.5 * m2 * l1 * l2 * s12 * th1d * th1d - 0.5 * m2 * g * l2 * s2
+        return np.array([xd, a * r0 + b * r1 + c * r2,
+                         th1d, b * r0 + d * r1 + e * r2,
+                         th2d, c * r0 + e * r1 + f * r2])
 
     def control_matrix(self, x):
         x = np.asarray(x, dtype=float)
+        th1, th2 = x[..., 2], x[..., 4]
+        # a unit force on the cart: G is the first column of the inverse
+        a, b, c = _sym_inverse(
+            self._inertia(np.cos(th1), np.cos(th2), np.cos(th1 - th2)),
+            first_row=True)[0]
         g = np.zeros(x.shape[:-1] + (6, 1))
-        g[..., 1::2, :] = _solve_inertia(self._inertia(x[..., 2], x[..., 4]),
-                                         _FORCE_3)
+        g[..., 1, 0] = a
+        g[..., 3, 0] = b
+        g[..., 5, 0] = c
         return g
 
     def control_matrix_jac(self, x):
-        th1, th2 = x[2], x[4]
+        th1, th2 = float(x[2]), float(x[4])
         m1, m2, l1, l2 = self.m1, self.m2, self.l1, self.l2
-        s1, s2, s12 = np.sin(th1), np.sin(th2), np.sin(th1 - th2)
-        h = self._inertia(th1, th2)
-        col = _solve_inertia(h, np.array([1.0, 0.0, 0.0]))
+        s1, c1 = _sin_cos(th1)
+        s2, c2 = _sin_cos(th2)
+        s12, c12 = _sin_cos(th1 - th2)
+        inv = np.array(_sym_inverse(self._inertia(c1, c2, c12)))
+        col = inv[:, 0]
 
         dh1 = np.zeros((3, 3))
         dh1[0, 1] = dh1[1, 0] = -(0.5 * m1 + m2) * l1 * s1
@@ -314,7 +367,7 @@ class DoublePendulumCart(Plant):
 
         jac = np.zeros((6, 1, 6))
         for state_idx, dh in ((2, dh1), (4, dh2)):
-            dcol = _solve_inertia(h, -dh @ col)
+            dcol = -inv @ (dh @ col)
             jac[1, 0, state_idx] = dcol[0]
             jac[3, 0, state_idx] = dcol[1]
             jac[5, 0, state_idx] = dcol[2]
@@ -359,45 +412,47 @@ class TwoLinkArm(Plant):
         self.I1 = self.m1 * self.l1 ** 2 / 12.0
         self.I2 = self.m2 * self.l2 ** 2 / 12.0
 
-    def _inertia(self, th2):
-        c2 = np.cos(th2)
-        h = np.empty(c2.shape + (2, 2))
-        h[..., 0, 0] = self.m1 * self.lc1 ** 2 + self.I1 + self.I2 \
-            + self.m2 * (self.l1 ** 2 + self.lc2 ** 2 + 2 * self.l1 * self.lc2 * c2)
-        h[..., 0, 1] = h[..., 1, 0] = \
-            self.m2 * (self.lc2 ** 2 + self.l1 * self.lc2 * c2) + self.I2
-        h[..., 1, 1] = self.m2 * self.lc2 ** 2 + self.I2
-        return h
+    def _inertia(self, c2):
+        """Upper triangle of the mass matrix at cos(theta2) = c2."""
+        m2, l1, lc2 = self.m2, self.l1, self.lc2
+        return ((self.m1 * self.lc1 ** 2 + self.I1 + self.I2
+                 + m2 * (l1 ** 2 + lc2 ** 2 + 2 * l1 * lc2 * c2),
+                 m2 * (lc2 ** 2 + l1 * lc2 * c2) + self.I2),
+                (m2 * lc2 ** 2 + self.I2,))
 
     def drift(self, x):
-        x = np.asarray(x, dtype=float)
-        th2, w1, w2 = x[1], x[2], x[3]
-        h = self.m2 * self.l1 * self.lc2 * np.sin(th2)
-        bias = np.array([-h * w2 * (2 * w1 + w2), h * w1 ** 2])
-        acc = _solve_inertia(self._inertia(th2),
-                             -bias - self.b * np.array([w1, w2]))
-        return np.array([w1, w2, acc[0], acc[1]])
+        _, th2, w1, w2 = np.asarray(x, dtype=float).tolist()
+        s2, c2 = _sin_cos(th2)
+        (a, b), (_, d) = _sym_inverse(self._inertia(c2))
+        h = self.m2 * self.l1 * self.lc2 * s2
+        # minus the Coriolis bias, minus the joint friction
+        r0 = h * w2 * (2 * w1 + w2) - self.b * w1
+        r1 = -h * w1 * w1 - self.b * w2
+        return np.array([w1, w2, a * r0 + b * r1, b * r0 + d * r1])
 
     def control_matrix(self, x):
         x = np.asarray(x, dtype=float)
+        (a, b), (_, d) = _sym_inverse(self._inertia(np.cos(x[..., 1])))
         g = np.zeros(x.shape[:-1] + (4, 2))
-        g[..., 2:, :] = np.linalg.inv(self._inertia(x[..., 1]))
+        g[..., 2, 0] = a
+        g[..., 2, 1] = g[..., 3, 0] = b
+        g[..., 3, 1] = d
         return g
 
     def control_matrix_jac(self, x):
-        th2 = x[1]
-        m = self._inertia(th2)
-        d = -self.m2 * self.l1 * self.lc2 * np.sin(th2)
+        s2, c2 = _sin_cos(float(x[1]))
+        minv = np.array(_sym_inverse(self._inertia(c2)))
+        d = -self.m2 * self.l1 * self.lc2 * s2
         dm = np.array([[2 * d, d], [d, 0.0]])
-        minv = np.linalg.inv(m)
         dminv = -minv @ dm @ minv
         jac = np.zeros((4, 2, 4))
         jac[2:, :, 1] = dminv
         return jac
 
     def energy(self, x):
-        qd = np.asarray(x, dtype=float)[2:]
-        return 0.5 * qd @ self._inertia(x[1]) @ qd
+        _, th2, w1, w2 = np.asarray(x, dtype=float)
+        (a, b), (d,) = self._inertia(np.cos(th2))
+        return 0.5 * (a * w1 * w1 + 2 * b * w1 * w2 + d * w2 * w2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gppi.errors import ConfigError, NumericalError
-from gppi.plants import make_plant
+from gppi.plants import CartPole, DoublePendulumCart, TwoLinkArm, make_plant
 
 
 def test_cartpole_equilibrium_down():
@@ -173,3 +173,143 @@ def test_batched_rate_and_step_rows_equal_single_rows(name, n_rows):
     assert np.array_equal(rate, single)
     batch, _ = plant.step_batch(xs, u, None)
     assert np.array_equal(batch, [plant.step(x, u, None) for x in xs])
+
+
+@pytest.mark.parametrize("name,x", [
+    ("cartpole", [0.0, 0.0, 0.0, 1e155]),
+    ("cartpole", [0.0, 1e307, 0.0, 0.0]),
+    ("cartpole", [0.0, 0.0, 3.0, 1e200]),
+    # a NaN that no inertia sees: A x is inf - inf on the first row
+    ("linear", [10.0, -10.0]),
+])
+def test_step_to_nan_state_raises(name, x):
+    plant = make_plant(name, params=dict(A=[[1e308, 1e308], [0.0, 0.0]],
+                                         Bc=[[1.0], [0.0]])) \
+        if name == "linear" else make_plant(name)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        plant.step(x, np.zeros(plant.spec.m), None)
+
+
+# LAPACK reference for the closed-form inertia solves: the mass matrix H,
+# the generalized forces of the drift, dH/d(angle) per angle index, the
+# input map F (generalized forces per unit control), the state rows that
+# receive H^-1 (.) and the rows that hold the positions' rates.
+def _reference_dynamics(plant, x):
+    if isinstance(plant, CartPole):
+        M, m, L, g, b = plant.M, plant.m, plant.L, plant.g, plant.b
+        _, xd, th, thd = x
+        s, c = np.sin(th), np.cos(th)
+        H = np.array([[M + m, 0.5 * m * L * c], [0.5 * m * L * c, m * L ** 2 / 3]])
+        rhs = np.array([-b * xd + 0.5 * m * L * thd ** 2 * s,
+                        -0.5 * m * g * L * s])
+        e = -0.5 * m * L * s
+        dH = {2: np.array([[0.0, e], [e, 0.0]])}
+        return H, rhs, dH, np.array([[1.0], [0.0]]), [1, 3], [0, 2]
+    if isinstance(plant, DoublePendulumCart):
+        M, m1, m2, l1, l2, g, b = (plant.M, plant.m1, plant.m2, plant.l1,
+                                   plant.l2, plant.g, plant.b)
+        _, xd, t1, t1d, t2, t2d = x
+        s1, s2, s12 = np.sin(t1), np.sin(t2), np.sin(t1 - t2)
+        c1, c2, c12 = np.cos(t1), np.cos(t2), np.cos(t1 - t2)
+        k1, k2, k12 = (0.5 * m1 + m2) * l1, 0.5 * m2 * l2, 0.5 * m2 * l1 * l2
+        H = np.array([[M + m1 + m2, k1 * c1, k2 * c2],
+                      [k1 * c1, (m1 / 3 + m2) * l1 ** 2, k12 * c12],
+                      [k2 * c2, k12 * c12, m2 * l2 ** 2 / 3]])
+        rhs = np.array([-b * xd + k1 * s1 * t1d ** 2 + k2 * s2 * t2d ** 2,
+                        -k12 * s12 * t2d ** 2 - k1 * g * s1,
+                        k12 * s12 * t1d ** 2 - k2 * g * s2])
+        dH1 = np.array([[0.0, -k1 * s1, 0.0],
+                        [-k1 * s1, 0.0, -k12 * s12],
+                        [0.0, -k12 * s12, 0.0]])
+        dH2 = np.array([[0.0, 0.0, -k2 * s2],
+                        [0.0, 0.0, k12 * s12],
+                        [-k2 * s2, k12 * s12, 0.0]])
+        return (H, rhs, {2: dH1, 4: dH2}, np.array([[1.0], [0.0], [0.0]]),
+                [1, 3, 5], [0, 2, 4])
+    assert isinstance(plant, TwoLinkArm)
+    m1, m2, l1, lc1, lc2 = plant.m1, plant.m2, plant.l1, plant.lc1, plant.lc2
+    I1, I2, b = plant.I1, plant.I2, plant.b
+    _, t2, w1, w2 = x
+    c2, s2 = np.cos(t2), np.sin(t2)
+    h01 = m2 * (lc2 ** 2 + l1 * lc2 * c2) + I2
+    H = np.array([[m1 * lc1 ** 2 + I1 + I2
+                   + m2 * (l1 ** 2 + lc2 ** 2 + 2 * l1 * lc2 * c2), h01],
+                  [h01, m2 * lc2 ** 2 + I2]])
+    k = m2 * l1 * lc2 * s2
+    rhs = np.array([k * w2 * (2 * w1 + w2) - b * w1, -k * w1 ** 2 - b * w2])
+    return (H, rhs, {1: np.array([[-2 * k, -k], [-k, 0.0]])}, np.eye(2),
+            [2, 3], [0, 1])
+
+
+def _reference_drift_G_jac(plant, x):
+    n, m = plant.spec.n, plant.spec.m
+    H, rhs, dH, F, acc_rows, pos_rows = _reference_dynamics(plant, x)
+    drift = np.zeros(n)
+    # the velocities sit in the rows that receive the accelerations
+    drift[pos_rows] = x[acc_rows]
+    drift[acc_rows] = np.linalg.solve(H, rhs)
+    G = np.zeros((n, m))
+    G[acc_rows] = np.linalg.solve(H, F)
+    jac = np.zeros((n, m, n))
+    for k, dHk in dH.items():
+        jac[acc_rows, :, k] = np.linalg.solve(H, -dHk @ G[acc_rows])
+    return drift, G, jac
+
+
+@pytest.mark.parametrize("name", ["cartpole", "dpc", "arm"])
+def test_closed_form_inertia_solves_match_lapack(name):
+    plant = make_plant(name)
+    n = plant.spec.n
+    rng = np.random.default_rng(1846)
+    xs = np.empty((1000, n))
+    angles = [2] if name == "cartpole" else [2, 4] if name == "dpc" else [0, 1]
+    other = [k for k in range(n) if k not in angles]
+    xs[:, angles] = rng.uniform(-10.0, 10.0, (1000, len(angles)))
+    xs[:, other] = rng.uniform(-20.0, 20.0, (1000, len(other)))
+    refs = [_reference_drift_G_jac(plant, x) for x in xs]
+    G_batch = plant.control_matrix(xs)
+
+    def close(got, ref):
+        # relative to the largest entry: either solve's rounding scales with
+        # the size of the solution, so an entry that cancels to near zero
+        # has no relative accuracy to compare
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    for x, (drift, G, jac), G_row in zip(xs, refs, G_batch):
+        close(plant.drift(x), drift)
+        close(plant.control_matrix(x), G)
+        close(G_row, G)
+        close(plant.control_matrix_jac(x), jac)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cartpole", dict(pole_mass=0.0)),
+    ("dpc", dict(link2_mass=0.0)),
+    ("arm", dict(link2_mass=0.0)),
+])
+def test_singular_inertia_raises(name, params):
+    plant = make_plant(name, params=params)
+    x = np.full(plant.spec.n, 0.3)
+    u = np.zeros(plant.spec.m)
+    calls = [lambda: plant.drift(x), lambda: plant.control_matrix(x),
+             lambda: plant.control_matrix(np.stack([x, -x])),
+             lambda: plant.control_matrix_jac(x),
+             lambda: plant.step(x, u, None),
+             lambda: plant.step_batch(np.stack([x, -x]), u, None)]
+    for call in calls:
+        with pytest.raises(NumericalError):
+            call()
+
+
+@pytest.mark.parametrize("name", ["cartpole", "dpc", "arm"])
+@pytest.mark.parametrize("angle", [np.nan, np.inf])
+def test_non_finite_inertia_raises(name, angle):
+    plant = make_plant(name)
+    x = np.full(plant.spec.n, 0.3)
+    x[1 if name == "arm" else 2] = angle
+    with np.errstate(invalid="ignore"):
+        for call in (plant.drift, plant.control_matrix, plant.control_matrix_jac,
+                     lambda x: plant.control_matrix(np.stack([np.zeros_like(x), x]))):
+            with pytest.raises(NumericalError):
+                call(x)
