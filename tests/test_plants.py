@@ -183,9 +183,11 @@ def test_batched_rate_and_step_rows_equal_single_rows(name, n_rows):
     ("linear", [10.0, -10.0]),
 ])
 def test_step_to_nan_state_raises(name, x):
-    plant = make_plant(name, params=dict(A=[[1e308, 1e308], [0.0, 0.0]],
-                                         Bc=[[1.0], [0.0]])) \
-        if name == "linear" else make_plant(name)
+    if name == "linear":
+        plant = make_plant("linear", params=dict(A=[[1e308, 1e308], [0.0, 0.0]],
+                                                 Bc=[[1.0], [0.0]]))
+    else:
+        plant = make_plant(name)
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
         plant.step(x, np.zeros(plant.spec.m), None)
 
