@@ -184,6 +184,32 @@ def check_lml_gradient(rng) -> bool:
                   worst < 1e-5, f"worst rel {worst:.2e}")
 
 
+def check_gp_update(rng, n_updates=200) -> bool:
+    """`n_updates` at-max GP updates of a 6-D model with per-dimension length
+    scales, each against a fresh refactorization of the same training set:
+    the largest relative deviation of chols, alphas and inv_grams."""
+    n, max_points = 6, 40
+    hyper = [KernelHyper.create(0.5 + 0.1 * d, 0.05, rng.uniform(0.3, 2.0, n))
+             for d in range(n)]
+    model = GpModel.empty(n, hyper, max_points=max_points)
+    G = lambda x: np.zeros((n, 1))
+    x = np.zeros(n)
+    worst = 0.0
+    for t in range(max_points + n_updates):
+        x = 0.9 * x + 0.4 * rng.normal(size=n)
+        model, _ = incorporate_sample(model, x, [0.0], x + 0.02 * np.sin(x),
+                                      G, 0.02)
+        if t < max_points:
+            continue
+        ref = GpModel.from_data(model.train, model.hyper)
+        for name in ("chols", "alphas", "inv_grams"):
+            for got, want in zip(getattr(model, name), getattr(ref, name)):
+                worst = max(worst, float(np.max(np.abs(got - want))
+                                         / np.max(np.abs(want))))
+    return _check("GP updates at max_points vs refactorization",
+                  worst < 1e-10, f"worst rel {worst:.2e}")
+
+
 def check_riccati(rng) -> bool:
     A = np.array([[1.0, 0.02], [0.0, 1.0]])
     B = np.array([[0.0], [0.02]])
@@ -223,8 +249,9 @@ def run_checks(fast: bool = False) -> bool:
         check_phi_quadrature(rng, n_cases=15 if fast else 40),
         check_lml_gradient(rng),
         check_riccati(rng),
-        # its own stream, so that the other checks keep their draws
+        # their own streams, so that the other checks keep their draws
         check_step_pullback(np.random.default_rng(6)),
+        check_gp_update(np.random.default_rng(10)),
         check_desirability_gradient(rng),
         check_path_integral(rng, fast=fast),
     ]

@@ -12,8 +12,14 @@ with W a diagonal matrix of inverse squared length scales.
 Hyperparameters are fitted with W tied across output dimensions, and the
 marginal likelihood is evaluated in the eigenbasis of the one length-scale
 Gram, with a jitter ladder on its eigenvalues (`tied_log_marginal_likelihood`).
-Fitted models keep per-dimension Cholesky factors for the rank-1 extension
-and the point posterior.
+
+A model carries one Cholesky factor of the Gram per output dimension and
+nothing else: the alphas K^-1 y and the inverse Grams that prediction needs
+are derived from the factors on first use and cached on the model.  A sample
+updates the factors in O(N^2) per dimension: at `max_points` the evicted
+point's row and column are removed by Givens rotations, and the new point is
+appended by one triangular solve.  Inverses are never carried from one update
+to the next, as their Schur-complement updates drift.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, lapack, qr_delete, solve_triangular
 
 from .errors import ConfigError, NumericalError
 
@@ -109,19 +116,27 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted increment model: training data, hyperparameters, factorizations.
+    """Fitted increment model: training data, hyperparameters, factors.
 
-    Immutable; `incorporate_sample` and refits return new values, so a model
-    may be shared freely across concurrent rollouts.
+    `chols` holds the lower Cholesky factor of each output dimension's Gram
+    matrix, the only factorization stored.  `alphas` and `inv_grams` are
+    derived from it on first access and cached in the instance; a model made
+    by `dataclasses.replace` starts without them.  Immutable otherwise:
+    `incorporate_sample` and refits return new values, and the cached values
+    are deterministic functions of the fields, so a model may be shared
+    freely across concurrent rollouts (two first reads at once compute the
+    same arrays).  Callers must not write into the arrays they read.
     """
 
     train: TrainingSet
     hyper: tuple          # one KernelHyper per output dimension
     chols: tuple = field(repr=False, default=())   # (N, N) lower per dim
-    alphas: tuple = field(repr=False, default=())  # (N,) per dim
-    inv_grams: tuple = field(repr=False, default=())  # (N, N) per dim
     max_points: int | None = None
     insertion_order: tuple = ()
+
+    def __post_init__(self):
+        if self.max_points is not None and self.max_points < 1:
+            raise ConfigError("max_points must be at least 1")
 
     @property
     def state_dim(self) -> int:
@@ -131,13 +146,26 @@ class GpModel:
     def n_points(self) -> int:
         return self.train.size
 
+    @cached_property
+    def alphas(self) -> tuple:
+        """K^-1 y per output dimension, (N,) each: two triangular solves."""
+        return tuple(cho_solve((L, True), self.train.outputs[:, dim])
+                     if L.size else np.zeros(0)
+                     for dim, L in enumerate(self.chols))
+
+    @cached_property
+    def inv_grams(self) -> tuple:
+        """K^-1 per output dimension, (N, N) each, by LAPACK potri on L."""
+        return tuple(_chol_inverse(L) for L in self.chols)
+
     @staticmethod
     def from_data(train: TrainingSet, hyper, max_points: int | None = None) -> "GpModel":
         hyper = tuple(hyper)
         if len(hyper) != train.inputs.shape[1]:
             raise ConfigError("need one KernelHyper per output dimension")
-        chols, alphas, invs = _factorize_all(train, hyper)
-        return GpModel(train, hyper, chols, alphas, invs, max_points,
+        chols = tuple(chol_with_jitter(kernel_matrix(train.inputs, h))[0]
+                      for h in hyper)
+        return GpModel(train, hyper, chols, max_points,
                        tuple(range(train.size)))
 
     @staticmethod
@@ -147,8 +175,6 @@ class GpModel:
                           for _ in range(state_dim))
         hyper = tuple(hyper)
         return GpModel(TrainingSet.empty(state_dim), hyper,
-                       tuple(np.zeros((0, 0)) for _ in hyper),
-                       tuple(np.zeros(0) for _ in hyper),
                        tuple(np.zeros((0, 0)) for _ in hyper),
                        max_points, tuple())
 
@@ -217,22 +243,15 @@ def chol_with_jitter(K: np.ndarray):
                     "Gram factorization failed", jitter=jitter)
 
 
-def _factorize_all(train: TrainingSet, hyper):
-    chols, alphas, invs = [], [], []
-    n_pts = train.size
-    eye = np.eye(n_pts)
-    for dim, h in enumerate(hyper):
-        if n_pts == 0:
-            chols.append(np.zeros((0, 0)))
-            alphas.append(np.zeros(0))
-            invs.append(np.zeros((0, 0)))
-            continue
-        K = kernel_matrix(train.inputs, h)
-        L, _ = chol_with_jitter(K)
-        alphas.append(cho_solve((L, True), train.outputs[:, dim]))
-        invs.append(cho_solve((L, True), eye))
-        chols.append(L)
-    return tuple(chols), tuple(alphas), tuple(invs)
+def _chol_inverse(L: np.ndarray) -> np.ndarray:
+    """Symmetric inverse of L L' from its lower Cholesky factor."""
+    if not L.size:
+        return np.zeros((0, 0))
+    inv, info = lapack.dpotri(L, lower=1)
+    if info != 0:
+        raise NumericalError(
+            f"inverse from the Cholesky factor failed (info {info})")
+    return np.tril(inv) + np.tril(inv, -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -402,64 +421,74 @@ def passive_increment(x, u_applied, x_next, plant_G, dt: float) -> np.ndarray:
     return np.asarray(x_next, dtype=float) - x - (plant_G(x) @ u) * dt
 
 
-def _rank1_extend(model: GpModel, x_new: np.ndarray, d_new: np.ndarray) -> GpModel:
-    """Append one point, extending factorizations in O(N^2) per dimension."""
-    X = model.train.inputs
-    chols, alphas, invs = [], [], []
-    for dim, h in enumerate(model.hyper):
+def _rank1_extend(model: GpModel, train: TrainingSet, order: tuple):
+    """Extend `model` to `train`, its training set plus one last point, by
+    one row of each Cholesky factor, a triangular solve per dimension.
+    Returns None when a Schur complement is at most 1e-12 of the prior
+    variance, where the row would lose precision."""
+    X, x_new = model.train.inputs, train.inputs[-1]
+    chols = []
+    for h, L in zip(model.hyper, model.chols):
         k = kernel_vector(X, x_new, h)
         kappa = h.sigma_s ** 2 + h.sigma_w ** 2
-        L = model.chols[dim]
         l2 = solve_triangular(L, k, lower=True) if L.size else np.zeros(0)
         rem = kappa - float(l2 @ l2)
         if rem <= 1e-12 * kappa:
-            return None  # caller falls back to a full refactorization
-        l3 = np.sqrt(rem)
+            return None
         n_old = L.shape[0]
         Ln = np.zeros((n_old + 1, n_old + 1))
         Ln[:n_old, :n_old] = L
         Ln[n_old, :n_old] = l2
-        Ln[n_old, n_old] = l3
-        y = np.append(model.train.outputs[:, dim], d_new[dim])
-        alphas.append(cho_solve((Ln, True), y))
-        iK = model.inv_grams[dim]
-        s = rem
-        iKk = iK @ k if iK.size else np.zeros(0)
-        top = iK + np.outer(iKk, iKk) / s if iK.size else np.zeros((0, 0))
-        iKn = np.zeros((n_old + 1, n_old + 1))
-        iKn[:n_old, :n_old] = top
-        iKn[n_old, :n_old] = -iKk / s
-        iKn[:n_old, n_old] = -iKk / s
-        iKn[n_old, n_old] = 1.0 / s
-        invs.append(iKn)
+        Ln[n_old, n_old] = np.sqrt(rem)
         chols.append(Ln)
-    train = TrainingSet(np.vstack([X, x_new[None, :]]),
-                        np.vstack([model.train.outputs, d_new[None, :]]))
-    order = model.insertion_order + (max(model.insertion_order, default=-1) + 1,)
-    return GpModel(train, model.hyper, tuple(chols), tuple(alphas),
-                   tuple(invs), model.max_points, order)
+    return GpModel(train, model.hyper, tuple(chols), model.max_points, order)
 
 
-def _evict_index(model: GpModel) -> int:
+def _evict_index(inputs: np.ndarray, order: tuple, hyper) -> int:
     """Pick the most redundant point: older member of the closest input pair."""
-    X = model.train.inputs
-    w = np.mean([h.w for h in model.hyper], axis=0)
-    Xs = X * np.sqrt(w)
+    w = np.mean([h.w for h in hyper], axis=0)
+    Xs = inputs * np.sqrt(w)
     sq = np.sum(Xs ** 2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * Xs @ Xs.T
     np.fill_diagonal(d2, np.inf)
     i, j = np.unravel_index(np.argmin(d2), d2.shape)
-    order = model.insertion_order
     return i if order[i] <= order[j] else j
+
+
+def _delete_point(model: GpModel, idx: int) -> GpModel:
+    """Remove stored point `idx`, downdating each Cholesky factor in O(N^2).
+
+    With R = L', deleting column idx of R leaves R'R equal to the Gram
+    without row and column idx; `qr_delete` restores R's triangular form by
+    Givens rotations, which leave R'R unchanged.  Rows of R with a negative
+    diagonal are flipped, so that L keeps a positive diagonal.
+    """
+    N = model.n_points
+    eye = np.eye(N)
+    chols = []
+    for L in model.chols:
+        _, R = qr_delete(eye, L.T, idx, which="col", check_finite=False)
+        R = R[:N - 1, :N - 1]
+        R *= np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
+        chols.append(R.T)
+    keep = np.arange(N) != idx
+    train = TrainingSet(model.train.inputs[keep], model.train.outputs[keep])
+    order = model.insertion_order[:idx] + model.insertion_order[idx + 1:]
+    return GpModel(train, model.hyper, tuple(chols), model.max_points, order)
 
 
 def incorporate_sample(model: GpModel, x, u_applied, x_next, plant_G,
                        dt: float):
     """Add one transition sample; returns (new_model, status).
 
-    Non-finite transitions are rejected with status 'rejected'.  The
-    hyperparameters are left untouched; refitting happens on the harness
-    schedule, not here.
+    Non-finite transitions are rejected with status 'rejected'.  At
+    `max_points` the older member of the closest pair among the stored
+    inputs and the new one is evicted first (never the new point), by a
+    Cholesky downdate; the new point is then appended by a one-row
+    extension.  When the new point is too close to a stored one for the
+    extension, the final training set is refactorized with the jitter
+    ladder.  The hyperparameters are left untouched; refitting happens on
+    the harness schedule, not here.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -474,19 +503,18 @@ def incorporate_sample(model: GpModel, x, u_applied, x_next, plant_G,
         logger.warning("rejecting non-finite increment")
         return model, "rejected"
 
-    extended = _rank1_extend(model, x, d)
+    new_label = max(model.insertion_order, default=-1) + 1
+    if model.max_points is not None and model.n_points >= model.max_points:
+        idx = _evict_index(np.vstack([model.train.inputs, x[None, :]]),
+                           model.insertion_order + (new_label,), model.hyper)
+        model = _delete_point(model, idx)
+    order = model.insertion_order + (new_label,)
+    train = TrainingSet(np.vstack([model.train.inputs, x[None, :]]),
+                        np.vstack([model.train.outputs, d[None, :]]))
+    extended = _rank1_extend(model, train, order)
     if extended is None:
-        train = TrainingSet(np.vstack([model.train.inputs, x[None, :]]),
-                            np.vstack([model.train.outputs, d[None, :]]))
-        extended = GpModel.from_data(train, model.hyper, model.max_points)
-    if extended.max_points is not None and extended.n_points > extended.max_points:
-        idx = _evict_index(extended)
-        keep = np.arange(extended.n_points) != idx
-        train = TrainingSet(extended.train.inputs[keep],
-                            extended.train.outputs[keep])
-        order = tuple(o for k, o in zip(keep, extended.insertion_order) if k)
-        extended = replace(GpModel.from_data(train, extended.hyper,
-                                             extended.max_points),
+        extended = replace(GpModel.from_data(train, model.hyper,
+                                             model.max_points),
                            insertion_order=order)
     return extended, "ok"
 

@@ -140,9 +140,9 @@ def export_trace_csv(path, dt, mus, sigma_diags, controls, log_psis) -> None:
     for step in range(mus.shape[0]):
         u_row = us[min(step, us.shape[0] - 1)]
         cells = [str(step), repr(step * dt)]
-        cells += [repr(v) for v in mus[step]]
-        cells += [repr(v) for v in sig[step]]
-        cells += [repr(v) for v in u_row]
+        cells += [repr(float(v)) for v in mus[step]]
+        cells += [repr(float(v)) for v in sig[step]]
+        cells += [repr(float(v)) for v in u_row]
         cells += [repr(float(lp[step]))]
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

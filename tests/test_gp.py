@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
+from gppi import gp
 from gppi.errors import ConfigError
 from gppi.gp import (JITTER_BASE, GpModel, KernelHyper, TrainingSet,
                      chol_with_jitter, fit_hyperparameters, incorporate_sample,
@@ -255,6 +258,155 @@ class TestIncorporate:
             model, _ = incorporate_sample(model, [float(i)], [0.0],
                                           [float(i) + 0.1], G, 0.02)
         assert model.n_points == 5
+
+
+def _zero_G(n):
+    return lambda x: np.zeros((n, 1))
+
+
+def _add(model, x, d):
+    """Incorporate a sample whose passive increment is exactly d."""
+    x = np.asarray(x, dtype=float)
+    return incorporate_sample(model, x, [0.0], x + np.asarray(d, dtype=float),
+                              _zero_G(x.size), 0.02)
+
+
+def _factor_deviation(model):
+    """Largest relative deviation of chols, alphas and inv_grams from a
+    fresh factorization of the same training set."""
+    ref = GpModel.from_data(model.train, model.hyper, model.max_points)
+    worst = 0.0
+    for name in ("chols", "alphas", "inv_grams"):
+        for got, want in zip(getattr(model, name), getattr(ref, name)):
+            if want.size:
+                worst = max(worst, np.max(np.abs(got - want))
+                            / np.max(np.abs(want)))
+    return worst
+
+
+def _expected_eviction(model, x):
+    """Stored index of the older member of the closest pair among the stored
+    inputs and x, by explicit differences under the mean W."""
+    X = np.vstack([model.train.inputs, x])
+    w = np.mean([h.w for h in model.hyper], axis=0)
+    d2 = np.einsum("ijk,k->ij", (X[:, None, :] - X[None, :, :]) ** 2, w)
+    np.fill_diagonal(d2, np.inf)
+    i, j = np.unravel_index(np.argmin(d2), d2.shape)
+    order = model.insertion_order + (np.inf,)
+    return min((i, j), key=lambda k: order[k])
+
+
+def _hypers(n, tied, rng):
+    w = rng.uniform(0.3, 1.5, n)
+    return [KernelHyper.create(0.5 + 0.1 * d, 0.05 + 0.01 * d,
+                               w if tied else rng.uniform(0.3, 1.5, n))
+            for d in range(n)]
+
+
+class TestDowndate:
+    @pytest.mark.parametrize("n,tied,max_points", [
+        (4, True, 12), (4, False, 12), (6, True, 12), (6, False, 12),
+        (4, False, 1), (6, True, 2)])
+    def test_at_max_updates_match_refactorization(self, rng, n, tied,
+                                                  max_points):
+        model = GpModel.empty(n, _hypers(n, tied, rng), max_points=max_points)
+        x = np.zeros(n)
+        at_max = 0
+        while at_max < 3 * max_points:
+            x = x + 0.4 * rng.normal(size=n)
+            full = model.n_points == max_points
+            if full:
+                idx = _expected_eviction(model, x)
+                kept = np.delete(model.train.inputs, idx, axis=0)
+            model, status = _add(model, x, np.sin(x))
+            assert status == "ok"
+            if full:
+                at_max += 1
+                assert model.n_points == max_points
+                assert np.array_equal(model.train.inputs,
+                                      np.vstack([kept, x]))
+            assert _factor_deviation(model) <= 1e-10
+            assert np.all(np.diag(model.chols[0]) > 0)
+
+    @pytest.mark.parametrize("position", ["first", "interior", "last"])
+    def test_evicts_older_member_of_closest_pair(self, rng, position):
+        n, N = 4, 9
+        model = GpModel.empty(n, _hypers(n, False, rng), max_points=N)
+        for _ in range(N):
+            x = 2.0 * rng.normal(size=n)
+            model, _ = _add(model, x, np.cos(x))
+        p = {"first": 0, "interior": N // 2, "last": N - 1}[position]
+        X = model.train.inputs
+        gap = min(np.linalg.norm(X[i] - X[j])
+                  for i in range(N) for j in range(i))
+        x_new = X[p] + 0.05 * gap * np.ones(n) / np.sqrt(n)
+        assert _expected_eviction(model, x_new) == p
+        new, status = _add(model, x_new, np.cos(x_new))
+        assert status == "ok"
+        assert np.array_equal(new.train.inputs,
+                              np.vstack([np.delete(X, p, axis=0), x_new]))
+        assert new.insertion_order == \
+            model.insertion_order[:p] + model.insertion_order[p + 1:] + (N,)
+        assert _factor_deviation(new) <= 1e-10
+
+    def test_near_duplicate_at_max_refactorizes(self):
+        # a stored pair 3e-7 apart is the closest pair, so the new point,
+        # 5e-7 from a kept point, stays and is too close for the extension
+        # (no jitter is needed for either training set)
+        h = [KernelHyper.create(1.0, 1e-8, [1.0])]
+        X = np.array([[0.0], [1.0], [1.0 + 3e-7], [2.5]])
+        model = GpModel.from_data(TrainingSet(X, np.sin(X)), h, max_points=4)
+        x_new = np.array([2.5 + 5e-7])
+        assert _expected_eviction(model, x_new) == 1
+        new, status = _add(model, x_new, np.sin(x_new))
+        assert status == "ok"
+        final = np.array([[0.0], [1.0 + 3e-7], [2.5], [2.5 + 5e-7]])
+        assert np.array_equal(new.train.inputs, final)
+        assert new.insertion_order == (0, 2, 3, 4)
+        ref = GpModel.from_data(new.train, h)
+        assert np.array_equal(new.chols[0], ref.chols[0])
+
+    def test_near_duplicate_below_max_refactorizes(self):
+        h = [KernelHyper.create(1.0, 1e-8, [1.0])]
+        X = np.array([[0.0], [1.0]])
+        model = GpModel.from_data(TrainingSet(X, np.sin(X)), h, max_points=5)
+        new, status = _add(model, [1.0 + 1e-8], [0.3])
+        assert status == "ok" and new.n_points == 3
+        assert new.insertion_order == (0, 1, 2)
+        assert np.array_equal(new.chols[0],
+                              GpModel.from_data(new.train, h).chols[0])
+
+    def test_at_max_update_is_quadratic_and_derives_lazily(self, rng,
+                                                          monkeypatch):
+        n, N = 6, 30
+        model = GpModel.empty(n, _hypers(n, True, rng), max_points=N)
+        for _ in range(N):
+            x = rng.normal(size=n)
+            model, _ = _add(model, x, np.sin(x))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an O(N^3) routine ran in an at-max update")
+
+        for name in ("kernel_matrix", "chol_with_jitter", "cho_solve",
+                     "_chol_inverse"):
+            monkeypatch.setattr(gp, name, forbidden)
+        x = rng.normal(size=n)
+        new, status = _add(model, x, np.sin(x))
+        assert status == "ok" and new.n_points == N
+        assert "alphas" not in new.__dict__
+        assert "inv_grams" not in new.__dict__
+        monkeypatch.undo()
+        assert len(new.alphas) == n and "alphas" in new.__dict__
+        assert "inv_grams" not in new.__dict__
+        assert new.inv_grams[0].shape == (N, N)
+        assert "inv_grams" in new.__dict__
+        copy = dataclasses.replace(new, insertion_order=new.insertion_order)
+        assert "alphas" not in copy.__dict__
+        assert "inv_grams" not in copy.__dict__
+
+    def test_max_points_below_one_rejected(self):
+        with pytest.raises(ConfigError):
+            GpModel.empty(2, max_points=0)
 
 
 class TestPosterior:

@@ -107,6 +107,14 @@ class TestRunLearn:
         assert trace_header.startswith("step,t,mu_0,sigma_diag_0,u_0")
         assert trace_header.endswith("log_psi")
 
+    def test_trace_cells_are_numbers(self, tmp_path):
+        out = run_learn(_linear_config(tmp_path))["out_dir"]
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == 11
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)
+
     def test_byte_identical_metrics_under_fixed_seed(self, tmp_path):
         cfg1 = _linear_config(tmp_path / "a", seed=3)
         cfg2 = _linear_config(tmp_path / "b", seed=3)
