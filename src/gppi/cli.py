@@ -1,7 +1,6 @@
 """Command-line entry points.
 
 Subcommands: learn, compose, baseline-pi, check.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 no progress.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, NoProgressError, NumericalError
+from .errors import ConfigError, NumericalError
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -84,9 +83,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NoProgressError as exc:
-        print(f"no progress: {exc}", file=sys.stderr)
-        return 4
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -1,8 +1,4 @@
-"""Exception types shared across the package.
-
-Exit-code mapping used by the CLI: ConfigError -> 2, NumericalError -> 3,
-NoProgressError -> 4.
-"""
+"""Exception types shared across the package."""
 
 
 class GppiError(Exception):
@@ -38,7 +34,3 @@ class NumericalError(GppiError):
         self.jitter = jitter
         self.step = step
         super().__init__(message)
-
-
-class NoProgressError(GppiError):
-    """An optimization loop could not improve on its initialization."""

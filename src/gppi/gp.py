@@ -1,17 +1,18 @@
 """Gaussian process models of passive state increments.
 
-One independent GP per output dimension over a shared input set.  Training
-targets are passive increments: the known control contribution
-G(x) u_applied dt is subtracted when a transition sample is ingested and
-added back analytically at prediction time, so a single model stays valid
-under any control sequence.
+One GP per output dimension over a shared input set.  Training targets are
+passive increments: the known control contribution G(x) u_applied dt is
+subtracted when a transition sample is ingested and added back analytically
+at prediction time, so a single model stays valid under any control
+sequence.
 
-Kernel: k(xi, xj) = sigma_s^2 exp(-0.5 (xi-xj)' W (xi-xj)) + delta_ij sigma_w^2
-with W a diagonal matrix of inverse squared length scales.
-
-Hyperparameters are fitted with W tied across output dimensions, and the
-marginal likelihood is evaluated in the eigenbasis of the one length-scale
-Gram, with a jitter ladder on its eigenvalues (`tied_log_marginal_likelihood`).
+Kernel of output dimension e:
+    k_e(xi, xj) = sigma_s,e^2 exp(-0.5 (xi-xj)' W (xi-xj)) + delta_ij sigma_w,e^2
+with W a diagonal matrix of inverse squared length scales.  A model has one
+W for all its outputs (`KernelHyper`), so every output's Gram matrix is a
+scaled copy of one unit-amplitude kernel plus noise, and the marginal
+likelihood of all outputs is evaluated in the eigenbasis of that one kernel,
+with a jitter ladder on its eigenvalues (`tied_log_marginal_likelihood`).
 
 A model carries one Cholesky factor of the Gram per output dimension and
 nothing else: the alphas K^-1 y and the inverse Grams that prediction needs
@@ -45,47 +46,75 @@ LOG_HYPER_BOUNDS = (-12.0, 8.0)
 # Types
 # ---------------------------------------------------------------------------
 
+def _squares(log_sigma: np.ndarray) -> np.ndarray:
+    # squared entry by entry in C pow, which rounds differently from numpy's
+    # s * s in about one case in a thousand: every artifact of a seeded run
+    # depends on these bits
+    return np.array([s ** 2 for s in np.exp(log_sigma).tolist()])
+
+
 @dataclass(frozen=True)
 class KernelHyper:
-    """Kernel hyperparameters for one output dimension, stored in log space."""
+    """Kernel hyperparameters of a whole increment model, in log space.
 
-    log_sigma_s: float
-    log_sigma_w: float
-    log_w: np.ndarray  # (n,) log inverse squared length scales
+    Output dimension e has signal amplitude sigma_s[e] and noise sigma_w[e];
+    every output shares the one diagonal W of inverse squared length scales.
+    `as_vector` is the theta layout of `tied_log_marginal_likelihood`.
+    """
+
+    log_sigma_s: np.ndarray  # (E,)
+    log_sigma_w: np.ndarray  # (E,)
+    log_w: np.ndarray        # (n,) log inverse squared length scales
 
     def __post_init__(self):
-        object.__setattr__(self, "log_w",
-                           np.atleast_1d(np.asarray(self.log_w, dtype=float)))
-        vec = np.concatenate(([self.log_sigma_s, self.log_sigma_w], self.log_w))
-        if not np.all(np.isfinite(vec)):
+        for name in ("log_sigma_s", "log_sigma_w", "log_w"):
+            object.__setattr__(self, name, np.atleast_1d(
+                np.asarray(getattr(self, name), dtype=float)))
+        if not (self.log_sigma_s.ndim == self.log_w.ndim == 1
+                and self.log_sigma_s.shape == self.log_sigma_w.shape):
+            raise ConfigError("need one log_sigma_s and one log_sigma_w per "
+                              "output dimension and a vector log_w")
+        if not np.all(np.isfinite(self.as_vector())):
             raise ConfigError("kernel hyperparameters must be finite")
-
-    @property
-    def sigma_s(self) -> float:
-        return float(np.exp(self.log_sigma_s))
-
-    @property
-    def sigma_w(self) -> float:
-        return float(np.exp(self.log_sigma_w))
 
     @property
     def w(self) -> np.ndarray:
         """Diagonal of W (inverse squared length scales)."""
         return np.exp(self.log_w)
 
+    @property
+    def signal_var(self) -> np.ndarray:
+        """sigma_s^2 per output dimension."""
+        return _squares(self.log_sigma_s)
+
+    @property
+    def noise_var(self) -> np.ndarray:
+        """sigma_w^2 per output dimension."""
+        return _squares(self.log_sigma_w)
+
+    @property
+    def prior_var(self) -> np.ndarray:
+        """Prior variance sigma_s^2 + sigma_w^2 per output dimension."""
+        return self.signal_var + self.noise_var
+
     def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.log_sigma_s, self.log_sigma_w], self.log_w))
+        return np.concatenate((self.log_sigma_s, self.log_sigma_w, self.log_w))
 
     @staticmethod
-    def from_vector(vec: np.ndarray) -> "KernelHyper":
-        return KernelHyper(float(vec[0]), float(vec[1]), np.array(vec[2:]))
+    def from_vector(vec, n_outputs: int) -> "KernelHyper":
+        E = n_outputs
+        return KernelHyper(vec[:E], vec[E:2 * E], vec[2 * E:])
 
     @staticmethod
-    def create(sigma_s: float, sigma_w: float, w) -> "KernelHyper":
+    def create(sigma_s, sigma_w, w) -> "KernelHyper":
+        """From positive values.  A scalar sigma_s or sigma_w stands for one
+        value per entry of w, the outputs of a state-increment model."""
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        if sigma_s <= 0 or sigma_w <= 0 or np.any(w <= 0):
+        s, noise = (np.full(w.size, v, dtype=float) if np.ndim(v) == 0
+                    else np.asarray(v, dtype=float) for v in (sigma_s, sigma_w))
+        if np.any(s <= 0) or np.any(noise <= 0) or np.any(w <= 0):
             raise ConfigError("sigma_s, sigma_w and W diagonal must be positive")
-        return KernelHyper(np.log(sigma_s), np.log(sigma_w), np.log(w))
+        return KernelHyper(np.log(s), np.log(noise), np.log(w))
 
 
 @dataclass(frozen=True)
@@ -129,7 +158,7 @@ class GpModel:
     """
 
     train: TrainingSet
-    hyper: tuple          # one KernelHyper per output dimension
+    hyper: KernelHyper
     chols: tuple = field(repr=False, default=())   # (N, N) lower per dim
     max_points: int | None = None
     insertion_order: tuple = ()
@@ -159,41 +188,48 @@ class GpModel:
         return tuple(_chol_inverse(L) for L in self.chols)
 
     @staticmethod
-    def from_data(train: TrainingSet, hyper, max_points: int | None = None) -> "GpModel":
-        hyper = tuple(hyper)
-        if len(hyper) != train.inputs.shape[1]:
-            raise ConfigError("need one KernelHyper per output dimension")
-        chols = tuple(chol_with_jitter(kernel_matrix(train.inputs, h))[0]
-                      for h in hyper)
-        return GpModel(train, hyper, chols, max_points,
+    def from_data(train: TrainingSet, hyper: KernelHyper,
+                  max_points: int | None = None) -> "GpModel":
+        n = train.inputs.shape[1]
+        if hyper.log_sigma_s.size != n or hyper.log_w.size != n:
+            raise ConfigError("need one amplitude and one noise level per "
+                              "output dimension and one length scale per "
+                              "input dimension")
+        Kw = kernel_matrix(train.inputs, hyper.w)
+        diag = np.diag_indices(train.size)
+        chols = []
+        for s2, noise2 in zip(hyper.signal_var, hyper.noise_var):
+            K = s2 * Kw
+            K[diag] += noise2
+            chols.append(chol_with_jitter(K)[0])
+        return GpModel(train, hyper, tuple(chols), max_points,
                        tuple(range(train.size)))
 
     @staticmethod
-    def empty(state_dim: int, hyper=None, max_points: int | None = None) -> "GpModel":
+    def empty(state_dim: int, hyper: KernelHyper | None = None,
+              max_points: int | None = None) -> "GpModel":
         if hyper is None:
-            hyper = tuple(KernelHyper.create(1.0, 0.1, np.ones(state_dim))
-                          for _ in range(state_dim))
-        hyper = tuple(hyper)
-        return GpModel(TrainingSet.empty(state_dim), hyper,
-                       tuple(np.zeros((0, 0)) for _ in hyper),
-                       max_points, tuple())
+            hyper = KernelHyper.create(1.0, 0.1, np.ones(state_dim))
+        return GpModel.from_data(TrainingSet.empty(state_dim), hyper,
+                                 max_points)
 
 
 # ---------------------------------------------------------------------------
 # Kernel and factorization
 # ---------------------------------------------------------------------------
 
-def kernel_eval(xi, xj, hyper: KernelHyper, same_index: bool = False) -> float:
-    """Squared-exponential covariance between two states."""
+def kernel_eval(xi, xj, hyper: KernelHyper, same_index: bool = False) -> np.ndarray:
+    """Squared-exponential covariance between two states, (E,): one entry
+    per output dimension."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     xj = np.atleast_1d(np.asarray(xj, dtype=float))
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xj))):
         raise ConfigError("kernel inputs must be finite")
     d = xi - xj
-    val = hyper.sigma_s ** 2 * np.exp(-0.5 * float(d @ (hyper.w * d)))
+    val = hyper.signal_var * np.exp(-0.5 * float(d @ (hyper.w * d)))
     if same_index:
-        val += hyper.sigma_w ** 2
-    return float(val)
+        val += hyper.noise_var
+    return val
 
 
 def _sq_dist(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -205,17 +241,16 @@ def _sq_dist(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return d2
 
 
-def kernel_matrix(X: np.ndarray, hyper: KernelHyper, with_noise: bool = True) -> np.ndarray:
-    """Gram matrix of the kernel over rows of X."""
-    K = hyper.sigma_s ** 2 * np.exp(-0.5 * _sq_dist(X, hyper.w))
-    if with_noise:
-        K[np.diag_indices_from(K)] += hyper.sigma_w ** 2
-    return K
+def kernel_matrix(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unit-amplitude Gram matrix exp(-0.5 (xi-xj)' W (xi-xj)) over rows of
+    X.  Output e's Gram is sigma_s,e^2 times it plus sigma_w,e^2 I."""
+    return np.exp(-0.5 * _sq_dist(X, w))
 
 
-def kernel_vector(X: np.ndarray, x: np.ndarray, hyper: KernelHyper) -> np.ndarray:
+def kernel_vector(X: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unit-amplitude kernel between the rows of X and one state x."""
     d = X - x
-    return hyper.sigma_s ** 2 * np.exp(-0.5 * np.sum(d * d * hyper.w, axis=1))
+    return np.exp(-0.5 * np.sum(d * d * w, axis=1))
 
 
 def chol_with_jitter(K: np.ndarray):
@@ -283,7 +318,7 @@ def tied_log_marginal_likelihood(train: TrainingSet, theta):
     s2 = np.exp(2.0 * theta[:E])
     noise2 = np.exp(2.0 * theta[E:2 * E])
     w = np.exp(theta[2 * E:])
-    Kw = np.exp(-0.5 * _sq_dist(X, w))
+    Kw = kernel_matrix(X, w)
     lam, Q = np.linalg.eigh(Kw)
     scale = s2 + noise2
     D = lam[:, None] * s2 + noise2
@@ -317,20 +352,19 @@ def tied_log_marginal_likelihood(train: TrainingSet, theta):
     return lml, grad
 
 
-def log_marginal_likelihood(train: TrainingSet, hyper: KernelHyper, dim: int):
-    """Log marginal likelihood of output dimension `dim` and its gradient in
-    (log_sigma_s, log_sigma_w, log_w_1..log_w_n): the tied likelihood of
-    that one column."""
-    return tied_log_marginal_likelihood(
-        TrainingSet(train.inputs, train.outputs[:, [dim]]), hyper.as_vector())
+def log_marginal_likelihood(train: TrainingSet, hyper: KernelHyper):
+    """Summed log marginal likelihood of the output columns of `train` under
+    `hyper`, and its gradient in the layout of `hyper.as_vector()`."""
+    return tied_log_marginal_likelihood(train, hyper.as_vector())
 
 
-def _default_init(train: TrainingSet, dim: int) -> KernelHyper:
-    X, y = train.inputs, train.outputs[:, dim]
+def _default_init(train: TrainingSet) -> KernelHyper:
+    X, Y = train.inputs, train.outputs
     sx = np.std(X, axis=0)
     sx[sx < 1e-3] = 1.0
-    sy = max(float(np.std(y)), 1e-6)
-    return KernelHyper.create(sy, max(0.1 * sy, 1e-6), 1.0 / sx ** 2)
+    # column by column: a reduction over axis 0 sums in another order
+    sy = np.array([max(float(np.std(y)), 1e-6) for y in Y.T])
+    return KernelHyper.create(sy, np.maximum(0.1 * sy, 1e-6), 1.0 / sx ** 2)
 
 
 def _ascend(objective, theta0, max_iters):
@@ -370,29 +404,23 @@ def _restarted_ascent(objective, theta_base, rng, n_restarts, probe_iters,
 
 def fit_hyperparameters(train: TrainingSet, *, rng=None, n_restarts: int = 4,
                         max_iters: int = 200, probe_iters: int = 30,
-                        init=None):
-    """Fit kernel hyperparameters by restarted gradient ascent.
+                        init: KernelHyper | None = None):
+    """Fit a model's kernel hyperparameters by restarted gradient ascent.
 
-    The length scales are tied across output dimensions (the tied model makes
-    the uncertain-input moment computation far cheaper), and
-    `tied_log_marginal_likelihood` is ascended over all dimensions jointly:
-    one `eigh` of the length-scale Gram per evaluation, with the jitter rule
-    stated there.  `init` warm-starts from one KernelHyper per dimension and
-    the mean of their log_w.  Random restarts are probed with a short
-    iteration budget and only the most promising candidate is polished to
-    the full budget.  Returns (hypers, status) where status is 'ok' or
-    'no-improvement'.
+    One W serves every output dimension (it makes the uncertain-input moment
+    computation far cheaper), and `tied_log_marginal_likelihood` is ascended
+    over all dimensions jointly: one `eigh` of the length-scale Gram per
+    evaluation, with the jitter rule stated there.  `init` warm-starts the
+    ascent.  Random restarts are probed with a short iteration budget and
+    only the most promising candidate is polished to the full budget.
+    Returns (hyper, status) where status is 'ok' or 'no-improvement'.
     """
     if train.size < 2:
         raise ConfigError("need at least two training pairs to fit")
     if rng is None:
         rng = np.random.default_rng(0)
-    E = train.outputs.shape[1]
-    base = init if init is not None else \
-        [_default_init(train, dim) for dim in range(E)]
-    theta_base = np.clip(np.concatenate([
-        [h.log_sigma_s for h in base], [h.log_sigma_w for h in base],
-        np.mean([h.log_w for h in base], axis=0)]), *LOG_HYPER_BOUNDS)
+    base = init if init is not None else _default_init(train)
+    theta_base = np.clip(base.as_vector(), *LOG_HYPER_BOUNDS)
 
     def objective(theta):
         return tied_log_marginal_likelihood(train, theta)
@@ -405,9 +433,7 @@ def fit_hyperparameters(train: TrainingSet, *, rng=None, n_restarts: int = 4,
         logger.warning("hyperparameter fit failed to improve")
         status = "no-improvement"
         theta = theta_base
-    hypers = [KernelHyper(float(theta[d]), float(theta[E + d]),
-                          theta[2 * E:].copy()) for d in range(E)]
-    return hypers, status
+    return KernelHyper.from_vector(theta, train.outputs.shape[1]), status
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +452,11 @@ def _rank1_extend(model: GpModel, train: TrainingSet, order: tuple):
     one row of each Cholesky factor, a triangular solve per dimension.
     Returns None when a Schur complement is at most 1e-12 of the prior
     variance, where the row would lose precision."""
-    X, x_new = model.train.inputs, train.inputs[-1]
+    h = model.hyper
+    k_unit = kernel_vector(model.train.inputs, train.inputs[-1], h.w)
     chols = []
-    for h, L in zip(model.hyper, model.chols):
-        k = kernel_vector(X, x_new, h)
-        kappa = h.sigma_s ** 2 + h.sigma_w ** 2
+    for L, s2, kappa in zip(model.chols, h.signal_var, h.prior_var):
+        k = s2 * k_unit
         l2 = solve_triangular(L, k, lower=True) if L.size else np.zeros(0)
         rem = kappa - float(l2 @ l2)
         if rem <= 1e-12 * kappa:
@@ -444,9 +470,9 @@ def _rank1_extend(model: GpModel, train: TrainingSet, order: tuple):
     return GpModel(train, model.hyper, tuple(chols), model.max_points, order)
 
 
-def _evict_index(inputs: np.ndarray, order: tuple, hyper) -> int:
-    """Pick the most redundant point: older member of the closest input pair."""
-    w = np.mean([h.w for h in hyper], axis=0)
+def _evict_index(inputs: np.ndarray, order: tuple, w: np.ndarray) -> int:
+    """Pick the most redundant point: older member of the closest input pair
+    under the model's length scales."""
     Xs = inputs * np.sqrt(w)
     sq = np.sum(Xs ** 2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * Xs @ Xs.T
@@ -506,7 +532,7 @@ def incorporate_sample(model: GpModel, x, u_applied, x_next, plant_G,
     new_label = max(model.insertion_order, default=-1) + 1
     if model.max_points is not None and model.n_points >= model.max_points:
         idx = _evict_index(np.vstack([model.train.inputs, x[None, :]]),
-                           model.insertion_order + (new_label,), model.hyper)
+                           model.insertion_order + (new_label,), model.hyper.w)
         model = _delete_point(model, idx)
     order = model.insertion_order + (new_label,)
     train = TrainingSet(np.vstack([model.train.inputs, x[None, :]]),
@@ -521,9 +547,9 @@ def incorporate_sample(model: GpModel, x, u_applied, x_next, plant_G,
 
 def refit(model: GpModel, rng=None, **kwargs) -> GpModel:
     """Refit hyperparameters on the current data, warm-started."""
-    hypers, _ = fit_hyperparameters(model.train, rng=rng, init=model.hyper,
-                                    **kwargs)
-    out = GpModel.from_data(model.train, hypers, model.max_points)
+    hyper, _ = fit_hyperparameters(model.train, rng=rng, init=model.hyper,
+                                   **kwargs)
+    out = GpModel.from_data(model.train, hyper, model.max_points)
     return replace(out, insertion_order=model.insertion_order)
 
 
@@ -538,17 +564,18 @@ def posterior_predict(model: GpModel, x):
     prior (0, sigma_s^2 + sigma_w^2) per dimension.
     """
     x = np.asarray(x, dtype=float)
-    n = model.state_dim
-    mean = np.zeros(n)
-    var = np.zeros(n)
-    for dim, h in enumerate(model.hyper):
-        if model.n_points == 0:
-            var[dim] = h.sigma_s ** 2 + h.sigma_w ** 2
-            continue
-        k = kernel_vector(model.train.inputs, x, h)
+    h = model.hyper
+    prior = h.prior_var
+    if model.n_points == 0:
+        return np.zeros(model.state_dim), prior
+    k_unit = kernel_vector(model.train.inputs, x, h.w)
+    mean = np.zeros(model.state_dim)
+    var = np.zeros(model.state_dim)
+    for dim, s2 in enumerate(h.signal_var):
+        k = s2 * k_unit
         mean[dim] = float(k @ model.alphas[dim])
         sol = solve_triangular(model.chols[dim], k, lower=True)
-        var[dim] = max(h.sigma_s ** 2 + h.sigma_w ** 2 - float(sol @ sol), 0.0)
+        var[dim] = max(prior[dim] - float(sol @ sol), 0.0)
     return mean, var
 
 
@@ -557,12 +584,15 @@ def posterior_predict(model: GpModel, x):
 # ---------------------------------------------------------------------------
 
 def save_model(model: GpModel, path) -> None:
+    """Write `model` as JSON, with one `hyper` entry per output dimension;
+    every entry repeats the model's one log_w."""
+    h = model.hyper
     doc = {
         "state_dim": model.state_dim,
         "hyper": [
-            {"log_sigma_s": h.log_sigma_s, "log_sigma_w": h.log_sigma_w,
+            {"log_sigma_s": float(s), "log_sigma_w": float(w),
              "log_w": list(map(float, h.log_w))}
-            for h in model.hyper
+            for s, w in zip(h.log_sigma_s, h.log_sigma_w)
         ],
         "inputs": model.train.inputs.tolist(),
         "outputs": model.train.outputs.tolist(),
@@ -572,19 +602,22 @@ def save_model(model: GpModel, path) -> None:
 
 
 def load_model(path, max_points: int | None = None) -> GpModel:
+    """Read a model written by `save_model`.  Raises ConfigError for a
+    malformed document, or one whose `hyper` entries differ in log_w."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
         n = int(doc["state_dim"])
-        hypers = tuple(
-            KernelHyper(float(h["log_sigma_s"]), float(h["log_sigma_w"]),
-                        np.asarray(h["log_w"], dtype=float))
-            for h in doc["hyper"])
+        entries = doc["hyper"]
+        log_w = [np.asarray(h["log_w"], dtype=float) for h in entries]
+        hyper = KernelHyper([float(h["log_sigma_s"]) for h in entries],
+                            [float(h["log_sigma_w"]) for h in entries],
+                            log_w[0])
         inputs = np.asarray(doc["inputs"], dtype=float).reshape(-1, n)
         outputs = np.asarray(doc["outputs"], dtype=float).reshape(-1, n)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"malformed model document: {exc}") from exc
-    train = TrainingSet(inputs, outputs)
-    if train.size == 0:
-        return GpModel.empty(n, hypers, max_points)
-    return GpModel.from_data(train, hypers, max_points)
+    if not all(np.array_equal(lw, log_w[0]) for lw in log_w[1:]):
+        raise ConfigError("model document has differing log_w entries; a "
+                          "model has one set of length scales")
+    return GpModel.from_data(TrainingSet(inputs, outputs), hyper, max_points)

@@ -29,19 +29,12 @@ from .baselines import PathCostSample, sampling_pi_control
 from .errors import AlignmentError, ConfigError, NumericalError
 from .gp import save_model
 from .plants import canonical_plant_name, make_plant
+from .protocols import PLANT_PROTOCOLS
 from .records import (ControllerRecord, CostFields, export_trace_csv,
                       load_manifest, load_record, save_record)
 from .rng import RngHub
 
 logger = logging.getLogger(__name__)
-
-# Keyed by canonical plant name (see plants.canonical_plant_name).
-_PLANT_PROTOCOLS = {
-    "cartpole": dict(init_rollouts=2, horizon_steps=60),
-    "double-pendulum-cart": dict(init_rollouts=6, horizon_steps=60),
-    "two-link-arm": dict(init_rollouts=3, horizon_steps=100),
-    "linear": dict(init_rollouts=2, horizon_steps=50),
-}
 
 _DEFAULT_CONFIG = {
     "plant": {"name": "cartpole", "dt": 0.02, "substeps": 10,
@@ -100,7 +93,7 @@ def fill_defaults(config: dict) -> dict:
             out[section] = _merge_section(section, out[section], value)
         else:
             out[section] = value
-    proto = _PLANT_PROTOCOLS[canonical_plant_name(out["plant"]["name"])]
+    proto = PLANT_PROTOCOLS[canonical_plant_name(out["plant"]["name"])]
     if out["protocol"]["init_rollouts"] is None:
         out["protocol"]["init_rollouts"] = proto["init_rollouts"]
     if out["cost"]["horizon_steps"] is None:

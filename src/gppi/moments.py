@@ -1,9 +1,13 @@
 """Gaussian-input moments of the GP increment model, with their pullback.
 
 Given an input belief N(m, S), the exact squared-exponential moments of the
-posterior increment are computed per output dimension: predictive mean,
-predictive covariance (including the noise floor) and the input-increment
-cross covariance (Deisenroth and Rasmussen, PILCO, ICML 2011).
+posterior increment are computed: predictive mean, predictive covariance
+(including the noise floor) and the input-increment cross covariance
+(Deisenroth and Rasmussen, PILCO, ICML 2011).  The model has one W for all
+output dimensions, so the Gaussian-weighted kernel terms are the same for
+every output up to its factor sigma_s^2: one N-vector q for the mean and
+cross covariance, and one N x N matrix Qbar for the whole covariance block,
+per belief.
 
 Derivatives are taken in reverse mode.  Asked for a pullback record, a
 single-belief evaluation keeps its small value intermediates, and the
@@ -15,9 +19,8 @@ propagation wraps it into the `StepPullback` of a whole step, through which
 the adjoint desirability gradient carries its co-state; no numerical
 differentiation is involved.
 
-All inner loops over output dimensions and dimension pairs are batched
-through numpy's stacked linalg; this routine sits on the hot path of every
-rollout.
+The output dimensions are handled as stacks of arrays, not in Python
+loops; this routine sits on the hot path of every rollout.
 
 The value path also takes a leading candidate axis C: `predict_increment`
 accepts beliefs mu (C, n), sigma (C, n, n), and `moment_match` a batch of
@@ -40,10 +43,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gp import GpModel
-
-# the general path loops over dimension pairs; when every output dimension
-# shares one set of length scales all pair matrices are scalar multiples of a
-# single N x N matrix and a much cheaper path applies
 
 SYM_TOL = 1e-10
 PSD_TOL = 1e-12
@@ -117,12 +116,9 @@ class _ModelStacks:
 
     def __init__(self, model: GpModel):
         n = model.state_dim
-        self.w = np.stack([h.w for h in model.hyper])                  # (E, n)
-        self.inv_w = 1.0 / self.w
-        self.two_log_ss = np.array([2.0 * h.log_sigma_s for h in model.hyper])
-        self.prior_var = np.array([h.sigma_s ** 2 + h.sigma_w ** 2
-                                   for h in model.hyper])
-        self.sig_s2 = np.array([h.sigma_s ** 2 for h in model.hyper])
+        self.w = model.hyper.w                                         # (n,)
+        self.prior_var = model.hyper.prior_var                         # (E,)
+        self.sig_s2 = model.hyper.signal_var                           # (E,)
         N = model.n_points
         self.inputs = model.train.inputs                               # (N, n)
         # C-contiguous, so that the trace terms run as BLAS products on
@@ -134,11 +130,6 @@ class _ModelStacks:
         else:
             self.alphas = np.zeros((n, 0))
         self.inv_grams_flat = self.inv_grams.reshape(n, N * N)
-        ai, bi = np.triu_indices(n)
-        self.pair_a = ai
-        self.pair_b = bi
-        self.diag_mask = ai == bi
-        self.shared_w = bool(np.all(self.w == self.w[0]))
 
 
 def _stacks(model: GpModel) -> _ModelStacks:
@@ -226,7 +217,7 @@ def predict_increment(model: GpModel, mu_in, sigma_in, *,
     checks = RowChecks(None if single else np.ones(C, dtype=bool))
 
     if model.n_points == 0:
-        sig = np.diag([h.sigma_s ** 2 + h.sigma_w ** 2 for h in model.hyper])
+        sig = np.diag(model.hyper.prior_var)
         if not single:
             return IncrementPrediction(np.zeros((C, n)), np.tile(sig, (C, 1, 1)),
                                        np.zeros((C, n, n)), ok=checks.ok)
@@ -234,103 +225,25 @@ def predict_increment(model: GpModel, mu_in, sigma_in, *,
 
     st = _stacks(model)
     zeta = model.train.inputs[None, :, :] - m[:, None, :]         # (C, N, n)
-    values = _shared_values if st.shared_w else _general_values
-    mu_f, sigma_f, cov, parts = values(st, zeta, S, checks)
+    mu_f, sigma_f, cov, parts = _values(st, zeta, S, checks)
     if not single:
         return IncrementPrediction(mu_f, sigma_f, cov, ok=checks.ok)
     vjp = None
     if with_vjp:
         row = {k: a[0] for k, a in parts.items()}
-        pullback = _shared_vjp if st.shared_w else _general_vjp
-        vjp = partial(pullback, st, m[0], S[0], mu_f[0], row)
+        vjp = partial(_vjp, st, m[0], S[0], mu_f[0], row)
     return IncrementPrediction(mu_f[0], sigma_f[0], cov[0], vjp)
 
 
-def _log_pair_q(st: "_ModelStacks", zeta, Y, logdet_r):
-    """eta (C, E, N, n) and log Q_ab[i, j] of every dimension pair a <= b,
-    (C, P, N, N).
-
-    Q_ab[i, j] = k_a(x_i, m) k_b(x_j, m) |R_ab|^-1/2
-                 exp(0.5 z_ij' R_ab^-1 S z_ij),  z_ij = eta_a,i + eta_b,j.
-    """
-    eta = zeta[:, None, :, :] * st.w[:, None, :]                 # (C, E, N, n)
-    logk = st.two_log_ss[:, None] \
-        - 0.5 * np.einsum("cenj,cnj->cen", eta, zeta)            # (C, E, N)
-    ai, bi = st.pair_a, st.pair_b
-    eta_a, eta_b = eta[:, ai], eta[:, bi]                        # (C, P, N, n)
-    ua = np.matmul(eta_a, Y)                                     # (C, P, N, n)
-    row_a = logk[:, ai] + 0.5 * np.einsum("cpnj,cpnj->cpn", ua, eta_a)
-    ub = np.matmul(eta_b, Y)
-    row_b = logk[:, bi] + 0.5 * np.einsum("cpnj,cpnj->cpn", ub, eta_b)
-    n2 = np.matmul(ua, eta_b.transpose(0, 1, 3, 2))              # (C, P, N, N)
-    n2 += row_a[:, :, :, None]
-    n2 += row_b[:, :, None, :]
-    n2 -= 0.5 * logdet_r[:, :, None, None]
-    return eta, n2
-
-
-def _general_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
-    """Value moments with per-dimension length scales for a batch.
-
-    Returns (mu_f, sigma_f, cov, parts); `parts` holds the batched
-    intermediates a pullback reuses.
-    """
-    C, N, n = zeta.shape
-    E = n
-    eye = np.eye(n)
-
-    # --- per-dimension: mean and input-output covariance ------------------
-    A = S[:, None, :, :] + st.inv_w[:, None, :] * eye[None, :, :]  # (C, E, n, n)
-    sign_a, logdet_a = np.linalg.slogdet(A)
-    bad = ~(sign_a > 0)
-    checks.fail(bad.any(axis=1), "input covariance plus length scales not PD")
-    Ta = np.linalg.solve(identity_where(bad, A), np.broadcast_to(
-        zeta.transpose(0, 2, 1)[:, None], (C, E, n, N)))         # (C, E, n, N)
-    Ta = Ta.transpose(0, 1, 3, 2)                                # (C, E, N, n)
-    half_ratio = 0.5 * (logdet_a + np.sum(np.log(st.w), axis=1)) # (C, E)
-    logq = st.two_log_ss[:, None] - half_ratio[:, :, None] \
-        - 0.5 * np.einsum("cenj,cnj->cen", Ta, zeta)             # (C, E, N)
-    q = np.exp(logq)
-    lq = st.alphas * q                                           # (C, E, N)
-    mu_f = lq.sum(axis=2)                                        # (C, E)
-    v = np.einsum("cenj,cen->cej", Ta, lq)                       # (C, E, n)
-    cov = S @ v.transpose(0, 2, 1)                               # (C, n, E)
-
-    # --- pairs: predictive covariance --------------------------------------
-    ai, bi = st.pair_a, st.pair_b
-    P = ai.shape[0]
-    g = st.w[ai] + st.w[bi]                                      # (P, n)
-    R = S[:, None, :, :] * g[:, None, :] + eye[None, :, :]       # (C, P, n, n)
-    sign_r, logdet_r = np.linalg.slogdet(R)
-    bad = ~(sign_r > 0)
-    checks.fail(bad.any(axis=1), "pair normalization matrix not PD")
-    Y = np.linalg.solve(identity_where(bad, R),
-                        np.broadcast_to(S[:, None], (C, P, n, n)))
-    Y = 0.5 * (Y + Y.transpose(0, 1, 3, 2))
-    _, n2 = _log_pair_q(st, zeta, Y, logdet_r)
-    Q = np.exp(n2, out=n2)
-    alpha_a, alpha_b = st.alphas[ai], st.alphas[bi]              # (P, N)
-    e2 = np.einsum("pn,cpnm,pm->cp", alpha_a, Q, alpha_b)
-
-    vals = e2 - mu_f[:, ai] * mu_f[:, bi]
-    # per-row einsums: a batched contraction sums in a different order
-    tr = np.stack([np.einsum("knm,knm->k", st.inv_grams, q[st.diag_mask])
-                   for q in Q])                                  # (C, E)
-    model_var = np.maximum(st.sig_s2 - tr, 0.0) + st.prior_var - st.sig_s2
-    sigma_f = np.zeros((C, n, n))
-    sigma_f[:, ai, bi] = vals
-    sigma_f[:, bi, ai] = vals
-    sigma_f[:, np.arange(n), np.arange(n)] += model_var
-    checks.fail(~(np.all(np.isfinite(sigma_f), axis=(1, 2))
-                  & np.all(np.isfinite(mu_f), axis=1)),
-                "moment computation overflowed")
-    parts = dict(A=A, T=Ta, lq=lq, v=v, Y=Y, R=R, logdet_r=logdet_r, tr=tr)
-    return mu_f, 0.5 * (sigma_f + sigma_f.transpose(0, 2, 1)), cov, parts
-
-
 def _log_qbar(st: "_ModelStacks", zeta, Y, logdet_r):
-    """eta (C, N, n) and log Qbar (C, N, N) of the shared-length-scale path."""
-    eta = zeta * st.w[0]                                         # (C, N, n)
+    """eta (C, N, n) and log Qbar (C, N, N).
+
+    Qbar[i, j] = |R|^-1/2 exp(-0.5 zeta_i' W zeta_i - 0.5 zeta_j' W zeta_j
+                              + 0.5 z_ij' R^-1 S z_ij),  z_ij = eta_i + eta_j,
+    zeta_i = x_i - m, so that sigma_s,a^2 sigma_s,b^2 Qbar[i, j] is the
+    mean of k_a(x_i, x) k_b(x_j, x) (signal parts) over x ~ N(m, S).
+    """
+    eta = zeta * st.w                                            # (C, N, n)
     u = eta @ Y                                                  # (C, N, n)
     r_row = -0.5 * np.einsum("cnj,cnj->cn", eta, zeta) \
         + 0.5 * np.einsum("cnj,cnj->cn", u, eta)                 # (C, N)
@@ -341,16 +254,16 @@ def _log_qbar(st: "_ModelStacks", zeta, Y, logdet_r):
     return eta, Kbar
 
 
-def _shared_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
-    """Value moments for one shared set of length scales across output dims.
+def _values(st: "_ModelStacks", zeta, S, checks: RowChecks):
+    """Value moments for a batch of beliefs.
 
-    Every pair matrix Q_ab equals sigma_s_a^2 sigma_s_b^2 Qbar for a single
-    shared Qbar, so the whole covariance block costs one N x N exponential
-    per belief.  Returns the same (mu_f, sigma_f, cov, parts) as the general
-    path; `parts` holds no N x N array, and T is its one N x n array.
+    Every output pair (a, b) has the matrix sigma_s,a^2 sigma_s,b^2 Qbar, so
+    the whole covariance block costs one N x N exponential per belief.
+    Returns (mu_f, sigma_f, cov, parts); `parts` holds the batched
+    intermediates a pullback reuses, none of them N x N.
     """
     n = zeta.shape[2]
-    w = st.w[0]
+    w = st.w
     sig2 = st.sig_s2                                             # (E,)
     eye = np.eye(n)
 
@@ -401,52 +314,47 @@ def _shared_values(st: "_ModelStacks", zeta, S, checks: RowChecks):
 # Pullback of the moments
 # ---------------------------------------------------------------------------
 #
-# Both paths share two pieces.  With c_i the weight on d log q_i,
+# Two pieces.  With c_i the weight on d log q_i,
 #     d log q_i = -0.5 tr(A^-1 dS) + T_i' dm + 0.5 T_i' dS T_i,
-# and with B_ij the weight on d log Q_ij (Q_ij = Qbar or Q_ab),
-#     d log Q_ij = ((I - G Y) z_ij)' dm + 0.5 z_ij' dY z_ij
-#                  - 0.5 tr(R^-1 dS G),   dY = R^-1 dS (I - G Y).
+# and with B_ij the weight on d log Qbar_ij, G = 2 W,
+#     d log Qbar_ij = ((I - G Y) z_ij)' dm + 0.5 z_ij' dY z_ij
+#                     - 0.5 tr(R^-1 dS G),   dY = R^-1 dS (I - G Y).
 # Derivatives are taken with respect to every entry of S separately.
 
 def _gauss_pullback(A, T, c, psi_v, psi_mu):
-    """Gradient of the log q and cross-covariance terms for K groups.
+    """Gradient of the log q and cross-covariance terms.
 
-    A (K, n, n) and T (K, N, n) of each group, c (K, N) the weights on
-    d log q, psi_v (K, n, n) = sum_e psi_e v_e' and psi_mu (K, n) =
-    sum_e psi_e mu_f,e over the group's output dimensions, psi_e the weight
-    on its v_e = sum_i lq_ei T_i.  Returns (d_m (n,), d_S (n, n)).
+    A (n, n), T (N, n), c (N,) the weights on d log q, psi_v (n, n) =
+    sum_e psi_e v_e' and psi_mu (n,) = sum_e psi_e mu_f,e, psi_e the weight
+    on v_e = sum_i lq_ei T_i.  Returns (d_m (n,), d_S (n, n)).
     """
     n = A.shape[-1]
-    rhs = np.empty(A.shape[:1] + (n, n + 1))
-    rhs[:, :, :n] = -0.5 * c.sum(axis=1)[:, None, None] * np.eye(n) - psi_v
-    rhs[:, :, n] = -psi_mu
-    sol = np.linalg.solve(A.transpose(0, 2, 1), rhs).sum(axis=0)
-    cT = T * c[:, :, None]
-    d_m = cT.sum(axis=(0, 1)) + sol[:, n]
-    d_S = sol[:, :n] + 0.5 * np.matmul(cT.transpose(0, 2, 1), T).sum(axis=0)
+    rhs = np.empty((n, n + 1))
+    rhs[:, :n] = -0.5 * c.sum() * np.eye(n) - psi_v
+    rhs[:, n] = -psi_mu
+    sol = np.linalg.solve(A.T, rhs)
+    cT = T * c[:, None]
+    d_m = cT.sum(axis=0) + sol[:, n]
+    d_S = sol[:, :n] + 0.5 * (cT.T @ T)
     return d_m, d_S
 
 
-def _pair_pullback(B, eta_a, eta_b, g, Y, R):
-    """Gradient of sum_ij B_ij log Q_ij over P stacked pair matrices.
+def _pair_pullback(B, eta, g, Y, R):
+    """Gradient of sum_ij B_ij log Qbar_ij.
 
-    B (P, N, N) already carries the Q factor; eta_a, eta_b (P, N, n), g
-    (P, n), Y and R (P, n, n).  Returns (d_m (n,), d_S (n, n)).
+    B (N, N) already carries the Qbar factor; eta (N, n), g (n,) the
+    diagonal of G, Y and R (n, n).  Returns (d_m (n,), d_S (n, n)).
     """
     n = Y.shape[-1]
-    s1 = B.sum(axis=2)                                           # (P, N)
-    s2 = B.sum(axis=1)
-    sumB = s1.sum(axis=1)                                        # (P,)
-    s_z = np.einsum("pn,pni->pi", s1, eta_a) \
-        + np.einsum("pn,pni->pi", s2, eta_b)                     # (P, n)
-    cross = np.matmul(eta_a.transpose(0, 2, 1), np.matmul(B, eta_b))
-    Z = np.matmul((eta_a * s1[:, :, None]).transpose(0, 2, 1), eta_a) \
-        + np.matmul((eta_b * s2[:, :, None]).transpose(0, 2, 1), eta_b) \
-        + cross + cross.transpose(0, 2, 1)                       # (P, n, n)
-    d_m = (s_z - g * np.einsum("pij,pj->pi", Y, s_z)).sum(axis=0)
-    rhs = 0.5 * (Z - np.matmul(Z, Y) * g[:, None, :]) \
-        - 0.5 * sumB[:, None, None] * (np.eye(n) * g[:, None, :])
-    d_S = np.linalg.solve(R.transpose(0, 2, 1), rhs).sum(axis=0)
+    s1 = B.sum(axis=1)                                           # (N,)
+    s2 = B.sum(axis=0)
+    s_z = np.einsum("n,ni->i", s1, eta) + np.einsum("n,ni->i", s2, eta)
+    cross = eta.T @ (B @ eta)
+    Z = (eta * s1[:, None]).T @ eta + (eta * s2[:, None]).T @ eta \
+        + cross + cross.T                                        # (n, n)
+    d_m = s_z - g * np.einsum("ij,j->i", Y, s_z)
+    rhs = 0.5 * (Z - (Z @ Y) * g) - 0.5 * s1.sum() * (np.eye(n) * g)
+    d_S = np.linalg.solve(R.T, rhs)
     return d_m, d_S
 
 
@@ -458,8 +366,8 @@ def _output_weights(mu_f, g_mu, g_sig, g_cov, S):
     return Csym, g_mu - 2.0 * (Csym @ mu_f), g_cov.T @ S
 
 
-def _shared_vjp(st: "_ModelStacks", m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
-    """Pullback of the shared-length-scale moments for one belief."""
+def _vjp(st: "_ModelStacks", m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
+    """Pullback of the moments for one belief."""
     T, v = p["T"], p["v"]
     N = T.shape[0]
     sig2 = st.sig_s2
@@ -469,8 +377,7 @@ def _shared_vjp(st: "_ModelStacks", m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     # mean and cross covariance: one weight per training point on d log q,
     # with lq = a2 * qbar
     c = p["qbar"] * (g_mf @ a2 + np.sum(T * (a2.T @ psi), axis=1))  # (N,)
-    d_m, d_S = _gauss_pullback(p["A"][None], T[None], c[None],
-                               (psi.T @ v)[None], (psi.T @ mu_f)[None])
+    d_m, d_S = _gauss_pullback(p["A"], T, c, psi.T @ v, psi.T @ mu_f)
     d_S += g_cov @ v
 
     # pair and trace weights folded into one N x N weight on Qbar
@@ -481,36 +388,9 @@ def _shared_vjp(st: "_ModelStacks", m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     # Qbar is recomputed, not stored: it is the one N x N array of the step
     zeta = st.inputs[None, :, :] - m[None, None, :]
     eta, B = _log_qbar(st, zeta, p["Y"][None], p["logdet_r"][None])
-    B = np.exp(B, out=B)
+    B = np.exp(B[0], out=B[0])
     B *= Wq
-    pm, pS = _pair_pullback(B, eta, eta, 2.0 * st.w[:1], p["Y"][None],
-                            p["R"][None])
-    return d_m + pm, d_S + pS
-
-
-def _general_vjp(st: "_ModelStacks", m, S, mu_f, p: dict, g_mu, g_sig,
-                 g_cov):
-    """Pullback of the per-dimension moments for one belief."""
-    T, lq, v = p["T"], p["lq"], p["v"]
-    Csym, g_mf, psi = _output_weights(mu_f, g_mu, g_sig, g_cov, S)
-
-    c = lq * (g_mf[:, None] + np.einsum("enj,ej->en", T, psi))  # (E, N)
-    d_m, d_S = _gauss_pullback(p["A"], T, c, psi[:, :, None] * v[:, None, :],
-                               psi * mu_f[:, None])
-    d_S += g_cov @ v
-
-    ai, bi, diag = st.pair_a, st.pair_b, st.diag_mask
-    wp = np.where(diag, 1.0, 2.0) * Csym[ai, bi]                 # (P,)
-    Wq = wp[:, None, None] * st.alphas[ai][:, :, None] \
-        * st.alphas[bi][:, None, :]                              # (P, N, N)
-    active = (st.sig_s2 - p["tr"]) > 0.0
-    Wq[diag] -= np.where(active, np.diag(Csym), 0.0)[:, None, None] \
-        * st.inv_grams
-    zeta = st.inputs[None, :, :] - m[None, None, :]
-    eta, n2 = _log_pair_q(st, zeta, p["Y"][None], p["logdet_r"][None])
-    eta = eta[0]
-    pm, pS = _pair_pullback(Wq * np.exp(n2[0]), eta[ai], eta[bi],
-                            st.w[ai] + st.w[bi], p["Y"], p["R"])
+    pm, pS = _pair_pullback(B, eta[0], 2.0 * st.w, p["Y"], p["R"])
     return d_m + pm, d_S + pS
 
 

@@ -4,7 +4,8 @@ Nothing here shares code with the paths it checks: the phi integral is done
 by adaptive quadrature, the path integral by tensor-product Gauss-Hermite
 enumeration through the point-state GP chain, moment matching by Monte
 Carlo, and the exact linear-Gaussian chain in closed form (which in turn
-validates the tensor quadrature itself).
+validates the tensor quadrature itself).  The GP oracles evaluate the point
+posterior of the model's one W, the same for every output dimension.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy import integrate
 
 from .errors import ConfigError
-from .gp import GpModel, kernel_vector
+from .gp import GpModel
 from scipy.linalg import solve_triangular
 
 
@@ -87,34 +88,22 @@ def _gh_grid(n_dims: int, nodes_per_dim: int):
 def _point_predict_batch(model: GpModel, xs: np.ndarray):
     """Posterior mean and variance (incl. noise) per dim for many states."""
     M, n = xs.shape
+    h = model.hyper
+    if model.n_points == 0:
+        return np.zeros((M, n)), np.tile(h.prior_var, (M, 1))
+    X = model.train.inputs
+    d2 = np.zeros((M, X.shape[0]))
+    for j in range(n):
+        d2 += h.w[j] * (xs[:, j, None] - X[None, :, j]) ** 2
+    kk_unit = np.exp(-0.5 * d2)
     means = np.empty((M, n))
     varis = np.empty((M, n))
-    if model.n_points == 0:
-        means[:] = 0.0
-        varis[:] = [h.sigma_s ** 2 + h.sigma_w ** 2 for h in model.hyper]
-        return means, varis
-    X = model.train.inputs
-    shared_w = all(np.array_equal(model.hyper[0].w, h.w)
-                   for h in model.hyper[1:])
-    kk_shared = None
-    if shared_w:
-        w = model.hyper[0].w
-        d2 = np.zeros((M, X.shape[0]))
-        for j in range(n):
-            d2 += w[j] * (xs[:, j, None] - X[None, :, j]) ** 2
-        kk_shared = np.exp(-0.5 * d2)
-    for dim, h in enumerate(model.hyper):
-        if kk_shared is not None:
-            kk = h.sigma_s ** 2 * kk_shared
-        else:
-            diff = xs[:, None, :] - X[None, :, :]
-            kk = h.sigma_s ** 2 * np.exp(
-                -0.5 * np.einsum("mnj,j,mnj->mn", diff, h.w, diff))
+    for dim, (s2, prior) in enumerate(zip(h.signal_var, h.prior_var)):
+        kk = s2 * kk_unit
         means[:, dim] = kk @ model.alphas[dim]
         sol = solve_triangular(model.chols[dim], kk.T, lower=True)
         varis[:, dim] = np.maximum(
-            h.sigma_s ** 2 + h.sigma_w ** 2 - np.einsum("nm,nm->m", sol, sol),
-            1e-300)
+            prior - np.einsum("nm,nm->m", sol, sol), 1e-300)
     return means, varis
 
 
@@ -240,31 +229,29 @@ def mc_increment_moments(model: GpModel, mu, sigma, n_draws: int, rng,
     """Monte Carlo estimate of the increment moments under a Gaussian input.
 
     Draws inputs, evaluates the exact point posterior at each and aggregates
-    the laws of total expectation/variance/covariance.  Returns a dict of
-    estimates and standard errors from batch means.
+    the laws of total expectation and covariance: the output covariance is
+    the covariance of the point means plus the diagonal of the mean point
+    variance, as the outputs are independent at a known input.  Returns a
+    dict of estimates ("mean" (n,), "sigma" (n, n), "cov" (n, n) of input
+    and increment) and their standard errors ("mean_se", ...) from batch
+    means.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     n = mu.shape[0]
     L = np.linalg.cholesky(sigma + 1e-15 * np.trace(sigma) * np.eye(n))
     per = n_draws // n_batches
-    means, varis, covs = [], [], []
+    batches = {"mean": [], "sigma": [], "cov": []}
     for _ in range(n_batches):
         xs = mu + rng.standard_normal((per, n)) @ L.T
         m_f, v_f = _point_predict_batch(model, xs)
-        means.append(m_f.mean(axis=0))
-        # total variance: Var[mean] + E[var]
-        varis.append(m_f.var(axis=0, ddof=1) + v_f.mean(axis=0))
-        covs.append(np.einsum("mi,mj->ij", xs - mu, m_f) / per)
-    means = np.array(means)
-    varis = np.array(varis)
-    covs = np.array(covs)
-    k = n_batches
-    return {
-        "mean": means.mean(axis=0),
-        "mean_se": means.std(axis=0, ddof=1) / math.sqrt(k),
-        "var": varis.mean(axis=0),
-        "var_se": varis.std(axis=0, ddof=1) / math.sqrt(k),
-        "cov": covs.mean(axis=0),
-        "cov_se": covs.std(axis=0, ddof=1) / math.sqrt(k),
-    }
+        batches["mean"].append(m_f.mean(axis=0))
+        batches["sigma"].append(np.cov(m_f, rowvar=False).reshape(n, n)
+                                + np.diag(v_f.mean(axis=0)))
+        batches["cov"].append(np.einsum("mi,mj->ij", xs - mu, m_f) / per)
+    out = {}
+    for name, values in batches.items():
+        values = np.array(values)
+        out[name] = values.mean(axis=0)
+        out[name + "_se"] = values.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    return out

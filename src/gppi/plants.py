@@ -501,27 +501,54 @@ def _velocity_rows_B(n: int, vel_rows: list[int]) -> np.ndarray:
     return b
 
 
+def _physical_params(defaults: dict, params: dict | None) -> dict:
+    """`params` over `defaults`.  Raises ConfigError for a name not in
+    `defaults`, a mass or length that is not positive and finite, or a
+    friction or gravity that is negative or not finite."""
+    unknown = sorted(set(params or {}) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown plant parameters {unknown}; "
+                          f"expected some of {sorted(defaults)}")
+    p = {**defaults, **(params or {})}
+    for key, value in p.items():
+        may_be_zero = key in ("friction", "gravity")
+        try:
+            v = float(value)
+        except (TypeError, ValueError):
+            v = np.nan
+        if not (np.isfinite(v) and (v >= 0.0 if may_be_zero else v > 0.0)):
+            sign = "non-negative" if may_be_zero else "positive"
+            raise ConfigError(f"plant parameter '{key}' must be a finite, "
+                              f"{sign} number, got {value!r}")
+    return p
+
+
 def make_plant(name: str, *, dt: float = 0.02, substeps: int = 10,
-               params: dict | None = None, noise_std: float | None = None,
-               **extra) -> Plant:
-    """Build a plant by name with optional parameter overrides."""
+               params: dict | None = None,
+               noise_std: float | None = None) -> Plant:
+    """Build a plant by name with optional parameter overrides.
+
+    The articulated plants accept only their own parameter names, and check
+    the physical values (see `_physical_params`); the linear plant takes A,
+    Bc and optionally B and sigma_omega.  Raises ConfigError otherwise.
+    """
     key = canonical_plant_name(name)
     std = _NOISE_STD_DEFAULT if noise_std is None else noise_std
     if key == "cartpole":
-        p = {**_CARTPOLE_PARAMS, **(params or {})}
+        p = _physical_params(_CARTPOLE_PARAMS, params)
         vel = [1, 3]
         spec = PlantSpec("cartpole", 4, 1, p, _velocity_rows_B(4, vel),
                          std ** 2 * np.eye(len(vel)), dt, substeps)
         return CartPole(spec)
     if key == "double-pendulum-cart":
-        p = {**_DPC_PARAMS, **(params or {})}
+        p = _physical_params(_DPC_PARAMS, params)
         vel = [1, 3, 5]
         spec = PlantSpec("double-pendulum-cart", 6, 1, p,
                          _velocity_rows_B(6, vel),
                          std ** 2 * np.eye(len(vel)), dt, substeps)
         return DoublePendulumCart(spec)
     if key == "two-link-arm":
-        p = {**_ARM_PARAMS, **(params or {})}
+        p = _physical_params(_ARM_PARAMS, params)
         vel = [2, 3]
         spec = PlantSpec("two-link-arm", 4, 2, p, _velocity_rows_B(4, vel),
                          std ** 2 * np.eye(len(vel)), dt, substeps)
@@ -530,6 +557,9 @@ def make_plant(name: str, *, dt: float = 0.02, substeps: int = 10,
     p = dict(params or {})
     if "A" not in p or "Bc" not in p:
         raise ConfigError("linear plant requires params A and Bc")
+    unknown = sorted(set(p) - {"A", "Bc", "B", "sigma_omega"})
+    if unknown:
+        raise ConfigError(f"unknown linear plant parameters {unknown}")
     a = np.atleast_2d(np.asarray(p["A"], dtype=float))
     bc = np.atleast_2d(np.asarray(p["Bc"], dtype=float))
     n, m = a.shape[0], bc.shape[1]

@@ -13,9 +13,8 @@ from gppi.control import (DAMPING_LADDER, EXPANSION_MAX, EXPANSION_SCALES,
                           mpc_learning_loop, phi_step,
                           terminal_log_desirability)
 from gppi.errors import ConfigError, NumericalError
-from gppi.gp import GpModel, KernelHyper
-from gppi.moments import (GaussianBelief, IncrementPrediction, _stacks,
-                          predict_increment)
+from gppi.gp import GpModel
+from gppi.moments import GaussianBelief, IncrementPrediction, predict_increment
 from gppi.oracles import (linear_chain_log_integral, path_integral_quadrature,
                           quadrature_phi)
 from gppi.plants import make_plant
@@ -620,17 +619,6 @@ class TestBatchedLineSearch:
                                          swing_cost, cartpole)
         assert res.candidates_evaluated >= len(EXPANSION_SCALES) * res.n_iters
         assert res.candidates_failed == 0
-
-    def test_matches_sequential_search_per_dimension_scales(
-            self, cartpole, cartpole_model, swing_cost, rng):
-        hyper = [KernelHyper(h.log_sigma_s, h.log_sigma_w, h.log_w + 0.2 * d)
-                 for d, h in enumerate(cartpole_model.hyper)]
-        model = GpModel.from_data(cartpole_model.train, hyper)
-        assert not _stacks(model).shared_w
-        us = ControlSequence(rng.uniform(-1, 1, (20, 1)), u_min=np.full(1, -10.0),
-                             u_max=np.full(1, 10.0))
-        _assert_matches_sequential(model, np.zeros(4), us, swing_cost,
-                                   cartpole)
 
     def test_tie_when_every_control_clamped(self, cartpole, cartpole_model,
                                             swing_cost):

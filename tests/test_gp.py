@@ -78,28 +78,31 @@ class TestMarginalLikelihood:
     def test_single_pair_zero_output(self):
         train = TrainingSet([[0.5]], [[0.0]])
         h = KernelHyper.create(1.0, 0.1, [1.0])
-        lml, _ = log_marginal_likelihood(train, h, 0)
+        lml, _ = log_marginal_likelihood(train, h)
         expected = -0.5 * np.log(1.01) - 0.5 * np.log(2 * np.pi)
         assert lml == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
         train = TrainingSet(rng.normal(size=(12, 3)), rng.normal(size=(12, 3)))
-        h = KernelHyper.create(0.8, 0.2, [1.3, 0.5, 2.0])
-        _, g = log_marginal_likelihood(train, h, 1)
+        h = KernelHyper.create([0.8, 1.1, 0.6], [0.2, 0.1, 0.3],
+                               [1.3, 0.5, 2.0])
+        _, g = log_marginal_likelihood(train, h)
         v = h.as_vector()
         for k in range(v.size):
             vp, vm = v.copy(), v.copy()
             vp[k] += 1e-6
             vm[k] -= 1e-6
-            fp, _ = log_marginal_likelihood(train, KernelHyper.from_vector(vp), 1)
-            fm, _ = log_marginal_likelihood(train, KernelHyper.from_vector(vm), 1)
+            fp, _ = log_marginal_likelihood(train,
+                                            KernelHyper.from_vector(vp, 3))
+            fm, _ = log_marginal_likelihood(train,
+                                            KernelHyper.from_vector(vm, 3))
             fd = (fp - fm) / 2e-6
             assert abs(g[k] - fd) <= 1e-5 * max(abs(fd), 1.0)
 
     def test_noisy_duplicate_large_negative_not_crash(self):
         train = TrainingSet([[0.5], [0.5]], [[0.3], [0.1]])
         h = KernelHyper.create(1.0, 1e-9, [1.0])
-        lml, _ = log_marginal_likelihood(train, h, 0)
+        lml, _ = log_marginal_likelihood(train, h)
         assert np.isfinite(lml) or lml == -1e18
         assert lml < -1e4
 
@@ -127,9 +130,9 @@ class TestTiedMarginalLikelihood:
     def test_single_column_is_per_dimension_likelihood(self, rng):
         train, theta = _tied_case(rng, 12, 3)
         h = KernelHyper(theta[1], theta[4], theta[6:])
-        f, g = log_marginal_likelihood(train, h, 1)
-        f_ref, g_ref = _cholesky_reference(
-            TrainingSet(train.inputs, train.outputs[:, [1]]), h.as_vector())
+        column = TrainingSet(train.inputs, train.outputs[:, [1]])
+        f, g = log_marginal_likelihood(column, h)
+        f_ref, g_ref = _cholesky_reference(column, h.as_vector())
         assert f == pytest.approx(f_ref, rel=1e-10)
         assert np.allclose(g, g_ref, rtol=1e-10, atol=1e-12)
 
@@ -162,15 +165,14 @@ class TestFit:
     def test_recovers_known_hyperparameters(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(-2, 2, size=(30, 1))
-        K = kernel_matrix(X, KernelHyper.create(1.0, 1e-9, [4.0]),
-                          with_noise=True)
+        K = kernel_matrix(X, [4.0])
         L = np.linalg.cholesky(K + 1e-12 * np.eye(30))
         y = L @ rng.standard_normal(30) + 0.05 * rng.standard_normal(30)
-        hypers, status = fit_hyperparameters(
+        hyper, status = fit_hyperparameters(
             TrainingSet(X, y[:, None]), rng=np.random.default_rng(1))
         assert status == "ok"
         truth = np.array([0.0, np.log(0.05), np.log(4.0)])
-        got = hypers[0].as_vector()
+        got = hyper.as_vector()
         assert np.all(np.abs(got - truth) <= 0.7)
 
     def test_monotone_vs_default_init(self):
@@ -178,26 +180,19 @@ class TestFit:
         X = rng.uniform(-2, 2, size=(25, 1))
         y = np.sin(3 * X[:, 0]) + 0.05 * rng.standard_normal(25)
         train = TrainingSet(X, y[:, None])
-        hypers, _ = fit_hyperparameters(train, rng=np.random.default_rng(2))
+        hyper, _ = fit_hyperparameters(train, rng=np.random.default_rng(2))
         f_default, _ = log_marginal_likelihood(
-            train, KernelHyper.create(1.0, 0.1, [1.0]), 0)
-        f_fit, _ = log_marginal_likelihood(train, hypers[0], 0)
+            train, KernelHyper.create(1.0, 0.1, [1.0]))
+        f_fit, _ = log_marginal_likelihood(train, hyper)
         assert f_fit >= f_default
 
     def test_no_signal_shrinks_sigma_s(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, size=(20, 1))
         y = 1e-4 * rng.standard_normal(20)
-        hypers, _ = fit_hyperparameters(TrainingSet(X, y[:, None]),
-                                        rng=np.random.default_rng(0))
-        assert hypers[0].sigma_s < 0.05
-
-    def test_shared_lengthscales_are_tied(self, rng):
-        X = rng.normal(size=(20, 2))
-        Y = rng.normal(size=(20, 2))
-        hypers, _ = fit_hyperparameters(TrainingSet(X, Y), rng=rng,
-                                        n_restarts=1, max_iters=40)
-        assert np.array_equal(hypers[0].log_w, hypers[1].log_w)
+        hyper, _ = fit_hyperparameters(TrainingSet(X, y[:, None]),
+                                       rng=np.random.default_rng(0))
+        assert np.exp(hyper.log_sigma_s[0]) < 0.05
 
     def test_requires_two_pairs(self):
         with pytest.raises(ConfigError):
@@ -286,30 +281,27 @@ def _factor_deviation(model):
 
 def _expected_eviction(model, x):
     """Stored index of the older member of the closest pair among the stored
-    inputs and x, by explicit differences under the mean W."""
+    inputs and x, by explicit differences under the model's W."""
     X = np.vstack([model.train.inputs, x])
-    w = np.mean([h.w for h in model.hyper], axis=0)
-    d2 = np.einsum("ijk,k->ij", (X[:, None, :] - X[None, :, :]) ** 2, w)
+    d2 = np.einsum("ijk,k->ij", (X[:, None, :] - X[None, :, :]) ** 2,
+                   model.hyper.w)
     np.fill_diagonal(d2, np.inf)
     i, j = np.unravel_index(np.argmin(d2), d2.shape)
     order = model.insertion_order + (np.inf,)
     return min((i, j), key=lambda k: order[k])
 
 
-def _hypers(n, tied, rng):
-    w = rng.uniform(0.3, 1.5, n)
-    return [KernelHyper.create(0.5 + 0.1 * d, 0.05 + 0.01 * d,
-                               w if tied else rng.uniform(0.3, 1.5, n))
-            for d in range(n)]
+def _hyper(n, rng):
+    d = np.arange(n)
+    return KernelHyper.create(0.5 + 0.1 * d, 0.05 + 0.01 * d,
+                              rng.uniform(0.3, 1.5, n))
 
 
 class TestDowndate:
-    @pytest.mark.parametrize("n,tied,max_points", [
-        (4, True, 12), (4, False, 12), (6, True, 12), (6, False, 12),
-        (4, False, 1), (6, True, 2)])
-    def test_at_max_updates_match_refactorization(self, rng, n, tied,
-                                                  max_points):
-        model = GpModel.empty(n, _hypers(n, tied, rng), max_points=max_points)
+    @pytest.mark.parametrize("n,max_points", [(4, 12), (6, 12), (4, 1),
+                                              (6, 2)])
+    def test_at_max_updates_match_refactorization(self, rng, n, max_points):
+        model = GpModel.empty(n, _hyper(n, rng), max_points=max_points)
         x = np.zeros(n)
         at_max = 0
         while at_max < 3 * max_points:
@@ -331,7 +323,7 @@ class TestDowndate:
     @pytest.mark.parametrize("position", ["first", "interior", "last"])
     def test_evicts_older_member_of_closest_pair(self, rng, position):
         n, N = 4, 9
-        model = GpModel.empty(n, _hypers(n, False, rng), max_points=N)
+        model = GpModel.empty(n, _hyper(n, rng), max_points=N)
         for _ in range(N):
             x = 2.0 * rng.normal(size=n)
             model, _ = _add(model, x, np.cos(x))
@@ -353,7 +345,7 @@ class TestDowndate:
         # a stored pair 3e-7 apart is the closest pair, so the new point,
         # 5e-7 from a kept point, stays and is too close for the extension
         # (no jitter is needed for either training set)
-        h = [KernelHyper.create(1.0, 1e-8, [1.0])]
+        h = KernelHyper.create(1.0, 1e-8, [1.0])
         X = np.array([[0.0], [1.0], [1.0 + 3e-7], [2.5]])
         model = GpModel.from_data(TrainingSet(X, np.sin(X)), h, max_points=4)
         x_new = np.array([2.5 + 5e-7])
@@ -367,7 +359,7 @@ class TestDowndate:
         assert np.array_equal(new.chols[0], ref.chols[0])
 
     def test_near_duplicate_below_max_refactorizes(self):
-        h = [KernelHyper.create(1.0, 1e-8, [1.0])]
+        h = KernelHyper.create(1.0, 1e-8, [1.0])
         X = np.array([[0.0], [1.0]])
         model = GpModel.from_data(TrainingSet(X, np.sin(X)), h, max_points=5)
         new, status = _add(model, [1.0 + 1e-8], [0.3])
@@ -379,7 +371,7 @@ class TestDowndate:
     def test_at_max_update_is_quadratic_and_derives_lazily(self, rng,
                                                           monkeypatch):
         n, N = 6, 30
-        model = GpModel.empty(n, _hypers(n, True, rng), max_points=N)
+        model = GpModel.empty(n, _hyper(n, rng), max_points=N)
         for _ in range(N):
             x = rng.normal(size=n)
             model, _ = _add(model, x, np.sin(x))
@@ -420,7 +412,7 @@ class TestPosterior:
         X = np.linspace(-1, 1, 5)[:, None]
         Y = np.sin(2 * X)
         model = GpModel.from_data(TrainingSet(X, Y),
-                                  [KernelHyper.create(1.0, 1e-6, [1.0])])
+                                  KernelHyper.create(1.0, 1e-6, [1.0]))
         for i in range(5):
             mean, _ = posterior_predict(model, X[i])
             assert abs(mean[0] - Y[i, 0]) <= 1e-4 * max(abs(Y[i, 0]), 1e-3)
@@ -428,7 +420,7 @@ class TestPosterior:
     def test_permutation_invariance(self, rng):
         X = rng.normal(size=(12, 2))
         Y = rng.normal(size=(12, 2))
-        h = [KernelHyper.create(1.0, 0.1, [1.0, 1.0])] * 2
+        h = KernelHyper.create(1.0, 0.1, [1.0, 1.0])
         m1 = GpModel.from_data(TrainingSet(X, Y), h)
         perm = rng.permutation(12)
         m2 = GpModel.from_data(TrainingSet(X[perm], Y[perm]), h)
@@ -442,9 +434,7 @@ class TestPosterior:
 class TestJitterAndPersistence:
     def test_jitter_ladder_recovers(self):
         X = np.array([[0.0], [1e-9]])
-        h = KernelHyper.create(1.0, 1e-8, [1.0])
-        K = kernel_matrix(X, h)
-        L, jitter = chol_with_jitter(K)
+        L, jitter = chol_with_jitter(kernel_matrix(X, [1.0]))
         assert L.shape == (2, 2)
 
     def test_roundtrip(self, tmp_path, rng):
@@ -452,7 +442,7 @@ class TestJitterAndPersistence:
         Y = rng.normal(size=(6, 2))
         model = GpModel.from_data(
             TrainingSet(X, Y),
-            [KernelHyper.create(0.9, 0.1, [1.0, 2.0])] * 2)
+            KernelHyper.create(0.9, 0.1, [1.0, 2.0]))
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
@@ -465,4 +455,32 @@ class TestJitterAndPersistence:
         p = tmp_path / "bad.json"
         p.write_text('{"state_dim": 2}')
         with pytest.raises(ConfigError):
+            load_model(p)
+
+    # one hyper entry per output dimension, each repeating the model's log_w
+    _TWO_OUTPUT_DOC = (
+        '{"state_dim": 2, "hyper": ['
+        '{"log_sigma_s": -0.35667494393873245, "log_sigma_w": '
+        '-2.3025850929940455, "log_w": [0.0, 0.6931471805599453]}, '
+        '{"log_sigma_s": 0.1823215567939546, "log_sigma_w": '
+        '-1.6094379124341003, "log_w": [0.0, 0.6931471805599453]}], '
+        '"inputs": [[0.1, -0.4], [0.7, 0.2], [-0.5, 0.9]], '
+        '"outputs": [[0.01, -0.02], [0.03, 0.0], [-0.015, 0.025]]}')
+
+    def test_two_output_document_round_trips_byte_for_byte(self, tmp_path):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(self._TWO_OUTPUT_DOC)
+        model = load_model(src)
+        assert np.array_equal(model.hyper.log_sigma_s,
+                              [-0.35667494393873245, 0.1823215567939546])
+        assert np.array_equal(model.hyper.log_w, [0.0, 0.6931471805599453])
+        save_model(model, out)
+        assert out.read_text() == self._TWO_OUTPUT_DOC
+
+    def test_differing_log_w_entries_rejected(self, tmp_path):
+        p = tmp_path / "untied.json"
+        p.write_text(self._TWO_OUTPUT_DOC.replace(
+            '"log_w": [0.0, 0.6931471805599453]}]',
+            '"log_w": [0.0, 0.7]}]'))
+        with pytest.raises(ConfigError, match="log_w"):
             load_model(p)

@@ -3,23 +3,18 @@ import pytest
 
 from gppi.errors import ConfigError, NumericalError
 from gppi.gp import GpModel, KernelHyper, TrainingSet, posterior_predict
-from gppi.moments import (GaussianBelief, moment_match, predict_increment,
-                          _stacks)
+from gppi.checks import moment_matching_mc_deviation
+from gppi.moments import GaussianBelief, moment_match, predict_increment
 from gppi.oracles import mc_increment_moments
 
 
-def _random_model(rng, n=3, n_points=15, shared=False):
+def _random_model(rng, n=3, n_points=15):
     X = rng.normal(size=(n_points, n))
     Y = 0.1 * rng.normal(size=(n_points, n))
-    if shared:
-        w = rng.uniform(0.5, 2.0, n)
-        hyp = [KernelHyper.create(0.5 + 0.2 * d, 0.05 + 0.01 * d, w)
-               for d in range(n)]
-    else:
-        hyp = [KernelHyper.create(0.5 + 0.2 * d, 0.05,
-                                  rng.uniform(0.5, 2.0, n))
-               for d in range(n)]
-    return GpModel.from_data(TrainingSet(X, Y), hyp)
+    d = np.arange(n)
+    hyper = KernelHyper.create(0.5 + 0.2 * d, 0.05 + 0.01 * d,
+                               rng.uniform(0.5, 2.0, n))
+    return GpModel.from_data(TrainingSet(X, Y), hyper)
 
 
 def _random_input(rng, n):
@@ -69,7 +64,7 @@ class TestPrediction:
         X = np.linspace(-1, 1, 4)[:, None]
         Y = np.cos(2 * X)
         model = GpModel.from_data(TrainingSet(X, Y),
-                                  [KernelHyper.create(1.0, 1e-6, [1.5])])
+                                  KernelHyper.create(1.0, 1e-6, [1.5]))
         pred = predict_increment(model, X[2], np.zeros((1, 1)))
         assert abs(pred.mu_f[0] - Y[2, 0]) < 1e-4
 
@@ -83,12 +78,10 @@ class TestPrediction:
         off = pred.sigma_f - np.diag(np.diag(pred.sigma_f))
         assert np.max(np.abs(off)) < 1e-8
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_directional_derivatives_match_fd(self, rng, shared):
+    def test_directional_derivatives_match_fd(self, rng):
         # the pullback of f = <a, mu'> + <B, Sigma'> contracted with a
         # direction (dm, dS) is f's derivative along it
-        model = _random_model(rng, shared=shared)
-        assert _stacks(model).shared_w == shared
+        model = _random_model(rng)
         m, S = _random_input(rng, 3)
         u = np.array([0.7])
         a, B = rng.normal(size=3), rng.normal(size=(3, 3))
@@ -107,39 +100,26 @@ class TestPrediction:
                   - f(m - eps * dm, S - eps * dS)) / (2 * eps)
             assert d_mu @ dm + np.sum(d_sig * dS) == pytest.approx(fd, abs=2e-7)
 
-    def test_shared_fast_path_equals_general_path(self, rng):
-        model = _random_model(rng, shared=True)
-        st = _stacks(model)
-        assert st.shared_w
-        m, S = _random_input(rng, 3)
-        u = np.array([-0.4])
-        a, B = rng.normal(size=3), rng.normal(size=(3, 3))
-        fast = predict_increment(model, m, S)
-        fast_pb = _step_pullback(model, m, S, u, a, B)
-        st.shared_w = False
-        try:
-            general = predict_increment(model, m, S)
-            general_pb = _step_pullback(model, m, S, u, a, B)
-        finally:
-            st.shared_w = True
-        assert np.allclose(fast.mu_f, general.mu_f, atol=1e-13)
-        assert np.allclose(fast.sigma_f, general.sigma_f, atol=1e-13)
-        assert np.allclose(fast.cov_x_dx, general.cov_x_dx, atol=1e-13)
-        assert np.allclose(fast_pb[0], general_pb[0], rtol=0, atol=1e-12)
-        assert np.allclose(fast_pb[1], general_pb[1], rtol=0, atol=1e-12)
-
     def test_monte_carlo_oracle_1d(self):
         rng = np.random.default_rng(12)
         X = rng.uniform(-1, 1, (3, 1))
         Y = np.sin(2 * X)
         model = GpModel.from_data(TrainingSet(X, Y),
-                                  [KernelHyper.create(1.0, 0.1, [2.0])])
+                                  KernelHyper.create(1.0, 0.1, [2.0]))
         pred = predict_increment(model, [0.3], [[0.04]])
         est = mc_increment_moments(model, [0.3], [[0.04]], 10 ** 6, rng)
         assert abs(pred.mu_f[0] - est["mean"][0]) < 3 * est["mean_se"][0]
-        assert abs(pred.sigma_f[0, 0] - est["var"][0]) < 3 * est["var_se"][0]
+        assert abs(pred.sigma_f[0, 0] - est["sigma"][0, 0]) \
+            < 3 * est["sigma_se"][0, 0]
         assert abs(pred.cov_x_dx[0, 0] - est["cov"][0, 0]) \
             < 3 * est["cov_se"][0, 0]
+
+    def test_monte_carlo_oracle_3d_full_covariance(self):
+        # mu_f and every entry of sigma_f and cov_x_dx, at a non-diagonal
+        # input covariance, within four Monte Carlo standard errors
+        deviation = moment_matching_mc_deviation(np.random.default_rng(5),
+                                                 n_draws=10 ** 6)
+        assert deviation < 4.0
 
 
 class TestBeliefPropagation:
@@ -218,10 +198,8 @@ class TestBeliefPropagation:
 class TestCandidateBatch:
     """Row c of a batched evaluation equals a batch of one, bit for bit."""
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_predict_rows_equal_batch_of_one(self, rng, shared):
-        model = _random_model(rng, n=4, n_points=40, shared=shared)
-        assert _stacks(model).shared_w == shared
+    def test_predict_rows_equal_batch_of_one(self, rng):
+        model = _random_model(rng, n=4, n_points=40)
         inputs = [_random_input(rng, 4) for _ in range(6)]
         mus = np.array([m for m, _ in inputs])
         sigmas = np.array([S for _, S in inputs])
@@ -247,9 +225,8 @@ class TestCandidateBatch:
                          np.zeros((1, 1)), _const_G([[0.0], [1.0]]), 0.02,
                          step_map_out=[])
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_moment_match_rows_equal_batch_of_one(self, rng, shared):
-        model = _random_model(rng, n=3, n_points=30, shared=shared)
+    def test_moment_match_rows_equal_batch_of_one(self, rng):
+        model = _random_model(rng, n=3, n_points=30)
         plant_G = _plant_G
         inputs = [_random_input(rng, 3) for _ in range(5)]
         belief = GaussianBelief(np.array([m for m, _ in inputs]),

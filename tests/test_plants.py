@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -291,7 +293,10 @@ def test_closed_form_inertia_solves_match_lapack(name):
     ("arm", dict(link2_mass=0.0)),
 ])
 def test_singular_inertia_raises(name, params):
-    plant = make_plant(name, params=params)
+    # built from a PlantSpec directly: make_plant rejects these parameters
+    base = make_plant(name)
+    plant = type(base)(dataclasses.replace(
+        base.spec, params={**base.spec.params, **params}))
     x = np.full(plant.spec.n, 0.3)
     u = np.zeros(plant.spec.m)
     calls = [lambda: plant.drift(x), lambda: plant.control_matrix(x),
@@ -302,6 +307,32 @@ def test_singular_inertia_raises(name, params):
     for call in calls:
         with pytest.raises(NumericalError):
             call()
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cartpole", dict(pole_len=3.0)),
+    ("cartpole", dict(pole_mass=0.0)),
+    ("cartpole", dict(cart_mass=-0.5)),
+    ("cartpole", dict(pole_length=np.nan)),
+    ("cartpole", dict(friction=-0.1)),
+    ("cartpole", dict(gravity=np.inf)),
+    ("dpc", dict(link2_mass=0.0)),
+    ("dpc", dict(link1_length=np.inf)),
+    ("dpc", dict(gravity=-9.81)),
+    ("arm", dict(link2_mass=0.0)),
+    ("arm", dict(link2_length=-0.5)),
+    ("arm", dict(friction=np.nan)),
+    ("arm", dict(gravity=9.81)),
+    ("linear", dict(A=[[0.0]], Bc=[[1.0]], C=[[1.0]])),
+])
+def test_make_plant_rejects_bad_parameters(name, params):
+    with pytest.raises(ConfigError):
+        make_plant(name, params=params)
+
+
+def test_make_plant_accepts_zero_friction_and_gravity():
+    plant = make_plant("cartpole", params=dict(friction=0, gravity=0.0))
+    assert np.allclose(plant.drift(np.zeros(4)), 0.0)
 
 
 @pytest.mark.parametrize("name", ["cartpole", "dpc", "arm"])
