@@ -14,13 +14,13 @@ import numpy as np
 
 from .control import (ControlSequence, CostSpec, backward_desirability,
                       desirability_gradient, forward_rollout, phi_step)
-from .gp import (GpModel, KernelHyper, TrainingSet, fit_hyperparameters,
-                 incorporate_sample, log_marginal_likelihood,
-                 tied_log_marginal_likelihood)
+from .gp import (LOG_HYPER_BOUNDS, GpModel, KernelHyper, TrainingSet,
+                 fit_hyperparameters, incorporate_sample,
+                 log_marginal_likelihood, tied_log_marginal_likelihood)
 from .baselines import lqg_solve, riccati_residual
 from .moments import GaussianBelief, moment_match, predict_increment
-from .oracles import (mc_increment_moments, path_integral_quadrature,
-                      quadrature_phi)
+from .oracles import (cholesky_log_marginal_likelihood, mc_increment_moments,
+                      path_integral_quadrature, quadrature_phi)
 from .plants import make_plant
 
 
@@ -194,6 +194,27 @@ def check_lml_gradient(rng) -> bool:
                   worst < 1e-5, f"worst rel {worst:.2e}")
 
 
+def check_fit_stationarity(rng) -> bool:
+    """Fit a fixed 4-D training set and check the result without the
+    optimizer: the projected gradient, clip(theta + g) - theta on
+    LOG_HYPER_BOUNDS, is below the fit's stopping tolerance
+    1e-6 max(1, |f|), and a Cholesky evaluation of the likelihood agrees
+    with the `eigh` value."""
+    X = rng.uniform(-1.5, 1.5, (60, 4))
+    Y = 0.3 * np.sin(X @ rng.normal(size=(4, 4))) \
+        + 0.02 * rng.standard_normal((60, 4))
+    train = TrainingSet(X, Y)
+    hyper, status = fit_hyperparameters(train, rng=rng)
+    theta = hyper.as_vector()
+    f, g = tied_log_marginal_likelihood(train, theta)
+    pg = np.max(np.abs(np.clip(theta + g, *LOG_HYPER_BOUNDS) - theta))
+    rel = abs(cholesky_log_marginal_likelihood(train, theta) - f) / abs(f)
+    return _check("hyperparameter fit is stationary (n = 4)",
+                  status == "ok" and pg < 1e-6 * max(1.0, abs(f))
+                  and rel < 1e-10,
+                  f"projected gradient {pg:.1e}, Cholesky rel {rel:.1e}")
+
+
 def check_gp_update(rng, n_updates=200) -> bool:
     """`n_updates` at-max GP updates of a 6-D model, each against a fresh
     refactorization of the same training set: the largest relative deviation
@@ -262,6 +283,7 @@ def run_checks(fast: bool = False) -> bool:
         # their own streams, so that the other checks keep their draws
         check_step_pullback(np.random.default_rng(6)),
         check_gp_update(np.random.default_rng(10)),
+        check_fit_stationarity(np.random.default_rng(12)),
         check_desirability_gradient(rng),
         check_path_integral(rng, fast=fast),
     ]

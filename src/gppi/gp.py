@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack, qr_delete, solve_triangular
@@ -40,6 +42,8 @@ logger = logging.getLogger(__name__)
 JITTER_BASE = 1e-10
 JITTER_MAX = 1e-4
 LOG_HYPER_BOUNDS = (-12.0, 8.0)
+# value of `tied_log_marginal_likelihood` past its jitter ladder
+_SENTINEL = -1e18
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +237,12 @@ def kernel_eval(xi, xj, hyper: KernelHyper, same_index: bool = False) -> np.ndar
 
 
 def _sq_dist(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Squared distances (xi-xj)' W (xi-xj) between rows of X, clipped at 0."""
-    Xs = X * np.sqrt(w)
+    """Squared distances (xi-xj)' W (xi-xj) between rows of X, clipped at 0.
+
+    The rows are centred first: the expansion |xi|^2 + |xj|^2 - 2 xi'xj
+    cancels catastrophically for rows far from the origin.
+    """
+    Xs = (X - np.mean(X, axis=0)) * np.sqrt(w) if len(X) else X
     sq = np.sum(Xs ** 2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
     np.maximum(d2, 0.0, out=d2)
@@ -312,7 +320,8 @@ def tied_log_marginal_likelihood(train: TrainingSet, theta):
     """
     if train.size < 1:
         raise ConfigError("need at least one training pair")
-    X, Y = train.inputs, train.outputs
+    # centred, as the length-scale gradient expands the squared distances
+    X, Y = train.inputs - np.mean(train.inputs, axis=0), train.outputs
     N, E = Y.shape
     theta = np.asarray(theta, dtype=float)
     s2 = np.exp(2.0 * theta[:E])
@@ -328,7 +337,7 @@ def tied_log_marginal_likelihood(train: TrainingSet, theta):
     bad = ~(np.min(D, axis=0) > floor)          # a NaN counts as bad
     while np.any(bad):
         if rung > JITTER_MAX:
-            return -1e18, np.zeros(theta.size)
+            return _SENTINEL, np.zeros(theta.size)
         jitter[bad] = rung * scale[bad]
         bad = ~(np.min(D, axis=0) + jitter > floor)
         rung *= 10.0
@@ -367,53 +376,118 @@ def _default_init(train: TrainingSet) -> KernelHyper:
     return KernelHyper.create(sy, np.maximum(0.1 * sy, 1e-6), 1.0 / sx ** 2)
 
 
-def _ascend(objective, theta0, max_iters):
-    """Backtracking gradient ascent in log-hyper space."""
+def _lbfgs_ascent(objective, theta0):
+    """Limited-memory BFGS ascent (Nocedal 1980) in log-hyper space.
+
+    A generator: yields (theta, f) at the start and after every accepted
+    step.  The direction comes from the two-loop recursion over the last
+    10 pairs (s, y) with s'y > 1e-10 y'y, restricted to the coordinates not
+    held at a bound, and is taken by `_armijo_step`.  Without pairs, or
+    when that direction is no ascent direction or finds no Armijo point,
+    the pairs are dropped and the projected gradient, scaled to at most 1
+    per coordinate, is tried instead.  It stops when the projected gradient
+    is below 1e-6 max(1, |f|), at a sentinel start, or when that
+    steepest-ascent step fails too.
+    """
     lo, hi = LOG_HYPER_BOUNDS
     theta = np.clip(theta0, lo, hi)
     f, g = objective(theta)
-    step = 0.1
-    for _ in range(max_iters):
-        gnorm = np.max(np.abs(g))
-        if gnorm < 1e-6 * max(1.0, abs(f)):
-            break
-        accepted = False
-        for _ in range(14):
-            cand = np.clip(theta + step * g, lo, hi)
-            f2, g2 = objective(cand)
-            if f2 > f + 1e-4 * step * float(g @ g):
-                theta, f, g = cand, f2, g2
-                step = min(step * 1.5, 10.0)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return theta, f
+    pairs = deque(maxlen=10)
+    while True:
+        yield theta, f
+        free = ~(((theta <= lo) & (g < 0)) | ((theta >= hi) & (g > 0)))
+        pg = np.where(free, g, 0.0)
+        if f <= _SENTINEL or np.max(np.abs(pg)) < 1e-6 * max(1.0, abs(f)):
+            return
+        step = None
+        if pairs:
+            d = _two_loop(pg, pairs)
+            d[~free] = 0.0
+            if float(g @ d) > 0.0:
+                step = _armijo_step(objective, theta, f, g, d)
+        if step is None:
+            pairs.clear()
+            step = _armijo_step(objective, theta, f, g,
+                                pg / max(1.0, float(np.max(np.abs(pg)))))
+            if step is None:
+                return
+        cand, f2, g2 = step
+        s, y = cand - theta, g - g2
+        if float(s @ y) > 1e-10 * float(y @ y):
+            pairs.append((s, y))
+        theta, f, g = cand, f2, g2
+
+
+def _armijo_step(objective, theta, f, g, d):
+    """(theta', f', g') at the first theta' = clip(theta + 2^-k d) onto
+    LOG_HYPER_BOUNDS, k = 0..13, with f' > f + max(1e-4 g'(theta' - theta),
+    0), which no sentinel value and no decrease pass; None if none does."""
+    for k in range(14):
+        cand = np.clip(theta + 0.5 ** k * d, *LOG_HYPER_BOUNDS)
+        f2, g2 = objective(cand)
+        if f2 > f + max(1e-4 * float(g @ (cand - theta)), 0.0):
+            return cand, f2, g2
+    return None
+
+
+def _two_loop(g, pairs):
+    """H g for the L-BFGS inverse-Hessian estimate H of -f built from
+    `pairs`, scaled by s'y / y'y of the newest pair."""
+    q = g.copy()
+    coeffs = []
+    for s, y in reversed(pairs):
+        a = float(s @ q) / float(s @ y)
+        q -= a * y
+        coeffs.append(a)
+    s, y = pairs[-1]
+    r = (float(s @ y) / float(y @ y)) * q
+    for (s, y), a in zip(pairs, reversed(coeffs)):
+        r += (a - float(y @ r) / float(s @ y)) * s
+    return r
+
+
+def _advance(run, state, iters: int):
+    """The state of generator `run` after `iters` more yields, or its last
+    one if it stops first; `state` if it yields none."""
+    for state in islice(run, max(iters, 0)):
+        pass
+    return state
 
 
 def _restarted_ascent(objective, theta_base, rng, n_restarts, probe_iters,
                       max_iters):
+    """L-BFGS ascents from `theta_base` and from `n_restarts` random
+    perturbations of it, each probed for `probe_iters` iterations; the best
+    one then continues, memory intact, to `max_iters` iterations in all.
+    Returns (theta, f, f at theta_base)."""
     starts = [theta_base]
     for _ in range(n_restarts):
         starts.append(theta_base + rng.normal(scale=0.7, size=theta_base.size))
-    probed = [_ascend(objective, th, probe_iters) for th in starts]
-    best_theta, _ = max(probed, key=lambda p: p[1])
-    return _ascend(objective, best_theta, max(max_iters - probe_iters, 1))
+    runs = [_lbfgs_ascent(objective, th) for th in starts]
+    heads = [next(run) for run in runs]
+    probed = [_advance(run, head, probe_iters)
+              for run, head in zip(runs, heads)]
+    best = max(range(len(runs)), key=lambda i: probed[i][1])
+    theta, f = _advance(runs[best], probed[best], max_iters - probe_iters)
+    return theta, f, heads[0][1]
 
 
 def fit_hyperparameters(train: TrainingSet, *, rng=None, n_restarts: int = 4,
-                        max_iters: int = 200, probe_iters: int = 30,
+                        max_iters: int = 200, probe_iters: int = 0,
                         init: KernelHyper | None = None):
-    """Fit a model's kernel hyperparameters by restarted gradient ascent.
+    """Fit a model's kernel hyperparameters by restarted L-BFGS ascent.
 
     One W serves every output dimension (it makes the uncertain-input moment
     computation far cheaper), and `tied_log_marginal_likelihood` is ascended
     over all dimensions jointly: one `eigh` of the length-scale Gram per
     evaluation, with the jitter rule stated there.  `init` warm-starts the
-    ascent.  Random restarts are probed with a short iteration budget and
-    only the most promising candidate is polished to the full budget.
-    Returns (hyper, status) where status is 'ok' or 'no-improvement'.
+    ascent.  Random restarts are probed for `probe_iters` iterations and
+    only the most promising candidate is continued to the full budget; by
+    default they are compared by their starting likelihood alone, as in
+    the learning loop's fits every start reached the same optimum.
+    Returns (hyper, status) where status is 'ok' or, when the result is
+    below the start or the likelihood's sentinel, 'no-improvement' (with
+    the start returned).
     """
     if train.size < 2:
         raise ConfigError("need at least two training pairs to fit")
@@ -425,11 +499,10 @@ def fit_hyperparameters(train: TrainingSet, *, rng=None, n_restarts: int = 4,
     def objective(theta):
         return tied_log_marginal_likelihood(train, theta)
 
-    f0, _ = objective(theta_base)
-    theta, f = _restarted_ascent(objective, theta_base, rng, n_restarts,
-                                 probe_iters, max_iters)
+    theta, f, f0 = _restarted_ascent(objective, theta_base, rng, n_restarts,
+                                     probe_iters, max_iters)
     status = "ok"
-    if f < f0:
+    if f < f0 or f <= _SENTINEL:
         logger.warning("hyperparameter fit failed to improve")
         status = "no-improvement"
         theta = theta_base
@@ -473,9 +546,7 @@ def _rank1_extend(model: GpModel, train: TrainingSet, order: tuple):
 def _evict_index(inputs: np.ndarray, order: tuple, w: np.ndarray) -> int:
     """Pick the most redundant point: older member of the closest input pair
     under the model's length scales."""
-    Xs = inputs * np.sqrt(w)
-    sq = np.sum(Xs ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * Xs @ Xs.T
+    d2 = _sq_dist(inputs, w)
     np.fill_diagonal(d2, np.inf)
     i, j = np.unravel_index(np.argmin(d2), d2.shape)
     return i if order[i] <= order[j] else j

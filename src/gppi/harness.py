@@ -10,6 +10,7 @@ metrics.csv, trace.csv and controller.json, wherever the run directory lies.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import logging
 import subprocess
@@ -139,7 +140,10 @@ def build_cost(cost_cfg: dict, dt: float) -> CostSpec:
                     int(cost_cfg["horizon_steps"]), q_term)
 
 
+@functools.cache
 def _git_describe() -> str:
+    """`git describe` of the package's checkout, or 'unknown'; run once per
+    process, as the code does not change while it runs."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              capture_output=True, text=True, timeout=5,

@@ -3,7 +3,8 @@
 Nothing here shares code with the paths it checks: the phi integral is done
 by adaptive quadrature, the path integral by tensor-product Gauss-Hermite
 enumeration through the point-state GP chain, moment matching by Monte
-Carlo, and the exact linear-Gaussian chain in closed form (which in turn
+Carlo, the marginal likelihood by one Cholesky factorization per output,
+and the exact linear-Gaussian chain in closed form (which in turn
 validates the tensor quadrature itself).  The GP oracles evaluate the point
 posterior of the model's one W, the same for every output dimension.
 """
@@ -17,8 +18,33 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy import integrate
 
 from .errors import ConfigError
-from .gp import GpModel
-from scipy.linalg import solve_triangular
+from .gp import GpModel, TrainingSet
+from scipy.linalg import cho_solve, solve_triangular
+
+
+# ---------------------------------------------------------------------------
+# Marginal likelihood by Cholesky factorization
+# ---------------------------------------------------------------------------
+
+def cholesky_log_marginal_likelihood(train: TrainingSet, theta) -> float:
+    """Summed log marginal likelihood of the output columns of `train` at
+    theta = (log_sigma_s (E), log_sigma_w (E), log_w (n)): one Cholesky
+    factorization per output, with the kernel built from explicit input
+    differences and no jitter."""
+    X, Y = train.inputs, train.outputs
+    N, E = Y.shape
+    theta = np.asarray(theta, dtype=float)
+    Kw = np.exp(-0.5 * ((X[:, None, :] - X[None, :, :]) ** 2)
+                @ np.exp(theta[2 * E:]))
+    total = 0.0
+    for d in range(E):
+        L = np.linalg.cholesky(np.exp(2.0 * theta[d]) * Kw
+                               + np.exp(2.0 * theta[E + d]) * np.eye(N))
+        alpha = cho_solve((L, True), Y[:, d])
+        total += (-0.5 * float(Y[:, d] @ alpha)
+                  - float(np.sum(np.log(np.diag(L))))
+                  - 0.5 * N * math.log(2.0 * math.pi))
+    return total
 
 
 # ---------------------------------------------------------------------------

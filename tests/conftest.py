@@ -9,8 +9,26 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from gppi.control import CostSpec  # noqa: E402
-from gppi.gp import GpModel, TrainingSet, fit_hyperparameters, incorporate_sample  # noqa: E402
+from gppi.gp import GpModel, KernelHyper, incorporate_sample  # noqa: E402
 from gppi.plants import make_plant  # noqa: E402
+
+
+# The fixture models take literal hyperparameters, the values that the
+# first-order ascent fit returned for these training sets (n_restarts=1,
+# max_iters=80), so that they do not move when the fit changes.
+_CARTPOLE_HYPER = [
+    -3.4832340386057723, -3.5407098004233672, -2.7976041265578715,
+    -1.7144060200879754, -6.633075101420701, -6.666154068679231,
+    -5.510733638464722, -6.003334131865573, -3.00331975607575,
+    -3.1264778526588417, 1.2038692606609345, -4.213072604807732]
+_DPC_HYPER = [
+    -4.194108183233287, -3.163412879935383, -2.9880920222585248,
+    -1.3737001846647576, -3.01213525800624, -1.0130205853844456,
+    -6.855583966583265, -6.399902341660079, -5.95395364429163,
+    -5.223641600818274, -7.384563997540583, -4.719242840782133,
+    1.0812727372481772, -3.284893690842997, 2.6668791476885905,
+    -4.920985364412107, 1.5137972005903721, -4.4519388512787605]
+_LINEAR_HYPER = [-4.407258916633576, -5.885047323246191, -1.1786968581074055]
 
 
 @pytest.fixture
@@ -35,9 +53,8 @@ def cartpole_model(cartpole):
         model, _ = incorporate_sample(model, x, u, xn,
                                       cartpole.control_matrix, 0.02)
         x = xn if np.linalg.norm(xn) < 20 else np.zeros(4)
-    hypers, _ = fit_hyperparameters(model.train, rng=np.random.default_rng(3),
-                                    n_restarts=1, max_iters=80)
-    return GpModel.from_data(model.train, hypers)
+    return GpModel.from_data(model.train,
+                             KernelHyper.from_vector(_CARTPOLE_HYPER, 4))
 
 
 @pytest.fixture(scope="session")
@@ -56,9 +73,8 @@ def dpc_model(dpc):
         xn = dpc.step(x, u, rng)
         model, _ = incorporate_sample(model, x, u, xn, dpc.control_matrix, 0.02)
         x = xn if np.linalg.norm(xn) < 20 else np.zeros(6)
-    hypers, _ = fit_hyperparameters(model.train, rng=np.random.default_rng(3),
-                                    n_restarts=1, max_iters=80)
-    return GpModel.from_data(model.train, hypers)
+    return GpModel.from_data(model.train,
+                             KernelHyper.from_vector(_DPC_HYPER, 6))
 
 
 @pytest.fixture(scope="session")
@@ -78,9 +94,8 @@ def linear_model(linear_plant):
         xn = linear_plant.step(x, u, rng)
         model, _ = incorporate_sample(model, x, u, xn,
                                       linear_plant.control_matrix, 0.02)
-    hypers, _ = fit_hyperparameters(model.train, rng=np.random.default_rng(9),
-                                    n_restarts=1, max_iters=80)
-    return GpModel.from_data(model.train, hypers)
+    return GpModel.from_data(model.train,
+                             KernelHyper.from_vector(_LINEAR_HYPER, 1))
 
 
 @pytest.fixture

@@ -6,11 +6,11 @@ from scipy.linalg import cho_solve
 
 from gppi import gp
 from gppi.errors import ConfigError
-from gppi.gp import (JITTER_BASE, GpModel, KernelHyper, TrainingSet,
-                     chol_with_jitter, fit_hyperparameters, incorporate_sample,
-                     kernel_eval, kernel_matrix, load_model,
-                     log_marginal_likelihood, posterior_predict, save_model,
-                     tied_log_marginal_likelihood)
+from gppi.gp import (JITTER_BASE, LOG_HYPER_BOUNDS, GpModel, KernelHyper,
+                     TrainingSet, chol_with_jitter, fit_hyperparameters,
+                     incorporate_sample, kernel_eval, kernel_matrix,
+                     load_model, log_marginal_likelihood, posterior_predict,
+                     save_model, tied_log_marginal_likelihood)
 
 
 def _cholesky_reference(train, theta):
@@ -66,6 +66,15 @@ class TestKernel:
         h = KernelHyper.create(1.0, 0.1, [1.0])
         with pytest.raises(ConfigError):
             kernel_eval([np.nan], [0.0], h)
+
+    def test_far_from_origin_matches_pairwise_differences(self):
+        rng = np.random.default_rng(0)
+        X = 1e7 + rng.uniform(0.0, 3.0, size=(30, 2))
+        w = np.array([1.0, 0.5])
+        K = kernel_matrix(X, w)
+        ref = np.exp(-0.5 * ((X[:, None, :] - X[None, :, :]) ** 2) @ w)
+        assert np.max(np.abs(K - ref)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(K)) > -1e-12
 
     def test_invalid_hyper_rejected(self):
         with pytest.raises(ConfigError):
@@ -136,6 +145,14 @@ class TestTiedMarginalLikelihood:
         assert f == pytest.approx(f_ref, rel=1e-10)
         assert np.allclose(g, g_ref, rtol=1e-10, atol=1e-12)
 
+    def test_far_from_origin_matches_cholesky_reference(self, rng):
+        train, theta = _tied_case(rng, 30, 2)
+        far = TrainingSet(train.inputs + 1e7, train.outputs)
+        f, g = tied_log_marginal_likelihood(far, theta)
+        f_ref, g_ref = _cholesky_reference(train, theta)
+        assert f == pytest.approx(f_ref, rel=1e-10)
+        assert np.max(np.abs(g - g_ref)) <= 1e-8 * np.max(np.abs(g_ref))
+
     def test_duplicate_inputs_take_first_jitter_rung(self):
         # K_w = ones(2, 2) has eigenvalues (0, 2); sigma_w^2 = 1e-18 is below
         # the positivity floor, so the first rung JITTER_BASE * scale applies
@@ -151,17 +168,123 @@ class TestTiedMarginalLikelihood:
         assert np.all(np.isfinite(g))
 
     def test_beyond_jitter_max_returns_sentinel(self):
-        # far from the origin the squared distances are lost to cancellation
-        # and K_w is indefinite by far more than JITTER_MAX
+        # sigma_s^2 = exp(800) overflows, so D is not finite and no rung of
+        # the jitter ladder makes it positive
         rng = np.random.default_rng(0)
-        X = 1e8 + rng.uniform(0.0, 3.0, size=(30, 1))
-        train = TrainingSet(X, rng.normal(size=(30, 1)))
-        lml, g = tied_log_marginal_likelihood(train, np.log([1.0, 0.1, 1.0]))
+        train = TrainingSet(rng.uniform(0.0, 3.0, size=(30, 1)),
+                            rng.normal(size=(30, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lml, g = tied_log_marginal_likelihood(
+                train, np.array([400.0, np.log(0.1), 0.0]))
         assert lml == -1e18
         assert np.array_equal(g, np.zeros(3))
 
 
+def _first_order_ascend(objective, theta0, max_iters):
+    """The backtracking gradient ascent that the L-BFGS fit replaced."""
+    lo, hi = LOG_HYPER_BOUNDS
+    theta = np.clip(theta0, lo, hi)
+    f, g = objective(theta)
+    step = 0.1
+    for _ in range(max_iters):
+        if np.max(np.abs(g)) < 1e-6 * max(1.0, abs(f)):
+            break
+        for _ in range(14):
+            cand = np.clip(theta + step * g, lo, hi)
+            f2, g2 = objective(cand)
+            if f2 > f + 1e-4 * step * float(g @ g):
+                theta, f, g = cand, f2, g2
+                step = min(step * 1.5, 10.0)
+                break
+            step *= 0.5
+        else:
+            break
+    return theta, f
+
+
+def _first_order_fit(train, rng, n_restarts, max_iters, probe_iters=30):
+    """Likelihood reached by the replaced fit: every start probed for
+    `probe_iters` iterations, the best polished for the rest."""
+    theta_base = np.clip(gp._default_init(train).as_vector(),
+                         *LOG_HYPER_BOUNDS)
+
+    def objective(theta):
+        return tied_log_marginal_likelihood(train, theta)
+
+    starts = [theta_base] + [theta_base + rng.normal(scale=0.7,
+                                                     size=theta_base.size)
+                             for _ in range(n_restarts)]
+    probed = [_first_order_ascend(objective, th, probe_iters) for th in starts]
+    best, _ = max(probed, key=lambda p: p[1])
+    _, f = _first_order_ascend(objective, best, max(max_iters - probe_iters, 1))
+    return max(f, objective(theta_base)[0])
+
+
+def _projected_gradient(train, hyper):
+    """Likelihood and projected gradient clip(theta + g) - theta on
+    LOG_HYPER_BOUNDS: zero in the entries that push out at a bound."""
+    theta = hyper.as_vector()
+    f, g = tied_log_marginal_likelihood(train, theta)
+    lo, hi = LOG_HYPER_BOUNDS
+    return f, np.clip(theta + g, lo, hi) - theta
+
+
 class TestFit:
+    def test_not_below_first_order_ascent_on_cartpole_data(self,
+                                                           cartpole_model):
+        train = cartpole_model.train
+        assert train.size == 80
+        hyper, status = fit_hyperparameters(
+            train, rng=np.random.default_rng(3), n_restarts=1, max_iters=80)
+        f, _ = tied_log_marginal_likelihood(train, hyper.as_vector())
+        f_ref = _first_order_fit(train, np.random.default_rng(3), 1, 80)
+        assert status == "ok"
+        assert f >= f_ref
+
+    def test_projected_gradient_below_stopping_tolerance(self,
+                                                        cartpole_model):
+        hyper, _ = fit_hyperparameters(cartpole_model.train,
+                                       rng=np.random.default_rng(3))
+        f, pg = _projected_gradient(cartpole_model.train, hyper)
+        assert np.max(np.abs(pg)) < 1e-6 * max(1.0, abs(f))
+
+    def test_sentinel_start_returns_no_improvement(self, monkeypatch, caplog):
+        train = TrainingSet([[0.0], [1.0], [2.0]], [[0.1], [0.3], [0.2]])
+        calls = []
+
+        def sentinel(train, theta):
+            calls.append(theta)
+            return -1e18, np.zeros(theta.size)
+
+        monkeypatch.setattr(gp, "tied_log_marginal_likelihood", sentinel)
+        init = KernelHyper.create(0.5, 0.1, [2.0])
+        with caplog.at_level("WARNING", logger="gppi.gp"):
+            hyper, status = fit_hyperparameters(
+                train, rng=np.random.default_rng(0), n_restarts=2, init=init)
+        assert status == "no-improvement"
+        assert "hyperparameter fit failed to improve" in caplog.text
+        assert np.array_equal(hyper.as_vector(), init.as_vector())
+        assert len(calls) == 3          # one evaluation per start
+
+    def test_result_within_bounds(self):
+        # noise-free data drive log sigma_w onto the lower bound
+        X = np.linspace(-2, 2, 25)[:, None]
+        train = TrainingSet(X, np.sin(2 * X))
+        hyper, status = fit_hyperparameters(train,
+                                            rng=np.random.default_rng(1))
+        theta = hyper.as_vector()
+        lo, hi = LOG_HYPER_BOUNDS
+        assert status == "ok"
+        assert np.all((theta >= lo) & (theta <= hi))
+        assert theta[1] == lo
+
+    def test_same_rng_gives_identical_hyperparameters(self, cartpole_model):
+        a, _ = fit_hyperparameters(cartpole_model.train,
+                                   rng=np.random.default_rng(5), n_restarts=2)
+        b, _ = fit_hyperparameters(cartpole_model.train,
+                                   rng=np.random.default_rng(5), n_restarts=2)
+        assert np.array_equal(a.as_vector(), b.as_vector())
+
     def test_recovers_known_hyperparameters(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(-2, 2, size=(30, 1))

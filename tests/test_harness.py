@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from gppi import harness
 from gppi.cli import main as cli_main
 from gppi.errors import AlignmentError, ConfigError
 from gppi.gp import load_model
@@ -152,6 +153,37 @@ class TestRunLearn:
         assert set(doc["cost"]) == {"Q_diag", "lambda", "dt", "horizon_steps"}
         assert len(doc["controls"]) == 10
         assert len(doc["log_psi"]) == 11
+
+    def test_version_stamped_by_one_git_call_per_process(self, tmp_path,
+                                                          monkeypatch):
+        harness._git_describe.cache_clear()
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        outs = [run_learn(_linear_config(tmp_path / tag, trials=1))["out_dir"]
+                for tag in ("a", "b")]
+        assert len(calls) == 1
+        stamps = [json.loads((out / "version.json").read_text())
+                  for out in outs]
+        assert stamps[0] == stamps[1]
+
+    def test_learning_does_not_import_scipy_optimize(self, tmp_path):
+        # importing scipy.optimize adds about 21 MB of resident memory
+        code = ("import json, sys\n"
+                "from gppi.harness import run_learn\n"
+                "run_learn(json.loads(sys.argv[1]))\n"
+                "print('scipy.optimize' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code,
+             json.dumps(_linear_config(tmp_path, trials=1))],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_unwritable_output_dir(self, tmp_path):
         cfg = _linear_config(tmp_path)
