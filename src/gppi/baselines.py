@@ -39,7 +39,7 @@ class PathCostSample:
         """q_T + sum of interior q_j dt over steps 1..T-1."""
         total = 0.0
         for j in range(1, cost.horizon_steps):
-            total += cost.state_cost(trajectory[j], j) * cost.dt
+            total += cost.state_cost(trajectory[j]) * cost.dt
         total += cost.terminal_cost(trajectory[cost.horizon_steps])
         return float(total)
 
@@ -95,11 +95,10 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
     x_t = np.asarray(x_t, dtype=float)
     status = "ok"
     ess = float(n_samples)
-    targets = np.array([cost.target_at(j) for j in range(1, T + 1)])
 
     for _ in range(n_iterations):
         states, noises = _rollout_batch(plant, x_t, u_seq, n_samples, rng)
-        diffs = states[:, 1:] - targets                     # (S, T, n)
+        diffs = states[:, 1:] - cost.x_d                    # (S, T, n)
         qs = np.einsum("sij,jk,sik->si", diffs[:, :-1], cost.Q, diffs[:, :-1])
         d_T = diffs[:, -1:]                                 # (S, 1, n)
         costs = qs.sum(axis=1) * cost.dt + (
@@ -128,15 +127,12 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
 class LqgSolution:
     value: list            # P_t, t = 0..T
     gains: list            # K_t, t = 0..T-1
-    feedforward: np.ndarray | None = None   # open-loop u_t from x0 (optional)
 
 
-def lqg_solve(A, Bc, Q, R, Qf, horizon: int, x0=None) -> LqgSolution:
+def lqg_solve(A, Bc, Q, R, Qf, horizon: int) -> LqgSolution:
     """Discrete finite-horizon Riccati recursion.
 
     Minimizes sum_t (x' Q x + u' R u) + x_T' Qf x_T for x_{t+1} = A x + B u.
-    With `x0` given, also returns the open-loop control sequence obtained by
-    rolling the feedback policy forward on the noise-free dynamics.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(Bc, dtype=float))
@@ -145,7 +141,6 @@ def lqg_solve(A, Bc, Q, R, Qf, horizon: int, x0=None) -> LqgSolution:
     Qf = np.atleast_2d(np.asarray(Qf, dtype=float))
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    n = A.shape[0]
     P = [None] * (horizon + 1)
     K = [None] * horizon
     P[horizon] = Qf
@@ -161,14 +156,7 @@ def lqg_solve(A, Bc, Q, R, Qf, horizon: int, x0=None) -> LqgSolution:
         P[t] = 0.5 * (P[t] + P[t].T)
         if not np.all(np.isfinite(P[t])):
             raise NumericalError("Riccati recursion blew up")
-    ff = None
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float)
-        ff = np.empty((horizon, B.shape[1]))
-        for t in range(horizon):
-            ff[t] = -K[t] @ x
-            x = A @ x + B @ ff[t]
-    return LqgSolution(P, K, ff)
+    return LqgSolution(P, K)
 
 
 def riccati_residual(sol: LqgSolution, A, Bc, Q, R) -> float:

@@ -245,7 +245,7 @@ def check_riccati(rng) -> bool:
     A = np.array([[1.0, 0.02], [0.0, 1.0]])
     B = np.array([[0.0], [0.02]])
     sol = lqg_solve(A, B, 0.1 * np.eye(2), np.array([[0.5]]),
-                    np.eye(2), 60, x0=[1.0, 0.0])
+                    np.eye(2), 60)
     res = riccati_residual(sol, A, B, 0.1 * np.eye(2), np.array([[0.5]]))
     return _check("Riccati fixed point", res < 1e-10, f"residual {res:.2e}")
 

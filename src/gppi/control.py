@@ -48,10 +48,16 @@ EXPANSION_SCALES = tuple(2.0 ** k for k in
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Quadratic state cost, temperature and horizon."""
+    """Quadratic state cost toward one target state, temperature and horizon.
+
+    Every step's cost is (x - x_d)' Q (x - x_d), the terminal one with
+    Q_terminal, which defaults to Q.  Raises ConfigError for a non-square,
+    asymmetric or indefinite Q or Q_terminal, for Q_terminal of another
+    shape than Q, or for an x_d whose length is not Q's.
+    """
 
     Q: np.ndarray              # (n, n) PSD
-    x_d: np.ndarray            # (n,) or (T+1, n) desired state
+    x_d: np.ndarray            # (n,) desired state
     lam: float                 # temperature
     dt: float
     horizon_steps: int
@@ -66,6 +72,14 @@ class CostSpec:
         object.__setattr__(self, "x_d", np.asarray(self.x_d, dtype=float))
         if self.lam <= 0 or self.dt <= 0 or self.horizon_steps < 1:
             raise ConfigError("require lam > 0, dt > 0, horizon_steps >= 1")
+        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+            raise ConfigError(f"Q must be square, got shape {q.shape}")
+        if self.Q_terminal.shape != q.shape:
+            raise ConfigError(f"Q_terminal must have Q's shape {q.shape}, "
+                              f"got {self.Q_terminal.shape}")
+        if self.x_d.shape != (q.shape[0],):
+            raise ConfigError(f"x_d must have {q.shape[0]} entries, one per "
+                              f"row of Q, got shape {self.x_d.shape}")
         for mat in (self.Q, self.Q_terminal):
             if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
                 raise ConfigError("cost matrices must be symmetric")
@@ -76,26 +90,19 @@ class CostSpec:
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    def target_at(self, step: int) -> np.ndarray:
-        if self.x_d.ndim == 1:
-            return self.x_d
-        return self.x_d[min(step, self.x_d.shape[0] - 1)]
-
-    def state_cost(self, x, step: int | None = None) -> float:
-        d = np.asarray(x, dtype=float) - self.target_at(
-            self.horizon_steps if step is None else step)
+    def state_cost(self, x) -> float:
+        d = np.asarray(x, dtype=float) - self.x_d
         return float(d @ self.Q @ d)
 
     def terminal_cost(self, x) -> float:
-        d = np.asarray(x, dtype=float) - self.target_at(self.horizon_steps)
+        d = np.asarray(x, dtype=float) - self.x_d
         return float(d @ self.Q_terminal @ d)
 
     def tail(self, start: int) -> "CostSpec":
         """Cost over the remaining horizon starting at absolute step `start`."""
         if start < 0 or start >= self.horizon_steps:
             raise ConfigError("tail start out of range")
-        x_d = self.x_d if self.x_d.ndim == 1 else self.x_d[start:]
-        return CostSpec(self.Q, x_d, self.lam, self.dt,
+        return CostSpec(self.Q, self.x_d, self.lam, self.dt,
                         self.horizon_steps - start, self.Q_terminal)
 
 
@@ -128,10 +135,6 @@ class ControlSequence:
         if self.u_max is not None:
             u = np.minimum(u, self.u_max)
         return u
-
-    @staticmethod
-    def zeros(horizon: int, m: int, u_min=None, u_max=None) -> "ControlSequence":
-        return ControlSequence(np.zeros((horizon, m)), u_min=u_min, u_max=u_max)
 
 
 @dataclass
@@ -177,20 +180,19 @@ def log_phi_step(belief: GaussianBelief, cost: CostSpec, step_weight: float,
     Phi = |I + Sigma M|^{-1/2} exp(-0.5 delta' M (I + Sigma M)^{-1} delta)
     with M = (step_weight / lambda) Q and delta = mu - x_d.
 
-    A single belief gives a float and raises NumericalError on failure.  A
-    batch gives log Phi (C,), -inf on the failed and the already dead rows,
-    with partials (C, n) and (C, n, n); a single belief runs as a batch of
-    one through the same arithmetic.
+    `step_index` only labels the errors.  A single belief gives a float and
+    raises NumericalError on failure.  A batch gives log Phi (C,), -inf on
+    the failed and the already dead rows, with partials (C, n) and
+    (C, n, n); a single belief runs as a batch of one through the same
+    arithmetic.
     """
     q = cost.Q_terminal if terminal else cost.Q
     n = cost.dim
     M = (step_weight / cost.lam) * q
-    target = cost.target_at(cost.horizon_steps if step_index is None
-                            else step_index)
     mu = belief.mu.reshape(-1, n)
     sigma = belief.sigma.reshape(-1, n, n)
     checks = RowChecks(belief.ok)
-    delta = mu - target
+    delta = mu - cost.x_d
     J = np.eye(n) + M @ sigma
     sign, logdet = np.linalg.slogdet(J)
     checks.fail(sign == 0, "phi normalization matrix singular", step=step_index)
@@ -552,18 +554,21 @@ def terminal_log_desirability(cost: CostSpec, x_terminal) -> float:
 
 
 def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
-                      init_rollouts: int = 2, rollouts_per_trial: int = 1,
-                      u_max: float = 10.0, inner_max_iters: int = 2,
-                      inner_tol: float = 1e-3, max_points: int | None = 250,
-                      x0=None, fit_restarts: int = 4, fit_max_iters: int = 150,
+                      init_rollouts: int = 2, u_max: float = 10.0,
+                      inner_max_iters: int = 2, inner_tol: float = 1e-3,
+                      max_points: int | None = 250, x0=None,
+                      fit_restarts: int = 4, fit_max_iters: int = 150,
                       refit_max_iters: int = 60) -> LearnResult:
     """Model learning and receding-horizon control, one plant rollout per trial.
 
     Random-control initialization rollouts seed the GP; each trial then runs
-    the full horizon, re-optimizing the remaining control tail at every step
-    from the warm-started previous solution and incorporating every observed
-    transition.  Hyperparameters are refit after initialization and after
-    each completed trial.
+    the full horizon once, re-optimizing the remaining control tail at every
+    step from the warm-started previous solution and incorporating every
+    observed transition.  A trial whose plant step or planning fails
+    numerically is recorded as aborted.  The plan of a completed trial
+    becomes the next trial's warm start when its terminal desirability is
+    not below the best so far.  Hyperparameters are refit after
+    initialization and after each trial.
     """
     import time as _time
 
@@ -600,70 +605,67 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                   max_iters=fit_max_iters)
 
     metrics: list[TrialMetrics] = []
+    # (controls, per-step log Psi_0, per-step gradient, states, terminal
+    # log desirability) of the last completed trial
     last_full = None
     best_terminal = -np.inf
     u_lo, u_hi = np.full(m, -u_max), np.full(m, u_max)
 
     for trial in range(trials):
         t_start = _time.perf_counter()
-        aborted = False
-        for rep in range(rollouts_per_trial):
-            w_rng = hub.spawn("plant-noise", trial * 1000 + rep)
-            x = x0
-            trial_u = u_plan.copy()
-            states = [x]
-            step_logpsi, step_grad = [], []
-            try:
-                for t in range(T):
-                    res = inner_optimize(
-                        model, x,
-                        ControlSequence(trial_u[t:].copy(), u_min=u_lo,
-                                        u_max=u_hi),
-                        cost.tail(t), plant, max_iters=inner_max_iters,
-                        tol=inner_tol)
-                    trial_u[t:] = res.controls.u
-                    try:
-                        x_next = plant.step(x, trial_u[t], w_rng)
-                    except NumericalError as exc:
-                        raise NumericalError(
-                            f"plant step failed at step {t}: {exc}",
-                            jitter=exc.jitter, step=t) from exc
-                    model, _ = incorporate_sample(
-                        model, x, trial_u[t], x_next, plant.control_matrix,
-                        cost.dt)
-                    step_logpsi.append(res.log_psi0)
-                    step_grad.append(res.trace.grad_psi_over_psi[0])
-                    states.append(x_next)
-                    x = x_next
-            except NumericalError as exc:
-                logger.warning("trial %d aborted: %s", trial, exc)
-                aborted = True
-            if not aborted:
-                # Adopt the replanned sequence as the next warm start only if
-                # it improved the terminal outcome; otherwise restart from the
-                # incumbent so plateau noise does not random-walk the plan.
-                terminal = terminal_log_desirability(cost, states[-1])
-                if terminal >= best_terminal:
-                    best_terminal = terminal
-                    u_plan = trial_u
-                last_full = (trial_u.copy(), np.array(step_logpsi),
-                             np.array(step_grad), np.array(states))
-
-        if aborted or last_full is None:
+        # the stream index of a trial once had room for repeated rollouts;
+        # it is kept so that every seed reproduces its earlier runs
+        w_rng = hub.spawn("plant-noise", trial * 1000)
+        x = x0
+        trial_u = u_plan.copy()
+        states = [x]
+        step_logpsi, step_grad = [], []
+        try:
+            for t in range(T):
+                res = inner_optimize(
+                    model, x,
+                    ControlSequence(trial_u[t:].copy(), u_min=u_lo,
+                                    u_max=u_hi),
+                    cost.tail(t), plant, max_iters=inner_max_iters,
+                    tol=inner_tol)
+                trial_u[t:] = res.controls.u
+                try:
+                    x_next = plant.step(x, trial_u[t], w_rng)
+                except NumericalError as exc:
+                    raise NumericalError(
+                        f"plant step failed at step {t}: {exc}",
+                        jitter=exc.jitter, step=t) from exc
+                model, _ = incorporate_sample(
+                    model, x, trial_u[t], x_next, plant.control_matrix,
+                    cost.dt)
+                step_logpsi.append(res.log_psi0)
+                step_grad.append(res.trace.grad_psi_over_psi[0])
+                states.append(x_next)
+                x = x_next
+        except NumericalError as exc:
+            logger.warning("trial %d aborted: %s", trial, exc)
             metrics.append(TrialMetrics(trial, float("nan"), float("nan"),
                                         _time.perf_counter() - t_start, True))
         else:
-            x_term = last_full[3][-1]
+            # Adopt the replanned sequence as the next warm start only if it
+            # improved the terminal outcome; otherwise restart from the
+            # incumbent so plateau noise does not random-walk the plan.
+            terminal = terminal_log_desirability(cost, states[-1])
+            if terminal >= best_terminal:
+                best_terminal = terminal
+                u_plan = trial_u
+            last_full = (trial_u.copy(), np.array(step_logpsi),
+                         np.array(step_grad), np.array(states), terminal)
             metrics.append(TrialMetrics(
-                trial, terminal_log_desirability(cost, x_term),
-                cost.terminal_cost(x_term),
+                trial, terminal, cost.terminal_cost(states[-1]),
                 _time.perf_counter() - t_start, states=last_full[3]))
         model = refit(model, rng=hub.spawn("hyper-refit", trial),
                       n_restarts=0, max_iters=refit_max_iters)
 
     if last_full is None:
         raise NumericalError("every trial aborted; no controller learned")
-    controls, log_psi, grads, states = last_full
-    term = np.concatenate([log_psi, [terminal_log_desirability(cost, states[-1])]])
+    controls, log_psi, grads, states, terminal = last_full
     grads_full = np.vstack([grads, np.zeros((1, n))])
-    return LearnResult(model, metrics, controls, term, grads_full, states, cost)
+    return LearnResult(model, metrics, controls,
+                       np.concatenate([log_psi, [terminal]]), grads_full,
+                       states, cost)

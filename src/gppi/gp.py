@@ -30,7 +30,6 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack, qr_delete, solve_triangular
@@ -63,7 +62,9 @@ class KernelHyper:
 
     Output dimension e has signal amplitude sigma_s[e] and noise sigma_w[e];
     every output shares the one diagonal W of inverse squared length scales.
-    `as_vector` is the theta layout of `tied_log_marginal_likelihood`.
+    `as_vector` is the theta layout of `tied_log_marginal_likelihood`.  The
+    derived arrays (`w`, the variances) are cached on first read; callers
+    must not write into them.
     """
 
     log_sigma_s: np.ndarray  # (E,)
@@ -81,22 +82,22 @@ class KernelHyper:
         if not np.all(np.isfinite(self.as_vector())):
             raise ConfigError("kernel hyperparameters must be finite")
 
-    @property
+    @cached_property
     def w(self) -> np.ndarray:
         """Diagonal of W (inverse squared length scales)."""
         return np.exp(self.log_w)
 
-    @property
+    @cached_property
     def signal_var(self) -> np.ndarray:
         """sigma_s^2 per output dimension."""
         return _squares(self.log_sigma_s)
 
-    @property
+    @cached_property
     def noise_var(self) -> np.ndarray:
         """sigma_w^2 per output dimension."""
         return _squares(self.log_sigma_w)
 
-    @property
+    @cached_property
     def prior_var(self) -> np.ndarray:
         """Prior variance sigma_s^2 + sigma_w^2 per output dimension."""
         return self.signal_var + self.noise_var
@@ -180,16 +181,21 @@ class GpModel:
         return self.train.size
 
     @cached_property
-    def alphas(self) -> tuple:
-        """K^-1 y per output dimension, (N,) each: two triangular solves."""
-        return tuple(cho_solve((L, True), self.train.outputs[:, dim])
-                     if L.size else np.zeros(0)
-                     for dim, L in enumerate(self.chols))
+    def alphas(self) -> np.ndarray:
+        """K^-1 y of each output dimension, (E, N): two triangular solves
+        per row."""
+        return np.stack([cho_solve((L, True), self.train.outputs[:, dim])
+                         if L.size else np.zeros(0)
+                         for dim, L in enumerate(self.chols)])
 
     @cached_property
-    def inv_grams(self) -> tuple:
-        """K^-1 per output dimension, (N, N) each, by LAPACK potri on L."""
-        return tuple(_chol_inverse(L) for L in self.chols)
+    def inv_grams(self) -> np.ndarray:
+        """K^-1 of each output dimension, (E, N, N), by LAPACK potri on L.
+        C-contiguous, so that the flat (E, N*N) view is free."""
+        out = np.empty((len(self.chols), self.n_points, self.n_points))
+        for dim, L in enumerate(self.chols):
+            out[dim] = _chol_inverse(L)
+        return out
 
     @staticmethod
     def from_data(train: TrainingSet, hyper: KernelHyper,
@@ -376,29 +382,28 @@ def _default_init(train: TrainingSet) -> KernelHyper:
     return KernelHyper.create(sy, np.maximum(0.1 * sy, 1e-6), 1.0 / sx ** 2)
 
 
-def _lbfgs_ascent(objective, theta0):
-    """Limited-memory BFGS ascent (Nocedal 1980) in log-hyper space.
+def _lbfgs_ascent(objective, theta, f, g, max_iters: int):
+    """Limited-memory BFGS ascent (Nocedal 1980) in log-hyper space, from
+    `theta` with value f and gradient g, for at most `max_iters` accepted
+    steps.  Returns (theta, f) after the last accepted step, or the start
+    when no step is accepted.
 
-    A generator: yields (theta, f) at the start and after every accepted
-    step.  The direction comes from the two-loop recursion over the last
-    10 pairs (s, y) with s'y > 1e-10 y'y, restricted to the coordinates not
-    held at a bound, and is taken by `_armijo_step`.  Without pairs, or
-    when that direction is no ascent direction or finds no Armijo point,
-    the pairs are dropped and the projected gradient, scaled to at most 1
-    per coordinate, is tried instead.  It stops when the projected gradient
-    is below 1e-6 max(1, |f|), at a sentinel start, or when that
+    The direction comes from the two-loop recursion over the last 10 pairs
+    (s, y) with s'y > 1e-10 y'y, restricted to the coordinates not held at
+    a bound, and is taken by `_armijo_step`.  Without pairs, or when that
+    direction is no ascent direction or finds no Armijo point, the pairs
+    are dropped and the projected gradient, scaled to at most 1 per
+    coordinate, is tried instead.  It stops when the projected gradient is
+    below 1e-6 max(1, |f|), at a sentinel start, or when that
     steepest-ascent step fails too.
     """
     lo, hi = LOG_HYPER_BOUNDS
-    theta = np.clip(theta0, lo, hi)
-    f, g = objective(theta)
     pairs = deque(maxlen=10)
-    while True:
-        yield theta, f
+    for _ in range(max_iters):
         free = ~(((theta <= lo) & (g < 0)) | ((theta >= hi) & (g > 0)))
         pg = np.where(free, g, 0.0)
         if f <= _SENTINEL or np.max(np.abs(pg)) < 1e-6 * max(1.0, abs(f)):
-            return
+            break
         step = None
         if pairs:
             d = _two_loop(pg, pairs)
@@ -410,12 +415,13 @@ def _lbfgs_ascent(objective, theta0):
             step = _armijo_step(objective, theta, f, g,
                                 pg / max(1.0, float(np.max(np.abs(pg)))))
             if step is None:
-                return
+                break
         cand, f2, g2 = step
         s, y = cand - theta, g - g2
         if float(s @ y) > 1e-10 * float(y @ y):
             pairs.append((s, y))
         theta, f, g = cand, f2, g2
+    return theta, f
 
 
 def _armijo_step(objective, theta, f, g, d):
@@ -446,48 +452,25 @@ def _two_loop(g, pairs):
     return r
 
 
-def _advance(run, state, iters: int):
-    """The state of generator `run` after `iters` more yields, or its last
-    one if it stops first; `state` if it yields none."""
-    for state in islice(run, max(iters, 0)):
-        pass
-    return state
-
-
-def _restarted_ascent(objective, theta_base, rng, n_restarts, probe_iters,
-                      max_iters):
-    """L-BFGS ascents from `theta_base` and from `n_restarts` random
-    perturbations of it, each probed for `probe_iters` iterations; the best
-    one then continues, memory intact, to `max_iters` iterations in all.
-    Returns (theta, f, f at theta_base)."""
-    starts = [theta_base]
-    for _ in range(n_restarts):
-        starts.append(theta_base + rng.normal(scale=0.7, size=theta_base.size))
-    runs = [_lbfgs_ascent(objective, th) for th in starts]
-    heads = [next(run) for run in runs]
-    probed = [_advance(run, head, probe_iters)
-              for run, head in zip(runs, heads)]
-    best = max(range(len(runs)), key=lambda i: probed[i][1])
-    theta, f = _advance(runs[best], probed[best], max_iters - probe_iters)
-    return theta, f, heads[0][1]
-
-
 def fit_hyperparameters(train: TrainingSet, *, rng=None, n_restarts: int = 4,
-                        max_iters: int = 200, probe_iters: int = 0,
+                        max_iters: int = 200,
                         init: KernelHyper | None = None):
-    """Fit a model's kernel hyperparameters by restarted L-BFGS ascent.
+    """Fit a model's kernel hyperparameters by L-BFGS ascent from the best
+    of several starts.
 
     One W serves every output dimension (it makes the uncertain-input moment
     computation far cheaper), and `tied_log_marginal_likelihood` is ascended
     over all dimensions jointly: one `eigh` of the length-scale Gram per
     evaluation, with the jitter rule stated there.  `init` warm-starts the
-    ascent.  Random restarts are probed for `probe_iters` iterations and
-    only the most promising candidate is continued to the full budget; by
-    default they are compared by their starting likelihood alone, as in
-    the learning loop's fits every start reached the same optimum.
+    fit; without it the start comes from the data's spread.
+
+    Restart rule: the `n_restarts` perturbations N(0, 0.7^2) of the start
+    are all drawn from `rng` first, then the start and each perturbation,
+    clipped onto LOG_HYPER_BOUNDS, are evaluated once, and the ascent runs
+    for up to `max_iters` steps from the first start of the highest value.
     Returns (hyper, status) where status is 'ok' or, when the result is
-    below the start or the likelihood's sentinel, 'no-improvement' (with
-    the start returned).
+    below the unperturbed start or the likelihood's sentinel,
+    'no-improvement' (with the unperturbed start returned).
     """
     if train.size < 2:
         raise ConfigError("need at least two training pairs to fit")
@@ -495,14 +478,20 @@ def fit_hyperparameters(train: TrainingSet, *, rng=None, n_restarts: int = 4,
         rng = np.random.default_rng(0)
     base = init if init is not None else _default_init(train)
     theta_base = np.clip(base.as_vector(), *LOG_HYPER_BOUNDS)
+    starts = [theta_base] + [
+        np.clip(theta_base + rng.normal(scale=0.7, size=theta_base.size),
+                *LOG_HYPER_BOUNDS)
+        for _ in range(n_restarts)]
 
     def objective(theta):
         return tied_log_marginal_likelihood(train, theta)
 
-    theta, f, f0 = _restarted_ascent(objective, theta_base, rng, n_restarts,
-                                     probe_iters, max_iters)
+    values = [objective(th) for th in starts]
+    best = max(range(len(starts)), key=lambda i: values[i][0])
+    theta, f = _lbfgs_ascent(objective, starts[best], *values[best],
+                             max_iters)
     status = "ok"
-    if f < f0 or f <= _SENTINEL:
+    if f < values[0][0] or f <= _SENTINEL:
         logger.warning("hyperparameter fit failed to improve")
         status = "no-improvement"
         theta = theta_base

@@ -42,10 +42,10 @@ _DEFAULT_CONFIG = {
               "noise_std": 0.01, "params": {}},
     "cost": {"Q_diag": None, "x_d": None, "lambda": 0.2,
              "horizon_steps": None, "terminal_scale": 1.0},
-    "protocol": {"init_rollouts": None, "rollouts_per_trial": 1, "trials": 10,
-                 "inner_max_iters": 3, "inner_tol": 1e-3, "seed": 0,
-                 "u_max": 10.0, "max_points": 250, "x0": None,
-                 "baseline_samples": 1000, "baseline_iterations": 50},
+    "protocol": {"init_rollouts": None, "trials": 10, "inner_max_iters": 3,
+                 "inner_tol": 1e-3, "seed": 0, "u_max": 10.0,
+                 "max_points": 250, "x0": None, "baseline_samples": 1000,
+                 "baseline_iterations": 50},
     "output_dir": "runs/out",
 }
 
@@ -140,6 +140,30 @@ def build_cost(cost_cfg: dict, dt: float) -> CostSpec:
                     int(cost_cfg["horizon_steps"]), q_term)
 
 
+def _plant_cost_start(config: dict):
+    """The run's plant, cost and start state.  Raises ConfigError unless
+    cost.Q_diag, cost.x_d and a set protocol.x0 each hold one number per
+    state of the plant."""
+    plant = build_plant(config["plant"])
+    n = plant.spec.n
+    for section, key in (("cost", "Q_diag"), ("cost", "x_d"),
+                         ("protocol", "x0")):
+        value = config[section][key]
+        if value is None:
+            continue
+        try:
+            shape = np.asarray(value, dtype=float).shape
+        except (TypeError, ValueError):
+            shape = None
+        if shape != (n,):
+            raise ConfigError(f"{section}.{key} must hold {n} numbers, one "
+                              f"per state of the {plant.spec.name} plant, "
+                              f"got {value!r}")
+    x0 = config["protocol"]["x0"]
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    return plant, build_cost(config["cost"], config["plant"]["dt"]), x0
+
+
 @functools.cache
 def _git_describe() -> str:
     """`git describe` of the package's checkout, or 'unknown'; run once per
@@ -187,19 +211,17 @@ def _flush_failure(out_dir: Path, exc: Exception) -> None:
 
 
 def run_learn(config: dict) -> dict:
-    """Execute the learning protocol and write all run artifacts."""
+    """Execute the learning protocol and write all run artifacts.  A config
+    that does not fit its plant raises ConfigError before the run directory
+    is made."""
     config = fill_defaults(config)
+    plant, cost, x0 = _plant_cost_start(config)
     out = _prepare_run_dir(config)
-    plant = build_plant(config["plant"])
-    cost = build_cost(config["cost"], config["plant"]["dt"])
     proto = config["protocol"]
-    x0 = np.zeros(plant.spec.n) if proto["x0"] is None \
-        else np.asarray(proto["x0"], dtype=float)
     try:
         result = mpc_learning_loop(
             plant, cost, trials=int(proto["trials"]), seed=int(proto["seed"]),
             init_rollouts=int(proto["init_rollouts"]),
-            rollouts_per_trial=int(proto["rollouts_per_trial"]),
             u_max=float(proto["u_max"]),
             inner_max_iters=int(proto["inner_max_iters"]),
             inner_tol=float(proto["inner_tol"]),
@@ -217,7 +239,7 @@ def run_learn(config: dict) -> dict:
     save_model(result.model, out / "model.json")
     record = ControllerRecord(
         task_id=out.name,
-        x_d=cost.target_at(cost.horizon_steps),
+        x_d=cost.x_d,
         cost_fields=CostFields(np.diag(cost.Q), cost.lam, cost.dt,
                                cost.horizon_steps),
         controls=result.controls,
@@ -252,6 +274,10 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     new_target = np.asarray(new_target, dtype=float)
     if new_target.shape[0] != plant.spec.n:
         raise ConfigError("target dimension does not match plant state")
+    x0 = doc.get("x0")
+    x0 = np.zeros(plant.spec.n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (plant.spec.n,):
+        raise ConfigError("manifest x0 dimension does not match plant state")
     p_diag = doc.get("P_diag")
     if p_diag is None:
         p_diag = TaskLibrary.default_kernel_width(records, new_target)
@@ -270,8 +296,6 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
 
     hub = RngHub(seed)
     ref = records[0].cost_fields
-    x0 = doc.get("x0")
-    x0 = np.zeros(plant.spec.n) if x0 is None else np.asarray(x0, dtype=float)
     states = _executed_rollout(plant, x0, controls.u[:ref.horizon_steps],
                                hub.stream("compose-noise"))
     term = composite_terminal_log_desirability(library, weights, states[-1])
@@ -303,13 +327,10 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
 def run_baseline(config: dict) -> dict:
     """Sampling-PI baseline on the true plant; same trace schema as learn."""
     config = fill_defaults(config)
+    plant, cost, x0 = _plant_cost_start(config)
     out = _prepare_run_dir(config)
-    plant = build_plant(config["plant"])
-    cost = build_cost(config["cost"], config["plant"]["dt"])
     proto = config["protocol"]
     hub = RngHub(int(proto["seed"]))
-    x0 = np.zeros(plant.spec.n) if proto["x0"] is None \
-        else np.asarray(proto["x0"], dtype=float)
     try:
         res = sampling_pi_control(
             plant, x0, np.zeros((cost.horizon_steps, plant.spec.m)), cost,

@@ -111,35 +111,6 @@ class IncrementPrediction:
     ok: np.ndarray | None = None   # (C,) for a batch: rows whose checks passed
 
 
-class _ModelStacks:
-    """Per-model arrays stacked over output dimensions, cached on the model."""
-
-    def __init__(self, model: GpModel):
-        n = model.state_dim
-        self.w = model.hyper.w                                         # (n,)
-        self.prior_var = model.hyper.prior_var                         # (E,)
-        self.sig_s2 = model.hyper.signal_var                           # (E,)
-        N = model.n_points
-        self.inputs = model.train.inputs                               # (N, n)
-        # C-contiguous, so that the trace terms run as BLAS products on
-        # the flat (E, N*N) view
-        self.inv_grams = np.empty((n, N, N))
-        if N:
-            self.alphas = np.stack(model.alphas)                       # (E, N)
-            np.stack(model.inv_grams, out=self.inv_grams)
-        else:
-            self.alphas = np.zeros((n, 0))
-        self.inv_grams_flat = self.inv_grams.reshape(n, N * N)
-
-
-def _stacks(model: GpModel) -> _ModelStacks:
-    cache = model.__dict__.get("_stacks_cache")
-    if cache is None:
-        cache = _ModelStacks(model)
-        model.__dict__["_stacks_cache"] = cache
-    return cache
-
-
 # ---------------------------------------------------------------------------
 # Row checks of a candidate batch
 # ---------------------------------------------------------------------------
@@ -223,27 +194,27 @@ def predict_increment(model: GpModel, mu_in, sigma_in, *,
                                        np.zeros((C, n, n)), ok=checks.ok)
         return IncrementPrediction(np.zeros(n), sig, np.zeros((n, n)))
 
-    st = _stacks(model)
     zeta = model.train.inputs[None, :, :] - m[:, None, :]         # (C, N, n)
-    mu_f, sigma_f, cov, parts = _values(st, zeta, S, checks)
+    mu_f, sigma_f, cov, parts = _values(model, zeta, S, checks)
     if not single:
         return IncrementPrediction(mu_f, sigma_f, cov, ok=checks.ok)
     vjp = None
     if with_vjp:
         row = {k: a[0] for k, a in parts.items()}
-        vjp = partial(_vjp, st, m[0], S[0], mu_f[0], row)
+        vjp = partial(_vjp, model, m[0], S[0], mu_f[0], row)
     return IncrementPrediction(mu_f[0], sigma_f[0], cov[0], vjp)
 
 
-def _log_qbar(st: "_ModelStacks", zeta, Y, logdet_r):
+def _log_qbar(w, zeta, Y, logdet_r):
     """eta (C, N, n) and log Qbar (C, N, N).
 
     Qbar[i, j] = |R|^-1/2 exp(-0.5 zeta_i' W zeta_i - 0.5 zeta_j' W zeta_j
                               + 0.5 z_ij' R^-1 S z_ij),  z_ij = eta_i + eta_j,
     zeta_i = x_i - m, so that sigma_s,a^2 sigma_s,b^2 Qbar[i, j] is the
-    mean of k_a(x_i, x) k_b(x_j, x) (signal parts) over x ~ N(m, S).
+    mean of k_a(x_i, x) k_b(x_j, x) (signal parts) over x ~ N(m, S), with
+    w the diagonal of W.
     """
-    eta = zeta * st.w                                            # (C, N, n)
+    eta = zeta * w                                               # (C, N, n)
     u = eta @ Y                                                  # (C, N, n)
     r_row = -0.5 * np.einsum("cnj,cnj->cn", eta, zeta) \
         + 0.5 * np.einsum("cnj,cnj->cn", u, eta)                 # (C, N)
@@ -254,7 +225,7 @@ def _log_qbar(st: "_ModelStacks", zeta, Y, logdet_r):
     return eta, Kbar
 
 
-def _values(st: "_ModelStacks", zeta, S, checks: RowChecks):
+def _values(model: GpModel, zeta, S, checks: RowChecks):
     """Value moments for a batch of beliefs.
 
     Every output pair (a, b) has the matrix sigma_s,a^2 sigma_s,b^2 Qbar, so
@@ -263,8 +234,9 @@ def _values(st: "_ModelStacks", zeta, S, checks: RowChecks):
     intermediates a pullback reuses, none of them N x N.
     """
     n = zeta.shape[2]
-    w = st.w
-    sig2 = st.sig_s2                                             # (E,)
+    hyper, alphas = model.hyper, model.alphas                    # (E, N)
+    w = hyper.w
+    sig2 = hyper.signal_var                                      # (E,)
     eye = np.eye(n)
 
     A = S + np.diag(1.0 / w)                                     # (C, n, n)
@@ -277,7 +249,7 @@ def _values(st: "_ModelStacks", zeta, S, checks: RowChecks):
     logq0 = -half_ratio[:, None] \
         - 0.5 * np.einsum("cnj,cnj->cn", T, zeta)                # (C, N)
     qbar = np.exp(logq0)
-    lq = (sig2[:, None] * st.alphas)[None] * qbar[:, None, :]    # (C, E, N)
+    lq = (sig2[:, None] * alphas)[None] * qbar[:, None, :]       # (C, E, N)
     mu_f = lq.sum(axis=2)
     v = lq @ T                                                   # (C, E, n)
     cov = S @ v.transpose(0, 2, 1)                               # (C, n, E)
@@ -289,16 +261,17 @@ def _values(st: "_ModelStacks", zeta, S, checks: RowChecks):
     checks.fail(bad, "pair normalization matrix not PD")
     Y = np.linalg.solve(identity_where(bad, R), S)
     Y = 0.5 * (Y + Y.transpose(0, 2, 1))
-    _, Kbar = _log_qbar(st, zeta, Y, logdet_r)
+    _, Kbar = _log_qbar(w, zeta, Y, logdet_r)
     Qbar = np.exp(Kbar, out=Kbar)                                # (C, N, N)
 
-    M2 = st.alphas @ (Qbar @ st.alphas.T)                        # (C, E, E)
+    M2 = alphas @ (Qbar @ alphas.T)                              # (C, E, E)
     e2 = np.outer(sig2, sig2) * M2
-    # one BLAS product per row: a batched product sums in a different order
-    tr_base = np.stack([st.inv_grams_flat @ q.reshape(-1)
-                        for q in Qbar])                          # (C, E)
+    # one BLAS product per row on the flat (E, N*N) view of the inverse
+    # Grams: a batched product sums in a different order
+    inv_flat = model.inv_grams.reshape(len(sig2), -1)
+    tr_base = np.stack([inv_flat @ q.reshape(-1) for q in Qbar])  # (C, E)
     tr = sig2 ** 2 * tr_base
-    model_var = np.maximum(st.sig_s2 - tr, 0.0) + st.prior_var - st.sig_s2
+    model_var = np.maximum(sig2 - tr, 0.0) + hyper.prior_var - sig2
     sigma_f = e2 - mu_f[:, :, None] * mu_f[:, None, :]
     sigma_f[:, np.arange(n), np.arange(n)] += model_var
     sigma_f = 0.5 * (sigma_f + sigma_f.transpose(0, 2, 1))
@@ -366,12 +339,13 @@ def _output_weights(mu_f, g_mu, g_sig, g_cov, S):
     return Csym, g_mu - 2.0 * (Csym @ mu_f), g_cov.T @ S
 
 
-def _vjp(st: "_ModelStacks", m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
+def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     """Pullback of the moments for one belief."""
     T, v = p["T"], p["v"]
     N = T.shape[0]
-    sig2 = st.sig_s2
-    a2 = sig2[:, None] * st.alphas                               # (E, N)
+    w = model.hyper.w
+    sig2 = model.hyper.signal_var
+    a2 = sig2[:, None] * model.alphas                               # (E, N)
     Csym, g_mf, psi = _output_weights(mu_f, g_mu, g_sig, g_cov, S)
 
     # mean and cross covariance: one weight per training point on d log q,
@@ -384,13 +358,13 @@ def _vjp(st: "_ModelStacks", m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     active = (sig2 - p["tr"]) > 0.0
     t = np.where(active, sig2 ** 2 * np.diag(Csym), 0.0)
     Wq = a2.T @ (Csym @ a2)
-    Wq -= (t @ st.inv_grams_flat).reshape(N, N)
+    Wq -= (t @ model.inv_grams.reshape(len(sig2), N * N)).reshape(N, N)
     # Qbar is recomputed, not stored: it is the one N x N array of the step
-    zeta = st.inputs[None, :, :] - m[None, None, :]
-    eta, B = _log_qbar(st, zeta, p["Y"][None], p["logdet_r"][None])
+    zeta = model.train.inputs[None, :, :] - m[None, None, :]
+    eta, B = _log_qbar(w, zeta, p["Y"][None], p["logdet_r"][None])
     B = np.exp(B[0], out=B[0])
     B *= Wq
-    pm, pS = _pair_pullback(B, eta[0], 2.0 * st.w, p["Y"], p["R"])
+    pm, pS = _pair_pullback(B, eta[0], 2.0 * w, p["Y"], p["R"])
     return d_m + pm, d_S + pS
 
 

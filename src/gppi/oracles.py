@@ -175,13 +175,11 @@ def path_integral_quadrature(model: GpModel, x0, controls, plant,
             child = centers[:, None, :] + std[:, None, :] * xi[None, :, :]
             child = child.reshape(-1, n)
             w_child = (lw[:, None] + logw_node[None, :]).reshape(-1)
-            j = t + 1
-            if j < T:
-                d = child - cost.target_at(j)
+            d = child - cost.x_d
+            if t + 1 < T:
                 w_child = w_child - (cost.dt / (2 * cost.lam)) * np.einsum(
                     "mi,ij,mj->m", d, cost.Q, d)
             else:
-                d = child - cost.target_at(T)
                 w_child = w_child - (1.0 / (2 * cost.lam)) * np.einsum(
                     "mi,ij,mj->m", d, cost.Q_terminal, d)
             new_states.append(child)
@@ -210,14 +208,16 @@ def linear_chain_log_integral(A, b, W, cost, x0) -> float:
     T = cost.horizon_steps
     lam = cost.lam
 
-    def cost_quadratic(q_mat, target, scale):
+    def cost_quadratic(q_mat, scale):
         P = scale * q_mat
-        r = -P @ target
-        c = 0.5 * float(target @ P @ target)
+        r = -P @ cost.x_d
+        c = 0.5 * float(cost.x_d @ P @ cost.x_d)
         return P, r, c
 
+    # interior weight of every step 1..T-1
+    Pq, rq, cq = cost_quadratic(cost.Q, cost.dt / lam)
     # value exponent at step j as exp(-0.5 x'Px - r'x - c)
-    P, r, c = cost_quadratic(cost.Q_terminal, cost.target_at(T), 1.0 / lam)
+    P, r, c = cost_quadratic(cost.Q_terminal, 1.0 / lam)
     for j in range(T - 1, 0, -1):
         # integrate y ~ N(Ax + b, W) against exp(-0.5 y'Py - r'y - c)
         J = np.eye(n) + W @ P
@@ -232,8 +232,6 @@ def linear_chain_log_integral(A, b, W, cost, x0) -> float:
         r_x = A.T @ (P_m @ b + r_m)
         c_x = c_m + 0.5 * float(b @ P_m @ b) + float(r_m @ b)
         # multiply the interior weight at step j
-        Pq, rq, cq = cost_quadratic(cost.Q, cost.target_at(j),
-                                    cost.dt / lam)
         P, r, c = P_x + Pq, r_x + rq, c_x + cq
         P = 0.5 * (P + P.T)
     # final integration from the deterministic x0 through step 1's kernel

@@ -64,7 +64,14 @@ class PlantSpec:
             raise ConfigError("substeps must be >= 1")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if self.B.ndim != 2 or self.B.shape[0] != self.n:
+            raise ConfigError(f"B must have one row per state (n={self.n}), "
+                              f"got shape {self.B.shape}")
+        p = self.B.shape[1]
         w = self.sigma_omega
+        if w.shape != (p, p):
+            raise ConfigError(f"sigma_omega must be {p} x {p}, one row and "
+                              f"column per column of B, got shape {w.shape}")
         if not np.allclose(w, w.T) or np.any(np.linalg.eigvalsh(w) < -1e-12):
             raise ConfigError("sigma_omega must be symmetric PSD")
 
@@ -563,6 +570,8 @@ def make_plant(name: str, *, dt: float = 0.02, substeps: int = 10,
     a = np.atleast_2d(np.asarray(p["A"], dtype=float))
     bc = np.atleast_2d(np.asarray(p["Bc"], dtype=float))
     n, m = a.shape[0], bc.shape[1]
+    if a.shape != (n, n):
+        raise ConfigError(f"linear plant A must be square, got shape {a.shape}")
     bdiff = np.asarray(p.get("B", np.eye(n)), dtype=float)
     bdiff = np.atleast_2d(bdiff)
     sw = np.asarray(p.get("sigma_omega", std ** 2 * np.eye(bdiff.shape[1])),

@@ -31,7 +31,6 @@ def cartpole_swingup(seed: int = 0, trials: int = 20, output_dir: str = "runs/ca
                  "lambda": 0.2, "horizon_steps": proto["horizon_steps"],
                  "terminal_scale": 2.0},
         "protocol": {"init_rollouts": proto["init_rollouts"],
-                     "rollouts_per_trial": 1,
                      "trials": trials, "inner_max_iters": 2,
                      "inner_tol": 1e-3, "seed": seed, "u_max": 20.0,
                      "max_points": 200},
@@ -49,7 +48,6 @@ def dpc_swingup(seed: int = 0, trials: int = 10, output_dir: str = "runs/dpc") -
                  "lambda": 0.3, "horizon_steps": proto["horizon_steps"],
                  "terminal_scale": 2.0},
         "protocol": {"init_rollouts": proto["init_rollouts"],
-                     "rollouts_per_trial": 1,
                      "trials": trials, "inner_max_iters": 1,
                      "inner_tol": 1e-3, "seed": seed, "u_max": 20.0,
                      "max_points": 200},
@@ -68,7 +66,6 @@ def arm_reach(target, seed: int = 0, trials: int = 3,
                  "lambda": 0.3, "horizon_steps": proto["horizon_steps"],
                  "terminal_scale": 2.0},
         "protocol": {"init_rollouts": proto["init_rollouts"],
-                     "rollouts_per_trial": 1,
                      "trials": trials, "inner_max_iters": 1,
                      "inner_tol": 1e-3, "seed": seed, "u_max": 4.0,
                      "max_points": 200},

@@ -154,7 +154,7 @@ def _sampling_pi_per_sample(plant, x_t, u_old, cost, n_samples, rng,
         interior = np.arange(1, T)
         for s in range(n_samples):
             traj = states[s]
-            diffs = traj[interior] - [cost.target_at(j) for j in interior]
+            diffs = traj[interior] - cost.x_d
             qs = np.einsum("ij,jk,ik->i", diffs, cost.Q, diffs)
             costs[s] = qs.sum() * cost.dt + cost.terminal_cost(traj[T])
         logw = -costs / cost.lam

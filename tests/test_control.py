@@ -484,6 +484,49 @@ class TestMpcLoop:
         lp = terminal_log_desirability(cost, [0.0])
         assert lp == pytest.approx(-2.0 * 1.0 / (2 * 0.5))
 
+    def _linear_run(self, trials, **kwargs):
+        plant = make_plant("linear", params=dict(A=[[-0.3]], Bc=[[1.0]],
+                                                 B=[[0.05]],
+                                                 sigma_omega=[[1.0]]))
+        cost = CostSpec([[1.0]], [0.5], 0.5, 0.02, 10)
+        return mpc_learning_loop(plant, cost, trials=trials, seed=1,
+                                 init_rollouts=1, u_max=2.0,
+                                 inner_max_iters=2, max_points=80,
+                                 fit_restarts=1, fit_max_iters=40,
+                                 refit_max_iters=20, **kwargs)
+
+    def test_aborted_trial_recorded_and_skipped(self, monkeypatch):
+        from gppi import control
+        calls = []
+
+        def failing_first_trial(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:         # step 2 of trial 0
+                raise NumericalError("injected", step=2)
+            return inner_optimize(*args, **kwargs)
+
+        monkeypatch.setattr(control, "inner_optimize", failing_first_trial)
+        res = self._linear_run(trials=2)
+        first, second = res.metrics
+        assert first.aborted and np.isnan(first.terminal_log_psi)
+        assert np.isnan(first.terminal_cost) and first.states is None
+        assert not second.aborted
+        # the result is the completed trial's, with its terminal value once
+        assert np.array_equal(res.states, second.states)
+        assert res.log_psi[-1] == second.terminal_log_psi
+        assert res.log_psi[-1] == terminal_log_desirability(res.cost,
+                                                            res.states[-1])
+
+    def test_every_trial_aborted_raises(self, monkeypatch):
+        from gppi import control
+
+        def failing(*args, **kwargs):
+            raise NumericalError("injected", step=0)
+
+        monkeypatch.setattr(control, "inner_optimize", failing)
+        with pytest.raises(NumericalError, match="every trial aborted"):
+            self._linear_run(trials=2)
+
 
 def _sequential_inner_optimize(model, x0, controls_init, cost, plant,
                                max_iters, tol):
@@ -653,3 +696,17 @@ class TestBatchedLineSearch:
             forward_rollout(GpModel.empty(1), [0.0],
                             ControlSequence(batch.u[-1]), plant, cost,
                             compute_jac=False)
+
+
+class TestCostSpec:
+    @pytest.mark.parametrize("Q,x_d,Q_terminal", [
+        (np.ones((2, 3)), [0.0, 0.0], None),
+        (np.eye(2), [0.0, 0.0], np.eye(3)),
+        (np.eye(2), [0.0, 0.0, 0.0], None),
+        (np.eye(2), np.zeros((11, 2)), None),
+        (np.eye(2), 0.0, None),
+    ], ids=["Q-not-square", "Q_terminal-shape", "x_d-length", "x_d-per-step",
+            "x_d-scalar"])
+    def test_malformed_shapes_rejected(self, Q, x_d, Q_terminal):
+        with pytest.raises(ConfigError):
+            CostSpec(Q, x_d, 1.0, 0.02, 10, Q_terminal)

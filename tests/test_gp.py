@@ -266,6 +266,36 @@ class TestFit:
         assert np.array_equal(hyper.as_vector(), init.as_vector())
         assert len(calls) == 3          # one evaluation per start
 
+    @pytest.mark.parametrize("start_values,best", [
+        ((1.0, 5.0, 5.0), 1), ((1.0, 2.0, 7.0), 2), ((3.0, 3.0, 3.0), 0)])
+    def test_ascent_continues_from_best_start(self, monkeypatch, start_values,
+                                              best):
+        train = TrainingSet([[0.0], [1.0], [2.0]], [[0.1], [0.3], [0.2]])
+        calls = []
+
+        def stub(train, theta):
+            # the starts get `start_values` and a gradient of 0.5; every
+            # later point is worse, so the first step fails its Armijo test
+            calls.append(np.array(theta))
+            if len(calls) <= len(start_values):
+                return start_values[len(calls) - 1], np.full(theta.size, 0.5)
+            return 0.0, np.zeros(theta.size)
+
+        monkeypatch.setattr(gp, "tied_log_marginal_likelihood", stub)
+        init = KernelHyper.create(0.5, 0.1, [2.0])
+        hyper, status = fit_hyperparameters(
+            train, rng=np.random.default_rng(0), n_restarts=2, init=init)
+        starts, ascent = calls[:3], calls[3:]
+        assert np.array_equal(starts[0], init.as_vector())
+        assert not np.array_equal(starts[1], starts[2])
+        # the first trial step is a full steepest-ascent step from the best
+        assert np.array_equal(ascent[0],
+                              np.clip(starts[best] + 0.5, *LOG_HYPER_BOUNDS))
+        # each start is evaluated exactly once
+        assert not any(np.array_equal(c, st) for c in ascent for st in starts)
+        assert status == "ok"
+        assert np.array_equal(hyper.as_vector(), starts[best])
+
     def test_result_within_bounds(self):
         # noise-free data drive log sigma_w onto the lower bound
         X = np.linspace(-2, 2, 25)[:, None]

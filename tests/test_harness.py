@@ -83,6 +83,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             fill_defaults({"cost": {"Qdiag": [1.0]}})
 
+    def test_rollouts_per_trial_is_unknown(self):
+        with pytest.raises(ConfigError, match="rollouts_per_trial"):
+            fill_defaults({"cost": {"Q_diag": [1.0] * 4, "x_d": [0.0] * 4},
+                           "protocol": {"rollouts_per_trial": 1}})
+
     def test_missing_required_rejected(self):
         with pytest.raises(ConfigError):
             fill_defaults({})
@@ -192,6 +197,23 @@ class TestRunLearn:
         cfg["output_dir"] = str(blocker / "sub")
         with pytest.raises(ConfigError):
             run_learn(cfg)
+
+
+@pytest.mark.parametrize("runner", [run_learn, run_baseline],
+                         ids=["learn", "baseline"])
+@pytest.mark.parametrize("section,key,value", [
+    ("protocol", "x0", [0.0, 0.0]),
+    ("cost", "Q_diag", [1.0, 1.0]),
+    ("cost", "x_d", [0.5, 0.0]),
+    ("cost", "x_d", [[0.5]]),
+])
+def test_state_length_mismatch_is_config_error(tmp_path, runner, section, key,
+                                               value):
+    cfg = _linear_config(tmp_path)
+    cfg[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        runner(cfg)
+    assert not Path(cfg["output_dir"]).exists()
 
 
 class TestRunCompose:
@@ -317,6 +339,15 @@ class TestRunCompose:
         assert info.value.field == "plant"
         assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2
 
+    def test_manifest_x0_of_other_length_rejected(self, tmp_path):
+        manifest = self._make_library(tmp_path, targets=(0.3,))
+        doc = json.loads(manifest.read_text())
+        doc["x0"] = [0.0, 0.0]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="x0"):
+            run_compose(manifest, [0.3])
+        assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2
+
     def test_record_without_plant_rejected(self, tmp_path):
         T = 3
         rec = ControllerRecord("task0", [0.3], CostFields([1.0], 0.5, 0.02, T),
@@ -364,6 +395,13 @@ class TestCli:
         p.write_text("{not json")
         assert cli_main(["learn", str(p)]) == 2
         assert cli_main(["learn", str(tmp_path / "missing.json")]) == 2
+
+    def test_malformed_shape_exit_2(self, tmp_path):
+        cfg = _linear_config(tmp_path)
+        cfg["plant"]["params"]["A"] = [[-0.4, 0.0]]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli_main(["learn", str(p)]) == 2
 
     def test_check_fast_passes(self):
         assert cli_main(["check", "--fast"]) == 0

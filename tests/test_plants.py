@@ -324,6 +324,11 @@ def test_singular_inertia_raises(name, params):
     ("arm", dict(friction=np.nan)),
     ("arm", dict(gravity=9.81)),
     ("linear", dict(A=[[0.0]], Bc=[[1.0]], C=[[1.0]])),
+    # malformed shapes: A not square, B rows, sigma_omega against B's columns
+    ("linear", dict(A=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], Bc=[[0.0], [1.0]])),
+    ("linear", dict(A=np.zeros((2, 2)), Bc=[[0.0], [1.0]], B=[[1.0, 0.0]])),
+    ("linear", dict(A=np.zeros((2, 2)), Bc=[[0.0], [1.0]], B=[[1.0], [0.0]],
+                    sigma_omega=np.eye(2))),
 ])
 def test_make_plant_rejects_bad_parameters(name, params):
     with pytest.raises(ConfigError):
