@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import (ControlSequence, CostSpec, backward_desirability,
-                      forward_rollout, log_phi_step, terminal_log_desirability)
+from .control import (LOG_PHI_FLOOR, ControlSequence, CostSpec,
+                      backward_desirability, forward_rollout, log_phi_step,
+                      terminal_log_desirability)
 from .errors import AlignmentError, ConfigError
 from .moments import GaussianBelief
 from .records import ControllerRecord
@@ -39,7 +40,8 @@ class TaskLibrary:
             raise ConfigError("kernel width entries must be positive")
         ref = self.records[0]
         for rec in self.records[1:]:
-            for name in ("Q_diag", "lam", "dt", "horizon_steps"):
+            for name in ("Q_diag", "lam", "dt", "horizon_steps",
+                         "terminal_scale"):
                 if not np.allclose(getattr(rec.cost_fields, name),
                                    getattr(ref.cost_fields, name)):
                     raise AlignmentError(name)
@@ -50,8 +52,9 @@ class TaskLibrary:
 
     def cost_for(self, target) -> CostSpec:
         ref = self.records[0].cost_fields
-        return CostSpec(np.diag(ref.Q_diag), np.asarray(target, dtype=float),
-                        ref.lam, ref.dt, ref.horizon_steps)
+        q = np.diag(ref.Q_diag)
+        return CostSpec(q, np.asarray(target, dtype=float), ref.lam, ref.dt,
+                        ref.horizon_steps, ref.terminal_scale * q)
 
     @staticmethod
     def default_kernel_width(records, new_target=None) -> np.ndarray:
@@ -123,7 +126,7 @@ def composite_control(library: TaskLibrary, weights: CompositeWeights,
         logits.append((math.log(w) if w > 0 else -math.inf) + rec.log_psi[t])
     peak = max(logits)
     status = "ok"
-    if not math.isfinite(peak) or all(rec.log_psi[t] <= -700.0
+    if not math.isfinite(peak) or all(rec.log_psi[t] <= LOG_PHI_FLOOR
                                       for rec in library.records):
         mix = weights.omega_tilde
         status = "saturated-uniform"

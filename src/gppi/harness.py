@@ -29,17 +29,18 @@ from .control import (ControlSequence, CostSpec, mpc_learning_loop,
 from .baselines import PathCostSample, sampling_pi_control
 from .errors import AlignmentError, ConfigError, NumericalError
 from .gp import save_model
-from .plants import canonical_plant_name, make_plant
+from .plants import (DT, NOISE_STD, SUBSTEPS, canonical_plant_name,
+                     make_plant)
 from .protocols import PLANT_PROTOCOLS
 from .records import (ControllerRecord, CostFields, export_trace_csv,
-                      load_manifest, load_record, save_record)
+                      load_manifest, load_record, save_record, write_csv)
 from .rng import RngHub
 
 logger = logging.getLogger(__name__)
 
 _DEFAULT_CONFIG = {
-    "plant": {"name": "cartpole", "dt": 0.02, "substeps": 10,
-              "noise_std": 0.01, "params": {}},
+    "plant": {"name": "cartpole", "dt": DT, "substeps": SUBSTEPS,
+              "noise_std": NOISE_STD, "params": {}},
     "cost": {"Q_diag": None, "x_d": None, "lambda": 0.2,
              "horizon_steps": None, "terminal_scale": 1.0},
     "protocol": {"init_rollouts": None, "trials": 10, "inner_max_iters": 3,
@@ -113,13 +114,6 @@ def load_config(path) -> dict:
     return fill_defaults(raw)
 
 
-def build_plant(plant_cfg: dict):
-    return make_plant(plant_cfg["name"], dt=plant_cfg["dt"],
-                      substeps=plant_cfg["substeps"],
-                      params=plant_cfg["params"] or {},
-                      noise_std=plant_cfg["noise_std"])
-
-
 def _same_plant(a, b) -> bool:
     """Whether two built plants have the same dynamics: name, integration
     settings, noise and every parameter."""
@@ -144,7 +138,7 @@ def _plant_cost_start(config: dict):
     """The run's plant, cost and start state.  Raises ConfigError unless
     cost.Q_diag, cost.x_d and a set protocol.x0 each hold one number per
     state of the plant."""
-    plant = build_plant(config["plant"])
+    plant = make_plant(**config["plant"])
     n = plant.spec.n
     for section, key in (("cost", "Q_diag"), ("cost", "x_d"),
                          ("protocol", "x0")):
@@ -179,8 +173,10 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _prepare_run_dir(config: dict) -> Path:
-    out = Path(config["output_dir"])
+def _make_run_dir(path) -> Path:
+    """The directory `path`, made if need be and stamped with version.json;
+    ConfigError if it cannot be written."""
+    out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write-probe"
@@ -188,21 +184,17 @@ def _prepare_run_dir(config: dict) -> Path:
         probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output dir not writable: {exc}") from exc
-    with open(out / "config_snapshot.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
     with open(out / "version.json", "w", encoding="utf-8") as fh:
         json.dump({"package_version": __version__,
                    "git": _git_describe()}, fh)
     return out
 
 
-def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(c) if isinstance(c, float) else str(c)
-                              for c in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _prepare_run_dir(config: dict) -> Path:
+    out = _make_run_dir(config["output_dir"])
+    with open(out / "config_snapshot.json", "w", encoding="utf-8") as fh:
+        json.dump(config, fh, indent=2, sort_keys=True)
+    return out
 
 
 def _flush_failure(out_dir: Path, exc: Exception) -> None:
@@ -230,18 +222,19 @@ def run_learn(config: dict) -> dict:
         _flush_failure(out, exc)
         raise
 
-    _write_csv(out / "metrics.csv",
-               ["trial", "terminal_log_psi", "terminal_cost"],
-               [(m.trial, float(m.terminal_log_psi), float(m.terminal_cost))
-                for m in result.metrics])
-    _write_csv(out / "timing.csv", ["trial", "wall_seconds"],
-               [(m.trial, float(m.wall_seconds)) for m in result.metrics])
+    write_csv(out / "metrics.csv",
+              ["trial", "terminal_log_psi", "terminal_cost"],
+              [(m.trial, float(m.terminal_log_psi), float(m.terminal_cost))
+               for m in result.metrics])
+    write_csv(out / "timing.csv", ["trial", "wall_seconds"],
+              [(m.trial, float(m.wall_seconds)) for m in result.metrics])
     save_model(result.model, out / "model.json")
     record = ControllerRecord(
         task_id=out.name,
         x_d=cost.x_d,
         cost_fields=CostFields(np.diag(cost.Q), cost.lam, cost.dt,
-                               cost.horizon_steps),
+                               cost.horizon_steps,
+                               float(config["cost"]["terminal_scale"])),
         controls=result.controls,
         log_psi=result.log_psi,
         grad_psi_over_psi=result.grad_psi_over_psi,
@@ -263,10 +256,10 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     """
     doc = load_manifest(manifest_path)
     plant_cfg = _merge_section("plant", _DEFAULT_CONFIG["plant"], doc["plant"])
-    plant = build_plant(plant_cfg)
+    plant = make_plant(**plant_cfg)
     records = [load_record(p) for p in doc["records"]]
     for path, rec in zip(doc["records"], records):
-        learned_on = build_plant(_merge_section(
+        learned_on = make_plant(**_merge_section(
             "plant", _DEFAULT_CONFIG["plant"], rec.plant))
         if not _same_plant(learned_on, plant):
             raise AlignmentError("plant", f"record {path} was learned on a "
@@ -285,14 +278,7 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     weights = task_weights(library, new_target)
     controls = composite_control_sequence(library, weights)
 
-    out = None
-    if output_dir is not None:
-        cfg = {"output_dir": str(output_dir)}
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "version.json", "w", encoding="utf-8") as fh:
-            json.dump({"package_version": __version__,
-                       "git": _git_describe()}, fh)
+    out = None if output_dir is None else _make_run_dir(output_dir)
 
     hub = RngHub(seed)
     ref = records[0].cost_fields
@@ -316,10 +302,10 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
         save_record(record, out / "controller.json")
         export_trace_csv(out / "trace.csv", ref.dt, states,
                          np.zeros_like(states), controls.u, log_psi)
-        _write_csv(out / "metrics.csv",
-                   ["task", "terminal_log_psi"],
-                   [("composite", float(term))]
-                   + [(r.task_id, float(r.log_psi[-1])) for r in records])
+        write_csv(out / "metrics.csv",
+                  ["task", "terminal_log_psi"],
+                  [("composite", float(term))]
+                  + [(r.task_id, float(r.log_psi[-1])) for r in records])
     return {"record": record, "states": states, "terminal_log_psi": term,
             "weights": weights, "library": library, "out_dir": out}
 
@@ -351,9 +337,9 @@ def run_baseline(config: dict) -> dict:
         log_psi[t] = -tail / cost.lam
     export_trace_csv(out / "trace.csv", cost.dt, states,
                      np.zeros_like(states), res.controls, log_psi)
-    _write_csv(out / "metrics.csv",
-               ["terminal_log_psi", "terminal_cost", "ess"],
-               [(float(log_psi[-1]), float(cost.terminal_cost(states[-1])),
-                 float(res.ess))])
+    write_csv(out / "metrics.csv",
+              ["terminal_log_psi", "terminal_cost", "ess"],
+              [(float(log_psi[-1]), float(cost.terminal_cost(states[-1])),
+                float(res.ess))])
     return {"controls": res.controls, "states": states, "ess": res.ess,
             "status": res.status, "out_dir": out}

@@ -27,13 +27,19 @@ a fraction of a small `np.linalg.solve`), and `control_matrix`, which
 broadcasts it over any leading batch shape.  A singular or non-finite
 inertia raises `NumericalError`.
 
+Each articulated plant is one row of the table `_ARTICULATED`, from which
+`make_plant` builds it and the alias map is built; the linear plant has its
+own short branch.  `DT`, `SUBSTEPS` and `NOISE_STD` are the one home of the
+integration and noise defaults, which the harness config defaults read.
+
 Angles are raw (unwrapped); "hanging down" is 0 and "upright" is pi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,18 +58,19 @@ class PlantSpec:
     params: dict
     B: np.ndarray              # diffusion matrix, n x p
     sigma_omega: np.ndarray    # Brownian increment variance, p x p
-    dt: float = 0.02
-    substeps: int = 10
+    dt: float
+    substeps: int
 
     def __post_init__(self):
         self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
         self.sigma_omega = np.atleast_2d(np.asarray(self.sigma_omega, dtype=float))
         if self.n < 1 or self.m < 1:
             raise ConfigError("state and control dimensions must be >= 1")
-        if self.substeps < 1:
-            raise ConfigError("substeps must be >= 1")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        s = self.substeps
+        if not isinstance(s, numbers.Integral) or isinstance(s, bool) or s < 1:
+            raise ConfigError(f"plant substeps must be an integer >= 1, "
+                              f"got {s!r}")
+        _require_number("plant dt", self.dt)
         if self.B.ndim != 2 or self.B.shape[0] != self.n:
             raise ConfigError(f"B must have one row per state (n={self.n}), "
                               f"got shape {self.B.shape}")
@@ -466,26 +473,39 @@ class TwoLinkArm(Plant):
 # Registry
 # ---------------------------------------------------------------------------
 
-_CARTPOLE_PARAMS = dict(cart_mass=0.5, pole_mass=0.5, pole_length=0.5,
-                        gravity=9.81, friction=0.1)
-_DPC_PARAMS = dict(cart_mass=0.5, link1_mass=0.5, link2_mass=0.5,
-                   link1_length=0.5, link2_length=0.5, gravity=9.81,
-                   friction=0.1)
-_ARM_PARAMS = dict(link1_mass=0.5, link2_mass=0.5, link1_length=0.5,
-                   link2_length=0.5, friction=0.1)
+# The integration and noise defaults of every plant.
+DT = 0.02
+SUBSTEPS = 10
+NOISE_STD = 0.01
 
-_NOISE_STD_DEFAULT = 0.01
+# The articulated plants by canonical name: class, state and control
+# dimensions, the velocity rows that Brownian noise enters, the physical
+# defaults (the only parameter names accepted) and the plant's aliases.
+_ARTICULATED = {
+    "cartpole": (
+        CartPole, 4, 1, (1, 3),
+        dict(cart_mass=0.5, pole_mass=0.5, pole_length=0.5, gravity=9.81,
+             friction=0.1),
+        ("cart-pole", "cp")),
+    "double-pendulum-cart": (
+        DoublePendulumCart, 6, 1, (1, 3, 5),
+        dict(cart_mass=0.5, link1_mass=0.5, link2_mass=0.5, link1_length=0.5,
+             link2_length=0.5, gravity=9.81, friction=0.1),
+        ("dpc", "cart-double-pendulum")),
+    "two-link-arm": (
+        TwoLinkArm, 4, 2, (2, 3),
+        dict(link1_mass=0.5, link2_mass=0.5, link1_length=0.5,
+             link2_length=0.5, friction=0.1),
+        ("arm", "twolink")),
+}
+
+# Every canonical plant name: the articulated plants, then the linear one.
+PLANT_NAMES = (*_ARTICULATED, "linear")
 
 # Every accepted spelling of a plant name, mapped to its canonical name.
-_PLANT_ALIASES = {
-    "cartpole": "cartpole", "cart-pole": "cartpole", "cp": "cartpole",
-    "double-pendulum-cart": "double-pendulum-cart",
-    "dpc": "double-pendulum-cart",
-    "cart-double-pendulum": "double-pendulum-cart",
-    "two-link-arm": "two-link-arm", "arm": "two-link-arm",
-    "twolink": "two-link-arm",
-    "linear": "linear",
-}
+_PLANT_ALIASES = {**{name: name for name in PLANT_NAMES},
+                  **{alias: name for name, (*_, aliases) in _ARTICULATED.items()
+                     for alias in aliases}}
 
 
 def canonical_plant_name(name) -> str:
@@ -501,11 +521,15 @@ def canonical_plant_name(name) -> str:
     return key
 
 
-def _velocity_rows_B(n: int, vel_rows: list[int]) -> np.ndarray:
-    b = np.zeros((n, len(vel_rows)))
-    for j, r in enumerate(vel_rows):
-        b[r, j] = 1.0
-    return b
+def _require_number(what: str, value, may_be_zero: bool = False) -> None:
+    """ConfigError unless `value` is a real number (not a bool or a string)
+    that is finite and positive or, with `may_be_zero`, non-negative."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (value >= 0 if may_be_zero else value > 0)):
+        sign = "non-negative" if may_be_zero else "positive"
+        raise ConfigError(f"{what} must be a finite, {sign} number, "
+                          f"got {value!r}")
 
 
 def _physical_params(defaults: dict, params: dict | None) -> dict:
@@ -518,49 +542,29 @@ def _physical_params(defaults: dict, params: dict | None) -> dict:
                           f"expected some of {sorted(defaults)}")
     p = {**defaults, **(params or {})}
     for key, value in p.items():
-        may_be_zero = key in ("friction", "gravity")
-        try:
-            v = float(value)
-        except (TypeError, ValueError):
-            v = np.nan
-        if not (np.isfinite(v) and (v >= 0.0 if may_be_zero else v > 0.0)):
-            sign = "non-negative" if may_be_zero else "positive"
-            raise ConfigError(f"plant parameter '{key}' must be a finite, "
-                              f"{sign} number, got {value!r}")
+        _require_number(f"plant parameter '{key}'", value,
+                        may_be_zero=key in ("friction", "gravity"))
     return p
 
 
-def make_plant(name: str, *, dt: float = 0.02, substeps: int = 10,
+def make_plant(name: str, *, dt: float = DT, substeps: int = SUBSTEPS,
                params: dict | None = None,
-               noise_std: float | None = None) -> Plant:
+               noise_std: float = NOISE_STD) -> Plant:
     """Build a plant by name with optional parameter overrides.
 
     The articulated plants accept only their own parameter names, and check
     the physical values (see `_physical_params`); the linear plant takes A,
-    Bc and optionally B and sigma_omega.  Raises ConfigError otherwise.
+    Bc and optionally B and sigma_omega.  Raises ConfigError otherwise, and
+    unless `noise_std` is finite and non-negative (`PlantSpec` checks `dt`
+    and `substeps`).
     """
     key = canonical_plant_name(name)
-    std = _NOISE_STD_DEFAULT if noise_std is None else noise_std
-    if key == "cartpole":
-        p = _physical_params(_CARTPOLE_PARAMS, params)
-        vel = [1, 3]
-        spec = PlantSpec("cartpole", 4, 1, p, _velocity_rows_B(4, vel),
-                         std ** 2 * np.eye(len(vel)), dt, substeps)
-        return CartPole(spec)
-    if key == "double-pendulum-cart":
-        p = _physical_params(_DPC_PARAMS, params)
-        vel = [1, 3, 5]
-        spec = PlantSpec("double-pendulum-cart", 6, 1, p,
-                         _velocity_rows_B(6, vel),
-                         std ** 2 * np.eye(len(vel)), dt, substeps)
-        return DoublePendulumCart(spec)
-    if key == "two-link-arm":
-        p = _physical_params(_ARM_PARAMS, params)
-        vel = [2, 3]
-        spec = PlantSpec("two-link-arm", 4, 2, p, _velocity_rows_B(4, vel),
-                         std ** 2 * np.eye(len(vel)), dt, substeps)
-        return TwoLinkArm(spec)
-    # the only canonical name left is "linear"
+    _require_number("plant noise_std", noise_std, may_be_zero=True)
+    if key in _ARTICULATED:
+        cls, n, m, rows, defaults, _ = _ARTICULATED[key]
+        return cls(PlantSpec(key, n, m, _physical_params(defaults, params),
+                             np.eye(n)[:, rows],
+                             noise_std ** 2 * np.eye(len(rows)), dt, substeps))
     p = dict(params or {})
     if "A" not in p or "Bc" not in p:
         raise ConfigError("linear plant requires params A and Bc")
@@ -574,7 +578,5 @@ def make_plant(name: str, *, dt: float = 0.02, substeps: int = 10,
         raise ConfigError(f"linear plant A must be square, got shape {a.shape}")
     bdiff = np.asarray(p.get("B", np.eye(n)), dtype=float)
     bdiff = np.atleast_2d(bdiff)
-    sw = np.asarray(p.get("sigma_omega", std ** 2 * np.eye(bdiff.shape[1])),
-                    dtype=float)
-    spec = PlantSpec("linear", n, m, p, bdiff, sw, dt, substeps)
-    return LinearPlant(spec)
+    sw = p.get("sigma_omega", noise_std ** 2 * np.eye(bdiff.shape[1]))
+    return LinearPlant(PlantSpec(key, n, m, p, bdiff, sw, dt, substeps))

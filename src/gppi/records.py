@@ -18,7 +18,10 @@ to simulate the composite controller.
 
 A record file carries the `plant` config section of the run that learned
 it, so composition can check that a record matches the plant it is run on;
-`load_record` rejects a record file without one.
+`load_record` rejects a record file without one.  Its `cost` section
+carries `terminal_scale`, the factor of Q in the terminal weight, so that
+composition rebuilds the terminal cost the task was learned with;
+`load_record` rejects a record file without it as well.
 """
 
 from __future__ import annotations
@@ -34,12 +37,14 @@ from .errors import ConfigError
 
 @dataclass
 class CostFields:
-    """The persisted subset of a cost specification (diagonal Q only)."""
+    """The persisted subset of a cost specification (diagonal Q only); the
+    terminal weight is `terminal_scale` times Q."""
 
     Q_diag: np.ndarray
     lam: float
     dt: float
     horizon_steps: int
+    terminal_scale: float = 1.0
 
     def __post_init__(self):
         self.Q_diag = np.atleast_1d(np.asarray(self.Q_diag, dtype=float))
@@ -78,6 +83,7 @@ def save_record(record: ControllerRecord, path) -> None:
             "lambda": record.cost_fields.lam,
             "dt": record.cost_fields.dt,
             "horizon_steps": record.cost_fields.horizon_steps,
+            "terminal_scale": record.cost_fields.terminal_scale,
         },
         "controls": record.controls.tolist(),
         "log_psi": record.log_psi.tolist(),
@@ -96,6 +102,9 @@ def load_record(path) -> ControllerRecord:
     if not isinstance(doc.get("plant"), dict) or "name" not in doc["plant"]:
         raise ConfigError(f"controller record {path} has no 'plant' section "
                           "naming the plant it was learned on")
+    if "terminal_scale" not in (doc.get("cost") or {}):
+        raise ConfigError(f"controller record {path} has no "
+                          "'cost.terminal_scale'")
     try:
         model_ref = str(doc.get("model_ref", ""))
         if model_ref and not os.path.isabs(model_ref):
@@ -104,7 +113,8 @@ def load_record(path) -> ControllerRecord:
         cost = CostFields(np.asarray(doc["cost"]["Q_diag"], dtype=float),
                           float(doc["cost"]["lambda"]),
                           float(doc["cost"]["dt"]),
-                          int(doc["cost"]["horizon_steps"]))
+                          int(doc["cost"]["horizon_steps"]),
+                          float(doc["cost"]["terminal_scale"]))
         return ControllerRecord(
             str(doc["task_id"]),
             np.asarray(doc["x_d"], dtype=float),
@@ -136,15 +146,20 @@ def export_trace_csv(path, dt, mus, sigma_diags, controls, log_psis) -> None:
     header += [f"sigma_diag_{i}" for i in range(n)]
     header += [f"u_{j}" for j in range(m)]
     header += ["log_psi"]
+    write_csv(path, header, (
+        [step, step * dt,
+         *map(float, mus[step]), *map(float, sig[step]),
+         *map(float, us[min(step, us.shape[0] - 1)]), float(lp[step])]
+        for step in range(mus.shape[0])))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header` and `rows` as CSV lines; a float cell is written with
+    `repr`, so that it reads back exactly, any other cell with `str`."""
     lines = [",".join(header)]
-    for step in range(mus.shape[0]):
-        u_row = us[min(step, us.shape[0] - 1)]
-        cells = [str(step), repr(step * dt)]
-        cells += [repr(float(v)) for v in mus[step]]
-        cells += [repr(float(v)) for v in sig[step]]
-        cells += [repr(float(v)) for v in u_row]
-        cells += [repr(float(lp[step]))]
-        lines.append(",".join(cells))
+    for row in rows:
+        lines.append(",".join(repr(c) if isinstance(c, float) else str(c)
+                              for c in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -241,3 +241,16 @@ def test_composite_near_independent_on_linear_plant(linear_plant,
     d_comp = terminal_desirability(u_comp.u)
     d_dir = terminal_desirability(res_direct.controls.u)
     assert d_comp >= 0.9 * d_dir
+
+
+def test_terminal_scale_aligns_and_weights_the_terminal_cost():
+    a = _record("a", [0.0], np.ones((4, 1)))
+    a.cost_fields.terminal_scale = 2.0
+    lib = TaskLibrary([a], [1.0])
+    assert np.array_equal(lib.cost_for([0.3]).Q_terminal, [[2.0]])
+    w = task_weights(lib, [0.0])
+    assert composite_terminal_cost(lib, w, [1.0]) == pytest.approx(2.0)
+    b = _record("b", [1.0], np.ones((4, 1)))
+    with pytest.raises(AlignmentError) as err:
+        TaskLibrary([a, b], [1.0])
+    assert err.value.field == "terminal_scale"

@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 
 from gppi import harness
 from gppi.cli import main as cli_main
+from gppi.control import CostSpec, terminal_log_desirability
 from gppi.errors import AlignmentError, ConfigError
 from gppi.gp import load_model
 from gppi.harness import (fill_defaults, load_config, run_baseline,
@@ -155,7 +156,8 @@ class TestRunLearn:
         assert set(doc) == {"task_id", "x_d", "cost", "controls", "log_psi",
                             "grad_psi_over_psi", "model_ref", "plant"}
         assert doc["plant"] == fill_defaults(_linear_config(tmp_path))["plant"]
-        assert set(doc["cost"]) == {"Q_diag", "lambda", "dt", "horizon_steps"}
+        assert set(doc["cost"]) == {"Q_diag", "lambda", "dt", "horizon_steps",
+                                    "terminal_scale"}
         assert len(doc["controls"]) == 10
         assert len(doc["log_psi"]) == 11
 
@@ -429,3 +431,36 @@ class TestRng:
         hub.stream("a-new-component").standard_normal(8)
         after = hub.stream("plant-noise").standard_normal(8)
         assert np.array_equal(before, after)
+
+
+def test_compose_keeps_the_learned_terminal_weight(tmp_path):
+    cfg = _linear_config(tmp_path / "task0", trials=1)
+    cfg["cost"]["terminal_scale"] = 2.0
+    record_path = run_learn(cfg)["out_dir"] / "controller.json"
+    assert load_record(record_path).cost_fields.terminal_scale == 2.0
+    manifest = tmp_path / "manifest.json"
+    save_manifest(manifest, [record_path], [2.0], cfg["plant"])
+    res = run_compose(manifest, [0.5], output_dir=tmp_path / "composite")
+    x_T = res["states"][-1]
+    learned = CostSpec([[1.0]], [0.5], 0.5, 0.02, 10, [[2.0]])
+    assert res["terminal_log_psi"] == pytest.approx(
+        terminal_log_desirability(learned, x_T), rel=1e-12)
+    assert res["terminal_log_psi"] != pytest.approx(
+        terminal_log_desirability(CostSpec([[1.0]], [0.5], 0.5, 0.02, 10), x_T))
+    doc = json.loads((res["out_dir"] / "controller.json").read_text())
+    assert doc["cost"]["terminal_scale"] == 2.0
+
+
+def test_record_without_terminal_scale_rejected(tmp_path):
+    T = 3
+    rec = ControllerRecord("task0", [0.3], CostFields([1.0], 0.5, 0.02, T),
+                           np.zeros((T, 1)), np.zeros(T + 1),
+                           np.zeros((T + 1, 1)),
+                           plant={"name": "linear"})
+    path = tmp_path / "task0.json"
+    save_record(rec, path)
+    doc = json.loads(path.read_text())
+    del doc["cost"]["terminal_scale"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="terminal_scale"):
+        load_record(path)

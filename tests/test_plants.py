@@ -351,3 +351,16 @@ def test_non_finite_inertia_raises(name, angle):
                      lambda x: plant.control_matrix(np.stack([np.zeros_like(x), x]))):
             with pytest.raises(NumericalError):
                 call(x)
+
+
+@pytest.mark.parametrize("name", ["cartpole", "linear"])
+@pytest.mark.parametrize("setting,value", [
+    ("dt", np.nan), ("dt", np.inf), ("dt", 0.0), ("dt", -0.02), ("dt", "0.02"),
+    ("substeps", 2.5), ("substeps", 0), ("substeps", True),
+    ("noise_std", -0.5), ("noise_std", None), ("noise_std", "x"),
+    ("noise_std", np.nan), ("noise_std", np.inf),
+])
+def test_make_plant_rejects_bad_settings(name, setting, value):
+    params = dict(A=[[0.0]], Bc=[[1.0]]) if name == "linear" else None
+    with pytest.raises(ConfigError, match=setting):
+        make_plant(name, params=params, **{setting: value})
