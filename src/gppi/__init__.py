@@ -14,13 +14,13 @@ from .control import (BeliefTrajectory, ControlSequence, CostSpec,
                       control_update, desirability_gradient, forward_rollout,
                       inner_optimize, mpc_learning_loop, phi_step)
 from .gp import (GpModel, KernelHyper, TrainingSet, fit_hyperparameters,
-                 incorporate_sample, kernel_eval, load_model,
-                 log_marginal_likelihood, posterior_predict, save_model)
+                 incorporate_sample, load_model, log_marginal_likelihood,
+                 posterior_predict, save_model)
 from .moments import (GaussianBelief, IncrementPrediction, moment_match,
                       predict_increment)
 from .compose import (CompositeWeights, TaskLibrary, composite_control,
                       composite_terminal_cost, task_weights, verify_linearity)
-from .baselines import PathCostSample, lqg_solve, sampling_pi_control
+from .baselines import sampling_pi_control
 from .plants import Plant, PlantSpec, make_plant
 from .records import ControllerRecord, CostFields, load_record, save_record
 from .rng import RngHub
@@ -28,14 +28,13 @@ from .rng import RngHub
 __all__ = [
     "BeliefTrajectory", "CompositeWeights", "ControlSequence",
     "ControllerRecord", "CostFields", "CostSpec", "DesirabilityTrace",
-    "GaussianBelief", "GpModel", "IncrementPrediction",
-    "KernelHyper", "PathCostSample", "Plant", "PlantSpec", "RngHub",
-    "TaskLibrary", "TrainingSet", "backward_desirability",
-    "composite_control", "composite_terminal_cost", "control_update",
-    "desirability_gradient", "fit_hyperparameters", "forward_rollout",
-    "incorporate_sample", "inner_optimize", "kernel_eval", "load_model",
-    "load_record", "log_marginal_likelihood", "lqg_solve", "make_plant",
-    "moment_match", "mpc_learning_loop", "phi_step", "posterior_predict",
-    "predict_increment", "sampling_pi_control", "save_model", "save_record",
-    "task_weights", "verify_linearity",
+    "GaussianBelief", "GpModel", "IncrementPrediction", "KernelHyper",
+    "Plant", "PlantSpec", "RngHub", "TaskLibrary", "TrainingSet",
+    "backward_desirability", "composite_control", "composite_terminal_cost",
+    "control_update", "desirability_gradient", "fit_hyperparameters",
+    "forward_rollout", "incorporate_sample", "inner_optimize", "load_model",
+    "load_record", "log_marginal_likelihood", "make_plant", "moment_match",
+    "mpc_learning_loop", "phi_step", "posterior_predict", "predict_increment",
+    "sampling_pi_control", "save_model", "save_record", "task_weights",
+    "verify_linearity",
 ]

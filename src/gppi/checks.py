@@ -17,7 +17,6 @@ from .control import (ControlSequence, CostSpec, backward_desirability,
 from .gp import (LOG_HYPER_BOUNDS, GpModel, KernelHyper, TrainingSet,
                  fit_hyperparameters, incorporate_sample,
                  log_marginal_likelihood, tied_log_marginal_likelihood)
-from .baselines import lqg_solve, riccati_residual
 from .moments import GaussianBelief, moment_match, predict_increment
 from .oracles import (cholesky_log_marginal_likelihood, mc_increment_moments,
                       path_integral_quadrature, quadrature_phi)
@@ -241,15 +240,6 @@ def check_gp_update(rng, n_updates=200) -> bool:
                   worst < 1e-10, f"worst rel {worst:.2e}")
 
 
-def check_riccati(rng) -> bool:
-    A = np.array([[1.0, 0.02], [0.0, 1.0]])
-    B = np.array([[0.0], [0.02]])
-    sol = lqg_solve(A, B, 0.1 * np.eye(2), np.array([[0.5]]),
-                    np.eye(2), 60)
-    res = riccati_residual(sol, A, B, 0.1 * np.eye(2), np.array([[0.5]]))
-    return _check("Riccati fixed point", res < 1e-10, f"residual {res:.2e}")
-
-
 def check_path_integral(rng, fast=False) -> bool:
     lin = make_plant("linear", params=dict(A=[[-0.4]], Bc=[[1.0]],
                                            B=[[0.12]], sigma_omega=[[1.0]]))
@@ -279,7 +269,6 @@ def run_checks(fast: bool = False) -> bool:
     results = [
         check_phi_quadrature(rng, n_cases=15 if fast else 40),
         check_lml_gradient(rng),
-        check_riccati(rng),
         # their own streams, so that the other checks keep their draws
         check_step_pullback(np.random.default_rng(6)),
         check_gp_update(np.random.default_rng(10)),

@@ -57,14 +57,12 @@ class TaskLibrary:
                         ref.horizon_steps, ref.terminal_scale * q)
 
     @staticmethod
-    def default_kernel_width(records, new_target=None) -> np.ndarray:
+    def default_kernel_width(records, new_target) -> np.ndarray:
         """Q-shaped diagonal, rescaled so the nearest task keeps weight >= 0.1."""
         ref = records[0].cost_fields
         q = np.asarray(ref.Q_diag, dtype=float)
         base = q / max(float(np.sum(q)), 1e-300)
         base = np.where(base <= 0, 1e-6, base)
-        if new_target is None or len(records) == 0:
-            return base
         t = np.asarray(new_target, dtype=float)
         d2 = min(float((t - r.x_d) @ (base * (t - r.x_d))) for r in records)
         if d2 > 0 and math.exp(-0.5 * d2) < MIN_NEAREST_WEIGHT:

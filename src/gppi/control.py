@@ -31,6 +31,7 @@ from .errors import ConfigError, NumericalError
 from .gp import GpModel, incorporate_sample, refit
 from .moments import (GaussianBelief, IncrementPrediction, RowChecks,
                       identity_where, moment_match)
+from .plants import _require_count, _require_number
 from .rng import RngHub
 
 logger = logging.getLogger(__name__)
@@ -40,6 +41,11 @@ DAMPING_LADDER = tuple(0.5 ** k for k in range(7))  # 1 .. 1/64
 EXPANSION_MAX = 256.0
 EXPANSION_SCALES = tuple(2.0 ** k for k in
                          range(int(np.log2(EXPANSION_MAX)) + 1))  # 1 .. 256
+# hyperparameter fits of the learning loop: the first, after the random
+# initialization rollouts, with restarts; the one after each trial without
+FIT_RESTARTS = 4
+FIT_MAX_ITERS = 150
+REFIT_MAX_ITERS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +57,11 @@ class CostSpec:
     """Quadratic state cost toward one target state, temperature and horizon.
 
     Every step's cost is (x - x_d)' Q (x - x_d), the terminal one with
-    Q_terminal, which defaults to Q.  Raises ConfigError for a non-square,
-    asymmetric or indefinite Q or Q_terminal, for Q_terminal of another
-    shape than Q, or for an x_d whose length is not Q's.
+    Q_terminal, which defaults to Q.  Raises ConfigError unless lam and dt
+    are finite and positive and horizon_steps is an integer >= 1, and for a
+    non-square, non-finite, asymmetric or indefinite Q or Q_terminal, for
+    Q_terminal of another shape than Q, or for an x_d that is not finite or
+    whose length is not Q's.
     """
 
     Q: np.ndarray              # (n, n) PSD
@@ -70,8 +78,9 @@ class CostSpec:
         object.__setattr__(self, "Q_terminal",
                            np.atleast_2d(np.asarray(qt, dtype=float)))
         object.__setattr__(self, "x_d", np.asarray(self.x_d, dtype=float))
-        if self.lam <= 0 or self.dt <= 0 or self.horizon_steps < 1:
-            raise ConfigError("require lam > 0, dt > 0, horizon_steps >= 1")
+        _require_number("cost lam", self.lam)
+        _require_number("cost dt", self.dt)
+        _require_count("cost horizon_steps", self.horizon_steps)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ConfigError(f"Q must be square, got shape {q.shape}")
         if self.Q_terminal.shape != q.shape:
@@ -80,6 +89,9 @@ class CostSpec:
         if self.x_d.shape != (q.shape[0],):
             raise ConfigError(f"x_d must have {q.shape[0]} entries, one per "
                               f"row of Q, got shape {self.x_d.shape}")
+        for name in ("Q", "Q_terminal", "x_d"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"cost {name} must be finite")
         for mat in (self.Q, self.Q_terminal):
             if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
                 raise ConfigError("cost matrices must be symmetric")
@@ -554,11 +566,8 @@ def terminal_log_desirability(cost: CostSpec, x_terminal) -> float:
 
 
 def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
-                      init_rollouts: int = 2, u_max: float = 10.0,
-                      inner_max_iters: int = 2, inner_tol: float = 1e-3,
-                      max_points: int | None = 250, x0=None,
-                      fit_restarts: int = 4, fit_max_iters: int = 150,
-                      refit_max_iters: int = 60) -> LearnResult:
+                      init_rollouts: int, u_max: float, inner_max_iters: int,
+                      max_points: int | None, x0) -> LearnResult:
     """Model learning and receding-horizon control, one plant rollout per trial.
 
     Random-control initialization rollouts seed the GP; each trial then runs
@@ -577,8 +586,6 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
     hub = RngHub(seed)
     n, m = plant.spec.n, plant.spec.m
     T = cost.horizon_steps
-    if x0 is None:
-        x0 = np.zeros(n)
     x0 = np.asarray(x0, dtype=float)
 
     model = GpModel.empty(n, max_points=max_points)
@@ -601,8 +608,8 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
             model, _ = incorporate_sample(model, x, u_seq[t], x_next,
                                           plant.control_matrix, cost.dt)
             x = x_next
-    model = refit(model, rng=hub.stream("hyper-fit"), n_restarts=fit_restarts,
-                  max_iters=fit_max_iters)
+    model = refit(model, rng=hub.stream("hyper-fit"), n_restarts=FIT_RESTARTS,
+                  max_iters=FIT_MAX_ITERS)
 
     metrics: list[TrialMetrics] = []
     # (controls, per-step log Psi_0, per-step gradient, states, terminal
@@ -626,8 +633,7 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                     model, x,
                     ControlSequence(trial_u[t:].copy(), u_min=u_lo,
                                     u_max=u_hi),
-                    cost.tail(t), plant, max_iters=inner_max_iters,
-                    tol=inner_tol)
+                    cost.tail(t), plant, max_iters=inner_max_iters)
                 trial_u[t:] = res.controls.u
                 try:
                     x_next = plant.step(x, trial_u[t], w_rng)
@@ -660,7 +666,7 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                 trial, terminal, cost.terminal_cost(states[-1]),
                 _time.perf_counter() - t_start, states=last_full[3]))
         model = refit(model, rng=hub.spawn("hyper-refit", trial),
-                      n_restarts=0, max_iters=refit_max_iters)
+                      n_restarts=0, max_iters=REFIT_MAX_ITERS)
 
     if last_full is None:
         raise NumericalError("every trial aborted; no controller learned")

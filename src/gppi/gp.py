@@ -228,20 +228,6 @@ class GpModel:
 # Kernel and factorization
 # ---------------------------------------------------------------------------
 
-def kernel_eval(xi, xj, hyper: KernelHyper, same_index: bool = False) -> np.ndarray:
-    """Squared-exponential covariance between two states, (E,): one entry
-    per output dimension."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    xj = np.atleast_1d(np.asarray(xj, dtype=float))
-    if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xj))):
-        raise ConfigError("kernel inputs must be finite")
-    d = xi - xj
-    val = hyper.signal_var * np.exp(-0.5 * float(d @ (hyper.w * d)))
-    if same_index:
-        val += hyper.noise_var
-    return val
-
-
 def _sq_dist(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Squared distances (xi-xj)' W (xi-xj) between rows of X, clipped at 0.
 

@@ -26,7 +26,7 @@ from .compose import (CompositeWeights, TaskLibrary,
                       task_weights)
 from .control import (ControlSequence, CostSpec, mpc_learning_loop,
                       terminal_log_desirability)
-from .baselines import PathCostSample, sampling_pi_control
+from .baselines import path_cost, sampling_pi_control
 from .errors import AlignmentError, ConfigError, NumericalError
 from .gp import save_model
 from .plants import (DT, NOISE_STD, SUBSTEPS, canonical_plant_name,
@@ -44,9 +44,8 @@ _DEFAULT_CONFIG = {
     "cost": {"Q_diag": None, "x_d": None, "lambda": 0.2,
              "horizon_steps": None, "terminal_scale": 1.0},
     "protocol": {"init_rollouts": None, "trials": 10, "inner_max_iters": 3,
-                 "inner_tol": 1e-3, "seed": 0, "u_max": 10.0,
-                 "max_points": 250, "x0": None, "baseline_samples": 1000,
-                 "baseline_iterations": 50},
+                 "seed": 0, "u_max": 10.0, "max_points": 250, "x0": None,
+                 "baseline_samples": 1000, "baseline_iterations": 50},
     "output_dir": "runs/out",
 }
 
@@ -130,8 +129,8 @@ def build_cost(cost_cfg: dict, dt: float) -> CostSpec:
     q = np.diag(np.asarray(cost_cfg["Q_diag"], dtype=float))
     q_term = cost_cfg["terminal_scale"] * q
     return CostSpec(q, np.asarray(cost_cfg["x_d"], dtype=float),
-                    float(cost_cfg["lambda"]), dt,
-                    int(cost_cfg["horizon_steps"]), q_term)
+                    float(cost_cfg["lambda"]), dt, cost_cfg["horizon_steps"],
+                    q_term)
 
 
 def _plant_cost_start(config: dict):
@@ -216,7 +215,6 @@ def run_learn(config: dict) -> dict:
             init_rollouts=int(proto["init_rollouts"]),
             u_max=float(proto["u_max"]),
             inner_max_iters=int(proto["inner_max_iters"]),
-            inner_tol=float(proto["inner_tol"]),
             max_points=proto["max_points"], x0=x0)
     except Exception as exc:
         _flush_failure(out, exc)
@@ -265,8 +263,9 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
             raise AlignmentError("plant", f"record {path} was learned on a "
                                  "different plant than the manifest names")
     new_target = np.asarray(new_target, dtype=float)
-    if new_target.shape[0] != plant.spec.n:
-        raise ConfigError("target dimension does not match plant state")
+    if new_target.shape != (plant.spec.n,):
+        raise ConfigError(f"target must hold {plant.spec.n} numbers, one per "
+                          f"state of the plant, got shape {new_target.shape}")
     x0 = doc.get("x0")
     x0 = np.zeros(plant.spec.n) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (plant.spec.n,):
@@ -332,7 +331,7 @@ def run_baseline(config: dict) -> dict:
     # per-step log-desirability surrogate: minus cost-to-go over lambda
     log_psi = np.zeros(cost.horizon_steps + 1)
     for t in range(cost.horizon_steps + 1):
-        tail = PathCostSample.path_cost(states[t:], cost.tail(t)) \
+        tail = path_cost(states[t:], cost.tail(t)) \
             if t < cost.horizon_steps else cost.terminal_cost(states[-1])
         log_psi[t] = -tail / cost.lam
     export_trace_csv(out / "trace.csv", cost.dt, states,

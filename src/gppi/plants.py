@@ -66,10 +66,7 @@ class PlantSpec:
         self.sigma_omega = np.atleast_2d(np.asarray(self.sigma_omega, dtype=float))
         if self.n < 1 or self.m < 1:
             raise ConfigError("state and control dimensions must be >= 1")
-        s = self.substeps
-        if not isinstance(s, numbers.Integral) or isinstance(s, bool) or s < 1:
-            raise ConfigError(f"plant substeps must be an integer >= 1, "
-                              f"got {s!r}")
+        _require_count("plant substeps", self.substeps)
         _require_number("plant dt", self.dt)
         if self.B.ndim != 2 or self.B.shape[0] != self.n:
             raise ConfigError(f"B must have one row per state (n={self.n}), "
@@ -530,6 +527,13 @@ def _require_number(what: str, value, may_be_zero: bool = False) -> None:
         sign = "non-negative" if may_be_zero else "positive"
         raise ConfigError(f"{what} must be a finite, {sign} number, "
                           f"got {value!r}")
+
+
+def _require_count(what: str, value) -> None:
+    """ConfigError unless `value` is an integer >= 1 (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or value < 1:
+        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 def _physical_params(defaults: dict, params: dict | None) -> dict:

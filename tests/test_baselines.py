@@ -1,60 +1,17 @@
 import numpy as np
 import pytest
 
-from gppi.baselines import (LqgSolution, PathCostSample, _rollout_batch,
-                            lqg_solve, noise_tied_control_weight,
-                            riccati_residual, sampling_pi_control)
+from gppi.baselines import _rollout_batch, path_cost, sampling_pi_control
 from gppi.control import CostSpec
 from gppi.errors import ConfigError, NumericalError
 from gppi.plants import make_plant
-
-
-class TestLqg:
-    def test_zero_cost_zero_gains(self):
-        sol = lqg_solve(np.eye(2), [[0.0], [1.0]], np.zeros((2, 2)),
-                        [[1.0]], np.zeros((2, 2)), 10)
-        for K in sol.gains:
-            assert np.allclose(K, 0.0)
-
-    def test_scalar_one_step_gain(self):
-        sol = lqg_solve([[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], 1)
-        assert sol.gains[0][0, 0] == pytest.approx(0.5)
-
-    def test_double_integrator_cost_to_go_matches_policy_eval(self):
-        dt = 0.02
-        A = np.array([[1.0, dt], [0.0, 1.0]])
-        B = np.array([[0.0], [dt]])
-        Q = np.diag([1.0, 0.1]) * dt
-        R = np.array([[0.5 * dt]])
-        Qf = np.eye(2)
-        sol = lqg_solve(A, B, Q, R, Qf, 60)
-        x0 = np.array([1.0, -0.5])
-        predicted = float(x0 @ sol.value[0] @ x0)
-        x = x0.copy()
-        total = 0.0
-        for t in range(60):
-            u = -sol.gains[t] @ x
-            total += float(x @ Q @ x + u @ R @ u)
-            x = A @ x + B @ u
-        total += float(x @ Qf @ x)
-        assert total == pytest.approx(predicted, abs=1e-8)
-
-    def test_riccati_fixed_point_residual(self):
-        A = np.array([[1.0, 0.02], [0.0, 1.0]])
-        B = np.array([[0.0], [0.02]])
-        sol = lqg_solve(A, B, 0.1 * np.eye(2), [[0.5]], np.eye(2), 60)
-        assert riccati_residual(sol, A, B, 0.1 * np.eye(2), [[0.5]]) < 1e-10
-
-    def test_horizon_validated(self):
-        with pytest.raises(ConfigError):
-            lqg_solve([[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], 0)
 
 
 class TestPathCost:
     def test_recomputable_from_trajectory(self, rng):
         cost = CostSpec([[0.7]], [0.2], 1.0, 0.02, 8)
         traj = rng.normal(size=(9, 1))
-        total = PathCostSample.path_cost(traj, cost)
+        total = path_cost(traj, cost)
         manual = sum(0.7 * (traj[j, 0] - 0.2) ** 2 * 0.02 for j in range(1, 8))
         manual += 0.7 * (traj[8, 0] - 0.2) ** 2
         assert total == pytest.approx(manual, abs=1e-10)
@@ -218,10 +175,3 @@ class TestSamplingPiStacked:
         assert np.allclose(res.weights, w, rtol=1e-12, atol=1e-300)
         assert res.ess == pytest.approx(ess, rel=1e-12)
 
-
-def test_noise_tied_weight_scalar():
-    plant = make_plant("linear", params=dict(A=[[0.0]], Bc=[[2.0]],
-                                             B=[[0.5]], sigma_omega=[[1.0]]))
-    # lam g^2 / r = b^2 sigma^2  =>  r = lam g^2 / (b^2 sigma^2)
-    R = noise_tied_control_weight(plant, lam=0.8)
-    assert R[0, 0] == pytest.approx(0.8 * 4.0 / 0.25)

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gppi.baselines import lqg_solve
 from gppi.checks import fd_tail_gradient
 from gppi.control import (DAMPING_LADDER, EXPANSION_MAX, EXPANSION_SCALES,
                           BeliefTrajectory, ControlSequence, CostSpec,
@@ -436,7 +435,9 @@ class TestMpcLoop:
     def test_zero_trials_rejected(self, cartpole):
         cost = CostSpec(np.eye(4), np.zeros(4), 1.0, 0.02, 10)
         with pytest.raises(ConfigError):
-            mpc_learning_loop(cartpole, cost, trials=0, seed=0)
+            mpc_learning_loop(cartpole, cost, trials=0, seed=0,
+                              init_rollouts=1, u_max=2.0, inner_max_iters=2,
+                              max_points=80, x0=np.zeros(4))
 
     def test_short_run_produces_metrics_and_artifacts(self):
         plant = make_plant("linear", params=dict(A=[[-0.3]], Bc=[[1.0]],
@@ -446,8 +447,7 @@ class TestMpcLoop:
         res = mpc_learning_loop(plant, cost, trials=2, seed=1,
                                 init_rollouts=1, u_max=2.0,
                                 inner_max_iters=2, max_points=80,
-                                fit_restarts=1, fit_max_iters=40,
-                                refit_max_iters=20)
+                                x0=np.zeros(1))
         assert len(res.metrics) == 2
         assert res.controls.shape == (10, 1)
         assert res.log_psi.shape == (11,)
@@ -472,8 +472,7 @@ class TestMpcLoop:
         res = mpc_learning_loop(plant, cost, trials=1, seed=1,
                                 init_rollouts=1, u_max=2.0,
                                 inner_max_iters=2, max_points=80,
-                                fit_restarts=1, fit_max_iters=40,
-                                refit_max_iters=20)
+                                x0=np.zeros(1))
         assert len(results) == 10
         assert np.array_equal(res.log_psi[:-1],
                               [r.log_psi0 for r in results])
@@ -492,8 +491,7 @@ class TestMpcLoop:
         return mpc_learning_loop(plant, cost, trials=trials, seed=1,
                                  init_rollouts=1, u_max=2.0,
                                  inner_max_iters=2, max_points=80,
-                                 fit_restarts=1, fit_max_iters=40,
-                                 refit_max_iters=20, **kwargs)
+                                 x0=np.zeros(1), **kwargs)
 
     def test_aborted_trial_recorded_and_skipped(self, monkeypatch):
         from gppi import control
@@ -710,3 +708,15 @@ class TestCostSpec:
     def test_malformed_shapes_rejected(self, Q, x_d, Q_terminal):
         with pytest.raises(ConfigError):
             CostSpec(Q, x_d, 1.0, 0.02, 10, Q_terminal)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lam", np.nan), ("lam", 0.0), ("dt", np.inf), ("horizon_steps", 2.7),
+        ("horizon_steps", 0), ("Q", [[np.nan, 0.0], [0.0, 1.0]]),
+        ("Q_terminal", [[1.0, 0.0], [0.0, np.nan]]), ("x_d", [np.nan, 0.0]),
+    ])
+    def test_non_finite_or_non_integer_rejected(self, field, value):
+        args = dict(Q=np.eye(2), x_d=[0.0, 0.0], lam=1.0, dt=0.02,
+                    horizon_steps=10, Q_terminal=None)
+        args[field] = value
+        with pytest.raises(ConfigError, match=field):
+            CostSpec(**args)

@@ -8,9 +8,9 @@ from gppi import gp
 from gppi.errors import ConfigError
 from gppi.gp import (JITTER_BASE, LOG_HYPER_BOUNDS, GpModel, KernelHyper,
                      TrainingSet, chol_with_jitter, fit_hyperparameters,
-                     incorporate_sample, kernel_eval, kernel_matrix,
-                     load_model, log_marginal_likelihood, posterior_predict,
-                     save_model, tied_log_marginal_likelihood)
+                     incorporate_sample, kernel_matrix, load_model,
+                     log_marginal_likelihood, posterior_predict, save_model,
+                     tied_log_marginal_likelihood)
 
 
 def _cholesky_reference(train, theta):
@@ -44,29 +44,6 @@ def _tied_case(rng, N, E):
 
 
 class TestKernel:
-    def test_zero_distance_with_noise(self):
-        h = KernelHyper.create(1.0, 0.1, [1.0])
-        assert kernel_eval([0.3], [0.3], h, same_index=True) == pytest.approx(1.01)
-
-    def test_decay_to_zero(self):
-        h = KernelHyper.create(1.0, 0.1, [1.0])
-        assert kernel_eval([0.0], [40.0], h) < 1e-200
-
-    def test_unit_distance_value(self):
-        h = KernelHyper.create(1.0, 0.1, [1.0])
-        assert kernel_eval([0.0], [1.0], h) == pytest.approx(np.exp(-0.5),
-                                                             rel=1e-12)
-
-    def test_symmetry(self, rng):
-        h = KernelHyper.create(0.7, 0.05, [2.0, 0.5])
-        a, b = rng.normal(size=2), rng.normal(size=2)
-        assert kernel_eval(a, b, h) == pytest.approx(kernel_eval(b, a, h))
-
-    def test_nonfinite_rejected(self):
-        h = KernelHyper.create(1.0, 0.1, [1.0])
-        with pytest.raises(ConfigError):
-            kernel_eval([np.nan], [0.0], h)
-
     def test_far_from_origin_matches_pairwise_differences(self):
         rng = np.random.default_rng(0)
         X = 1e7 + rng.uniform(0.0, 3.0, size=(30, 2))

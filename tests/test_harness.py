@@ -89,6 +89,11 @@ class TestConfig:
             fill_defaults({"cost": {"Q_diag": [1.0] * 4, "x_d": [0.0] * 4},
                            "protocol": {"rollouts_per_trial": 1}})
 
+    def test_inner_tol_is_unknown(self):
+        with pytest.raises(ConfigError, match="inner_tol"):
+            fill_defaults({"cost": {"Q_diag": [1.0] * 4, "x_d": [0.0] * 4},
+                           "protocol": {"inner_tol": 1e-3}})
+
     def test_missing_required_rejected(self):
         with pytest.raises(ConfigError):
             fill_defaults({})
@@ -215,6 +220,22 @@ def test_state_length_mismatch_is_config_error(tmp_path, runner, section, key,
     cfg[section][key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         runner(cfg)
+    assert not Path(cfg["output_dir"]).exists()
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("terminal_scale", float("nan"), "Q_terminal"),
+    ("lambda", float("inf"), "lam"),
+    ("horizon_steps", 2.7, "horizon_steps"),
+])
+def test_malformed_cost_is_config_error(tmp_path, key, value, field):
+    cfg = _linear_config(tmp_path)
+    cfg["cost"][key] = value
+    with pytest.raises(ConfigError, match=f"cost {field}"):
+        run_learn(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))            # NaN and Infinity are valid here
+    assert cli_main(["learn", str(p)]) == 2
     assert not Path(cfg["output_dir"]).exists()
 
 
@@ -349,6 +370,12 @@ class TestRunCompose:
         with pytest.raises(ConfigError, match="x0"):
             run_compose(manifest, [0.3])
         assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2
+
+    def test_target_of_other_shape_rejected(self, tmp_path):
+        manifest = self._make_library(tmp_path, targets=(0.3,))
+        for target in (0.4, [[0.4]]):
+            with pytest.raises(ConfigError, match="target"):
+                run_compose(manifest, target)
 
     def test_record_without_plant_rejected(self, tmp_path):
         T = 3

@@ -7,9 +7,8 @@ from gppi.plants import PLANT_NAMES
 from gppi.protocols import (PLANT_PROTOCOLS, arm_reach, cartpole_swingup,
                             dpc_swingup)
 
-_PROTOCOL_REST = {"inner_tol": 1e-3, "seed": 0, "max_points": 200,
-                  "x0": None, "baseline_samples": 1000,
-                  "baseline_iterations": 50}
+_PROTOCOL_REST = {"seed": 0, "max_points": 200, "x0": None,
+                  "baseline_samples": 1000, "baseline_iterations": 50}
 
 
 def _plant(name):
