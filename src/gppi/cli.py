@@ -43,9 +43,8 @@ def main(argv=None) -> int:
                             help="sampling-based path integral baseline")
     p_base.add_argument("config", help="experiment config JSON")
 
-    p_check = sub.add_parser("check", help="run the oracle suites")
-    p_check.add_argument("--fast", action="store_true",
-                         help="skip the slower oracle checks")
+    sub.add_parser("check", help="compare each analytic path against an "
+                   "independent oracle; exit 3 if any comparison fails")
 
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
                   f"status {result['status']}), artifacts in {result['out_dir']}")
         elif args.command == "check":
             from .checks import run_checks
-            ok = run_checks(fast=args.fast)
+            ok = run_checks()
             return 0 if ok else 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ reordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,6 @@ from .control import (LOG_PHI_FLOOR, ControlSequence, CostSpec,
                       backward_desirability, forward_rollout, log_phi_step,
                       terminal_log_desirability)
 from .errors import AlignmentError, ConfigError
-from .moments import GaussianBelief
-from .records import ControllerRecord
 
 MIN_NEAREST_WEIGHT = 0.1
 
@@ -98,15 +96,6 @@ def log_mixture(omega, log_values) -> float:
     if peak == -math.inf:
         return -math.inf
     return peak + math.log(math.fsum(math.exp(e - peak) for e in parts))
-
-
-def composite_terminal_cost(library: TaskLibrary, weights: CompositeWeights,
-                            x_T) -> float:
-    """Log-sum-exp mixture of the per-task terminal costs."""
-    lam = library.records[0].cost_fields.lam
-    return -lam * log_mixture(weights.omega_tilde, [
-        -library.cost_for(rec.x_d).terminal_cost(x_T) / lam
-        for rec in library.records])
 
 
 def composite_control(library: TaskLibrary, weights: CompositeWeights,

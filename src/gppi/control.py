@@ -222,15 +222,6 @@ def log_phi_step(belief: GaussianBelief, cost: CostSpec, step_weight: float,
     return np.where(checks.ok, log_phi, -np.inf), dlog_dmu, dlog_dsigma
 
 
-def phi_step(belief: GaussianBelief, cost: CostSpec, step_weight: float,
-             terminal: bool = False, step_index: int | None = None):
-    """Phi and its partials dPhi/dmu, dPhi/dSigma."""
-    log_phi, dmu, dsig = log_phi_step(belief, cost, step_weight, terminal,
-                                      step_index)
-    phi = np.exp(log_phi)
-    return phi, phi * dmu, phi * dsig
-
-
 # ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------

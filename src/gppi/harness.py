@@ -14,23 +14,20 @@ import functools
 import json
 import logging
 import subprocess
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .compose import (CompositeWeights, TaskLibrary,
-                      composite_control_sequence,
+from .compose import (TaskLibrary, composite_control_sequence,
                       composite_terminal_log_desirability, log_mixture,
                       task_weights)
-from .control import (ControlSequence, CostSpec, mpc_learning_loop,
-                      terminal_log_desirability)
+from .control import CostSpec, mpc_learning_loop
 from .baselines import path_cost, sampling_pi_control
 from .errors import AlignmentError, ConfigError, NumericalError
 from .gp import save_model
-from .plants import (DT, NOISE_STD, SUBSTEPS, canonical_plant_name,
-                     make_plant)
+from .plants import (DT, NOISE_STD, SUBSTEPS, _require_number,
+                     canonical_plant_name, make_plant)
 from .protocols import PLANT_PROTOCOLS
 from .records import (ControllerRecord, CostFields, export_trace_csv,
                       load_manifest, load_record, save_record, write_csv)
@@ -126,6 +123,11 @@ def _same_plant(a, b) -> bool:
 
 
 def build_cost(cost_cfg: dict, dt: float) -> CostSpec:
+    """The run's CostSpec.  Raises ConfigError, before any arithmetic, unless
+    `lambda` is a positive and `terminal_scale` a non-negative number."""
+    _require_number("cost lam", cost_cfg["lambda"])
+    _require_number("cost Q_terminal scale (terminal_scale)",
+                    cost_cfg["terminal_scale"], may_be_zero=True)
     q = np.diag(np.asarray(cost_cfg["Q_diag"], dtype=float))
     q_term = cost_cfg["terminal_scale"] * q
     return CostSpec(q, np.asarray(cost_cfg["x_d"], dtype=float),

@@ -79,18 +79,6 @@ class GaussianBelief:
     def dim(self) -> int:
         return self.mu.shape[-1]
 
-    @property
-    def is_observed(self) -> bool:
-        return not np.any(self.sigma)
-
-    def validate(self) -> None:
-        """Raise NumericalError unless the covariance (of every live row of
-        a batch) is symmetric and PSD."""
-        checks = RowChecks(self.ok)
-        _check_covariances(self.sigma.reshape(-1, self.dim, self.dim), checks)
-        if self.ok is not None and not np.array_equal(checks.ok, self.ok):
-            raise NumericalError("batch covariance not symmetric or not PSD")
-
 
 @dataclass
 class IncrementPrediction:

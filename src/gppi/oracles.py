@@ -16,35 +16,40 @@ import math
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy import integrate
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import ConfigError
 from .gp import GpModel, TrainingSet
-from scipy.linalg import cho_solve, solve_triangular
 
 
 # ---------------------------------------------------------------------------
 # Marginal likelihood by Cholesky factorization
 # ---------------------------------------------------------------------------
 
-def cholesky_log_marginal_likelihood(train: TrainingSet, theta) -> float:
+def cholesky_log_marginal_likelihood(train: TrainingSet, theta):
     """Summed log marginal likelihood of the output columns of `train` at
-    theta = (log_sigma_s (E), log_sigma_w (E), log_w (n)): one Cholesky
-    factorization per output, with the kernel built from explicit input
-    differences and no jitter."""
+    theta = (log_sigma_s (E), log_sigma_w (E), log_w (n)), and its gradient
+    over theta: one Cholesky factorization per output, with the kernel
+    built from explicit input differences and no jitter."""
     X, Y = train.inputs, train.outputs
     N, E = Y.shape
     theta = np.asarray(theta, dtype=float)
-    Kw = np.exp(-0.5 * ((X[:, None, :] - X[None, :, :]) ** 2)
-                @ np.exp(theta[2 * E:]))
-    total = 0.0
+    w = np.exp(theta[2 * E:])
+    diff2 = (X[:, None, :] - X[None, :, :]) ** 2       # (N, N, n)
+    Kw = np.exp(-0.5 * diff2 @ w)
+    total, grad = 0.0, np.zeros(theta.size)
     for d in range(E):
-        L = np.linalg.cholesky(np.exp(2.0 * theta[d]) * Kw
-                               + np.exp(2.0 * theta[E + d]) * np.eye(N))
+        s2, noise2 = np.exp(2.0 * theta[d]), np.exp(2.0 * theta[E + d])
+        L = np.linalg.cholesky(s2 * Kw + noise2 * np.eye(N))
         alpha = cho_solve((L, True), Y[:, d])
         total += (-0.5 * float(Y[:, d] @ alpha)
                   - float(np.sum(np.log(np.diag(L))))
                   - 0.5 * N * math.log(2.0 * math.pi))
-    return total
+        U = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(N))
+        grad[d] = np.sum(U * s2 * Kw)
+        grad[E + d] = noise2 * np.trace(U)
+        grad[2 * E:] += -0.25 * w * np.einsum("ik,ikj->j", U * s2 * Kw, diff2)
+    return total, grad
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +79,9 @@ def quadrature_phi(mu, sigma, q_matrix, x_d, lam, step_weight,
         val, _ = integrate.quad(f, lo, hi, epsabs=tol, epsrel=tol, limit=200)
         return float(val)
     if n == 2:
-        L = np.linalg.cholesky(sigma + 1e-14 * np.trace(sigma) * np.eye(2))
-        inv = np.linalg.inv(sigma + 1e-14 * np.trace(sigma) * np.eye(2))
-        norm = 1.0 / (2 * math.pi * math.sqrt(np.linalg.det(
-            sigma + 1e-14 * np.trace(sigma) * np.eye(2))))
+        ridged = sigma + 1e-14 * np.trace(sigma) * np.eye(2)
+        inv = np.linalg.inv(ridged)
+        norm = 1.0 / (2 * math.pi * math.sqrt(np.linalg.det(ridged)))
         s0 = math.sqrt(sigma[0, 0])
         s1 = math.sqrt(sigma[1, 1])
 
@@ -102,13 +106,8 @@ def quadrature_phi(mu, sigma, q_matrix, x_d, lam, step_weight,
 def _gh_grid(n_dims: int, nodes_per_dim: int):
     nodes, weights = hermegauss(nodes_per_dim)   # weight exp(-x^2/2)
     weights = weights / math.sqrt(2 * math.pi)
-    grids = np.meshgrid(*([nodes] * n_dims), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    w = np.ones(pts.shape[0])
-    for axis in range(n_dims):
-        w = w * weights[np.meshgrid(*([np.arange(nodes_per_dim)] * n_dims),
-                                    indexing="ij")[axis].ravel()]
-    return pts, np.log(w)
+    idx = np.indices((nodes_per_dim,) * n_dims).reshape(n_dims, -1).T
+    return nodes[idx], np.log(np.prod(weights[idx], axis=1))
 
 
 def _point_predict_batch(model: GpModel, xs: np.ndarray):
@@ -142,7 +141,7 @@ def path_integral_quadrature(model: GpModel, x0, controls, plant,
     covariance by output independence) with the known control contribution
     folded in; interior states carry weight exp(-(dt/2 lam) q), the terminal
     state exp(-(1/2 lam) q_T).  Exact tree enumeration, chunked level by
-    level; feasible for <= 2 state dimensions and <= 5 steps.
+    level; feasible for <= 2 state dimensions and <= 6 steps.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.shape[0]
@@ -151,10 +150,6 @@ def path_integral_quadrature(model: GpModel, x0, controls, plant,
     if n > 2 or T > 6:
         raise ConfigError("path-integral oracle limited to 2 states, 6 steps")
     xi, logw_node = _gh_grid(n, nodes_per_dim)
-
-    # state-independent control matrices admit a vectorized control term
-    g_probe = plant.control_matrix(x0)
-    g_const = np.allclose(plant.control_matrix(x0 + 0.37), g_probe)
 
     states = x0[None, :]
     logw = np.zeros(1)
@@ -165,10 +160,7 @@ def path_integral_quadrature(model: GpModel, x0, controls, plant,
             xs = states[lo:lo + chunk]
             lw = logw[lo:lo + chunk]
             mean_f, var_f = _point_predict_batch(model, xs)
-            if g_const:
-                g_term = np.broadcast_to(g_probe @ u[t], xs.shape)
-            else:
-                g_term = np.stack([plant.control_matrix(x) @ u[t] for x in xs])
+            g_term = plant.control_matrix(xs) @ u[t]
             centers = xs + mean_f + g_term * cost.dt
             std = np.sqrt(var_f)
             # children: centers (M, n) + std (M, n) * xi (K, n)
@@ -176,12 +168,10 @@ def path_integral_quadrature(model: GpModel, x0, controls, plant,
             child = child.reshape(-1, n)
             w_child = (lw[:, None] + logw_node[None, :]).reshape(-1)
             d = child - cost.x_d
-            if t + 1 < T:
-                w_child = w_child - (cost.dt / (2 * cost.lam)) * np.einsum(
-                    "mi,ij,mj->m", d, cost.Q, d)
-            else:
-                w_child = w_child - (1.0 / (2 * cost.lam)) * np.einsum(
-                    "mi,ij,mj->m", d, cost.Q_terminal, d)
+            q, weight = ((cost.Q, cost.dt) if t + 1 < T
+                         else (cost.Q_terminal, 1.0))
+            w_child = w_child - (weight / (2 * cost.lam)) * np.einsum(
+                "mi,ij,mj->m", d, q, d)
             new_states.append(child)
             new_logw.append(w_child)
         states = np.concatenate(new_states)

@@ -5,10 +5,10 @@ import pytest
 
 from gppi.compose import (CompositeWeights, TaskLibrary,
                           composite_control, composite_control_sequence,
-                          composite_terminal_cost, task_weights,
+                          composite_terminal_log_desirability, task_weights,
                           verify_linearity)
 from gppi.control import ControlSequence, CostSpec, inner_optimize
-from gppi.errors import AlignmentError, ConfigError
+from gppi.errors import AlignmentError
 from gppi.records import ControllerRecord, CostFields
 
 
@@ -65,18 +65,21 @@ class TestWeights:
 
 
 class TestCompositeTerminalCost:
+    """The composite terminal boundary, log sum_k w_k exp(-q_k / (2 lam)),
+    in the recursion's convention."""
+
     def test_single_task_exact(self):
         lib = TaskLibrary([_record("a", [0.3], np.ones((4, 1)))], [1.0])
         w = task_weights(lib, [0.3])
-        q = composite_terminal_cost(lib, w, [1.0])
-        assert q == pytest.approx(1.0 * (1.0 - 0.3) ** 2, rel=1e-12)
+        lp = composite_terminal_log_desirability(lib, w, [1.0])
+        assert lp == pytest.approx(-(1.0 - 0.3) ** 2 / 2, rel=1e-12)
 
     def test_equal_costs_collapse(self):
         lib = TaskLibrary([_record("a", [1.0], np.ones((4, 1))),
                            _record("b", [-1.0], np.ones((4, 1)))], [1.0])
         w = task_weights(lib, [0.0])
-        q = composite_terminal_cost(lib, w, [0.0])
-        assert q == pytest.approx(1.0, rel=1e-12)
+        lp = composite_terminal_log_desirability(lib, w, [0.0])
+        assert lp == pytest.approx(-0.5, rel=1e-12)
 
     def test_pinned_log_sum_exp_value(self):
         # K=2, lam=1, q = {1, 3}, equal weights
@@ -85,10 +88,10 @@ class TestCompositeTerminalCost:
                                    np.ones((4, 1)))], [1.0])
         w = CompositeWeights(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         x_T = [1.0]   # q_a = 1, q_b = (sqrt 3)^2 = 3
-        q = composite_terminal_cost(lib, w, x_T)
-        expected = -math.log(0.5 * math.exp(-1) + 0.5 * math.exp(-3))
-        assert q == pytest.approx(expected, rel=1e-10)
-        assert q == pytest.approx(1.5662, abs=2e-4)
+        lp = composite_terminal_log_desirability(lib, w, x_T)
+        expected = math.log(0.5 * math.exp(-0.5) + 0.5 * math.exp(-1.5))
+        assert lp == pytest.approx(expected, rel=1e-10)
+        assert lp == pytest.approx(-0.8799, abs=2e-4)
 
     def test_boundary_consistency(self, rng):
         recs = [_record(str(k), rng.normal(size=1), np.ones((4, 1)),
@@ -97,12 +100,12 @@ class TestCompositeTerminalCost:
         w = task_weights(lib, [0.2])
         for _ in range(5):
             x_T = rng.normal(size=1)
-            q_bar = composite_terminal_cost(lib, w, x_T)
+            lp = composite_terminal_log_desirability(lib, w, x_T)
             lam = 0.8
             direct = math.fsum(
-                wt * math.exp(-1.0 * (x_T[0] - r.x_d[0]) ** 2 / lam)
+                wt * math.exp(-1.0 * (x_T[0] - r.x_d[0]) ** 2 / (2 * lam))
                 for wt, r in zip(w.omega_tilde, recs))
-            assert math.exp(-q_bar / lam) == pytest.approx(direct, abs=1e-12)
+            assert math.exp(lp) == pytest.approx(direct, abs=1e-12)
 
 
 class TestCompositeControl:
@@ -249,7 +252,8 @@ def test_terminal_scale_aligns_and_weights_the_terminal_cost():
     lib = TaskLibrary([a], [1.0])
     assert np.array_equal(lib.cost_for([0.3]).Q_terminal, [[2.0]])
     w = task_weights(lib, [0.0])
-    assert composite_terminal_cost(lib, w, [1.0]) == pytest.approx(2.0)
+    assert composite_terminal_log_desirability(lib, w, [1.0]) \
+        == pytest.approx(-1.0)
     b = _record("b", [1.0], np.ones((4, 1)))
     with pytest.raises(AlignmentError) as err:
         TaskLibrary([a, b], [1.0])

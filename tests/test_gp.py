@@ -2,45 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 
 from gppi import gp
+from gppi.checks import factor_deviation, projected_gradient, random_tied_case
 from gppi.errors import ConfigError
 from gppi.gp import (JITTER_BASE, LOG_HYPER_BOUNDS, GpModel, KernelHyper,
                      TrainingSet, chol_with_jitter, fit_hyperparameters,
                      incorporate_sample, kernel_matrix, load_model,
                      log_marginal_likelihood, posterior_predict, save_model,
                      tied_log_marginal_likelihood)
-
-
-def _cholesky_reference(train, theta):
-    """Tied likelihood and gradient as a sum of per-dimension Cholesky
-    evaluations, with the kernel built from explicit differences."""
-    X, Y = train.inputs, train.outputs
-    N, E = Y.shape
-    w = np.exp(theta[2 * E:])
-    diff2 = (X[:, None, :] - X[None, :, :]) ** 2       # (N, N, n)
-    Kw = np.exp(-0.5 * diff2 @ w)
-    total, grad = 0.0, np.zeros(theta.size)
-    for d in range(E):
-        s2, noise2 = np.exp(2 * theta[d]), np.exp(2 * theta[E + d])
-        L = np.linalg.cholesky(s2 * Kw + noise2 * np.eye(N))
-        alpha = cho_solve((L, True), Y[:, d])
-        total += (-0.5 * Y[:, d] @ alpha - np.sum(np.log(np.diag(L)))
-                  - 0.5 * N * np.log(2 * np.pi))
-        U = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(N))
-        grad[d] = np.sum(U * s2 * Kw)
-        grad[E + d] = noise2 * np.trace(U)
-        grad[2 * E:] += -0.25 * w * np.einsum("ik,ikj->j", U * s2 * Kw, diff2)
-    return total, grad
-
-
-def _tied_case(rng, N, E):
-    train = TrainingSet(rng.normal(size=(N, E)), rng.normal(size=(N, E)))
-    theta = np.concatenate([rng.normal(0.0, 0.3, E),
-                            np.log(rng.uniform(0.05, 0.3, E)),
-                            rng.normal(-1.0, 0.3, E)])
-    return train, theta
+from gppi.oracles import cholesky_log_marginal_likelihood
 
 
 class TestKernel:
@@ -68,23 +39,6 @@ class TestMarginalLikelihood:
         expected = -0.5 * np.log(1.01) - 0.5 * np.log(2 * np.pi)
         assert lml == pytest.approx(expected, rel=1e-12)
 
-    def test_gradient_matches_finite_differences(self, rng):
-        train = TrainingSet(rng.normal(size=(12, 3)), rng.normal(size=(12, 3)))
-        h = KernelHyper.create([0.8, 1.1, 0.6], [0.2, 0.1, 0.3],
-                               [1.3, 0.5, 2.0])
-        _, g = log_marginal_likelihood(train, h)
-        v = h.as_vector()
-        for k in range(v.size):
-            vp, vm = v.copy(), v.copy()
-            vp[k] += 1e-6
-            vm[k] -= 1e-6
-            fp, _ = log_marginal_likelihood(train,
-                                            KernelHyper.from_vector(vp, 3))
-            fm, _ = log_marginal_likelihood(train,
-                                            KernelHyper.from_vector(vm, 3))
-            fd = (fp - fm) / 2e-6
-            assert abs(g[k] - fd) <= 1e-5 * max(abs(fd), 1.0)
-
     def test_noisy_duplicate_large_negative_not_crash(self):
         train = TrainingSet([[0.5], [0.5]], [[0.3], [0.1]])
         h = KernelHyper.create(1.0, 1e-9, [1.0])
@@ -96,37 +50,26 @@ class TestMarginalLikelihood:
 class TestTiedMarginalLikelihood:
     @pytest.mark.parametrize("N,E", [(1, 1), (12, 3), (100, 6)])
     def test_matches_cholesky_reference(self, rng, N, E):
-        train, theta = _tied_case(rng, N, E)
+        train, theta = random_tied_case(rng, N, E)
         f, g = tied_log_marginal_likelihood(train, theta)
-        f_ref, g_ref = _cholesky_reference(train, theta)
+        f_ref, g_ref = cholesky_log_marginal_likelihood(train, theta)
         assert f == pytest.approx(f_ref, rel=1e-10)
         assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
 
-    def test_gradient_matches_finite_differences(self, rng):
-        train, theta = _tied_case(rng, 12, 3)
-        _, g = tied_log_marginal_likelihood(train, theta)
-        for k in range(theta.size):
-            tp, tm = theta.copy(), theta.copy()
-            tp[k] += 1e-6
-            tm[k] -= 1e-6
-            fd = (tied_log_marginal_likelihood(train, tp)[0]
-                  - tied_log_marginal_likelihood(train, tm)[0]) / 2e-6
-            assert abs(g[k] - fd) <= 1e-5 * max(abs(fd), 1.0)
-
     def test_single_column_is_per_dimension_likelihood(self, rng):
-        train, theta = _tied_case(rng, 12, 3)
+        train, theta = random_tied_case(rng, 12, 3)
         h = KernelHyper(theta[1], theta[4], theta[6:])
         column = TrainingSet(train.inputs, train.outputs[:, [1]])
         f, g = log_marginal_likelihood(column, h)
-        f_ref, g_ref = _cholesky_reference(column, h.as_vector())
+        f_ref, g_ref = cholesky_log_marginal_likelihood(column, h.as_vector())
         assert f == pytest.approx(f_ref, rel=1e-10)
         assert np.allclose(g, g_ref, rtol=1e-10, atol=1e-12)
 
     def test_far_from_origin_matches_cholesky_reference(self, rng):
-        train, theta = _tied_case(rng, 30, 2)
+        train, theta = random_tied_case(rng, 30, 2)
         far = TrainingSet(train.inputs + 1e7, train.outputs)
         f, g = tied_log_marginal_likelihood(far, theta)
-        f_ref, g_ref = _cholesky_reference(train, theta)
+        f_ref, g_ref = cholesky_log_marginal_likelihood(train, theta)
         assert f == pytest.approx(f_ref, rel=1e-10)
         assert np.max(np.abs(g - g_ref)) <= 1e-8 * np.max(np.abs(g_ref))
 
@@ -197,15 +140,6 @@ def _first_order_fit(train, rng, n_restarts, max_iters, probe_iters=30):
     return max(f, objective(theta_base)[0])
 
 
-def _projected_gradient(train, hyper):
-    """Likelihood and projected gradient clip(theta + g) - theta on
-    LOG_HYPER_BOUNDS: zero in the entries that push out at a bound."""
-    theta = hyper.as_vector()
-    f, g = tied_log_marginal_likelihood(train, theta)
-    lo, hi = LOG_HYPER_BOUNDS
-    return f, np.clip(theta + g, lo, hi) - theta
-
-
 class TestFit:
     def test_not_below_first_order_ascent_on_cartpole_data(self,
                                                            cartpole_model):
@@ -222,7 +156,7 @@ class TestFit:
                                                         cartpole_model):
         hyper, _ = fit_hyperparameters(cartpole_model.train,
                                        rng=np.random.default_rng(3))
-        f, pg = _projected_gradient(cartpole_model.train, hyper)
+        f, pg = projected_gradient(cartpole_model.train, hyper)
         assert np.max(np.abs(pg)) < 1e-6 * max(1.0, abs(f))
 
     def test_sentinel_start_returns_no_improvement(self, monkeypatch, caplog):
@@ -396,19 +330,6 @@ def _add(model, x, d):
                               _zero_G(x.size), 0.02)
 
 
-def _factor_deviation(model):
-    """Largest relative deviation of chols, alphas and inv_grams from a
-    fresh factorization of the same training set."""
-    ref = GpModel.from_data(model.train, model.hyper, model.max_points)
-    worst = 0.0
-    for name in ("chols", "alphas", "inv_grams"):
-        for got, want in zip(getattr(model, name), getattr(ref, name)):
-            if want.size:
-                worst = max(worst, np.max(np.abs(got - want))
-                            / np.max(np.abs(want)))
-    return worst
-
-
 def _expected_eviction(model, x):
     """Stored index of the older member of the closest pair among the stored
     inputs and x, by explicit differences under the model's W."""
@@ -447,7 +368,7 @@ class TestDowndate:
                 assert model.n_points == max_points
                 assert np.array_equal(model.train.inputs,
                                       np.vstack([kept, x]))
-            assert _factor_deviation(model) <= 1e-10
+            assert factor_deviation(model) <= 1e-10
             assert np.all(np.diag(model.chols[0]) > 0)
 
     @pytest.mark.parametrize("position", ["first", "interior", "last"])
@@ -469,7 +390,7 @@ class TestDowndate:
                               np.vstack([np.delete(X, p, axis=0), x_new]))
         assert new.insertion_order == \
             model.insertion_order[:p] + model.insertion_order[p + 1:] + (N,)
-        assert _factor_deviation(new) <= 1e-10
+        assert factor_deviation(new) <= 1e-10
 
     def test_near_duplicate_at_max_refactorizes(self):
         # a stored pair 3e-7 apart is the closest pair, so the new point,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from gppi import harness
+from gppi import checks, harness
 from gppi.cli import main as cli_main
 from gppi.control import CostSpec, terminal_log_desirability
 from gppi.errors import AlignmentError, ConfigError
@@ -225,7 +225,12 @@ def test_state_length_mismatch_is_config_error(tmp_path, runner, section, key,
 
 @pytest.mark.parametrize("key,value,field", [
     ("terminal_scale", float("nan"), "Q_terminal"),
+    ("terminal_scale", None, "Q_terminal"),
+    ("terminal_scale", "2", "Q_terminal"),
     ("lambda", float("inf"), "lam"),
+    ("lambda", "0.5", "lam"),
+    ("lambda", True, "lam"),
+    ("lambda", None, "lam"),
     ("horizon_steps", 2.7, "horizon_steps"),
 ])
 def test_malformed_cost_is_config_error(tmp_path, key, value, field):
@@ -432,8 +437,21 @@ class TestCli:
         p.write_text(json.dumps(cfg))
         assert cli_main(["learn", str(p)]) == 2
 
-    def test_check_fast_passes(self):
-        assert cli_main(["check", "--fast"]) == 0
+    def test_check_exit_codes(self, monkeypatch, capsys):
+        passing = (0, lambda rng: (True, "fine"))
+        failing = (0, lambda rng: (False, "off"))
+        monkeypatch.setattr(checks, "CHECKS", {"passes": passing,
+                                               "fails": failing})
+        assert cli_main(["check"]) == 3
+        out = capsys.readouterr().out
+        assert "[FAIL] fails: off" in out
+        assert "1/2 checks passed" in out
+        monkeypatch.setattr(checks, "CHECKS", {"passes": passing})
+        assert cli_main(["check"]) == 0
+        assert "1/1 checks passed" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["check", "--fast"])
+        assert exc.value.code == 2
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "gppi.cli", "--help"],

