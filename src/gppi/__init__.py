@@ -18,7 +18,7 @@ from .gp import (GpModel, KernelHyper, TrainingSet, fit_hyperparameters,
                  posterior_predict, save_model)
 from .moments import (GaussianBelief, IncrementPrediction, moment_match,
                       predict_increment)
-from .compose import (CompositeWeights, TaskLibrary, composite_control,
+from .compose import (CompositeWeights, TaskLibrary, composite_plan,
                       task_weights, verify_linearity)
 from .baselines import sampling_pi_control
 from .plants import Plant, PlantSpec, make_plant
@@ -30,7 +30,7 @@ __all__ = [
     "ControllerRecord", "CostFields", "CostSpec", "DesirabilityTrace",
     "GaussianBelief", "GpModel", "IncrementPrediction", "KernelHyper",
     "Plant", "PlantSpec", "RngHub", "TaskLibrary", "TrainingSet",
-    "backward_desirability", "composite_control",
+    "backward_desirability", "composite_plan",
     "control_update", "desirability_gradient", "fit_hyperparameters",
     "forward_rollout", "incorporate_sample", "inner_optimize", "load_model",
     "load_record", "log_marginal_likelihood", "make_plant", "moment_match",

@@ -19,15 +19,6 @@ from .errors import ConfigError, NumericalError
 ESS_WARN_THRESHOLD = 2.0
 
 
-def path_cost(trajectory: np.ndarray, cost: CostSpec) -> float:
-    """q_T + sum of interior q_j dt over steps 1..T-1."""
-    total = 0.0
-    for j in range(1, cost.horizon_steps):
-        total += cost.state_cost(trajectory[j]) * cost.dt
-    total += cost.terminal_cost(trajectory[cost.horizon_steps])
-    return float(total)
-
-
 @dataclass
 class SamplingPiResult:
     controls: np.ndarray        # (T, m)
@@ -62,11 +53,11 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
     G^+ B / dt.  Low effective sample size only degrades the estimate; the
     result is still returned with a warning status.
 
-    The path costs of all samples are one stacked quadratic form, and the
-    projection is one `control_matrix` call over the nominal path and one
-    stacked pseudoinverse; both equal the per-sample and per-step results
-    bit for bit, except that with a single interior step einsum may sum a
-    sample's quadratic form in another order (a last-bit difference).
+    The path costs of all samples are one `CostSpec.path_costs` call, and
+    the projection is one `control_matrix` call over the nominal path and
+    one stacked pseudoinverse; both equal the per-sample and per-step
+    results bit for bit, except that with a single interior step einsum may
+    sum a sample's quadratic form in another order (a last-bit difference).
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
@@ -82,12 +73,7 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
 
     for _ in range(n_iterations):
         states, noises = _rollout_batch(plant, x_t, u_seq, n_samples, rng)
-        diffs = states[:, 1:] - cost.x_d                    # (S, T, n)
-        qs = np.einsum("sij,jk,sik->si", diffs[:, :-1], cost.Q, diffs[:, :-1])
-        d_T = diffs[:, -1:]                                 # (S, 1, n)
-        costs = qs.sum(axis=1) * cost.dt + (
-            d_T @ cost.Q_terminal @ d_T.transpose(0, 2, 1))[:, 0, 0]
-        logw = -costs / cost.lam
+        logw = -cost.path_costs(states) / cost.lam
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (LOG_PHI_FLOOR, ControlSequence, CostSpec,
-                      backward_desirability, forward_rollout, log_phi_step,
+from .control import (ControlSequence, CostSpec, backward_desirability,
+                      forward_rollout, log_phi_step,
                       terminal_log_desirability)
 from .errors import AlignmentError, ConfigError
 
@@ -88,52 +88,40 @@ def task_weights(library: TaskLibrary, new_target) -> CompositeWeights:
     return CompositeWeights(omega, omega / total)
 
 
-def log_mixture(omega, log_values) -> float:
-    """log sum_k omega_k exp(log_values_k), formed in log domain."""
+def mixture(omega, log_values):
+    """The weights omega_k e^{l_k} / sum_j omega_j e^{l_j} and the log of
+    that sum, both formed in log domain, so exact at any magnitude of l.
+    Every sum is exactly rounded (math.fsum), so neither result depends on
+    the order of the entries."""
     parts = [(math.log(w) if w > 0 else -math.inf) + lv
              for w, lv in zip(omega, log_values)]
     peak = max(parts)
     if peak == -math.inf:
-        return -math.inf
-    return peak + math.log(math.fsum(math.exp(e - peak) for e in parts))
+        return np.full(len(parts), math.nan), -math.inf
+    raw = [math.exp(e - peak) for e in parts]
+    total = math.fsum(raw)
+    return np.array([r / total for r in raw]), peak + math.log(total)
 
 
-def composite_control(library: TaskLibrary, weights: CompositeWeights,
-                      t: int):
-    """Psi-weighted mixture of the stored per-task controls at step t.
+def composite_plan(library: TaskLibrary, weights: CompositeWeights):
+    """The open-loop composite: controls (T, m) and log Psi (T+1,).
 
-    Weights are formed in log domain; if every stored log Psi_t sits at the
-    saturation floor the mixture falls back to the plain task weights with a
-    warning status.  Returns (control, status).
+    At step t the task controls mix with the weights omega_k Psi_k,t /
+    sum_j omega_j Psi_j,t over the stored log Psi_k,t, and the composite
+    log Psi_t is the log of that sum.
     """
-    logits = []
-    for rec, w in zip(library.records, weights.omega_tilde):
-        if t >= len(rec.log_psi):
-            raise ConfigError(f"record {rec.task_id} has no log_psi at step {t}")
-        logits.append((math.log(w) if w > 0 else -math.inf) + rec.log_psi[t])
-    peak = max(logits)
-    status = "ok"
-    if not math.isfinite(peak) or all(rec.log_psi[t] <= LOG_PHI_FLOOR
-                                      for rec in library.records):
-        mix = weights.omega_tilde
-        status = "saturated-uniform"
-    else:
-        raw = [math.exp(l - peak) for l in logits]
-        tot = math.fsum(raw)
-        mix = [r / tot for r in raw]
-    m = library.records[0].controls.shape[1]
-    u = np.array([math.fsum(w * rec.controls[t, j]
-                            for w, rec in zip(mix, library.records))
-                  for j in range(m)])
-    return u, status
-
-
-def composite_control_sequence(library: TaskLibrary,
-                               weights: CompositeWeights) -> ControlSequence:
-    T = library.records[0].cost_fields.horizon_steps
-    u = np.vstack([composite_control(library, weights, t)[0][None, :]
-                   for t in range(T)])
-    return ControlSequence(u)
+    records = library.records
+    T = records[0].cost_fields.horizon_steps
+    stacked = np.stack([rec.controls for rec in records])      # (K, T, m)
+    controls = np.empty(stacked.shape[1:])
+    log_psi = np.empty(T + 1)
+    for t in range(T + 1):
+        mix, log_psi[t] = mixture(weights.omega_tilde,
+                                  [rec.log_psi[t] for rec in records])
+        if t < T:
+            controls[t] = [math.fsum(col)
+                           for col in (mix[:, None] * stacked[:, t]).T]
+    return controls, log_psi
 
 
 def composite_terminal_log_desirability(library: TaskLibrary,
@@ -141,9 +129,9 @@ def composite_terminal_log_desirability(library: TaskLibrary,
                                         x_T) -> float:
     """Mixture terminal desirability at a reached state, in the recursion's
     own convention (matches terminal_log_desirability for a single task)."""
-    return log_mixture(weights.omega_tilde, [
+    return mixture(weights.omega_tilde, [
         terminal_log_desirability(library.cost_for(rec.x_d), x_T)
-        for rec in library.records])
+        for rec in library.records])[1]
 
 
 @dataclass
@@ -169,7 +157,6 @@ def verify_linearity(library: TaskLibrary, weights: CompositeWeights, plant,
     """
     ref = library.records[0].cost_fields
     T = ref.horizon_steps
-    lam = ref.lam
     new_target = np.array([
         math.fsum(w * rec.x_d[j] for w, rec in zip(weights.omega_tilde,
                                                    library.records))
@@ -177,21 +164,17 @@ def verify_linearity(library: TaskLibrary, weights: CompositeWeights, plant,
     ])
     comp_cost = library.cost_for(new_target)
 
-    # side (a): composite rollout, composite terminal boundary
-    u_comp = composite_control_sequence(library, weights)
-    traj = forward_rollout(model, x0, u_comp, plant, comp_cost,
-                           compute_jac=False)
-    interior = np.zeros(T + 1)
-    for t in range(T - 2, -1, -1):
-        lp, _, _ = log_phi_step(traj.beliefs[t + 1], comp_cost, comp_cost.dt,
-                                step_index=t + 1)
-        interior[t] = lp + interior[t + 1]
-    log_term = log_mixture(weights.omega_tilde, [
+    # side (a): the composite's own recursion, shifted onto the mixed
+    # terminal boundary
+    traj = forward_rollout(model, x0, ControlSequence(
+        composite_plan(library, weights)[0]), plant, comp_cost,
+        compute_jac=False)
+    own = backward_desirability(traj, comp_cost).log_psi
+    log_term = mixture(weights.omega_tilde, [
         log_phi_step(traj.beliefs[T], library.cost_for(rec.x_d), 1.0,
                      terminal=True, step_index=T)[0]
-        for rec in library.records])
-    log_a = interior + log_term
-    log_a[T] = log_term
+        for rec in library.records])[1]
+    log_a = own - own[T] + log_term
 
     # side (b): per-task recursions on their own rollouts
     per_task = []
@@ -200,8 +183,8 @@ def verify_linearity(library: TaskLibrary, weights: CompositeWeights, plant,
         traj_k = forward_rollout(model, x0, ControlSequence(rec.controls),
                                  plant, cost_k, compute_jac=False)
         per_task.append(backward_desirability(traj_k, cost_k).log_psi)
-    log_b = np.array([log_mixture(weights.omega_tilde,
-                                  [lp[t] for lp in per_task])
+    log_b = np.array([mixture(weights.omega_tilde,
+                              [lp[t] for lp in per_task])[1]
                       for t in range(T + 1)])
 
     resid = np.abs(np.expm1(log_a - log_b))

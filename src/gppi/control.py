@@ -102,13 +102,21 @@ class CostSpec:
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    def state_cost(self, x) -> float:
-        d = np.asarray(x, dtype=float) - self.x_d
-        return float(d @ self.Q @ d)
-
     def terminal_cost(self, x) -> float:
         d = np.asarray(x, dtype=float) - self.x_d
         return float(d @ self.Q_terminal @ d)
+
+    def path_costs(self, states) -> np.ndarray:
+        """Cost S of each point path of a stack, states (..., T+1, n) to
+        costs (...): steps 1..T-1 weigh (x - x_d)' Q (x - x_d) at dt, step T
+        is under Q_terminal.  T is read from the stack, so a path's tail
+        from any step is a path too."""
+        d = np.asarray(states, dtype=float) - self.x_d
+        inner = d[..., 1:-1, :]
+        d_T = d[..., -1:, :]
+        return (np.einsum("...ij,jk,...ik->...i", inner, self.Q, inner)
+                .sum(axis=-1) * self.dt
+                + (d_T @ self.Q_terminal @ np.swapaxes(d_T, -1, -2))[..., 0, 0])
 
     def tail(self, start: int) -> "CostSpec":
         """Cost over the remaining horizon starting at absolute step `start`."""

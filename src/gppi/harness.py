@@ -19,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compose import (TaskLibrary, composite_control_sequence,
-                      composite_terminal_log_desirability, log_mixture,
-                      task_weights)
+from .compose import (TaskLibrary, composite_plan,
+                      composite_terminal_log_desirability, task_weights)
 from .control import CostSpec, mpc_learning_loop
-from .baselines import path_cost, sampling_pi_control
+from .baselines import sampling_pi_control
 from .errors import AlignmentError, ConfigError, NumericalError
 from .gp import save_model
 from .plants import (DT, NOISE_STD, SUBSTEPS, _require_number,
@@ -277,24 +276,20 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
         p_diag = TaskLibrary.default_kernel_width(records, new_target)
     library = TaskLibrary(records, np.asarray(p_diag, dtype=float))
     weights = task_weights(library, new_target)
-    controls = composite_control_sequence(library, weights)
+    controls, log_psi = composite_plan(library, weights)
 
     out = None if output_dir is None else _make_run_dir(output_dir)
 
     hub = RngHub(seed)
     ref = records[0].cost_fields
-    states = _executed_rollout(plant, x0, controls.u[:ref.horizon_steps],
+    states = _executed_rollout(plant, x0, controls,
                                hub.stream("compose-noise"))
     term = composite_terminal_log_desirability(library, weights, states[-1])
-
-    log_psi = np.array([log_mixture(weights.omega_tilde,
-                                    [r.log_psi[t] for r in records])
-                        for t in range(ref.horizon_steps + 1)])
     record = ControllerRecord(
         task_id="composite",
         x_d=new_target,
         cost_fields=ref,
-        controls=controls.u,
+        controls=controls,
         log_psi=log_psi,
         grad_psi_over_psi=np.zeros((ref.horizon_steps + 1, plant.spec.n)),
         model_ref=records[0].model_ref,
@@ -302,7 +297,7 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     if out is not None:
         save_record(record, out / "controller.json")
         export_trace_csv(out / "trace.csv", ref.dt, states,
-                         np.zeros_like(states), controls.u, log_psi)
+                         np.zeros_like(states), controls, log_psi)
         write_csv(out / "metrics.csv",
                   ["task", "terminal_log_psi"],
                   [("composite", float(term))]
@@ -328,14 +323,11 @@ def run_baseline(config: dict) -> dict:
         _flush_failure(out, exc)
         raise
     # executed trace under the final controls
-    states = _executed_rollout(plant, x0, res.controls[:cost.horizon_steps],
+    states = _executed_rollout(plant, x0, res.controls,
                                hub.stream("baseline-exec"))
     # per-step log-desirability surrogate: minus cost-to-go over lambda
-    log_psi = np.zeros(cost.horizon_steps + 1)
-    for t in range(cost.horizon_steps + 1):
-        tail = path_cost(states[t:], cost.tail(t)) \
-            if t < cost.horizon_steps else cost.terminal_cost(states[-1])
-        log_psi[t] = -tail / cost.lam
+    log_psi = np.array([-cost.path_costs(states[t:]) / cost.lam
+                        for t in range(cost.horizon_steps + 1)])
     export_trace_csv(out / "trace.csv", cost.dt, states,
                      np.zeros_like(states), res.controls, log_psi)
     write_csv(out / "metrics.csv",

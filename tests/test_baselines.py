@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from gppi.baselines import _rollout_batch, path_cost, sampling_pi_control
+from gppi.baselines import _rollout_batch, sampling_pi_control
 from gppi.control import CostSpec
 from gppi.errors import ConfigError, NumericalError
 from gppi.plants import make_plant
@@ -11,10 +13,26 @@ class TestPathCost:
     def test_recomputable_from_trajectory(self, rng):
         cost = CostSpec([[0.7]], [0.2], 1.0, 0.02, 8)
         traj = rng.normal(size=(9, 1))
-        total = path_cost(traj, cost)
+        total = cost.path_costs(traj)
         manual = sum(0.7 * (traj[j, 0] - 0.2) ** 2 * 0.02 for j in range(1, 8))
         manual += 0.7 * (traj[8, 0] - 0.2) ** 2
         assert total == pytest.approx(manual, abs=1e-10)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 7])
+    def test_stack_matches_per_path(self, rng, horizon):
+        cost = CostSpec(np.diag([0.5, 2.0]), [0.1, -0.3], 0.4, 0.05, horizon,
+                        Q_terminal=np.diag([1.5, 0.2]))
+        stack = rng.normal(size=(3, 4, horizon + 1, 2))
+        costs = cost.path_costs(stack)
+        assert costs.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            d = stack[idx] - cost.x_d
+            manual = math.fsum(float(d[j] @ cost.Q @ d[j]) * cost.dt
+                               for j in range(1, horizon))
+            manual += float(d[-1] @ cost.Q_terminal @ d[-1])
+            assert cost.path_costs(stack[idx]) == pytest.approx(manual,
+                                                                rel=1e-13)
+            assert costs[idx] == pytest.approx(manual, rel=1e-13)
 
 
 class TestSamplingPi:

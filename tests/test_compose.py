@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gppi.compose import (CompositeWeights, TaskLibrary,
-                          composite_control, composite_control_sequence,
+from gppi.compose import (CompositeWeights, TaskLibrary, composite_plan,
                           composite_terminal_log_desirability, task_weights,
                           verify_linearity)
 from gppi.control import ControlSequence, CostSpec, inner_optimize
@@ -114,11 +113,9 @@ class TestCompositeControl:
         rec = _record("a", [0.1, 0.2], controls, q_diag=(1.0, 1.0),
                       log_psi=rng.normal(size=6))
         lib = TaskLibrary([rec], [1.0, 1.0])
-        w = task_weights(lib, [0.1, 0.2])
-        for t in range(5):
-            u, status = composite_control(lib, w, t)
-            assert status == "ok"
-            assert np.array_equal(u, controls[t])
+        u, log_psi = composite_plan(lib, task_weights(lib, [0.1, 0.2]))
+        assert np.array_equal(u, controls)
+        assert np.array_equal(log_psi, rec.log_psi)
 
     def test_identical_records_reproduce(self, rng):
         controls = rng.normal(size=(4, 1))
@@ -126,48 +123,56 @@ class TestCompositeControl:
         recs = [_record("a", [0.5], controls, log_psi=lp),
                 _record("b", [0.5], controls, log_psi=lp)]
         lib = TaskLibrary(recs, [1.0])
-        w = task_weights(lib, [0.5])
-        for t in range(4):
-            u, _ = composite_control(lib, w, t)
-            assert np.allclose(u, controls[t], rtol=1e-15)
+        u, _ = composite_plan(lib, task_weights(lib, [0.5]))
+        assert np.allclose(u, controls, rtol=1e-15)
 
     def test_permutation_invariance_exact(self, rng):
         recs = [_record(str(k), rng.normal(size=1),
                         rng.normal(size=(4, 1)),
                         log_psi=rng.normal(size=5)) for k in range(4)]
         target = [0.3]
-        u_fwd = []
         lib = TaskLibrary(recs, [1.0])
-        w = task_weights(lib, target)
-        for t in range(4):
-            u_fwd.append(composite_control(lib, w, t)[0])
+        u_fwd, lp_fwd = composite_plan(lib, task_weights(lib, target))
         lib_rev = TaskLibrary(recs[::-1], [1.0])
-        w_rev = task_weights(lib_rev, target)
-        for t in range(4):
-            u_rev = composite_control(lib_rev, w_rev, t)[0]
-            assert np.array_equal(u_rev, u_fwd[t])
+        u_rev, lp_rev = composite_plan(lib_rev, task_weights(lib_rev, target))
+        assert np.array_equal(u_rev, u_fwd)
+        assert np.array_equal(lp_rev, lp_fwd)
 
     def test_convex_hull_property(self, rng):
         recs = [_record(str(k), rng.normal(size=1),
                         rng.normal(size=(6, 1)),
                         log_psi=rng.normal(size=7)) for k in range(3)]
         lib = TaskLibrary(recs, [1.0])
-        w = task_weights(lib, [0.0])
-        for t in range(6):
-            u, _ = composite_control(lib, w, t)
-            us = [r.controls[t, 0] for r in recs]
-            assert min(us) - 1e-12 <= u[0] <= max(us) + 1e-12
+        u, _ = composite_plan(lib, task_weights(lib, [0.0]))
+        us = np.stack([r.controls[:, 0] for r in recs])
+        assert np.all(us.min(axis=0) - 1e-12 <= u[:, 0])
+        assert np.all(u[:, 0] <= us.max(axis=0) + 1e-12)
 
-    def test_saturated_fallback(self, rng):
+    def test_equal_deep_log_psi_mixes_by_task_weight(self, rng):
+        # Psi = e^-750 underflows; equal log Psi leave the task weights
         recs = [_record(str(k), [float(k)], rng.normal(size=(3, 1)),
                         log_psi=np.full(4, -750.0)) for k in range(2)]
         lib = TaskLibrary(recs, [1.0])
         w = task_weights(lib, [0.5])
-        u, status = composite_control(lib, w, 1)
-        assert status == "saturated-uniform"
+        u, _ = composite_plan(lib, w)
         expected = math.fsum(wt * r.controls[1, 0]
                              for wt, r in zip(w.omega_tilde, recs))
-        assert u[0] == pytest.approx(expected)
+        assert u[1, 0] == pytest.approx(expected)
+
+    def test_unequal_deep_log_psi_mixes_by_desirability(self):
+        # log Psi -750 and -760 with controls 0 and 1 under equal task
+        # weights: u = 1 / (1 + e^10), not the plain task-weight mean 0.5
+        recs = [_record(str(k), [float(k)], np.full((3, 1), float(k)),
+                        log_psi=np.full(4, lp))
+                for k, lp in enumerate((-750.0, -760.0))]
+        lib = TaskLibrary(recs, [1.0])
+        w = task_weights(lib, [0.5])
+        assert np.array_equal(w.omega_tilde, [0.5, 0.5])
+        u, log_psi = composite_plan(lib, w)
+        assert u[:, 0] == pytest.approx(1.0 / (1.0 + math.exp(10.0)),
+                                        rel=1e-12)
+        assert log_psi == pytest.approx(
+            -750.0 + math.log(0.5 * (1.0 + math.exp(-10.0))), rel=1e-15)
 
 
 class TestVerifyLinearity:
@@ -228,7 +233,7 @@ def test_composite_near_independent_on_linear_plant(linear_plant,
     lib = TaskLibrary(recs, [4.0])
     target = np.array([0.4])
     w = task_weights(lib, target)
-    u_comp = composite_control_sequence(lib, w)
+    u_comp, _ = composite_plan(lib, w)
 
     cost_new = CostSpec([[1.0]], target, lam, 0.02, horizon)
     res_direct = inner_optimize(linear_model, [0.0],
@@ -241,7 +246,7 @@ def test_composite_near_independent_on_linear_plant(linear_plant,
             x = linear_plant.step(x, controls[t], None)
         return math.exp(-(x[0] - target[0]) ** 2 / (2 * lam))
 
-    d_comp = terminal_desirability(u_comp.u)
+    d_comp = terminal_desirability(u_comp)
     d_dir = terminal_desirability(res_direct.controls.u)
     assert d_comp >= 0.9 * d_dir
 
