@@ -48,9 +48,9 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
     """Iterative path integral control by importance sampling.
 
     Each pass draws `n_samples` rollouts under the current control sequence
-    (controlled diffusion), weights them by exp(-S/lambda) and shifts the
-    controls by the weighted average of the realized noise mapped through
-    G^+ B / dt.  Low effective sample size only degrades the estimate; the
+    (controlled diffusion), weights them by their desirability
+    exp(-S/(2 lambda)) and shifts the controls by the weighted average of
+    the realized noise mapped through G^+ B / dt.  Low effective sample size only degrades the estimate; the
     result is still returned with a warning status.
 
     The path costs of all samples are one `CostSpec.path_costs` call, and
@@ -73,7 +73,7 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
 
     for _ in range(n_iterations):
         states, noises = _rollout_batch(plant, x_t, u_seq, n_samples, rng)
-        logw = -cost.path_costs(states) / cost.lam
+        logw = -cost.path_costs(states) / (2.0 * cost.lam)
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()

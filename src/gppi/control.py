@@ -57,11 +57,16 @@ class CostSpec:
     """Quadratic state cost toward one target state, temperature and horizon.
 
     Every step's cost is (x - x_d)' Q (x - x_d), the terminal one with
-    Q_terminal, which defaults to Q.  Raises ConfigError unless lam and dt
-    are finite and positive and horizon_steps is an integer >= 1, and for a
-    non-square, non-finite, asymmetric or indefinite Q or Q_terminal, for
-    Q_terminal of another shape than Q, or for an x_d that is not finite or
-    whose length is not Q's.
+    Q_terminal, which defaults to Q.  The desirability of a path of cost S
+    (`path_costs`, in the units of `terminal_cost`) is exp(-S/(2 lam)): the
+    recursion, its oracles, composition and the sampling baseline all use
+    this one convention.
+
+    Raises ConfigError unless lam and dt are finite and positive and
+    horizon_steps is an integer >= 1, and for a non-square, non-finite,
+    asymmetric or indefinite Q or Q_terminal, for Q_terminal of another
+    shape than Q, or for an x_d that is not finite or whose length is not
+    Q's.
     """
 
     Q: np.ndarray              # (n, n) PSD

@@ -325,8 +325,8 @@ def run_baseline(config: dict) -> dict:
     # executed trace under the final controls
     states = _executed_rollout(plant, x0, res.controls,
                                hub.stream("baseline-exec"))
-    # per-step log-desirability surrogate: minus cost-to-go over lambda
-    log_psi = np.array([-cost.path_costs(states[t:]) / cost.lam
+    # per-step log-desirability of the executed point path's cost-to-go
+    log_psi = np.array([-cost.path_costs(states[t:]) / (2.0 * cost.lam)
                         for t in range(cost.horizon_steps + 1)])
     export_trace_csv(out / "trace.csv", cost.dt, states,
                      np.zeros_like(states), res.controls, log_psi)

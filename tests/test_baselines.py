@@ -132,7 +132,7 @@ def _sampling_pi_per_sample(plant, x_t, u_old, cost, n_samples, rng,
             diffs = traj[interior] - cost.x_d
             qs = np.einsum("ij,jk,ik->i", diffs, cost.Q, diffs)
             costs[s] = qs.sum() * cost.dt + cost.terminal_cost(traj[T])
-        logw = -costs / cost.lam
+        logw = -costs / (2.0 * cost.lam)
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()

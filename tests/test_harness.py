@@ -417,6 +417,14 @@ class TestRunBaseline:
         header = (res["out_dir"] / "trace.csv").read_text().splitlines()[0]
         assert header == "step,t,mu_0,sigma_diag_0,u_0,log_psi"
 
+    def test_terminal_log_psi_is_the_recursions(self, tmp_path):
+        # both weigh a path of cost S by exp(-S/(2 lambda))
+        res = run_baseline(_linear_config(tmp_path))
+        row = (res["out_dir"] / "metrics.csv").read_text().splitlines()[1]
+        cost = CostSpec([[1.0]], [0.5], 0.5, 0.02, 10)
+        assert float(row.split(",")[0]) == pytest.approx(
+            terminal_log_desirability(cost, res["states"][-1]), rel=1e-14)
+
 
 class TestCli:
     def test_learn_and_exit_codes(self, tmp_path):
