@@ -2,9 +2,16 @@
 
 The desirability PDE is linear, so a weighted mixture of terminal
 desirabilities is itself a valid desirability; controls mix with
-Psi-proportional weights along the horizon.  All mixture sums use exactly
-rounded accumulation (math.fsum) so results are invariant under record
-reordering.
+Psi-proportional weights along the horizon.  The desirabilities are mixed
+in log domain by `mixture`, so the mixture stays exact where each Psi
+underflows; its sums are exactly rounded (math.fsum), so results are
+invariant under record reordering.
+
+A library checks its records when it is built: one state dimension across
+every x_d and Q_diag, one control dimension, and per record a finite x_d
+and a control row and a finite log Psi for each step of the horizon.  A disagreement between
+records is an AlignmentError naming the field, a malformed record or kernel
+width a ConfigError.
 """
 
 from __future__ import annotations
@@ -22,20 +29,49 @@ from .errors import AlignmentError, ConfigError
 MIN_NEAREST_WEIGHT = 0.1
 
 
+def _state_size(records) -> int:
+    """The records' one state dimension n, checked as the module doc says."""
+    if not records:
+        raise ConfigError("library needs at least one record")
+    n = records[0].cost_fields.Q_diag.shape[0]
+    m = records[0].controls.shape[1]
+    for rec in records:
+        T = rec.cost_fields.horizon_steps
+        if (rec.controls.shape[0] != T or rec.log_psi.shape != (T + 1,)
+                or not np.all(np.isfinite(rec.log_psi))
+                or not np.all(np.isfinite(rec.x_d))):
+            raise ConfigError(f"record {rec.task_id} must hold a finite x_d, "
+                              f"{T} rows of controls and {T + 1} finite "
+                              "log_psi entries")
+        for name, shape, size in (
+                ("x_d", rec.x_d.shape, n),
+                ("Q_diag", rec.cost_fields.Q_diag.shape, n),
+                ("controls", rec.controls.shape[1:], m)):
+            if shape != (size,):
+                raise AlignmentError(name, f"record {rec.task_id} has {name} "
+                                     f"of shape {shape}, not {size} entries")
+    return n
+
+
 @dataclass
 class TaskLibrary:
-    """Aligned controller records plus the target-distance kernel width."""
+    """Aligned controller records plus the target-distance kernel width,
+    which must hold 1 or n finite positive entries."""
 
     records: list                       # ControllerRecord
     kernel_width: np.ndarray            # diagonal of P
 
     def __post_init__(self):
-        if not self.records:
-            raise ConfigError("library needs at least one record")
-        self.kernel_width = np.atleast_1d(
-            np.asarray(self.kernel_width, dtype=float))
-        if np.any(self.kernel_width <= 0):
-            raise ConfigError("kernel width entries must be positive")
+        n = _state_size(self.records)
+        try:
+            width = np.atleast_1d(np.asarray(self.kernel_width, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"kernel width must be numbers: {exc}") from exc
+        self.kernel_width = width
+        if (width.shape not in ((1,), (n,)) or not np.all(np.isfinite(width))
+                or not np.all(width > 0)):
+            raise ConfigError(f"kernel width must hold 1 or {n} finite "
+                              f"positive entries, got {width.tolist()}")
         ref = self.records[0]
         for rec in self.records[1:]:
             for name in ("Q_diag", "lam", "dt", "horizon_steps",
@@ -43,10 +79,6 @@ class TaskLibrary:
                 if not np.allclose(getattr(rec.cost_fields, name),
                                    getattr(ref.cost_fields, name)):
                     raise AlignmentError(name)
-
-    @property
-    def size(self) -> int:
-        return len(self.records)
 
     def cost_for(self, target) -> CostSpec:
         ref = self.records[0].cost_fields
@@ -57,8 +89,8 @@ class TaskLibrary:
     @staticmethod
     def default_kernel_width(records, new_target) -> np.ndarray:
         """Q-shaped diagonal, rescaled so the nearest task keeps weight >= 0.1."""
-        ref = records[0].cost_fields
-        q = np.asarray(ref.Q_diag, dtype=float)
+        _state_size(records)
+        q = records[0].cost_fields.Q_diag
         base = q / max(float(np.sum(q)), 1e-300)
         base = np.where(base <= 0, 1e-6, base)
         t = np.asarray(new_target, dtype=float)
@@ -110,18 +142,13 @@ def composite_plan(library: TaskLibrary, weights: CompositeWeights):
     sum_j omega_j Psi_j,t over the stored log Psi_k,t, and the composite
     log Psi_t is the log of that sum.
     """
-    records = library.records
-    T = records[0].cost_fields.horizon_steps
-    stacked = np.stack([rec.controls for rec in records])      # (K, T, m)
-    controls = np.empty(stacked.shape[1:])
-    log_psi = np.empty(T + 1)
-    for t in range(T + 1):
-        mix, log_psi[t] = mixture(weights.omega_tilde,
-                                  [rec.log_psi[t] for rec in records])
-        if t < T:
-            controls[t] = [math.fsum(col)
-                           for col in (mix[:, None] * stacked[:, t]).T]
-    return controls, log_psi
+    mixes, log_psi = zip(*(
+        mixture(weights.omega_tilde, column)
+        for column in np.stack([rec.log_psi for rec in library.records]).T))
+    stacked = np.stack([rec.controls for rec in library.records])  # (K, T, m)
+    controls = np.array([[math.fsum(col) for col in (mix[:, None] * u).T]
+                         for mix, u in zip(mixes, stacked.swapaxes(0, 1))])
+    return controls, np.array(log_psi)
 
 
 def composite_terminal_log_desirability(library: TaskLibrary,

@@ -274,16 +274,15 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     p_diag = doc.get("P_diag")
     if p_diag is None:
         p_diag = TaskLibrary.default_kernel_width(records, new_target)
-    library = TaskLibrary(records, np.asarray(p_diag, dtype=float))
+    library = TaskLibrary(records, p_diag)
     weights = task_weights(library, new_target)
     controls, log_psi = composite_plan(library, weights)
 
     out = None if output_dir is None else _make_run_dir(output_dir)
 
-    hub = RngHub(seed)
     ref = records[0].cost_fields
     states = _executed_rollout(plant, x0, controls,
-                               hub.stream("compose-noise"))
+                               RngHub(seed).stream("compose-noise"))
     term = composite_terminal_log_desirability(library, weights, states[-1])
     record = ControllerRecord(
         task_id="composite",

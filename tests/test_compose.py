@@ -7,7 +7,7 @@ from gppi.compose import (CompositeWeights, TaskLibrary, composite_plan,
                           composite_terminal_log_desirability, task_weights,
                           verify_linearity)
 from gppi.control import ControlSequence, CostSpec, inner_optimize
-from gppi.errors import AlignmentError
+from gppi.errors import AlignmentError, ConfigError
 from gppi.records import ControllerRecord, CostFields
 
 
@@ -61,6 +61,46 @@ class TestWeights:
         with pytest.raises(AlignmentError) as err:
             TaskLibrary([a, b], [1.0])
         assert err.value.field == "lam"
+
+
+class TestLibraryChecks:
+    """A library rejects records that do not fit together or themselves."""
+
+    def _two(self, **second):
+        first = dict(x_d=[0.0, 0.0], controls=np.zeros((3, 1)),
+                     q_diag=(1.0, 1.0))
+        return [_record("a", **first), _record("b", **{**first, **second})]
+
+    @pytest.mark.parametrize("second,field", [
+        (dict(x_d=[1.0]), "x_d"),
+        (dict(q_diag=(1.0, 1.0, 1.0)), "Q_diag"),
+        (dict(controls=np.zeros((3, 2))), "controls"),
+    ], ids=["x_d", "Q_diag", "controls"])
+    def test_disagreement_names_field(self, second, field):
+        with pytest.raises(AlignmentError) as err:
+            TaskLibrary(self._two(**second), [1.0])
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("second", [
+        dict(controls=np.zeros((2, 1)), horizon=3),
+        dict(log_psi=np.zeros(3)),
+        dict(log_psi=[0.0, 0.0, np.nan, 0.0]),
+        dict(x_d=[np.inf, 0.0]),
+    ], ids=["short-controls", "short-log-psi", "nan-log-psi", "inf-x_d"])
+    def test_malformed_record_is_config_error(self, second):
+        with pytest.raises(ConfigError) as err:
+            TaskLibrary(self._two(**second), [1.0])
+        assert not isinstance(err.value, AlignmentError)
+
+    @pytest.mark.parametrize("width", [[1.0, 1.0, 1.0], [np.nan, 1.0],
+                                       [np.inf], [0.0], ["wide"]])
+    def test_kernel_width_checked(self, width):
+        with pytest.raises(ConfigError, match="kernel width"):
+            TaskLibrary(self._two(), width)
+
+    def test_kernel_width_of_one_or_n_entries(self):
+        assert TaskLibrary(self._two(), 2.0).kernel_width.shape == (1,)
+        assert TaskLibrary(self._two(), [1.0, 2.0]).kernel_width.shape == (2,)
 
 
 class TestCompositeTerminalCost:

@@ -322,6 +322,40 @@ class TestRunCompose:
         assert np.all(res["record"].log_psi < -800.0)
         assert np.allclose(res["record"].log_psi, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("case", ["short-controls", "long-P_diag",
+                                      "nan-P_diag", "mixed-x_d"])
+    def test_malformed_library_exits_2(self, tmp_path, case):
+        T = 3
+        plant = {"name": "linear", "params": {"A": [[-0.4, 0.0], [0.0, -0.4]],
+                                              "Bc": [[1.0], [0.0]]}}
+        x_ds, rows, p_diag = [[0.3, 0.0], [0.6, 0.0]], [T, T], [2.0, 2.0]
+        if case == "short-controls":
+            rows[1] = T - 1
+        elif case == "long-P_diag":
+            p_diag = [2.0, 2.0, 2.0]
+        elif case == "nan-P_diag":
+            p_diag = [float("nan"), 2.0]
+        else:
+            x_ds[1] = [0.6]
+        paths = []
+        for k in range(2):
+            rec = ControllerRecord(
+                f"task{k}", x_ds[k], CostFields([1.0, 1.0], 0.5, 0.02, T),
+                np.zeros((rows[k], 1)), np.zeros(T + 1), np.zeros((T + 1, 2)),
+                plant=plant)
+            paths.append(tmp_path / f"task{k}.json")
+            save_record(rec, paths[-1])
+        manifest = tmp_path / "manifest.json"
+        save_manifest(manifest, paths, p_diag, plant)
+        out = tmp_path / "composite"
+        with pytest.raises(ConfigError) as info:
+            run_compose(manifest, [0.45, 0.0], output_dir=out)
+        if case == "mixed-x_d":
+            assert info.value.field == "x_d"
+        assert cli_main(["compose", str(manifest), "--target", "0.45,0",
+                         "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
     def test_malformed_manifest_distinct_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"records": []}))
