@@ -2,10 +2,10 @@
 
 The desirability PDE is linear, so a weighted mixture of terminal
 desirabilities is itself a valid desirability; controls mix with
-Psi-proportional weights along the horizon.  The desirabilities are mixed
-in log domain by `mixture`, so the mixture stays exact where each Psi
-underflows; its sums are exactly rounded (math.fsum), so results are
-invariant under record reordering.
+Psi-proportional weights along the horizon.  Every mixture, of the task
+weights and of the desirabilities, is formed in log domain by `mixture`,
+so it stays exact where each Psi underflows; its sums are exactly rounded
+(math.fsum), so results are invariant under record reordering.
 
 A library checks its records when it is built: one state dimension across
 every x_d and Q_diag, one control dimension, and per record a finite x_d
@@ -107,17 +107,16 @@ class CompositeWeights:
 
 
 def task_weights(library: TaskLibrary, new_target) -> CompositeWeights:
-    """Gaussian kernel distance between the new target and each stored one."""
+    """Gaussian kernel distance between the new target and each stored one,
+    normalized in log domain, so finite where every raw weight underflows."""
     t = np.asarray(new_target, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ConfigError("new target must be finite")
     p = library.kernel_width
-    omega = np.array([
-        math.exp(-0.5 * float((t - rec.x_d) @ (p * (t - rec.x_d))))
-        for rec in library.records
-    ])
-    total = math.fsum(omega)
-    return CompositeWeights(omega, omega / total)
+    log_omega = [-0.5 * float((t - rec.x_d) @ (p * (t - rec.x_d)))
+                 for rec in library.records]
+    return CompositeWeights(np.array([math.exp(l) for l in log_omega]),
+                            mixture(np.ones(len(log_omega)), log_omega)[0])
 
 
 def mixture(omega, log_values):

@@ -55,6 +55,17 @@ class TestWeights:
         assert np.all(w.omega_tilde >= 0)
         assert np.all(w.omega <= 1.0) and np.all(w.omega > 0)
 
+    def test_far_target_weights_stay_finite(self):
+        # every raw weight underflows; the normalized ones do not
+        lib = TaskLibrary([_record("a", [0.0], np.ones((4, 1))),
+                           _record("b", [1.0], np.ones((4, 1)))], [1.0])
+        w = task_weights(lib, [60.0])
+        assert np.array_equal(w.omega, [0.0, 0.0])
+        assert w.omega_tilde[0] == pytest.approx(math.exp(-59.5), rel=1e-12)
+        assert w.omega_tilde[1] == pytest.approx(1.0, rel=1e-15)
+        u, log_psi = composite_plan(lib, w)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(log_psi))
+
     def test_alignment_error_names_field(self):
         a = _record("a", [0.0], np.ones((4, 1)), lam=1.0)
         b = _record("b", [1.0], np.ones((4, 1)), lam=2.0)
