@@ -50,8 +50,9 @@ def sampling_pi_control(plant, x_t, u_old, cost: CostSpec, n_samples: int,
     Each pass draws `n_samples` rollouts under the current control sequence
     (controlled diffusion), weights them by their desirability
     exp(-S/(2 lambda)) and shifts the controls by the weighted average of
-    the realized noise mapped through G^+ B / dt.  Low effective sample size only degrades the estimate; the
-    result is still returned with a warning status.
+    the realized noise mapped through G^+ B / dt.  Low effective sample
+    size only degrades the estimate; the result is still returned with a
+    warning status.
 
     The path costs of all samples are one `CostSpec.path_costs` call, and
     the projection is one `control_matrix` call over the nominal path and

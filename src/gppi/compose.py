@@ -7,11 +7,10 @@ weights and of the desirabilities, is formed in log domain by `mixture`,
 so it stays exact where each Psi underflows; its sums are exactly rounded
 (math.fsum), so results are invariant under record reordering.
 
-A library checks its records when it is built: one state dimension across
-every x_d and Q_diag, one control dimension, and per record a finite x_d
-and a control row and a finite log Psi for each step of the horizon.  A disagreement between
-records is an AlignmentError naming the field, a malformed record or kernel
-width a ConfigError.
+A library checks its records when it is built: one state size n across
+every x_d and Q_diag, one control size m, and per record a finite x_d,
+(T, m) controls and T+1 finite log Psi.  Records that disagree raise an
+AlignmentError naming the field, and any other fault a ConfigError.
 """
 
 from __future__ import annotations
@@ -121,9 +120,9 @@ def task_weights(library: TaskLibrary, new_target) -> CompositeWeights:
 
 def mixture(omega, log_values):
     """The weights omega_k e^{l_k} / sum_j omega_j e^{l_j} and the log of
-    that sum, both formed in log domain, so exact at any magnitude of l.
-    Every sum is exactly rounded (math.fsum), so neither result depends on
-    the order of the entries."""
+    that sum (NaN and -inf for a zero sum), formed in log domain at any
+    magnitude of l with exactly rounded sums (math.fsum), so neither
+    result depends on the order of the entries."""
     parts = [(math.log(w) if w > 0 else -math.inf) + lv
              for w, lv in zip(omega, log_values)]
     peak = max(parts)

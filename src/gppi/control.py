@@ -119,9 +119,9 @@ class CostSpec:
         d = np.asarray(states, dtype=float) - self.x_d
         inner = d[..., 1:-1, :]
         d_T = d[..., -1:, :]
-        return (np.einsum("...ij,jk,...ik->...i", inner, self.Q, inner)
-                .sum(axis=-1) * self.dt
-                + (d_T @ self.Q_terminal @ np.swapaxes(d_T, -1, -2))[..., 0, 0])
+        interior = np.einsum("...ij,jk,...ik->...i", inner, self.Q, inner)
+        terminal = d_T @ self.Q_terminal @ np.swapaxes(d_T, -1, -2)
+        return interior.sum(axis=-1) * self.dt + terminal[..., 0, 0]
 
     def tail(self, start: int) -> "CostSpec":
         """Cost over the remaining horizon starting at absolute step `start`."""
