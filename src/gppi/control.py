@@ -18,6 +18,13 @@ raised, and `inner_optimize` replays the one-by-one acceptance rule on the
 batch's values.  A single sequence is a batch of one through the same
 arithmetic, so every candidate's value is bit-identical to a rollout of
 that candidate alone.
+
+The accepted candidate is not rolled out again for the next gradient.  Its
+row of the batch already holds the beliefs, increment predictions and log
+phi partials of that rollout, bit for bit, and the batch keeps the moment
+pullback parts of every row, so the row becomes the next derivative pass
+(`_row_pass`).  An `inner_optimize` call makes one derivative rollout, at
+its start.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .gp import GpModel, incorporate_sample, refit
 from .moments import (GaussianBelief, IncrementPrediction, RowChecks,
-                      identity_where, moment_match)
+                      StepPullback, identity_where, moment_match)
 from .plants import _require_count, _require_number
 from .rng import RngHub
 
@@ -188,7 +195,7 @@ class DesirabilityTrace:
 
     log_psi: np.ndarray                 # (T+1,) or (C, T+1)
     grad_psi_over_psi: np.ndarray       # (T+1, n)
-    saturated: bool = False
+    saturated: bool | np.ndarray = False  # (C,) bool for a batch
     has_gradient: bool = False
     _phi_mu: list = field(default_factory=list, repr=False)
     _phi_sigma: list = field(default_factory=list, repr=False)
@@ -296,15 +303,16 @@ def backward_desirability(traj: BeliefTrajectory, cost: CostSpec) -> Desirabilit
     T = cost.horizon_steps
     if len(traj.beliefs) != T + 1:
         raise ConfigError("trajectory length does not match horizon")
-    log_psi = np.zeros(traj.beliefs[0].mu.shape[:-1] + (T + 1,))
+    rows = traj.beliefs[0].mu.shape[:-1]
+    log_psi = np.zeros(rows + (T + 1,))
     phi_mu = [None] * (T + 1)
     phi_sigma = [None] * (T + 1)
-    saturated = False
+    saturated = np.zeros(rows, dtype=bool)
 
     def floored(lp):
         nonlocal saturated
         low = (lp < LOG_PHI_FLOOR) & (lp > -np.inf)
-        saturated = saturated or bool(np.any(low))
+        saturated = saturated | low
         return np.where(low, LOG_PHI_FLOOR, lp)
 
     lp, dmu, dsig = log_phi_step(traj.beliefs[T], cost, 1.0, terminal=True,
@@ -318,10 +326,11 @@ def backward_desirability(traj: BeliefTrajectory, cost: CostSpec) -> Desirabilit
                                      step_index=t + 1)
         phi_mu[t + 1], phi_sigma[t + 1] = dmu, dsig
         log_psi[..., t] = floored(lp) + log_psi[..., t + 1]
-    if saturated:
+    if saturated.any():
         logger.warning("desirability trace saturated at the log floor")
     return DesirabilityTrace(log_psi, np.zeros(log_psi.shape + (cost.dim,)),
-                             saturated=saturated, _phi_mu=phi_mu,
+                             saturated=saturated if rows else bool(saturated),
+                             _phi_mu=phi_mu,
                              _phi_sigma=phi_sigma)
 
 
@@ -424,11 +433,36 @@ class InnerOptResult:
 def _candidate_values(model, x0, proposal: ControlSequence, u_cur, du, scales,
                       plant, cost):
     """log Psi_0 of the clamped candidates u_cur + s du over `scales`, from
-    one batched value-only rollout; -inf marks a failed candidate."""
+    one batched value-only rollout; -inf marks a failed candidate.  Returns
+    the candidate controls, their values, and the batch's trajectory and
+    trace."""
     s = np.asarray(scales)[:, None, None]
     batch = replace(proposal, u=u_cur.clamp(u_cur.u + s * du))
     traj = forward_rollout(model, x0, batch, plant, cost, compute_jac=False)
-    return batch.u, backward_desirability(traj, cost).log_psi[:, 0]
+    trace = backward_desirability(traj, cost)
+    return batch.u, trace.log_psi[:, 0], traj, trace
+
+
+def _row_pass(traj: BeliefTrajectory, trace: DesirabilityTrace, c: int,
+              controls: ControlSequence, plant, dt: float):
+    """Row c of a batched value pass as the derivative pass of its
+    candidate `controls`, ready for `desirability_gradient`.
+
+    The beliefs, predictions, log Psi and log phi partials are the row's,
+    which equal those of a rollout of the candidate alone bit for bit; each
+    step's pullback is built from the moment parts the batch kept for the
+    row.  Neither `moment_match` nor `predict_increment` is called.
+    """
+    beliefs = [GaussianBelief(b.mu[c], b.sigma[c]) for b in traj.beliefs]
+    preds = [p.row(c) for p in traj.predictions]
+    maps = [StepPullback.of_step(p.vjp, plant.control_matrix_jac, b.mu, u, dt)
+            for p, b, u in zip(preds, beliefs, controls.u)]
+    row_trace = DesirabilityTrace(
+        trace.log_psi[c], np.zeros(trace.grad_psi_over_psi.shape[1:]),
+        saturated=bool(trace.saturated[c]),
+        _phi_mu=[None if d is None else d[c] for d in trace._phi_mu],
+        _phi_sigma=[None if d is None else d[c] for d in trace._phi_sigma])
+    return BeliefTrajectory(beliefs, controls, preds, maps), row_trace
 
 
 def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
@@ -452,7 +486,10 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
     decreasing candidate.  A candidate that fails numerically is masked
     (value -inf) instead of raising, and counts as rejected.  Each value
     equals that of a rollout of the candidate alone bit for bit, so the
-    accepted controls are those of the one-by-one search.
+    accepted controls are those of the one-by-one search.  Only the initial
+    controls get a derivative rollout: the next iteration's gradient pass
+    is the accepted candidate's row of the batch that evaluated it, equal
+    to a derivative rollout of that candidate bit for bit.
 
     The returned trace is the gradient pass that generated the returned
     controls (one update behind them); log_psi0 is evaluated at the returned
@@ -480,8 +517,8 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
         du_norm = float(np.max(np.abs(du))) if du.size else 0.0
         stepped = False
         chosen = None
-        us, vals = _candidate_values(model, x0, proposal, u_cur, du,
-                                     EXPANSION_SCALES, plant, cost)
+        us, vals, *batch = _candidate_values(model, x0, proposal, u_cur, du,
+                                             EXPANSION_SCALES, plant, cost)
         searched.append(vals)
         if vals[0] >= log_psi0:
             # the raw uncertainty-scaled step is often very conservative when
@@ -489,19 +526,19 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
             k = 0
             while k + 1 < len(vals) and vals[k + 1] >= vals[k]:
                 k += 1
-            chosen = (EXPANSION_SCALES[k], vals[k], us[k])
+            chosen = (EXPANSION_SCALES[k], k)
         else:
-            us, vals = _candidate_values(model, x0, proposal, u_cur, du,
-                                         DAMPING_LADDER[1:], plant, cost)
+            us, vals, *batch = _candidate_values(
+                model, x0, proposal, u_cur, du, DAMPING_LADDER[1:], plant, cost)
             searched.append(vals)
             hits = np.flatnonzero(vals >= log_psi0)
             if hits.size:
                 k = int(hits[0])
-                chosen = (DAMPING_LADDER[1 + k], vals[k], us[k])
+                chosen = (DAMPING_LADDER[1 + k], k)
         if chosen is not None:
-            scale, cand_val, cand_u = chosen
-            cand_val = float(cand_val)
-            cand = replace(proposal, u=cand_u.copy())
+            scale, k = chosen
+            cand_val = float(vals[k])
+            cand = replace(proposal, u=us[k].copy())
             if cand_val >= best[0]:
                 best = (cand_val, cand, trace, traj)
             u_cur, log_psi0, stepped = cand, cand_val, True
@@ -514,11 +551,9 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
             status = "converged"
             break
         if it + 1 < max_iters:
-            traj = forward_rollout(model, x0, u_cur, plant, cost,
-                                   compute_jac=True)
-            trace = desirability_gradient(
-                traj, backward_desirability(traj, cost), cost)
-            log_psi0 = float(trace.log_psi[0])
+            # the accepted row of its batch is the next derivative pass
+            traj, trace = _row_pass(*batch, k, u_cur, plant, cost.dt)
+            trace = desirability_gradient(traj, trace, cost)
 
     search = dict(accepted_scales=scales_taken,
                   candidates_evaluated=sum(v.size for v in searched),

@@ -29,13 +29,15 @@ candidates with one call per step.  A single belief runs as a batch of one
 through the same code, and every reduction keeps the summation order of
 the single evaluation, so row c of a batch is bit-identical to evaluating
 its belief alone.  Checks that raise NumericalError for a single belief
-(`RowChecks`) instead mask the failing row of a batch.  Pullback records
-are kept for a single belief only.
+(`RowChecks`) instead mask the failing row of a batch.  A batch keeps the
+pullback parts of every row, none of them N x N or N x n, and
+`IncrementPrediction.row` turns row c into the prediction, pullback
+included, that a single evaluation of its belief with `with_vjp` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -89,7 +91,8 @@ class IncrementPrediction:
     g_sigma (n, n), g_cov (n, n)) on (mu_f, sigma_f, cov_x_dx) to the
     gradient (d_mu (n,), d_sigma (n, n)) of that weighted sum with respect
     to the input (mu, sigma); it is None when the moments do not depend on
-    the input (an empty model).
+    the input (an empty model).  A batch keeps the pullback parts of every
+    row instead, and `row(c)` returns row c with its `vjp`.
     """
 
     mu_f: np.ndarray        # (n,)
@@ -97,6 +100,14 @@ class IncrementPrediction:
     cov_x_dx: np.ndarray    # (n, n); rows input state, cols increment dim
     vjp: Callable | None = None
     ok: np.ndarray | None = None   # (C,) for a batch: rows whose checks passed
+    # batch: row c -> the pullback of that row, from the parts kept per row
+    row_vjp: Callable | None = field(default=None, repr=False)
+
+    def row(self, c: int) -> "IncrementPrediction":
+        """Row c of a batch as a single prediction, with its pullback."""
+        vjp = None if self.row_vjp is None else self.row_vjp(c)
+        return IncrementPrediction(self.mu_f[c], self.sigma_f[c],
+                                   self.cov_x_dx[c], vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +195,16 @@ def predict_increment(model: GpModel, mu_in, sigma_in, *,
 
     zeta = model.train.inputs[None, :, :] - m[:, None, :]         # (C, N, n)
     mu_f, sigma_f, cov, parts = _values(model, zeta, S, checks)
+
+    def row_vjp(c):
+        row = {k: a[c] for k, a in parts.items()}
+        return partial(_vjp, model, m[c], S[c], mu_f[c], row)
+
     if not single:
-        return IncrementPrediction(mu_f, sigma_f, cov, ok=checks.ok)
-    vjp = None
-    if with_vjp:
-        row = {k: a[0] for k, a in parts.items()}
-        vjp = partial(_vjp, model, m[0], S[0], mu_f[0], row)
-    return IncrementPrediction(mu_f[0], sigma_f[0], cov[0], vjp)
+        return IncrementPrediction(mu_f, sigma_f, cov, ok=checks.ok,
+                                   row_vjp=row_vjp)
+    return IncrementPrediction(mu_f[0], sigma_f[0], cov[0],
+                               row_vjp(0) if with_vjp else None)
 
 
 def _log_qbar(w, zeta, Y, logdet_r):
@@ -266,8 +280,7 @@ def _values(model: GpModel, zeta, S, checks: RowChecks):
     checks.fail(~(np.all(np.isfinite(sigma_f), axis=(1, 2))
                   & np.all(np.isfinite(mu_f), axis=1)),
                 "moment computation overflowed")
-    parts = dict(A=A, T=T, qbar=qbar, v=v, Y=Y, R=R, logdet_r=logdet_r,
-                 tr=tr)
+    parts = dict(A=A, qbar=qbar, v=v, Y=Y, R=R, logdet_r=logdet_r, tr=tr)
     return mu_f, sigma_f, cov, parts
 
 
@@ -329,7 +342,11 @@ def _output_weights(mu_f, g_mu, g_sig, g_cov, S):
 
 def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     """Pullback of the moments for one belief."""
-    T, v = p["T"], p["v"]
+    # zeta and T are recomputed, not kept: they are (N, n) per belief
+    zeta = model.train.inputs[None, :, :] - m[None, None, :]
+    T = np.linalg.solve(p["A"][None],
+                        zeta.transpose(0, 2, 1)).transpose(0, 2, 1)[0]
+    v = p["v"]
     N = T.shape[0]
     w = model.hyper.w
     sig2 = model.hyper.signal_var
@@ -348,7 +365,6 @@ def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     Wq = a2.T @ (Csym @ a2)
     Wq -= (t @ model.inv_grams.reshape(len(sig2), N * N)).reshape(N, N)
     # Qbar is recomputed, not stored: it is the one N x N array of the step
-    zeta = model.train.inputs[None, :, :] - m[None, None, :]
     eta, B = _log_qbar(w, zeta, p["Y"][None], p["logdet_r"][None])
     B = np.exp(B[0], out=B[0])
     B *= Wq
@@ -372,6 +388,16 @@ class StepPullback:
 
     increment_vjp: Callable | None   # IncrementPrediction.vjp of the step
     control_jac: np.ndarray | None   # dt * d(G(mu) u) / d mu, (n, n)
+
+    @classmethod
+    def of_step(cls, increment_vjp, plant_G_jac, mu, u, dt) -> "StepPullback":
+        """The pullback of a step from belief mean mu (n,) under control u
+        (m,); the control term is left out for u = 0 or without a G
+        Jacobian."""
+        control_jac = None
+        if plant_G_jac is not None and np.any(u):
+            control_jac = dt * np.einsum("ijk,j->ik", plant_G_jac(mu), u)
+        return cls(increment_vjp, control_jac)
 
     def pullback(self, chi_mu, chi_sig):
         d_mu, d_sig = chi_mu, chi_sig
@@ -440,10 +466,8 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
                 "belief covariance overflowed")
 
     if step_map_out is not None:
-        control_jac = None
-        if plant_G_jac is not None and np.any(u[0]):
-            control_jac = dt * np.einsum("ijk,j->ik", plant_G_jac(mu[0]), u[0])
-        step_map_out.append(StepPullback(pred.vjp, control_jac))
+        step_map_out.append(
+            StepPullback.of_step(pred.vjp, plant_G_jac, mu[0], u[0], dt))
     if prediction_out is not None:
         prediction_out.append(pred)
     if single:

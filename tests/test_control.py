@@ -6,10 +6,11 @@ import pytest
 from gppi.checks import fd_tail_gradient
 from gppi.control import (DAMPING_LADDER, EXPANSION_MAX, EXPANSION_SCALES,
                           BeliefTrajectory, ControlSequence, CostSpec,
-                          DesirabilityTrace, backward_desirability,
-                          control_update, desirability_gradient,
-                          forward_rollout, inner_optimize, log_phi_step,
-                          mpc_learning_loop, terminal_log_desirability)
+                          DesirabilityTrace, _candidate_values, _row_pass,
+                          backward_desirability, control_update,
+                          desirability_gradient, forward_rollout,
+                          inner_optimize, log_phi_step, mpc_learning_loop,
+                          terminal_log_desirability)
 from gppi.errors import ConfigError, NumericalError
 from gppi.gp import GpModel
 from gppi.moments import GaussianBelief, IncrementPrediction
@@ -660,6 +661,78 @@ class TestBatchedLineSearch:
             forward_rollout(GpModel.empty(1), [0.0],
                             ControlSequence(batch.u[-1]), plant, cost,
                             compute_jac=False)
+
+
+def _derivative_pass(model, x0, controls, plant, cost):
+    traj = forward_rollout(model, x0, controls, plant, cost, compute_jac=True)
+    return traj, desirability_gradient(traj, backward_desirability(traj, cost),
+                                       cost)
+
+
+class TestAcceptedRowPass:
+    """The accepted row of a value batch is the next derivative pass, bit
+    for bit equal to rolling its candidate out again with derivatives."""
+
+    @pytest.mark.parametrize("which", ["cartpole", "dpc", "empty"])
+    def test_row_equals_fresh_derivative_pass(self, which, cartpole,
+                                              cartpole_model, dpc, dpc_model,
+                                              rng):
+        plant, model = {"cartpole": (cartpole, cartpole_model),
+                        "dpc": (dpc, dpc_model),
+                        "empty": (cartpole, GpModel.empty(4))}[which]
+        n = plant.spec.n
+        x_d = np.zeros(n)
+        x_d[2::2] = np.pi
+        cost = CostSpec(np.diag(np.tile([0.5, 0.05], n // 2)), x_d, 1.0,
+                        0.02, 20)
+        x0 = np.linspace(-0.1, 0.2, n)
+        cap = np.full(1, 10.0)
+        u_cur = ControlSequence(rng.uniform(-1, 1, (20, 1)), u_min=-cap,
+                                u_max=cap)
+        traj, trace = _derivative_pass(model, x0, u_cur, plant, cost)
+        if which == "empty":
+            assert traj.step_maps[0].increment_vjp is None
+        proposal = control_update(trace, traj, u_cur, plant, cost.lam)
+        du = proposal.u - u_cur.u
+        for scales, k in ((EXPANSION_SCALES, 3), (DAMPING_LADDER[1:], 2)):
+            us, vals, batch_traj, batch_trace = _candidate_values(
+                model, x0, proposal, u_cur, du, scales, plant, cost)
+            assert np.isfinite(vals[k])
+            cand = replace(proposal, u=us[k].copy())
+            row_traj, row_trace = _row_pass(batch_traj, batch_trace, k, cand,
+                                            plant, cost.dt)
+            row_trace = desirability_gradient(row_traj, row_trace, cost)
+            fresh_traj, fresh_trace = _derivative_pass(model, x0, cand, plant,
+                                                       cost)
+            assert np.array_equal(row_trace.log_psi, fresh_trace.log_psi)
+            assert np.array_equal(row_trace.grad_psi_over_psi,
+                                  fresh_trace.grad_psi_over_psi)
+            for got, want in zip(row_traj.predictions,
+                                 fresh_traj.predictions):
+                assert np.array_equal(got.sigma_f, want.sigma_f)
+            assert np.array_equal(
+                control_update(row_trace, row_traj, cand, plant, cost.lam).u,
+                control_update(fresh_trace, fresh_traj, cand, plant,
+                               cost.lam).u)
+
+    def test_one_derivative_rollout_per_call(self, monkeypatch, cartpole,
+                                             cartpole_model, swing_cost, rng):
+        from gppi import control
+        jac_calls = []
+
+        def counting(*args, **kwargs):
+            jac_calls.append(kwargs.get("compute_jac", True))
+            return forward_rollout(*args, **kwargs)
+
+        monkeypatch.setattr(control, "forward_rollout", counting)
+        us = ControlSequence(rng.uniform(-1, 1, (20, 1)))
+        res = inner_optimize(cartpole_model, np.zeros(4), us, swing_cost,
+                             cartpole, max_iters=3, tol=1e-9)
+        # every iteration stepped, so two of the three gradient passes came
+        # from accepted rows
+        assert res.n_iters == 3 and len(res.accepted_scales) == 3
+        assert jac_calls.count(True) == 1
+        assert jac_calls.count(False) >= 3
 
 
 class TestCostSpec:
