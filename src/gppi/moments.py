@@ -30,9 +30,15 @@ through the same code, and every reduction keeps the summation order of
 the single evaluation, so row c of a batch is bit-identical to evaluating
 its belief alone.  Checks that raise NumericalError for a single belief
 (`RowChecks`) instead mask the failing row of a batch.  A batch keeps the
-pullback parts of every row, none of them N x N or N x n, and
-`IncrementPrediction.row` turns row c into the prediction, pullback
-included, that a single evaluation of its belief with `with_vjp` records.
+pullback parts of every row, none of them N x N or N x n: the pullback
+recomputes T = (X - m) A^-1 from the kept A^-1, and Qbar from the kept
+factors.  `IncrementPrediction.row` turns row c into the prediction,
+pullback included, that a single evaluation of its belief with `with_vjp`
+records.
+
+Per belief, log Qbar is one product of two (N, n+2) factors
+(`_log_qbar`), T is one product with a stacked A^-1, and the trace term of
+the covariance is one matrix-vector product on the flat inverse Grams.
 """
 
 from __future__ import annotations
@@ -214,17 +220,19 @@ def _log_qbar(w, zeta, Y, logdet_r):
                               + 0.5 z_ij' R^-1 S z_ij),  z_ij = eta_i + eta_j,
     zeta_i = x_i - m, so that sigma_s,a^2 sigma_s,b^2 Qbar[i, j] is the
     mean of k_a(x_i, x) k_b(x_j, x) (signal parts) over x ~ N(m, S), with
-    w the diagonal of W.
+    w the diagonal of W and Y = R^-1 S.  With u_i = Y eta_i and
+    r_i = 0.5 eta_i' (u_i - zeta_i), log Qbar[i, j] = u_i' eta_j + r_i
+    + r_j - 0.5 log|R|: one product per belief of the (N, n+2) factors
+    [u | r | 1] and [eta | 1 | r - 0.5 log|R|].
     """
     eta = zeta * w                                               # (C, N, n)
-    u = eta @ Y                                                  # (C, N, n)
-    r_row = -0.5 * np.einsum("cnj,cnj->cn", eta, zeta) \
-        + 0.5 * np.einsum("cnj,cnj->cn", u, eta)                 # (C, N)
-    Kbar = u @ eta.transpose(0, 2, 1)
-    Kbar += r_row[:, :, None]
-    Kbar += r_row[:, None, :]
-    Kbar -= 0.5 * logdet_r[:, None, None]
-    return eta, Kbar
+    u = eta @ Y
+    r = 0.5 * np.einsum("cnj,cnj->cn", eta, u - zeta)[..., None]  # (C, N, 1)
+    one = np.ones_like(r)
+    left = np.concatenate((u, r, one), axis=2)
+    right = np.concatenate((eta, one, r - 0.5 * logdet_r[:, None, None]),
+                           axis=2)
+    return eta, left @ right.transpose(0, 2, 1)
 
 
 def _values(model: GpModel, zeta, S, checks: RowChecks):
@@ -233,7 +241,7 @@ def _values(model: GpModel, zeta, S, checks: RowChecks):
     Every output pair (a, b) has the matrix sigma_s,a^2 sigma_s,b^2 Qbar, so
     the whole covariance block costs one N x N exponential per belief.
     Returns (mu_f, sigma_f, cov, parts); `parts` holds the batched
-    intermediates a pullback reuses, none of them N x N.
+    intermediates a pullback reuses, none of them N x N or N x n.
     """
     n = zeta.shape[2]
     hyper, alphas = model.hyper, model.alphas                    # (E, N)
@@ -245,8 +253,8 @@ def _values(model: GpModel, zeta, S, checks: RowChecks):
     sign_a, logdet_a = np.linalg.slogdet(A)
     bad = ~(sign_a > 0)
     checks.fail(bad, "input covariance plus length scales not PD")
-    T = np.linalg.solve(identity_where(bad, A),
-                        zeta.transpose(0, 2, 1)).transpose(0, 2, 1)  # (C, N, n)
+    Ainv = np.linalg.inv(identity_where(bad, A))
+    T = zeta @ Ainv                                              # (C, N, n)
     half_ratio = 0.5 * (logdet_a + float(np.sum(np.log(w))))     # (C,)
     logq0 = -half_ratio[:, None] \
         - 0.5 * np.einsum("cnj,cnj->cn", T, zeta)                # (C, N)
@@ -268,10 +276,10 @@ def _values(model: GpModel, zeta, S, checks: RowChecks):
 
     M2 = alphas @ (Qbar @ alphas.T)                              # (C, E, E)
     e2 = np.outer(sig2, sig2) * M2
-    # one BLAS product per row on the flat (E, N*N) view of the inverse
-    # Grams: a batched product sums in a different order
+    # one matrix-vector product per row on the flat (E, N*N) view of the
+    # inverse Grams, so that a row sums as a batch of one does
     inv_flat = model.inv_grams.reshape(len(sig2), -1)
-    tr_base = np.stack([inv_flat @ q.reshape(-1) for q in Qbar])  # (C, E)
+    tr_base = (Qbar.reshape(len(Qbar), 1, -1) @ inv_flat.T)[:, 0]  # (C, E)
     tr = sig2 ** 2 * tr_base
     model_var = np.maximum(sig2 - tr, 0.0) + hyper.prior_var - sig2
     sigma_f = e2 - mu_f[:, :, None] * mu_f[:, None, :]
@@ -280,7 +288,8 @@ def _values(model: GpModel, zeta, S, checks: RowChecks):
     checks.fail(~(np.all(np.isfinite(sigma_f), axis=(1, 2))
                   & np.all(np.isfinite(mu_f), axis=1)),
                 "moment computation overflowed")
-    parts = dict(A=A, qbar=qbar, v=v, Y=Y, R=R, logdet_r=logdet_r, tr=tr)
+    parts = dict(Ainv=Ainv, qbar=qbar, v=v, Y=Y, R=R, logdet_r=logdet_r,
+                 tr=tr)
     return mu_f, sigma_f, cov, parts
 
 
@@ -295,18 +304,18 @@ def _values(model: GpModel, zeta, S, checks: RowChecks):
 #                     - 0.5 tr(R^-1 dS G),   dY = R^-1 dS (I - G Y).
 # Derivatives are taken with respect to every entry of S separately.
 
-def _gauss_pullback(A, T, c, psi_v, psi_mu):
+def _gauss_pullback(Ainv, T, c, psi_v, psi_mu):
     """Gradient of the log q and cross-covariance terms.
 
-    A (n, n), T (N, n), c (N,) the weights on d log q, psi_v (n, n) =
-    sum_e psi_e v_e' and psi_mu (n,) = sum_e psi_e mu_f,e, psi_e the weight
-    on v_e = sum_i lq_ei T_i.  Returns (d_m (n,), d_S (n, n)).
+    Ainv (n, n) = A^-1, T (N, n), c (N,) the weights on d log q, psi_v
+    (n, n) = sum_e psi_e v_e' and psi_mu (n,) = sum_e psi_e mu_f,e, psi_e
+    the weight on v_e = sum_i lq_ei T_i.  Returns (d_m (n,), d_S (n, n)).
     """
-    n = A.shape[-1]
+    n = Ainv.shape[-1]
     rhs = np.empty((n, n + 1))
     rhs[:, :n] = -0.5 * c.sum() * np.eye(n) - psi_v
     rhs[:, n] = -psi_mu
-    sol = np.linalg.solve(A.T, rhs)
+    sol = Ainv.T @ rhs
     cT = T * c[:, None]
     d_m = cT.sum(axis=0) + sol[:, n]
     d_S = sol[:, :n] + 0.5 * (cT.T @ T)
@@ -344,8 +353,7 @@ def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     """Pullback of the moments for one belief."""
     # zeta and T are recomputed, not kept: they are (N, n) per belief
     zeta = model.train.inputs[None, :, :] - m[None, None, :]
-    T = np.linalg.solve(p["A"][None],
-                        zeta.transpose(0, 2, 1)).transpose(0, 2, 1)[0]
+    T = zeta[0] @ p["Ainv"]
     v = p["v"]
     N = T.shape[0]
     w = model.hyper.w
@@ -356,7 +364,7 @@ def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     # mean and cross covariance: one weight per training point on d log q,
     # with lq = a2 * qbar
     c = p["qbar"] * (g_mf @ a2 + np.sum(T * (a2.T @ psi), axis=1))  # (N,)
-    d_m, d_S = _gauss_pullback(p["A"], T, c, psi.T @ v, psi.T @ mu_f)
+    d_m, d_S = _gauss_pullback(p["Ainv"], T, c, psi.T @ v, psi.T @ mu_f)
     d_S += g_cov @ v
 
     # pair and trace weights folded into one N x N weight on Qbar

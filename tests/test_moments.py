@@ -3,7 +3,8 @@ import pytest
 
 from gppi.errors import ConfigError, NumericalError
 from gppi.gp import GpModel, KernelHyper, TrainingSet, posterior_predict
-from gppi.moments import GaussianBelief, moment_match, predict_increment
+from gppi.moments import (GaussianBelief, _log_qbar, moment_match,
+                          predict_increment)
 from gppi.oracles import mc_increment_moments
 
 
@@ -250,3 +251,38 @@ class TestCandidateBatch:
         single = moment_match(model, GaussianBelief(np.zeros(2), sigma[0]),
                               [0.0], _const_G(np.eye(2)[:, :1]), 0.02)
         assert np.array_equal(out.sigma[0], single.sigma)
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("C", [1, 3])
+    def test_log_qbar_matches_element_formula(self, C, rng):
+        # the docstring's Qbar[i, j], entry by entry, against the one
+        # stacked product; the last two points sit so far away that every
+        # entry with one of them underflows to 0
+        n, N = 3, 12
+        X = rng.normal(size=(N, n))
+        X[-2:] += 40.0
+        w = rng.uniform(0.5, 2.0, n)
+        inputs = [_random_input(rng, n) for _ in range(C)]
+        m = np.array([mu for mu, _ in inputs])
+        S = np.array([s for _, s in inputs])
+        R = S * (2.0 * w) + np.eye(n)
+        Y = np.linalg.solve(R, S)
+        Y = 0.5 * (Y + Y.transpose(0, 2, 1))
+        zeta = X[None] - m[:, None]
+        _, log_qbar = _log_qbar(w, zeta, Y, np.linalg.slogdet(R)[1])
+        want = np.empty((C, N, N))
+        for c in range(C):
+            r_inv_s = np.linalg.solve(R[c], S[c])
+            norm = np.linalg.det(R[c]) ** -0.5
+            for i in range(N):
+                for j in range(N):
+                    zi, zj = zeta[c, i], zeta[c, j]
+                    z = w * zi + w * zj
+                    want[c, i, j] = norm * np.exp(
+                        -0.5 * zi @ (w * zi) - 0.5 * zj @ (w * zj)
+                        + 0.5 * z @ r_inv_s @ z)
+        got = np.exp(log_qbar)
+        assert np.all(want[:, :-2, :-2] > 0)
+        assert not np.any(want[:, -2:]) and not np.any(want[:, :, -2:])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
