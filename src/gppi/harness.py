@@ -134,6 +134,20 @@ def build_cost(cost_cfg: dict, dt: float) -> CostSpec:
                     q_term)
 
 
+def _state_vector(what: str, value, plant) -> np.ndarray:
+    """`value` as a float array of one number per state of `plant`; raises
+    ConfigError, naming `what`, for anything else."""
+    n = plant.spec.n
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (n,):
+        raise ConfigError(f"{what} must hold {n} numbers, one per state of "
+                          f"the {plant.spec.name} plant, got {value!r}")
+    return vec
+
+
 def _plant_cost_start(config: dict):
     """The run's plant, cost and start state.  Raises ConfigError unless
     cost.Q_diag, cost.x_d and a set protocol.x0 each hold one number per
@@ -142,17 +156,8 @@ def _plant_cost_start(config: dict):
     n = plant.spec.n
     for section, key in (("cost", "Q_diag"), ("cost", "x_d"),
                          ("protocol", "x0")):
-        value = config[section][key]
-        if value is None:
-            continue
-        try:
-            shape = np.asarray(value, dtype=float).shape
-        except (TypeError, ValueError):
-            shape = None
-        if shape != (n,):
-            raise ConfigError(f"{section}.{key} must hold {n} numbers, one "
-                              f"per state of the {plant.spec.name} plant, "
-                              f"got {value!r}")
+        if config[section][key] is not None:
+            _state_vector(f"{section}.{key}", config[section][key], plant)
     x0 = config["protocol"]["x0"]
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     return plant, build_cost(config["cost"], config["plant"]["dt"]), x0
@@ -263,14 +268,10 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
         if not _same_plant(learned_on, plant):
             raise AlignmentError("plant", f"record {path} was learned on a "
                                  "different plant than the manifest names")
-    new_target = np.asarray(new_target, dtype=float)
-    if new_target.shape != (plant.spec.n,):
-        raise ConfigError(f"target must hold {plant.spec.n} numbers, one per "
-                          f"state of the plant, got shape {new_target.shape}")
+    new_target = _state_vector("target", new_target, plant)
     x0 = doc.get("x0")
-    x0 = np.zeros(plant.spec.n) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (plant.spec.n,):
-        raise ConfigError("manifest x0 dimension does not match plant state")
+    x0 = np.zeros(plant.spec.n) if x0 is None \
+        else _state_vector("manifest x0", x0, plant)
     p_diag = doc.get("P_diag")
     if p_diag is None:
         p_diag = TaskLibrary.default_kernel_width(records, new_target)

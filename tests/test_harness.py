@@ -410,6 +410,15 @@ class TestRunCompose:
             run_compose(manifest, [0.3])
         assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2
 
+    def test_non_numeric_manifest_x0_is_config_error(self, tmp_path):
+        manifest = self._make_library(tmp_path, targets=(0.3,))
+        doc = json.loads(manifest.read_text())
+        doc["x0"] = ["a"]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="manifest x0"):
+            run_compose(manifest, [0.3])
+        assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2
+
     def test_target_of_other_shape_rejected(self, tmp_path):
         manifest = self._make_library(tmp_path, targets=(0.3,))
         for target in (0.4, [[0.4]]):
