@@ -453,15 +453,19 @@ def _row_pass(traj: BeliefTrajectory, trace: DesirabilityTrace, c: int,
     step's pullback is built from the moment parts the batch kept for the
     row.  Neither `moment_match` nor `predict_increment` is called.
     """
-    beliefs = [GaussianBelief(b.mu[c], b.sigma[c]) for b in traj.beliefs]
+    def row(a):
+        # a copy, so that the row does not keep its whole batch alive
+        return None if a is None else a[c].copy()
+
+    beliefs = [GaussianBelief(row(b.mu), row(b.sigma)) for b in traj.beliefs]
     preds = [p.row(c) for p in traj.predictions]
     maps = [StepPullback.of_step(p.vjp, plant.control_matrix_jac, b.mu, u, dt)
             for p, b, u in zip(preds, beliefs, controls.u)]
     row_trace = DesirabilityTrace(
-        trace.log_psi[c], np.zeros(trace.grad_psi_over_psi.shape[1:]),
+        row(trace.log_psi), np.zeros(trace.grad_psi_over_psi.shape[1:]),
         saturated=bool(trace.saturated[c]),
-        _phi_mu=[None if d is None else d[c] for d in trace._phi_mu],
-        _phi_sigma=[None if d is None else d[c] for d in trace._phi_sigma])
+        _phi_mu=[row(d) for d in trace._phi_mu],
+        _phi_sigma=[row(d) for d in trace._phi_sigma])
     return BeliefTrajectory(beliefs, controls, preds, maps), row_trace
 
 

@@ -30,8 +30,8 @@ through the same code, and every reduction keeps the summation order of
 the single evaluation, so row c of a batch is bit-identical to evaluating
 its belief alone.  Checks that raise NumericalError for a single belief
 (`RowChecks`) instead mask the failing row of a batch.  A batch keeps the
-pullback parts of every row, none of them N x N or N x n: the pullback
-recomputes T = (X - m) A^-1 from the kept A^-1, and Qbar from the kept
+pullback parts of every row, none of them N-long: the pullback recomputes
+T = (X - m) A^-1 from the kept A^-1, and q and Qbar from the kept
 factors.  `IncrementPrediction.row` turns row c into the prediction,
 pullback included, that a single evaluation of its belief with `with_vjp`
 records.
@@ -112,8 +112,8 @@ class IncrementPrediction:
     def row(self, c: int) -> "IncrementPrediction":
         """Row c of a batch as a single prediction, with its pullback."""
         vjp = None if self.row_vjp is None else self.row_vjp(c)
-        return IncrementPrediction(self.mu_f[c], self.sigma_f[c],
-                                   self.cov_x_dx[c], vjp)
+        return IncrementPrediction(self.mu_f[c].copy(), self.sigma_f[c].copy(),
+                                   self.cov_x_dx[c].copy(), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +203,10 @@ def predict_increment(model: GpModel, mu_in, sigma_in, *,
     mu_f, sigma_f, cov, parts = _values(model, zeta, S, checks)
 
     def row_vjp(c):
-        row = {k: a[c] for k, a in parts.items()}
-        return partial(_vjp, model, m[c], S[c], mu_f[c], row)
+        # copies, so that a kept row does not keep its whole batch alive
+        row = {k: a[c].copy() for k, a in parts.items()}
+        return partial(_vjp, model, m[c].copy(), S[c].copy(), mu_f[c].copy(),
+                       row)
 
     if not single:
         return IncrementPrediction(mu_f, sigma_f, cov, ok=checks.ok,
@@ -235,13 +237,20 @@ def _log_qbar(w, zeta, Y, logdet_r):
     return eta, left @ right.transpose(0, 2, 1)
 
 
+def _qbar(T, zeta, half_ratio):
+    """q (C, N) with q_i = exp(-half_ratio - 0.5 zeta_i' A^-1 zeta_i), so
+    that sigma_s,a^2 q_i is the mean of k_a(x_i, x) over x ~ N(m, S)."""
+    return np.exp(-half_ratio[:, None]
+                  - 0.5 * np.einsum("cnj,cnj->cn", T, zeta))
+
+
 def _values(model: GpModel, zeta, S, checks: RowChecks):
     """Value moments for a batch of beliefs.
 
     Every output pair (a, b) has the matrix sigma_s,a^2 sigma_s,b^2 Qbar, so
     the whole covariance block costs one N x N exponential per belief.
     Returns (mu_f, sigma_f, cov, parts); `parts` holds the batched
-    intermediates a pullback reuses, none of them N x N or N x n.
+    intermediates a pullback reuses, none of them N-long.
     """
     n = zeta.shape[2]
     hyper, alphas = model.hyper, model.alphas                    # (E, N)
@@ -256,9 +265,7 @@ def _values(model: GpModel, zeta, S, checks: RowChecks):
     Ainv = np.linalg.inv(identity_where(bad, A))
     T = zeta @ Ainv                                              # (C, N, n)
     half_ratio = 0.5 * (logdet_a + float(np.sum(np.log(w))))     # (C,)
-    logq0 = -half_ratio[:, None] \
-        - 0.5 * np.einsum("cnj,cnj->cn", T, zeta)                # (C, N)
-    qbar = np.exp(logq0)
+    qbar = _qbar(T, zeta, half_ratio)                            # (C, N)
     lq = (sig2[:, None] * alphas)[None] * qbar[:, None, :]       # (C, E, N)
     mu_f = lq.sum(axis=2)
     v = lq @ T                                                   # (C, E, n)
@@ -288,8 +295,8 @@ def _values(model: GpModel, zeta, S, checks: RowChecks):
     checks.fail(~(np.all(np.isfinite(sigma_f), axis=(1, 2))
                   & np.all(np.isfinite(mu_f), axis=1)),
                 "moment computation overflowed")
-    parts = dict(Ainv=Ainv, qbar=qbar, v=v, Y=Y, R=R, logdet_r=logdet_r,
-                 tr=tr)
+    parts = dict(Ainv=Ainv, half_ratio=half_ratio, v=v, Y=Y, R=R,
+                 logdet_r=logdet_r, tr=tr)
     return mu_f, sigma_f, cov, parts
 
 
@@ -351,9 +358,10 @@ def _output_weights(mu_f, g_mu, g_sig, g_cov, S):
 
 def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     """Pullback of the moments for one belief."""
-    # zeta and T are recomputed, not kept: they are (N, n) per belief
+    # zeta, T and q are recomputed, not kept: they are N-long per belief
     zeta = model.train.inputs[None, :, :] - m[None, None, :]
     T = zeta[0] @ p["Ainv"]
+    qbar = _qbar(T[None], zeta, p["half_ratio"][None])[0]
     v = p["v"]
     N = T.shape[0]
     w = model.hyper.w
@@ -363,7 +371,7 @@ def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
 
     # mean and cross covariance: one weight per training point on d log q,
     # with lq = a2 * qbar
-    c = p["qbar"] * (g_mf @ a2 + np.sum(T * (a2.T @ psi), axis=1))  # (N,)
+    c = qbar * (g_mf @ a2 + np.sum(T * (a2.T @ psi), axis=1))  # (N,)
     d_m, d_S = _gauss_pullback(p["Ainv"], T, c, psi.T @ v, psi.T @ mu_f)
     d_S += g_cov @ v
 
