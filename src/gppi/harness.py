@@ -154,12 +154,11 @@ def _plant_cost_start(config: dict):
     state of the plant."""
     plant = make_plant(**config["plant"])
     n = plant.spec.n
-    for section, key in (("cost", "Q_diag"), ("cost", "x_d"),
-                         ("protocol", "x0")):
-        if config[section][key] is not None:
-            _state_vector(f"{section}.{key}", config[section][key], plant)
+    for key in ("Q_diag", "x_d"):
+        if config["cost"][key] is not None:
+            _state_vector(f"cost.{key}", config["cost"][key], plant)
     x0 = config["protocol"]["x0"]
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = np.zeros(n) if x0 is None else _state_vector("protocol.x0", x0, plant)
     return plant, build_cost(config["cost"], config["plant"]["dt"]), x0
 
 
