@@ -20,7 +20,8 @@ from .control import (ControlSequence, CostSpec, backward_desirability,
 from .gp import (LOG_HYPER_BOUNDS, GpModel, KernelHyper, TrainingSet,
                  fit_hyperparameters, incorporate_sample,
                  tied_log_marginal_likelihood)
-from .moments import GaussianBelief, moment_match, predict_increment
+from .moments import (GaussianBelief, moment_match, predict_increment,
+                      step_pullbacks)
 from .oracles import (cholesky_log_marginal_likelihood,
                       linear_chain_log_integral, mc_increment_moments,
                       path_integral_quadrature, quadrature_phi)
@@ -177,10 +178,12 @@ def step_pullback_vs_fd(rng):
                            dpc.control_matrix, 0.02)
         return wa @ out.mu + np.sum(wB * out.sigma)
 
-    maps = []
+    preds = []
     moment_match(model, GaussianBelief(m, S), u, dpc.control_matrix, 0.02,
-                 plant_G_jac=dpc.control_matrix_jac, step_map_out=maps)
-    d_mu, d_sig = maps[0].pullback(wa, wB)
+                 with_vjp=True, prediction_out=preds)
+    step, = step_pullbacks(preds, dpc.control_matrix_jac, m[None], u[None],
+                           0.02)
+    d_mu, d_sig = step.pullback(wa, wB)
     tol, worst = 1e-6, 0.0
     for _ in range(4):
         dm = rng.normal(size=n)

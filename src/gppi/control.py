@@ -1,11 +1,15 @@
 """Forward-backward path integral control on GP belief trajectories.
 
 Forward: propagate the state belief under the current control sequence,
-recording the pullback of every step (`moments.StepPullback`).  Backward:
-accumulate the desirability recursion in log domain, then carry its
-partials backward through the step pullbacks, one vector-Jacobian product
-per step (the adjoint pass), which gives grad Psi_t / Psi_t at each step's
-own state.  Update: the analytic control correction
+recording the pullback of every step (`moments.StepPullback`, built by
+`moments.step_pullbacks` with one control-Jacobian call per horizon).
+Backward: accumulate the desirability recursion in log domain, then carry
+its partials backward through the step pullbacks, one vector-Jacobian
+product per step (the adjoint pass), which gives grad Psi_t / Psi_t at each
+step's own state.  The recursion's log phi terms and their partials come
+from two `log_phi_step` calls, one at the terminal belief and one on the
+interior beliefs of all steps stacked, and the tails are summed backward
+in the recursion's order.  Update: the analytic control correction
 delta_u_t = G^+ Sigma_f (grad Psi_t / Psi_t), damped by a backtracking
 acceptance rule on log Psi_0.
 
@@ -37,7 +41,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .gp import GpModel, incorporate_sample, refit
 from .moments import (GaussianBelief, IncrementPrediction, RowChecks,
-                      StepPullback, identity_where, moment_match)
+                      identity_where, moment_match, step_pullbacks)
 from .plants import _require_count, _require_number
 from .rng import RngHub
 
@@ -197,8 +201,10 @@ class DesirabilityTrace:
     grad_psi_over_psi: np.ndarray       # (T+1, n)
     saturated: bool | np.ndarray = False  # (C,) bool for a batch
     has_gradient: bool = False
-    _phi_mu: list = field(default_factory=list, repr=False)
-    _phi_sigma: list = field(default_factory=list, repr=False)
+    # d log phi_t / d{mu_t, Sigma_t} at steps t = 1..T, (..., T+1, n) and
+    # (..., T+1, n, n); entry 0 is unused
+    _phi_mu: np.ndarray | None = field(default=None, repr=False)
+    _phi_sigma: np.ndarray | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +278,19 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
                                 np.ones(C, dtype=bool))
     beliefs = [belief]
     preds: list[IncrementPrediction] = []
-    maps: list = []
     for t in range(cost.horizon_steps):
         try:
             belief = moment_match(
                 model, belief, u[..., t, :], plant.control_matrix, cost.dt,
-                plant_G_jac=plant.control_matrix_jac,
-                prediction_out=preds,
-                step_map_out=maps if compute_jac else None)
+                with_vjp=compute_jac, prediction_out=preds)
         except NumericalError as exc:
             raise NumericalError(f"forward rollout failed at step {t}: {exc}",
                                  jitter=exc.jitter, step=t) from exc
         beliefs.append(belief)
+    maps = []
+    if compute_jac:
+        maps = step_pullbacks(preds, plant.control_matrix_jac,
+                              [b.mu for b in beliefs[:-1]], u, cost.dt)
     return BeliefTrajectory(beliefs, controls, preds, maps)
 
 
@@ -299,39 +306,55 @@ def backward_desirability(traj: BeliefTrajectory, cost: CostSpec) -> Desirabilit
     beyond step t, so log_psi[T-1] equals log_psi[T].  On a batched
     trajectory every row runs the same recursion; a candidate whose rollout
     or whose log phi failed is -inf.
+
+    log phi is evaluated twice: once at the terminal belief, and once for
+    the interior beliefs of every step 1..T-1 (and every row) stacked.  The
+    tails are then summed backward from T in the recursion's own order.  A
+    single plan raises the NumericalError of the terminal step, or else of
+    the latest interior step that fails, as a step-by-step recursion from T
+    would.
     """
     T = cost.horizon_steps
     if len(traj.beliefs) != T + 1:
         raise ConfigError("trajectory length does not match horizon")
     rows = traj.beliefs[0].mu.shape[:-1]
-    log_psi = np.zeros(rows + (T + 1,))
-    phi_mu = [None] * (T + 1)
-    phi_sigma = [None] * (T + 1)
-    saturated = np.zeros(rows, dtype=bool)
+    n = cost.dim
+    log_phi = np.zeros(rows + (T + 1,))
+    phi_mu = np.zeros(rows + (T + 1, n))
+    phi_sigma = np.zeros(rows + (T + 1, n, n))
+    (log_phi[..., T], phi_mu[..., T, :], phi_sigma[..., T, :, :]) = \
+        log_phi_step(traj.beliefs[T], cost, 1.0, terminal=True, step_index=T)
+    inner = traj.beliefs[1:T]
+    if inner:
+        ok = np.stack([b.ok for b in inner], axis=-1) if rows \
+            else np.ones(T - 1, dtype=bool)
+        stack = GaussianBelief(
+            np.stack([b.mu for b in inner], axis=-2).reshape(-1, n),
+            np.stack([b.sigma for b in inner], axis=-3).reshape(-1, n, n),
+            ok.reshape(-1))
+        lp, dmu, dsig = log_phi_step(stack, cost, cost.dt)
+        if not rows and lp.min() == -np.inf:
+            # the latest failing step, evaluated alone, raises its error
+            t = int(np.flatnonzero(lp == -np.inf)[-1]) + 1
+            log_phi_step(inner[t - 1], cost, cost.dt, step_index=t)
+        log_phi[..., 1:T] = lp.reshape(rows + (T - 1,))
+        phi_mu[..., 1:T, :] = dmu.reshape(rows + (T - 1, n))
+        phi_sigma[..., 1:T, :, :] = dsig.reshape(rows + (T - 1, n, n))
 
-    def floored(lp):
-        nonlocal saturated
-        low = (lp < LOG_PHI_FLOOR) & (lp > -np.inf)
-        saturated = saturated | low
-        return np.where(low, LOG_PHI_FLOOR, lp)
-
-    lp, dmu, dsig = log_phi_step(traj.beliefs[T], cost, 1.0, terminal=True,
-                                 step_index=T)
-    log_psi[..., T] = floored(lp)
-    phi_mu[T], phi_sigma[T] = dmu, dsig
-    if T >= 1:
-        log_psi[..., T - 1] = log_psi[..., T]
-    for t in range(T - 2, -1, -1):
-        lp, dmu, dsig = log_phi_step(traj.beliefs[t + 1], cost, cost.dt,
-                                     step_index=t + 1)
-        phi_mu[t + 1], phi_sigma[t + 1] = dmu, dsig
-        log_psi[..., t] = floored(lp) + log_psi[..., t + 1]
+    low = (log_phi < LOG_PHI_FLOOR) & (log_phi > -np.inf)
+    saturated = low.any(axis=-1)
+    floored = np.where(low, LOG_PHI_FLOOR, log_phi)
+    # tails from T backward: log_psi[T-1-j] sums log phi_T .. log phi_{T-j},
+    # one addition per step, in the order of a step-by-step recursion
+    tails = np.cumsum(floored[..., :0:-1], axis=-1)
+    log_psi = np.empty(rows + (T + 1,))
+    log_psi[..., T] = tails[..., 0]
+    log_psi[..., :T] = tails[..., ::-1]
     if saturated.any():
         logger.warning("desirability trace saturated at the log floor")
-    return DesirabilityTrace(log_psi, np.zeros(log_psi.shape + (cost.dim,)),
+    return DesirabilityTrace(log_psi, np.zeros(log_psi.shape + (n,)),
                              saturated=saturated if rows else bool(saturated),
-                             _phi_mu=phi_mu,
-                             _phi_sigma=phi_sigma)
+                             _phi_mu=phi_mu, _phi_sigma=phi_sigma)
 
 
 def desirability_gradient(traj: BeliefTrajectory, trace: DesirabilityTrace,
@@ -459,13 +482,12 @@ def _row_pass(traj: BeliefTrajectory, trace: DesirabilityTrace, c: int,
 
     beliefs = [GaussianBelief(row(b.mu), row(b.sigma)) for b in traj.beliefs]
     preds = [p.row(c) for p in traj.predictions]
-    maps = [StepPullback.of_step(p.vjp, plant.control_matrix_jac, b.mu, u, dt)
-            for p, b, u in zip(preds, beliefs, controls.u)]
+    maps = step_pullbacks(preds, plant.control_matrix_jac,
+                          [b.mu for b in beliefs[:-1]], controls.u, dt)
     row_trace = DesirabilityTrace(
         row(trace.log_psi), np.zeros(trace.grad_psi_over_psi.shape[1:]),
         saturated=bool(trace.saturated[c]),
-        _phi_mu=[row(d) for d in trace._phi_mu],
-        _phi_sigma=[row(d) for d in trace._phi_sigma])
+        _phi_mu=row(trace._phi_mu), _phi_sigma=row(trace._phi_sigma))
     return BeliefTrajectory(beliefs, controls, preds, maps), row_trace
 
 

@@ -14,10 +14,12 @@ single-belief evaluation keeps its small value intermediates, and the
 record's vector-Jacobian product maps weights on the three output moments
 back to weights on (m, S).  The product folds those weights into a few N x N
 and N-vector weights before it touches the kernel terms, so one pullback
-costs a few N x N products, whatever the state dimension.  Belief
-propagation wraps it into the `StepPullback` of a whole step, through which
-the adjoint desirability gradient carries its co-state; no numerical
-differentiation is involved.
+costs a few N x N products, whatever the state dimension.
+`step_pullbacks` wraps the pullbacks of a derivative pass into the
+`StepPullback` of each whole step, adding the control term from one call of
+the plant's G Jacobian on all steps' means; the adjoint desirability
+gradient carries its co-state through them.  No numerical differentiation
+is involved.
 
 The output dimensions are handled as stacks of arrays, not in Python
 loops; this routine sits on the hot path of every rollout.
@@ -28,13 +30,16 @@ beliefs with controls (C, m), so the line search propagates all of its
 candidates with one call per step.  A single belief runs as a batch of one
 through the same code, and every reduction keeps the summation order of
 the single evaluation, so row c of a batch is bit-identical to evaluating
-its belief alone.  Checks that raise NumericalError for a single belief
-(`RowChecks`) instead mask the failing row of a batch.  A batch keeps the
-pullback parts of every row, none of them N-long: the pullback recomputes
-T = (X - m) A^-1 from the kept A^-1, and q and Qbar from the kept
-factors.  `IncrementPrediction.row` turns row c into the prediction,
-pullback included, that a single evaluation of its belief with `with_vjp`
-records.
+its belief alone.  `moment_match` therefore evaluates each distinct belief
+of a batch once: candidates whose controls agree up to a step have
+bit-identical beliefs there (all of them at the start), and each row takes
+the moments and pullback parts of the first row equal to it.  Checks that
+raise NumericalError for a single belief (`RowChecks`) instead mask the
+failing row of a batch.  A batch keeps the pullback parts of every row,
+none of them N-long: the pullback recomputes T = (X - m) A^-1 from the
+kept A^-1, and q and Qbar from the kept factors.
+`IncrementPrediction.row` turns row c into the prediction, pullback
+included, that a single evaluation of its belief with `with_vjp` records.
 
 Per belief, log Qbar is one product of two (N, n+2) factors
 (`_log_qbar`), T is one product with a stacked A^-1, and the trace term of
@@ -70,7 +75,7 @@ class GaussianBelief:
     belief.  An observed (deterministic) state carries zero covariance.
     Gradients are not stored on beliefs: the adjoint pass of the
     desirability gradient pulls back through the step pullbacks that
-    `moment_match` records.
+    `step_pullbacks` builds.
     """
 
     mu: np.ndarray
@@ -114,6 +119,15 @@ class IncrementPrediction:
         vjp = None if self.row_vjp is None else self.row_vjp(c)
         return IncrementPrediction(self.mu_f[c].copy(), self.sigma_f[c].copy(),
                                    self.cov_x_dx[c].copy(), vjp)
+
+    def take(self, rows) -> "IncrementPrediction":
+        """The batch whose row c is row rows[c] of this one, pullback
+        included."""
+        row_vjp = None if self.row_vjp is None \
+            else (lambda c: self.row_vjp(rows[c]))
+        return IncrementPrediction(self.mu_f[rows], self.sigma_f[rows],
+                                   self.cov_x_dx[rows], ok=self.ok[rows],
+                                   row_vjp=row_vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +419,6 @@ class StepPullback:
     increment_vjp: Callable | None   # IncrementPrediction.vjp of the step
     control_jac: np.ndarray | None   # dt * d(G(mu) u) / d mu, (n, n)
 
-    @classmethod
-    def of_step(cls, increment_vjp, plant_G_jac, mu, u, dt) -> "StepPullback":
-        """The pullback of a step from belief mean mu (n,) under control u
-        (m,); the control term is left out for u = 0 or without a G
-        Jacobian."""
-        control_jac = None
-        if plant_G_jac is not None and np.any(u):
-            control_jac = dt * np.einsum("ijk,j->ik", plant_G_jac(mu), u)
-        return cls(increment_vjp, control_jac)
-
     def pullback(self, chi_mu, chi_sig):
         d_mu, d_sig = chi_mu, chi_sig
         if self.increment_vjp is not None:
@@ -426,10 +430,45 @@ class StepPullback:
         return d_mu, d_sig
 
 
+def step_pullbacks(predictions, plant_G_jac, mus, us, dt) -> list:
+    """The `StepPullback` of every step of a derivative pass.
+
+    Step t pulls back through `predictions[t].vjp` and the control term
+    dt * d(G(mu_t) u_t) / d mu_t at the belief mean mu_t of its input, mus
+    (T, n), under its control u_t, us (T, m).  The G Jacobians of all steps
+    come from one `plant_G_jac` call on the stacked means; a step with
+    u_t = 0 has no control term.  `plant_G_jac` maps states (K, n) to
+    (K, n, m, n), or to one (n, m, n) shared by every state.
+    """
+    mus = np.asarray(mus, dtype=float)
+    us = np.asarray(us, dtype=float)
+    control = [None] * len(us)
+    moving = np.flatnonzero(np.any(us, axis=-1))
+    if moving.size:
+        jacs = dt * np.einsum("...ijk,...j->...ik", plant_G_jac(mus[moving]),
+                              us[moving])
+        for t, jac in zip(moving.tolist(), jacs):
+            control[t] = jac
+    return [StepPullback(p.vjp, c) for p, c in zip(predictions, control)]
+
+
+def _distinct_rows(*arrays):
+    """The first row of each group of bit-identical rows across `arrays`,
+    each (C, ...), and the group of every row: (first (K,), group (C,))."""
+    keys = np.concatenate([a.reshape(len(a), -1) for a in arrays], axis=1)
+    groups: dict = {}
+    first, group = [], []
+    for c, row in enumerate(keys):
+        g = groups.setdefault(row.tobytes(), len(groups))
+        if g == len(first):
+            first.append(c)
+        group.append(g)
+    return np.array(first), np.array(group)
+
+
 def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
-                 dt: float, *, plant_G_jac=None,
-                 prediction_out: list | None = None,
-                 step_map_out: list | None = None) -> GaussianBelief:
+                 dt: float, *, with_vjp: bool = False,
+                 prediction_out: list | None = None) -> GaussianBelief:
     """Propagate a Gaussian state belief, or a batch of them, one step.
 
     mu'    = mu + mu_f + G(mu) delta_u dt
@@ -437,21 +476,21 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
 
     A single belief takes delta_u (m,) and raises NumericalError when a
     check fails.  A batch (`belief_in.ok` set) takes delta_u (C, m) and
-    makes one `predict_increment` call for all rows; a row that fails a
-    check is dropped from `ok` and keeps its input belief, and the other
-    rows go on unchanged.  A single belief runs as a batch of one through
-    the same arithmetic.  `plant_G` maps states (C, n) to control matrices
-    (C, n, m) and is called once per step.
+    makes one `predict_increment` call, on its distinct beliefs only: rows
+    whose beliefs are bit-identical (every row at the observed start state,
+    say) share the moments and pullback parts of the first of them.  A row
+    that fails a check is dropped from `ok` and keeps its input belief, and
+    the other rows go on unchanged.  A single belief runs as a batch of one
+    through the same arithmetic.  `plant_G` maps states (C, n) to control
+    matrices (C, n, m) and is called once per step.
 
-    With `step_map_out` (single belief only) the step's `StepPullback` is
-    appended to it for the adjoint gradient pass: the moments' pullback
-    and, via the plant's analytic G Jacobian when supplied, the control
-    term dt * d(G(mu) u)/dmu.  `prediction_out` collects the per-step
-    increment moments.
+    `prediction_out` collects the per-step increment moments; with
+    `with_vjp` (single belief only) they carry the moments' pullback, from
+    which `step_pullbacks` builds the steps of the adjoint gradient pass.
     """
     single = belief_in.ok is None
-    if step_map_out is not None and not single:
-        raise ConfigError("step pullbacks need a single belief")
+    if with_vjp and not single:
+        raise ConfigError("a pullback record needs a single belief")
     n = belief_in.dim
     mu = belief_in.mu.reshape(-1, n)
     sigma = belief_in.sigma.reshape(-1, n, n)
@@ -462,12 +501,14 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
                 "non-finite control in moment_match")
 
     if single:
-        pred = predict_increment(model, mu[0], sigma[0],
-                                 with_vjp=step_map_out is not None)
+        pred = predict_increment(model, mu[0], sigma[0], with_vjp=with_vjp)
     else:
         # failed rows are evaluated at zero covariance and discarded
-        pred = predict_increment(
-            model, mu, np.where(checks.ok[:, None, None], sigma, 0.0))
+        sigma_in = np.where(checks.ok[:, None, None], sigma, 0.0)
+        first, group = _distinct_rows(mu, sigma_in)
+        pred = predict_increment(model, mu[first], sigma_in[first])
+        if len(first) < len(mu):
+            pred = pred.take(group)
         checks.ok &= pred.ok
     mu_f = pred.mu_f.reshape(mu.shape)
     sigma_f = pred.sigma_f.reshape(sigma.shape)
@@ -481,9 +522,6 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     checks.fail(~np.all(np.isfinite(sigma_out), axis=(1, 2)),
                 "belief covariance overflowed")
 
-    if step_map_out is not None:
-        step_map_out.append(
-            StepPullback.of_step(pred.vjp, plant_G_jac, mu[0], u[0], dt))
     if prediction_out is not None:
         prediction_out.append(pred)
     if single:

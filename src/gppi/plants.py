@@ -98,7 +98,7 @@ class Plant:
         raise NotImplementedError
 
     def control_matrix_jac(self, x: np.ndarray) -> np.ndarray:
-        """d G[i, j] / d x[k], shape (n, m, n)."""
+        """d G[..., i, j] / d x[..., k]: states (..., n) to (..., n, m, n)."""
         raise NotImplementedError
 
     def energy(self, x: np.ndarray) -> float:
@@ -217,6 +217,21 @@ def _sin_cos(theta: float):
         raise NumericalError("non-finite angle in the plant dynamics") from None
 
 
+def _sin_cos_all(theta):
+    """`_sin_cos` of every angle of an array, as two arrays of its shape, so
+    that each entry is the value `_sin_cos` gives that angle alone."""
+    theta = np.asarray(theta, dtype=float)
+    pairs = np.array([_sin_cos(t) for t in theta.ravel().tolist()])
+    pairs = pairs.reshape(theta.shape + (2,))
+    return pairs[..., 0], pairs[..., 1]
+
+
+def _stacked(rows):
+    """The rows of a `_sym_inverse` result as one C-ordered array (..., k, k),
+    so that a stacked product takes each matrix as a plain 2-D one does."""
+    return np.ascontiguousarray(np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
+
+
 # ---------------------------------------------------------------------------
 # Linear test plant
 # ---------------------------------------------------------------------------
@@ -238,7 +253,8 @@ class LinearPlant(Plant):
         return np.broadcast_to(self.Bc, np.shape(x)[:-1] + self.Bc.shape)
 
     def control_matrix_jac(self, x):
-        return np.zeros((self.spec.n, self.spec.m, self.spec.n))
+        n, m = self.spec.n, self.spec.m
+        return np.zeros(np.shape(x)[:-1] + (n, m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +296,15 @@ class CartPole(Plant):
         return g
 
     def control_matrix_jac(self, x):
-        s, c = _sin_cos(float(x[2]))
-        inv = np.array(_sym_inverse(self._inertia(c)))
-        dh = np.zeros((2, 2))
-        dh[0, 1] = dh[1, 0] = -0.5 * self.m * self.L * s
-        dcol = -inv @ (dh @ inv[:, 0])
-        jac = np.zeros((4, 1, 4))
-        jac[1, 0, 2] = dcol[0]
-        jac[3, 0, 2] = dcol[1]
+        x = np.asarray(x, dtype=float)
+        s, c = _sin_cos_all(x[..., 2])
+        inv = _stacked(_sym_inverse(self._inertia(c)))            # (..., 2, 2)
+        dh = np.zeros(x.shape[:-1] + (2, 2))
+        dh[..., 0, 1] = dh[..., 1, 0] = -0.5 * self.m * self.L * s
+        dcol = -inv @ (dh @ inv[..., :1])                         # (..., 2, 1)
+        jac = np.zeros(x.shape[:-1] + (4, 1, 4))
+        jac[..., 1, 0, 2] = dcol[..., 0, 0]
+        jac[..., 3, 0, 2] = dcol[..., 1, 0]
         return jac
 
     def energy(self, x):
@@ -361,27 +378,25 @@ class DoublePendulumCart(Plant):
         return g
 
     def control_matrix_jac(self, x):
-        th1, th2 = float(x[2]), float(x[4])
+        x = np.asarray(x, dtype=float)
+        th1, th2 = x[..., 2], x[..., 4]
         m1, m2, l1, l2 = self.m1, self.m2, self.l1, self.l2
-        s1, c1 = _sin_cos(th1)
-        s2, c2 = _sin_cos(th2)
-        s12, c12 = _sin_cos(th1 - th2)
-        inv = np.array(_sym_inverse(self._inertia(c1, c2, c12)))
-        col = inv[:, 0]
+        s1, c1 = _sin_cos_all(th1)
+        s2, c2 = _sin_cos_all(th2)
+        s12, c12 = _sin_cos_all(th1 - th2)
+        inv = _stacked(_sym_inverse(self._inertia(c1, c2, c12)))  # (..., 3, 3)
 
-        dh1 = np.zeros((3, 3))
-        dh1[0, 1] = dh1[1, 0] = -(0.5 * m1 + m2) * l1 * s1
-        dh1[1, 2] = dh1[2, 1] = -0.5 * m2 * l1 * l2 * s12
-        dh2 = np.zeros((3, 3))
-        dh2[0, 2] = dh2[2, 0] = -0.5 * m2 * l2 * s2
-        dh2[1, 2] = dh2[2, 1] = 0.5 * m2 * l1 * l2 * s12
+        # d H / d theta1 and d H / d theta2, stacked on axis -3
+        dh = np.zeros(x.shape[:-1] + (2, 3, 3))
+        dh[..., 0, 0, 1] = dh[..., 0, 1, 0] = -(0.5 * m1 + m2) * l1 * s1
+        dh[..., 0, 1, 2] = dh[..., 0, 2, 1] = -0.5 * m2 * l1 * l2 * s12
+        dh[..., 1, 0, 2] = dh[..., 1, 2, 0] = -0.5 * m2 * l2 * s2
+        dh[..., 1, 1, 2] = dh[..., 1, 2, 1] = 0.5 * m2 * l1 * l2 * s12
 
-        jac = np.zeros((6, 1, 6))
-        for state_idx, dh in ((2, dh1), (4, dh2)):
-            dcol = -inv @ (dh @ col)
-            jac[1, 0, state_idx] = dcol[0]
-            jac[3, 0, state_idx] = dcol[1]
-            jac[5, 0, state_idx] = dcol[2]
+        inv = inv[..., None, :, :]
+        dcol = -inv @ (dh @ inv[..., :1])                         # (..., 2, 3, 1)
+        jac = np.zeros(x.shape[:-1] + (6, 1, 6))
+        jac[..., 1::2, 0, 2::2] = np.swapaxes(dcol[..., 0], -1, -2)
         return jac
 
     def energy(self, x):
@@ -451,13 +466,16 @@ class TwoLinkArm(Plant):
         return g
 
     def control_matrix_jac(self, x):
-        s2, c2 = _sin_cos(float(x[1]))
-        minv = np.array(_sym_inverse(self._inertia(c2)))
+        x = np.asarray(x, dtype=float)
+        s2, c2 = _sin_cos_all(x[..., 1])
+        minv = _stacked(_sym_inverse(self._inertia(c2)))          # (..., 2, 2)
         d = -self.m2 * self.l1 * self.lc2 * s2
-        dm = np.array([[2 * d, d], [d, 0.0]])
+        dm = np.zeros(x.shape[:-1] + (2, 2))
+        dm[..., 0, 0] = 2 * d
+        dm[..., 0, 1] = dm[..., 1, 0] = d
         dminv = -minv @ dm @ minv
-        jac = np.zeros((4, 2, 4))
-        jac[2:, :, 1] = dminv
+        jac = np.zeros(x.shape[:-1] + (4, 2, 4))
+        jac[..., 2:, :, 1] = dminv
         return jac
 
     def energy(self, x):

@@ -5,7 +5,7 @@ import pytest
 
 from gppi.checks import fd_tail_gradient
 from gppi.control import (DAMPING_LADDER, EXPANSION_MAX, EXPANSION_SCALES,
-                          BeliefTrajectory, ControlSequence, CostSpec,
+                          LOG_PHI_FLOOR, BeliefTrajectory, ControlSequence, CostSpec,
                           DesirabilityTrace, _candidate_values, _row_pass,
                           backward_desirability, control_update,
                           desirability_gradient, forward_rollout,
@@ -159,6 +159,117 @@ class TestBackwardDesirability:
         ref = path_integral_quadrature(linear_model, [0.55], us.u,
                                        linear_plant, cost, nodes_per_dim=14)
         assert lp == pytest.approx(ref, rel=1e-4)
+
+
+def _backward_per_step(traj, cost):
+    """Reference: the step-by-step recursion, one `log_phi_step` call per
+    step from the terminal one down.  Returns log Psi, the saturation flags
+    and the log phi partials {t: (d/dmu, d/dSigma)}; a single plan raises
+    the error of the first step that fails in that order."""
+    T = cost.horizon_steps
+    rows = traj.beliefs[0].mu.shape[:-1]
+    log_psi = np.zeros(rows + (T + 1,))
+    saturated = np.zeros(rows, dtype=bool)
+    partials = {}
+
+    def floored(lp):
+        nonlocal saturated
+        low = (lp < LOG_PHI_FLOOR) & (lp > -np.inf)
+        saturated = saturated | low
+        return np.where(low, LOG_PHI_FLOOR, lp)
+
+    lp, *partials[T] = log_phi_step(traj.beliefs[T], cost, 1.0, terminal=True,
+                                    step_index=T)
+    log_psi[..., T] = floored(lp)
+    log_psi[..., T - 1] = log_psi[..., T]
+    for t in range(T - 2, -1, -1):
+        lp, *partials[t + 1] = log_phi_step(traj.beliefs[t + 1], cost, cost.dt,
+                                            step_index=t + 1)
+        log_psi[..., t] = floored(lp) + log_psi[..., t + 1]
+    return log_psi, saturated, partials
+
+
+def _assert_matches_per_step(traj, cost):
+    trace = backward_desirability(traj, cost)
+    log_psi, saturated, partials = _backward_per_step(traj, cost)
+    assert np.array_equal(trace.log_psi, log_psi)
+    assert np.array_equal(trace.saturated, saturated)
+    for t, (dmu, dsig) in partials.items():
+        assert np.array_equal(trace._phi_mu[..., t, :], dmu, equal_nan=True)
+        assert np.array_equal(trace._phi_sigma[..., t, :, :], dsig,
+                              equal_nan=True)
+    return trace
+
+
+class TestStackedBackwardPass:
+    """`backward_desirability` evaluates log phi once for the terminal step
+    and once for all interior steps; it equals the step-by-step recursion
+    bit for bit, errors included."""
+
+    # n = 2, Q = I, lam = 1, dt = 0.02: interior M = 0.02 I, terminal M = I
+    COST = CostSpec(np.eye(2), np.zeros(2), 1.0, 0.02, 6)
+
+    def _traj(self, mus, sigmas, ok=None):
+        beliefs = [GaussianBelief(m, s, None if ok is None else o)
+                   for m, s, o in zip(mus, sigmas,
+                                      ok if ok is not None else mus)]
+        return BeliefTrajectory(beliefs, None, [])
+
+    def _batch(self, rng):
+        T, C = self.COST.horizon_steps, 5
+        mus = rng.normal(size=(T + 1, C, 2))
+        a = 0.3 * rng.normal(size=(T + 1, C, 2, 2))
+        sigmas = a @ a.transpose(0, 1, 3, 2) + 0.01 * np.eye(2)
+        ok = np.ones((T + 1, C), dtype=bool)
+        ok[3:, 1] = False                   # rollout of row 1 failed at step 3
+        mus[:, 2] = 300.0                   # row 2 saturates at every step
+        sigmas[4, 3] = -50.0 * np.eye(2)    # row 3: I + M Sigma singular
+        sigmas[2, 4] = np.diag([-100.0, 1.0])   # row 4: det(I + M Sigma) < 0
+        return mus, sigmas, ok
+
+    def test_single_plan_matches_per_step(self, cartpole, cartpole_model,
+                                          swing_cost, rng):
+        us = ControlSequence(rng.uniform(-2, 2, (20, 1)))
+        traj = forward_rollout(cartpole_model, np.zeros(4), us, cartpole,
+                               swing_cost)
+        _assert_matches_per_step(traj, swing_cost)
+        mus, sigmas, _ = self._batch(rng)
+        trace = _assert_matches_per_step(
+            self._traj(mus[:, 2], sigmas[:, 2]), self.COST)
+        assert trace.saturated is True
+
+    @pytest.mark.parametrize("T", [1, 2, 6])
+    def test_batch_with_failed_and_saturated_rows(self, T, rng):
+        mus, sigmas, ok = self._batch(rng)
+        cost = replace(self.COST, horizon_steps=T)
+        keep = list(range(T)) + [self.COST.horizon_steps]
+        trace = _assert_matches_per_step(
+            self._traj(mus[keep], sigmas[keep], ok[keep]), cost)
+        if T == 6:
+            assert trace.saturated.tolist() == [False, False, True, False,
+                                                False]
+            assert np.isfinite(trace.log_psi[[0, 2]]).all()
+            assert (trace.log_psi[[1, 3, 4], 0] == -np.inf).all()
+
+    @pytest.mark.parametrize("bad", [{4: -50.0}, {2: -100.0},
+                                     {2: -100.0, 4: -50.0}, {6: -2.0},
+                                     {3: -50.0, 6: -2.0}])
+    def test_single_plan_raises_first_failure_from_the_end(self, bad):
+        # step k gets Sigma with a negative first variance: -50 makes
+        # I + M Sigma singular at an interior step, -100 gives it a negative
+        # determinant, and -2 does that at the terminal step (M = I)
+        T = self.COST.horizon_steps
+        mus = np.zeros((T + 1, 2))
+        sigmas = np.tile(0.1 * np.eye(2), (T + 1, 1, 1))
+        for k, v in bad.items():
+            sigmas[k] = np.diag([v, 1.0]) if v != -50.0 else v * np.eye(2)
+        traj = self._traj(mus, sigmas)
+        with pytest.raises(NumericalError) as want:
+            _backward_per_step(traj, self.COST)
+        with pytest.raises(NumericalError) as got:
+            backward_desirability(traj, self.COST)
+        assert str(got.value) == str(want.value)
+        assert got.value.step == want.value.step == max(bad)
 
 
 class TestDesirabilityGradient:
@@ -610,6 +721,61 @@ class TestBatchedLineSearch:
                 trace.log_psi[c], backward_desirability(one, swing_cost).log_psi[0])
             assert np.array_equal(
                 trace.log_psi[c], backward_desirability(single, swing_cost).log_psi)
+
+    @pytest.mark.parametrize("which", ["cartpole", "dpc"])
+    def test_shared_prefix_rows_equal_single_rollouts(self, which, monkeypatch,
+                                                      cartpole, cartpole_model,
+                                                      dpc, dpc_model, rng):
+        # rows that agree up to step k share their beliefs up to step k, and
+        # each step predicts only the distinct ones
+        from gppi import moments
+        plant, model = {"cartpole": (cartpole, cartpole_model),
+                        "dpc": (dpc, dpc_model)}[which]
+        n, T = plant.spec.n, 12
+        cost = CostSpec(np.eye(n), np.full(n, 0.5), 1.0, 0.02, T)
+        base = rng.uniform(-2, 2, (T, 1))
+        splits = [0, T, T, 3, 3, 7, 0]      # row c follows base up to step k
+        u = np.array([np.where(np.arange(T)[:, None] < k, base,
+                               rng.uniform(-2, 2, (T, 1))) for k in splits])
+        u[6] = u[0]                         # a duplicate of a diverging row
+        rows = []
+        orig = moments.predict_increment
+
+        def counting(model, mu, sigma, **kwargs):
+            rows.append(len(np.atleast_2d(mu)))
+            return orig(model, mu, sigma, **kwargs)
+
+        monkeypatch.setattr(moments, "predict_increment", counting)
+        traj = forward_rollout(model, np.zeros(n), ControlSequence(u), plant,
+                               cost, compute_jac=False)
+        monkeypatch.setattr(moments, "predict_increment", orig)
+        trace = backward_desirability(traj, cost)
+        # distinct beliefs per step: one at the start, then {0, 6} apart
+        # from the rest; 3 and 4 split off after step 3, and 5 after step 7
+        want = [1] + [2] * 3 + [4] * 4 + [5] * 4
+        assert rows == want
+        for c in range(len(u)):
+            single = ControlSequence(u[c])
+            one = forward_rollout(model, np.zeros(n), single, plant, cost,
+                                  compute_jac=False)
+            for b, b1 in zip(traj.beliefs, one.beliefs):
+                assert np.array_equal(b.mu[c], b1.mu)
+                assert np.array_equal(b.sigma[c], b1.sigma)
+            for p, p1 in zip(traj.predictions, one.predictions):
+                for f in ("mu_f", "sigma_f", "cov_x_dx"):
+                    assert np.array_equal(getattr(p, f)[c], getattr(p1, f))
+            assert np.array_equal(
+                trace.log_psi[c], backward_desirability(one, cost).log_psi)
+            # the row's pullback parts, its representative's, give the
+            # derivative pass of the candidate alone
+            row_traj, row_trace = _row_pass(traj, trace, c, single, plant,
+                                            cost.dt)
+            fresh_traj, fresh_trace = _derivative_pass(model, np.zeros(n),
+                                                       single, plant, cost)
+            assert np.array_equal(
+                desirability_gradient(row_traj, row_trace,
+                                      cost).grad_psi_over_psi,
+                fresh_trace.grad_psi_over_psi)
 
     def test_batch_needs_value_only_rollout(self, cartpole, cartpole_model,
                                             swing_cost):

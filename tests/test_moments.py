@@ -4,7 +4,7 @@ import pytest
 from gppi.errors import ConfigError, NumericalError
 from gppi.gp import GpModel, KernelHyper, TrainingSet, posterior_predict
 from gppi.moments import (GaussianBelief, _log_qbar, moment_match,
-                          predict_increment)
+                          predict_increment, step_pullbacks)
 from gppi.oracles import mc_increment_moments
 
 
@@ -45,9 +45,10 @@ def _plant_G_jac(x):
 
 def _step_pullback(model, m, S, u, a, B):
     """The pullback of f = <a, mu'> + <B, Sigma'> through one step."""
-    maps = []
+    preds = []
     moment_match(model, GaussianBelief(m, S), u, _plant_G, 0.02,
-                 plant_G_jac=_plant_G_jac, step_map_out=maps)
+                 with_vjp=True, prediction_out=preds)
+    maps = step_pullbacks(preds, _plant_G_jac, m[None], u[None], 0.02)
     assert len(maps) == 1
     return maps[0].pullback(a, B)
 
@@ -136,11 +137,16 @@ class TestBeliefPropagation:
 
         def roll(x0v, maps=None):
             b = GaussianBelief.observed(x0v)
+            preds, mus = [], []
             for i in range(k):
+                mus.append(b.mu)
                 b = moment_match(cartpole_model, b, us[i],
                                  cartpole.control_matrix, 0.02,
-                                 plant_G_jac=cartpole.control_matrix_jac,
-                                 step_map_out=maps)
+                                 with_vjp=maps is not None,
+                                 prediction_out=preds)
+            if maps is not None:
+                maps += step_pullbacks(preds, cartpole.control_matrix_jac,
+                                       mus, us, 0.02)
             return b
 
         maps = []
@@ -215,7 +221,7 @@ class TestCandidateBatch:
             moment_match(model, GaussianBelief(m[None], S[None],
                                                np.ones(1, dtype=bool)),
                          np.zeros((1, 1)), _const_G([[0.0], [1.0]]), 0.02,
-                         step_map_out=[])
+                         with_vjp=True)
 
     def test_moment_match_rows_equal_batch_of_one(self, rng):
         model = _random_model(rng, n=3, n_points=30)

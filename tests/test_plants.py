@@ -52,6 +52,20 @@ def test_control_matrix_jacobian_matches_fd(name, rng):
     assert np.max(np.abs(jac - fd)) < 1e-7
 
 
+@pytest.mark.parametrize("name", ["cartpole", "dpc", "arm", "linear"])
+def test_control_matrix_jacobian_stack_equals_single_calls(name, rng):
+    params = dict(A=-np.eye(3), Bc=np.ones((3, 2))) if name == "linear" else None
+    plant = make_plant(name, params=params)
+    n, m = plant.spec.n, plant.spec.m
+    xs = rng.normal(scale=3.0, size=(24, n))
+    stack = plant.control_matrix_jac(xs)
+    assert stack.shape == (24, n, m, n)
+    for x, jac in zip(xs, stack):
+        assert np.array_equal(jac, plant.control_matrix_jac(x))
+    grid = plant.control_matrix_jac(xs.reshape(4, 6, n))
+    assert np.array_equal(grid, stack.reshape(4, 6, n, m, n))
+
+
 def test_underactuation_preserved():
     assert make_plant("cartpole").control_matrix(np.zeros(4)).shape == (4, 1)
     assert make_plant("dpc").control_matrix(np.zeros(6)).shape == (6, 1)
