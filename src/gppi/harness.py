@@ -25,8 +25,8 @@ from .control import CostSpec, mpc_learning_loop
 from .baselines import sampling_pi_control
 from .errors import AlignmentError, ConfigError, NumericalError
 from .gp import save_model
-from .plants import (DT, NOISE_STD, SUBSTEPS, _require_number,
-                     canonical_plant_name, make_plant)
+from .plants import (DT, NOISE_STD, SUBSTEPS, _require_count,
+                     _require_number, canonical_plant_name, make_plant)
 from .protocols import PLANT_PROTOCOLS
 from .records import (ControllerRecord, CostFields, export_trace_csv,
                       load_manifest, load_record, save_record, write_csv)
@@ -148,10 +148,25 @@ def _state_vector(what: str, value, plant) -> np.ndarray:
     return vec
 
 
+def _check_protocol(proto: dict) -> None:
+    """ConfigError unless the counts of `proto` are integers >= 1 (the seed
+    >= 0, max_points also None for no cap) and u_max a finite positive
+    number."""
+    for key in ("trials", "init_rollouts", "inner_max_iters",
+                "baseline_samples", "baseline_iterations"):
+        _require_count(f"protocol.{key}", proto[key])
+    if proto["max_points"] is not None:
+        _require_count("protocol.max_points", proto["max_points"])
+    _require_count("protocol.seed", proto["seed"], minimum=0)
+    _require_number("protocol.u_max", proto["u_max"])
+
+
 def _plant_cost_start(config: dict):
-    """The run's plant, cost and start state.  Raises ConfigError unless
-    cost.Q_diag, cost.x_d and a set protocol.x0 each hold one number per
-    state of the plant."""
+    """The run's plant, cost and start state.  Raises ConfigError for a
+    protocol setting `_check_protocol` rejects, and unless cost.Q_diag,
+    cost.x_d and a set protocol.x0 each hold one number per state of the
+    plant."""
+    _check_protocol(config["protocol"])
     plant = make_plant(**config["plant"])
     n = plant.spec.n
     for key in ("Q_diag", "x_d"):
@@ -216,10 +231,9 @@ def run_learn(config: dict) -> dict:
     proto = config["protocol"]
     try:
         result = mpc_learning_loop(
-            plant, cost, trials=int(proto["trials"]), seed=int(proto["seed"]),
-            init_rollouts=int(proto["init_rollouts"]),
-            u_max=float(proto["u_max"]),
-            inner_max_iters=int(proto["inner_max_iters"]),
+            plant, cost, trials=proto["trials"], seed=proto["seed"],
+            init_rollouts=proto["init_rollouts"], u_max=float(proto["u_max"]),
+            inner_max_iters=proto["inner_max_iters"],
             max_points=proto["max_points"], x0=x0)
     except Exception as exc:
         _flush_failure(out, exc)
@@ -255,8 +269,10 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     """Build and execute a composite controller from a record library.
 
     Every record must have been learned on the manifest's plant; a record
-    whose plant differs raises AlignmentError on the field 'plant'.
+    whose plant differs raises AlignmentError on the field 'plant'.  A seed
+    that is not an integer >= 0 raises ConfigError before any work.
     """
+    noise = RngHub(seed).stream("compose-noise")
     doc = load_manifest(manifest_path)
     plant_cfg = _merge_section("plant", _DEFAULT_CONFIG["plant"], doc["plant"])
     plant = make_plant(**plant_cfg)
@@ -281,8 +297,7 @@ def run_compose(manifest_path, new_target, output_dir=None, seed: int = 0) -> di
     out = None if output_dir is None else _make_run_dir(output_dir)
 
     ref = records[0].cost_fields
-    states = _executed_rollout(plant, x0, controls,
-                               RngHub(seed).stream("compose-noise"))
+    states = _executed_rollout(plant, x0, controls, noise)
     term = composite_terminal_log_desirability(library, weights, states[-1])
     record = ControllerRecord(
         task_id="composite",
@@ -311,13 +326,13 @@ def run_baseline(config: dict) -> dict:
     plant, cost, x0 = _plant_cost_start(config)
     out = _prepare_run_dir(config)
     proto = config["protocol"]
-    hub = RngHub(int(proto["seed"]))
+    hub = RngHub(proto["seed"])
     try:
         res = sampling_pi_control(
             plant, x0, np.zeros((cost.horizon_steps, plant.spec.m)), cost,
-            n_samples=int(proto["baseline_samples"]),
+            n_samples=proto["baseline_samples"],
             rng=hub.stream("baseline-sampling"),
-            n_iterations=int(proto["baseline_iterations"]))
+            n_iterations=proto["baseline_iterations"])
     except Exception as exc:
         _flush_failure(out, exc)
         raise

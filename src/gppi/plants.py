@@ -547,11 +547,12 @@ def _require_number(what: str, value, may_be_zero: bool = False) -> None:
                           f"got {value!r}")
 
 
-def _require_count(what: str, value) -> None:
-    """ConfigError unless `value` is an integer >= 1 (not a bool)."""
+def _require_count(what: str, value, minimum: int = 1) -> None:
+    """ConfigError unless `value` is an integer >= `minimum` (not a bool)."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-            or value < 1:
-        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+            or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, "
+                          f"got {value!r}")
 
 
 def _physical_params(defaults: dict, params: dict | None) -> dict:

@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from .plants import _require_count
+
 
 def _key_from_name(name: str) -> int:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
@@ -18,9 +20,13 @@ def _key_from_name(name: str) -> int:
 
 
 class RngHub:
-    """Factory of named, mutually independent random generators."""
+    """Factory of named, mutually independent random generators.
+
+    Raises ConfigError unless `seed` is an integer >= 0.
+    """
 
     def __init__(self, seed: int):
+        _require_count("seed", seed, minimum=0)
         self.seed = int(seed)
 
     def stream(self, name: str) -> np.random.Generator:

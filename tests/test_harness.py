@@ -244,6 +244,26 @@ def test_malformed_cost_is_config_error(tmp_path, key, value, field):
     assert not Path(cfg["output_dir"]).exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("max_points", "100"), ("max_points", float("nan")), ("max_points", 0),
+    ("trials", 2.5), ("trials", "2"), ("trials", True), ("trials", 0),
+    ("init_rollouts", 1.0), ("inner_max_iters", None),
+    ("baseline_samples", 4.5), ("baseline_iterations", "3"),
+    ("seed", 1.5), ("seed", -1), ("seed", "0"),
+    ("u_max", "x"), ("u_max", -1), ("u_max", float("inf")), ("u_max", 0),
+])
+def test_malformed_protocol_setting_is_config_error(tmp_path, key, value):
+    cfg = _linear_config(tmp_path)
+    cfg["protocol"][key] = value
+    for runner, command in ((run_learn, "learn"), (run_baseline, "baseline-pi")):
+        with pytest.raises(ConfigError, match=f"protocol.{key}"):
+            runner(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))        # NaN and Infinity are valid here
+        assert cli_main([command, str(p)]) == 2
+    assert not Path(cfg["output_dir"]).exists()
+
+
 class TestRunCompose:
     def _make_library(self, tmp_path, targets=(0.3, 0.6)):
         paths = []
@@ -419,6 +439,15 @@ class TestRunCompose:
             run_compose(manifest, [0.3])
         assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2
 
+    def test_negative_seed_exits_2(self, tmp_path):
+        manifest = self._make_library(tmp_path, targets=(0.3,))
+        with pytest.raises(ConfigError, match="seed"):
+            run_compose(manifest, [0.3], seed=-1)
+        out = tmp_path / "composite"
+        assert cli_main(["compose", str(manifest), "--target", "0.3",
+                         "--seed", "-1", "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
     def test_target_of_other_shape_rejected(self, tmp_path):
         manifest = self._make_library(tmp_path, targets=(0.3,))
         for target in (0.4, [[0.4]]):
@@ -520,6 +549,11 @@ class TestRng:
         a2 = hub.stream("plant-noise").standard_normal(4)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_seed_not_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            RngHub(seed)
 
     def test_adding_component_does_not_shift_existing(self):
         hub = RngHub(9)
