@@ -4,7 +4,9 @@ Each plant exposes the passive drift f, the control matrix G (vectorized
 over leading axes, so that belief propagation evaluates a whole candidate
 batch in one call), the analytic Jacobian of G (needed by the
 belief-propagation gradient chain, since the control contribution
-G(mu) u dt depends on the state), and a stochastic integrator.  The
+G(mu) u dt depends on the state; also over leading axes, so that a
+derivative pass evaluates it for all its steps in one call), and a
+stochastic integrator.  The
 deterministic part of a step is integrated with RK4 sub-steps; the
 Brownian term is added per sub-step as B * sqrt(h) * L_w xi.
 Plain explicit-Euler sub-stepping cannot hold the noise-free energy drift
@@ -394,7 +396,7 @@ class DoublePendulumCart(Plant):
         dh[..., 1, 1, 2] = dh[..., 1, 2, 1] = 0.5 * m2 * l1 * l2 * s12
 
         inv = inv[..., None, :, :]
-        dcol = -inv @ (dh @ inv[..., :1])                         # (..., 2, 3, 1)
+        dcol = -inv @ (dh @ inv[..., :1])                      # (..., 2, 3, 1)
         jac = np.zeros(x.shape[:-1] + (6, 1, 6))
         jac[..., 1::2, 0, 2::2] = np.swapaxes(dcol[..., 0], -1, -2)
         return jac

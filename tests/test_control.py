@@ -5,9 +5,9 @@ import pytest
 
 from gppi.checks import fd_tail_gradient
 from gppi.control import (DAMPING_LADDER, EXPANSION_MAX, EXPANSION_SCALES,
-                          LOG_PHI_FLOOR, BeliefTrajectory, ControlSequence, CostSpec,
-                          DesirabilityTrace, _candidate_values, _row_pass,
-                          backward_desirability, control_update,
+                          LOG_PHI_FLOOR, BeliefTrajectory, ControlSequence,
+                          CostSpec, DesirabilityTrace, _candidate_values,
+                          _row_pass, backward_desirability, control_update,
                           desirability_gradient, forward_rollout,
                           inner_optimize, log_phi_step, mpc_learning_loop,
                           terminal_log_desirability)
@@ -210,10 +210,10 @@ class TestStackedBackwardPass:
     COST = CostSpec(np.eye(2), np.zeros(2), 1.0, 0.02, 6)
 
     def _traj(self, mus, sigmas, ok=None):
-        beliefs = [GaussianBelief(m, s, None if ok is None else o)
-                   for m, s, o in zip(mus, sigmas,
-                                      ok if ok is not None else mus)]
-        return BeliefTrajectory(beliefs, None, [])
+        oks = [None] * len(mus) if ok is None else ok
+        return BeliefTrajectory([GaussianBelief(m, s, o)
+                                 for m, s, o in zip(mus, sigmas, oks)],
+                                None, [])
 
     def _batch(self, rng):
         T, C = self.COST.horizon_steps, 5
@@ -255,9 +255,9 @@ class TestStackedBackwardPass:
                                      {2: -100.0, 4: -50.0}, {6: -2.0},
                                      {3: -50.0, 6: -2.0}])
     def test_single_plan_raises_first_failure_from_the_end(self, bad):
-        # step k gets Sigma with a negative first variance: -50 makes
-        # I + M Sigma singular at an interior step, -100 gives it a negative
-        # determinant, and -2 does that at the terminal step (M = I)
+        # at step k, Sigma = -50 I makes I + M Sigma singular at an interior
+        # step, diag(-100, 1) gives it a negative determinant, and
+        # diag(-2, 1) does so at the terminal step (M = I)
         T = self.COST.horizon_steps
         mus = np.zeros((T + 1, 2))
         sigmas = np.tile(0.1 * np.eye(2), (T + 1, 1, 1))

@@ -255,7 +255,8 @@ def test_malformed_cost_is_config_error(tmp_path, key, value, field):
 def test_malformed_protocol_setting_is_config_error(tmp_path, key, value):
     cfg = _linear_config(tmp_path)
     cfg["protocol"][key] = value
-    for runner, command in ((run_learn, "learn"), (run_baseline, "baseline-pi")):
+    for runner, command in ((run_learn, "learn"),
+                            (run_baseline, "baseline-pi")):
         with pytest.raises(ConfigError, match=f"protocol.{key}"):
             runner(cfg)
         p = tmp_path / "cfg.json"

@@ -54,7 +54,8 @@ def test_control_matrix_jacobian_matches_fd(name, rng):
 
 @pytest.mark.parametrize("name", ["cartpole", "dpc", "arm", "linear"])
 def test_control_matrix_jacobian_stack_equals_single_calls(name, rng):
-    params = dict(A=-np.eye(3), Bc=np.ones((3, 2))) if name == "linear" else None
+    params = (dict(A=-np.eye(3), Bc=np.ones((3, 2))) if name == "linear"
+              else None)
     plant = make_plant(name, params=params)
     n, m = plant.spec.n, plant.spec.m
     xs = rng.normal(scale=3.0, size=(24, n))
