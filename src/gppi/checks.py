@@ -180,7 +180,7 @@ def step_pullback_vs_fd(rng):
 
     preds = []
     moment_match(model, GaussianBelief(m, S), u, dpc.control_matrix, 0.02,
-                 with_vjp=True, prediction_out=preds)
+                 prediction_out=preds)
     step, = step_pullbacks(preds, dpc.control_matrix_jac, m[None], u[None],
                            0.02)
     d_mu, d_sig = step.pullback(wa, wB)

@@ -193,14 +193,15 @@ class DesirabilityTrace:
     At t = 0 the belief is the observed start state, so entry 0 is the
     gradient with respect to x0.
 
-    For a batch of C rollouts log_psi is (C, T+1), a failed candidate's row
-    is -inf throughout, and no gradient is formed.
+    grad_psi_over_psi is None until `desirability_gradient` fills it, so a
+    value-only trace carries no gradient.  For a batch of C rollouts log_psi
+    is (C, T+1), a failed candidate's row is -inf throughout, and no
+    gradient is formed.
     """
 
     log_psi: np.ndarray                 # (T+1,) or (C, T+1)
-    grad_psi_over_psi: np.ndarray       # (T+1, n)
+    grad_psi_over_psi: np.ndarray | None = None   # (T+1, n)
     saturated: bool | np.ndarray = False  # (C,) bool for a batch
-    has_gradient: bool = False
     # d log phi_t / d{mu_t, Sigma_t} at steps t = 1..T, (..., T+1, n) and
     # (..., T+1, n, n); entry 0 is unused
     _phi_mu: np.ndarray | None = field(default=None, repr=False)
@@ -280,9 +281,9 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
     preds: list[IncrementPrediction] = []
     for t in range(cost.horizon_steps):
         try:
-            belief = moment_match(
-                model, belief, u[..., t, :], plant.control_matrix, cost.dt,
-                with_vjp=compute_jac, prediction_out=preds)
+            belief = moment_match(model, belief, u[..., t, :],
+                                  plant.control_matrix, cost.dt,
+                                  prediction_out=preds)
         except NumericalError as exc:
             raise NumericalError(f"forward rollout failed at step {t}: {exc}",
                                  jitter=exc.jitter, step=t) from exc
@@ -352,7 +353,7 @@ def backward_desirability(traj: BeliefTrajectory, cost: CostSpec) -> Desirabilit
     log_psi[..., :T] = tails[..., ::-1]
     if saturated.any():
         logger.warning("desirability trace saturated at the log floor")
-    return DesirabilityTrace(log_psi, np.zeros(log_psi.shape + (n,)),
+    return DesirabilityTrace(log_psi,
                              saturated=saturated if rows else bool(saturated),
                              _phi_mu=phi_mu, _phi_sigma=phi_sigma)
 
@@ -384,7 +385,6 @@ def desirability_gradient(traj: BeliefTrajectory, trace: DesirabilityTrace,
         chi_mu, chi_sig = traj.step_maps[t].pullback(chi_mu, chi_sig)
         grad[t] = chi_mu
     trace.grad_psi_over_psi = grad
-    trace.has_gradient = True
     return trace
 
 
@@ -415,7 +415,7 @@ def control_update(trace: DesirabilityTrace, traj: BeliefTrajectory,
     and one stacked inverse, where a step whose G^+ Sigma_f G^+' is singular
     gets a NaN weight without failing the others.
     """
-    if not trace.has_gradient:
+    if trace.grad_psi_over_psi is None:
         raise ConfigError("desirability gradient has not been computed")
     T = controls_old.horizon
     G = plant.control_matrix(np.array([b.mu for b in traj.beliefs[:T]]))
@@ -443,7 +443,6 @@ def control_update(trace: DesirabilityTrace, traj: BeliefTrajectory,
 class InnerOptResult:
     controls: ControlSequence
     trace: DesirabilityTrace
-    trajectory: BeliefTrajectory
     log_psi0: float
     accepted_log_psi: list
     status: str                         # converged | max-iters | no-progress | stalled
@@ -485,8 +484,7 @@ def _row_pass(traj: BeliefTrajectory, trace: DesirabilityTrace, c: int,
     maps = step_pullbacks(preds, plant.control_matrix_jac,
                           [b.mu for b in beliefs[:-1]], controls.u, dt)
     row_trace = DesirabilityTrace(
-        row(trace.log_psi), np.zeros(trace.grad_psi_over_psi.shape[1:]),
-        saturated=bool(trace.saturated[c]),
+        row(trace.log_psi), saturated=bool(trace.saturated[c]),
         _phi_mu=row(trace._phi_mu), _phi_sigma=row(trace._phi_sigma))
     return BeliefTrajectory(beliefs, controls, preds, maps), row_trace
 
@@ -528,8 +526,8 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
     trace = desirability_gradient(traj, backward_desirability(traj, cost), cost)
     log_psi0 = float(trace.log_psi[0])
     initial_log_psi0 = log_psi0
-    # (value at controls, controls, generating trace, generating trajectory)
-    best = (log_psi0, u_cur, trace, traj)
+    # (value at controls, controls, generating trace)
+    best = (log_psi0, u_cur, trace)
     accepted = [log_psi0]
     scales_taken = []
     searched = []                       # candidate values of every batch
@@ -566,7 +564,7 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
             cand_val = float(vals[k])
             cand = replace(proposal, u=us[k].copy())
             if cand_val >= best[0]:
-                best = (cand_val, cand, trace, traj)
+                best = (cand_val, cand, trace)
             u_cur, log_psi0, stepped = cand, cand_val, True
             accepted.append(cand_val)
             scales_taken.append(scale)
@@ -587,10 +585,10 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
                                         for v in searched))
     if status == "no-progress":
         logger.warning("inner optimization made no progress")
-        return InnerOptResult(controls_init, trace, traj, initial_log_psi0,
+        return InnerOptResult(controls_init, trace, initial_log_psi0,
                               accepted, status, n_done, **search)
-    return InnerOptResult(best[1], best[2], best[3], best[0], accepted,
-                          status, n_done, **search)
+    return InnerOptResult(best[1], best[2], best[0], accepted, status, n_done,
+                          **search)
 
 
 # ---------------------------------------------------------------------------

@@ -135,16 +135,17 @@ def build_cost(cost_cfg: dict, dt: float) -> CostSpec:
 
 
 def _state_vector(what: str, value, plant) -> np.ndarray:
-    """`value` as a float array of one number per state of `plant`; raises
-    ConfigError, naming `what`, for anything else."""
+    """`value` as a float array of one finite number per state of `plant`;
+    raises ConfigError, naming `what`, for anything else."""
     n = plant.spec.n
     try:
         vec = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         vec = None
-    if vec is None or vec.shape != (n,):
-        raise ConfigError(f"{what} must hold {n} numbers, one per state of "
-                          f"the {plant.spec.name} plant, got {value!r}")
+    if vec is None or vec.shape != (n,) or not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{what} must hold {n} finite numbers, one per "
+                          f"state of the {plant.spec.name} plant, got "
+                          f"{value!r}")
     return vec
 
 
@@ -164,8 +165,8 @@ def _check_protocol(proto: dict) -> None:
 def _plant_cost_start(config: dict):
     """The run's plant, cost and start state.  Raises ConfigError for a
     protocol setting `_check_protocol` rejects, and unless cost.Q_diag,
-    cost.x_d and a set protocol.x0 each hold one number per state of the
-    plant."""
+    cost.x_d and a set protocol.x0 each hold one finite number per state of
+    the plant."""
     _check_protocol(config["protocol"])
     plant = make_plant(**config["plant"])
     n = plant.spec.n

@@ -9,12 +9,12 @@ every output up to its factor sigma_s^2: one N-vector q for the mean and
 cross covariance, and one N x N matrix Qbar for the whole covariance block,
 per belief.
 
-Derivatives are taken in reverse mode.  Asked for a pullback record, a
-single-belief evaluation keeps its small value intermediates, and the
-record's vector-Jacobian product maps weights on the three output moments
-back to weights on (m, S).  The product folds those weights into a few N x N
-and N-vector weights before it touches the kernel terms, so one pullback
-costs a few N x N products, whatever the state dimension.
+Derivatives are taken in reverse mode.  Every evaluation keeps its small
+value intermediates, and the pullback of a belief, a vector-Jacobian
+product, maps weights on the three output moments back to weights on
+(m, S).  The product folds those weights into a few N x N and N-vector
+weights before it touches the kernel terms, so one pullback costs a few
+N x N products, whatever the state dimension.
 `step_pullbacks` wraps the pullbacks of a derivative pass into the
 `StepPullback` of each whole step, adding the control term from one call of
 the plant's G Jacobian on all steps' means; the adjoint desirability
@@ -38,8 +38,9 @@ raise NumericalError for a single belief (`RowChecks`) instead mask the
 failing row of a batch.  A batch keeps the pullback parts of every row,
 none of them N-long: the pullback recomputes T = (X - m) A^-1 from the
 kept A^-1, and q and Qbar from the kept factors.
-`IncrementPrediction.row` turns row c into the prediction, pullback
-included, that a single evaluation of its belief with `with_vjp` records.
+`IncrementPrediction.row` turns row c into a single prediction with its
+pullback, and a single belief is evaluated as exactly that: row 0 of its
+batch of one.
 
 Per belief, log Qbar is one product of two (N, n+2) factors
 (`_log_qbar`), T is one product with a stacked A^-1, and the trace term of
@@ -54,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .gp import GpModel
 
 SYM_TOL = 1e-10
@@ -98,12 +99,12 @@ class IncrementPrediction:
     """One-step increment moments under a Gaussian input belief.
 
     For a batch of C beliefs every array gains a leading axis C.  `vjp`,
-    kept on request for a single belief, maps weights (g_mu (n,),
-    g_sigma (n, n), g_cov (n, n)) on (mu_f, sigma_f, cov_x_dx) to the
-    gradient (d_mu (n,), d_sigma (n, n)) of that weighted sum with respect
-    to the input (mu, sigma); it is None when the moments do not depend on
-    the input (an empty model).  A batch keeps the pullback parts of every
-    row instead, and `row(c)` returns row c with its `vjp`.
+    set for a single belief, maps weights (g_mu (n,), g_sigma (n, n),
+    g_cov (n, n)) on (mu_f, sigma_f, cov_x_dx) to the gradient
+    (d_mu (n,), d_sigma (n, n)) of that weighted sum with respect to the
+    input (mu, sigma); it is None when the moments do not depend on the
+    input (an empty model).  A batch keeps the pullback parts of every row
+    instead, and `row(c)` returns row c with its `vjp`.
     """
 
     mu_f: np.ndarray        # (n,)
@@ -181,26 +182,20 @@ def _check_covariances(sigma, checks: RowChecks) -> None:
 # Core computation
 # ---------------------------------------------------------------------------
 
-def predict_increment(model: GpModel, mu_in, sigma_in, *,
-                      with_vjp: bool = False) -> IncrementPrediction:
+def predict_increment(model: GpModel, mu_in, sigma_in) -> IncrementPrediction:
     """Exact SE-kernel moments of the increment under N(mu_in, sigma_in).
 
     mu_in (n,) and sigma_in (n, n) give one input belief; mu_in (C, n) and
     sigma_in (C, n, n) give a batch of C candidate beliefs, and every field
     of the result then carries the same leading axis.  One belief is
-    evaluated as a batch of one through the same code, so row c of a batch
-    equals the single evaluation of its belief bit for bit.  A single
-    evaluation raises NumericalError when a check fails; a batch clears the
-    row's entry in `ok` instead.
-
-    `with_vjp` (a single belief only) keeps the value intermediates and
-    returns the pullback of the moments as `IncrementPrediction.vjp`.
+    evaluated as a batch of one and returned as its `row(0)`, pullback
+    included, so row c of a batch equals the single evaluation of its belief
+    bit for bit.  A single evaluation raises NumericalError when a check
+    fails; a batch clears the row's entry in `ok` instead.
     """
     n = model.state_dim
     m = np.asarray(mu_in, dtype=float)
     single = m.ndim <= 1
-    if with_vjp and not single:
-        raise ConfigError("a pullback record needs a single input belief")
     m = m.reshape(-1, n)
     S = np.asarray(sigma_in, dtype=float).reshape(-1, n, n)
     C = m.shape[0]
@@ -208,25 +203,21 @@ def predict_increment(model: GpModel, mu_in, sigma_in, *,
 
     if model.n_points == 0:
         sig = np.diag(model.hyper.prior_var)
-        if not single:
-            return IncrementPrediction(np.zeros((C, n)), np.tile(sig, (C, 1, 1)),
-                                       np.zeros((C, n, n)), ok=checks.ok)
-        return IncrementPrediction(np.zeros(n), sig, np.zeros((n, n)))
+        pred = IncrementPrediction(np.zeros((C, n)), np.tile(sig, (C, 1, 1)),
+                                   np.zeros((C, n, n)), ok=checks.ok)
+    else:
+        zeta = model.train.inputs[None, :, :] - m[:, None, :]     # (C, N, n)
+        mu_f, sigma_f, cov, parts = _values(model, zeta, S, checks)
 
-    zeta = model.train.inputs[None, :, :] - m[:, None, :]         # (C, N, n)
-    mu_f, sigma_f, cov, parts = _values(model, zeta, S, checks)
+        def row_vjp(c):
+            # copies, so that a kept row does not keep its whole batch alive
+            row = {k: a[c].copy() for k, a in parts.items()}
+            return partial(_vjp, model, m[c].copy(), S[c].copy(),
+                           mu_f[c].copy(), row)
 
-    def row_vjp(c):
-        # copies, so that a kept row does not keep its whole batch alive
-        row = {k: a[c].copy() for k, a in parts.items()}
-        return partial(_vjp, model, m[c].copy(), S[c].copy(), mu_f[c].copy(),
-                       row)
-
-    if not single:
-        return IncrementPrediction(mu_f, sigma_f, cov, ok=checks.ok,
+        pred = IncrementPrediction(mu_f, sigma_f, cov, ok=checks.ok,
                                    row_vjp=row_vjp)
-    return IncrementPrediction(mu_f[0], sigma_f[0], cov[0],
-                               row_vjp(0) if with_vjp else None)
+    return pred.row(0) if single else pred
 
 
 def _log_qbar(w, zeta, Y, logdet_r):
@@ -467,7 +458,7 @@ def _distinct_rows(*arrays):
 
 
 def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
-                 dt: float, *, with_vjp: bool = False,
+                 dt: float, *,
                  prediction_out: list | None = None) -> GaussianBelief:
     """Propagate a Gaussian state belief, or a batch of them, one step.
 
@@ -484,13 +475,11 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     through the same arithmetic.  `plant_G` maps states (C, n) to control
     matrices (C, n, m) and is called once per step.
 
-    `prediction_out` collects the per-step increment moments; with
-    `with_vjp` (single belief only) they carry the moments' pullback, from
-    which `step_pullbacks` builds the steps of the adjoint gradient pass.
+    `prediction_out` collects the per-step increment moments; for a single
+    belief they carry the moments' pullback, from which `step_pullbacks`
+    builds the steps of the adjoint gradient pass.
     """
     single = belief_in.ok is None
-    if with_vjp and not single:
-        raise ConfigError("a pullback record needs a single belief")
     n = belief_in.dim
     mu = belief_in.mu.reshape(-1, n)
     sigma = belief_in.sigma.reshape(-1, n, n)
@@ -501,7 +490,7 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
                 "non-finite control in moment_match")
 
     if single:
-        pred = predict_increment(model, mu[0], sigma[0], with_vjp=with_vjp)
+        pred = predict_increment(model, mu[0], sigma[0])
     else:
         # failed rows are evaluated at zero covariance and discarded
         sigma_in = np.where(checks.ok[:, None, None], sigma, 0.0)

@@ -108,6 +108,28 @@ class TestForwardRollout:
             forward_rollout(cartpole_model, np.zeros(4),
                             ControlSequence(np.zeros((4, 1))), cartpole, cost)
 
+    @pytest.mark.parametrize("compute_jac", [False, True])
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_single_plan_failure_carries_its_step(self, k, compute_jac):
+        # an empty model and unit control move the mean from 0 by exactly 1
+        # per step; the control matrix is infinite from mean k on, so the
+        # belief mean overflows at step k
+        class FailingPlant:
+            def control_matrix(self, x):
+                big = np.asarray(x)[..., :1, None] >= k - 0.5
+                return np.where(big, np.inf, 1.0)
+
+            def control_matrix_jac(self, x):
+                return np.zeros((1, 1, 1))
+
+        cost = CostSpec([[1.0]], [0.0], 1.0, 1.0, 6)
+        with pytest.raises(NumericalError) as info:
+            forward_rollout(GpModel.empty(1), [0.0],
+                            ControlSequence(np.ones((6, 1))), FailingPlant(),
+                            cost, compute_jac=compute_jac)
+        assert info.value.step == k
+        assert str(info.value).startswith(f"forward rollout failed at step {k}")
+
 
 class TestBackwardDesirability:
     def test_zero_cost_everywhere(self, cartpole, cartpole_model, rng):
@@ -344,8 +366,7 @@ class TestControlUpdate:
                                      np.zeros((1, 1)))] * 3
         traj = BeliefTrajectory([b] * 4, ControlSequence(np.zeros((3, 1))),
                                 preds)
-        trace = DesirabilityTrace(np.zeros(4), np.zeros((4, 1)),
-                                  has_gradient=True)
+        trace = DesirabilityTrace(np.zeros(4), np.zeros((4, 1)))
         old = ControlSequence(rng.normal(size=(3, 1)))
         new = control_update(trace, traj, old, plant)
         assert np.array_equal(new.u, old.u)
@@ -357,11 +378,20 @@ class TestControlUpdate:
             [b, b], ControlSequence(np.zeros((1, 1))),
             [IncrementPrediction(np.zeros(1), np.array([[0.04]]),
                                  np.zeros((1, 1)))])
-        trace = DesirabilityTrace(np.zeros(2), np.array([[2.0], [0.0]]),
-                                  has_gradient=True)
+        trace = DesirabilityTrace(np.zeros(2), np.array([[2.0], [0.0]]))
         new = control_update(trace, traj, ControlSequence(np.zeros((1, 1))),
                              plant, lam=1.0)
         assert new.u[0, 0] == pytest.approx(0.08, abs=1e-15)
+
+    def test_value_only_trace_rejected(self, cartpole, cartpole_model,
+                                       swing_cost, rng):
+        us = ControlSequence(rng.uniform(-1, 1, (20, 1)))
+        traj = forward_rollout(cartpole_model, np.zeros(4), us, cartpole,
+                               swing_cost)
+        trace = backward_desirability(traj, swing_cost)
+        assert trace.grad_psi_over_psi is None
+        with pytest.raises(ConfigError, match="gradient has not been computed"):
+            control_update(trace, traj, us, cartpole)
 
     def test_structural_constraint_on_range_G(self, cartpole, cartpole_model,
                                               swing_cost, rng):
@@ -463,7 +493,7 @@ class TestControlUpdateStacked:
             preds.append(IncrementPrediction(np.zeros(n), sf, np.zeros((n, n))))
         grad = rng.normal(size=(T + 1, n))
         grad[7] = 0.0
-        trace = DesirabilityTrace(np.zeros(T + 1), grad, has_gradient=True)
+        trace = DesirabilityTrace(np.zeros(T + 1), grad)
         us = ControlSequence(rng.normal(size=(T, plant.spec.m)),
                              u_min=[-0.5] * plant.spec.m,
                              u_max=[0.5] * plant.spec.m)

@@ -223,6 +223,18 @@ def test_state_length_mismatch_is_config_error(tmp_path, runner, section, key,
     assert not Path(cfg["output_dir"]).exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_start_state_exits_2(tmp_path, value):
+    cfg = _linear_config(tmp_path)
+    cfg["protocol"]["x0"] = [value]
+    with pytest.raises(ConfigError, match="protocol.x0"):
+        run_learn(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))            # NaN and Infinity are valid here
+    assert cli_main(["learn", str(p)]) == 2
+    assert not Path(cfg["output_dir"]).exists()
+
+
 @pytest.mark.parametrize("key,value,field", [
     ("terminal_scale", float("nan"), "Q_terminal"),
     ("terminal_scale", None, "Q_terminal"),
@@ -436,6 +448,15 @@ class TestRunCompose:
         doc = json.loads(manifest.read_text())
         doc["x0"] = ["a"]
         manifest.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="manifest x0"):
+            run_compose(manifest, [0.3])
+        assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2
+
+    def test_non_finite_manifest_x0_exits_2(self, tmp_path):
+        manifest = self._make_library(tmp_path, targets=(0.3,))
+        doc = json.loads(manifest.read_text())
+        doc["x0"] = [float("inf")]
+        manifest.write_text(json.dumps(doc))     # written as Infinity
         with pytest.raises(ConfigError, match="manifest x0"):
             run_compose(manifest, [0.3])
         assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gppi.errors import ConfigError, NumericalError
+from gppi.errors import NumericalError
 from gppi.gp import GpModel, KernelHyper, TrainingSet, posterior_predict
 from gppi.moments import (GaussianBelief, _log_qbar, moment_match,
                           predict_increment, step_pullbacks)
@@ -47,7 +47,7 @@ def _step_pullback(model, m, S, u, a, B):
     """The pullback of f = <a, mu'> + <B, Sigma'> through one step."""
     preds = []
     moment_match(model, GaussianBelief(m, S), u, _plant_G, 0.02,
-                 with_vjp=True, prediction_out=preds)
+                 prediction_out=preds)
     maps = step_pullbacks(preds, _plant_G_jac, m[None], u[None], 0.02)
     assert len(maps) == 1
     return maps[0].pullback(a, B)
@@ -142,7 +142,6 @@ class TestBeliefPropagation:
                 mus.append(b.mu)
                 b = moment_match(cartpole_model, b, us[i],
                                  cartpole.control_matrix, 0.02,
-                                 with_vjp=maps is not None,
                                  prediction_out=preds)
             if maps is not None:
                 maps += step_pullbacks(preds, cartpole.control_matrix_jac,
@@ -211,17 +210,24 @@ class TestCandidateBatch:
                                       getattr(one, field)[0])
                 assert np.array_equal(getattr(batch, field)[c],
                                       getattr(single, field))
+            weights = (rng.normal(size=4), rng.normal(size=(4, 4)),
+                       rng.normal(size=(4, 4)))
+            for got, want in zip(single.vjp(*weights),
+                                 batch.row(c).vjp(*weights)):
+                assert np.array_equal(got, want)
 
-    def test_batch_rejects_pullback_record(self, rng):
-        model = _random_model(rng, n=2)
-        m, S = _random_input(rng, 2)
-        with pytest.raises(ConfigError):
-            predict_increment(model, m[None], S[None], with_vjp=True)
-        with pytest.raises(ConfigError):
-            moment_match(model, GaussianBelief(m[None], S[None],
-                                               np.ones(1, dtype=bool)),
-                         np.zeros((1, 1)), _const_G([[0.0], [1.0]]), 0.02,
-                         with_vjp=True)
+    def test_empty_model_rows_have_no_pullback(self, rng):
+        model = GpModel.empty(3)
+        m, S = _random_input(rng, 3)
+        single = predict_increment(model, m, S)
+        batch = predict_increment(model, np.stack([m, -m]), np.stack([S, S]))
+        assert single.vjp is None and single.ok is None
+        for c in range(2):
+            row = batch.row(c)
+            assert row.vjp is None
+            for field in ("mu_f", "sigma_f", "cov_x_dx"):
+                assert np.array_equal(getattr(row, field),
+                                      getattr(single, field))
 
     def test_moment_match_rows_equal_batch_of_one(self, rng):
         model = _random_model(rng, n=3, n_points=30)
