@@ -153,9 +153,14 @@ class GpModel:
     """Fitted increment model: training data, hyperparameters, factors.
 
     `chols` holds the lower Cholesky factor of each output dimension's Gram
-    matrix, the only factorization stored.  `alphas` and `inv_grams` are
-    derived from it on first access and cached in the instance; a model made
-    by `dataclasses.replace` starts without them.  Immutable otherwise:
+    matrix, the only factorization stored.  Derived arrays are computed on
+    first access and cached in the instance: `alphas` and `inv_grams` from
+    the factors, and from them and `hyper` the constants that every
+    moment-matching step reads (`inv_w`, `log_det_w`, `two_w`,
+    `scaled_alphas`, `signal_var_outer`, `signal_var_sq`, `inv_grams_flat`
+    and `inv_grams_flat_t`), none of which costs an O(N^3) routine of its
+    own.  A model made by `dataclasses.replace` or `incorporate_sample`
+    starts without them.  Immutable otherwise:
     `incorporate_sample` and refits return new values, and the cached values
     are deterministic functions of the fields, so a model may be shared
     freely across concurrent rollouts (two first reads at once compute the
@@ -196,6 +201,49 @@ class GpModel:
         for dim, L in enumerate(self.chols):
             out[dim] = _chol_inverse(L)
         return out
+
+    # The constants of Gaussian-input moment matching (`moments`), which
+    # depend on the model alone; each belief step reads them.
+
+    @cached_property
+    def inv_w(self) -> np.ndarray:
+        """W^-1 as an (n, n) matrix."""
+        return np.diag(1.0 / self.hyper.w)
+
+    @cached_property
+    def log_det_w(self) -> float:
+        """log |W|."""
+        return float(np.sum(np.log(self.hyper.w)))
+
+    @cached_property
+    def two_w(self) -> np.ndarray:
+        """2 w, the diagonal of 2 W."""
+        return 2.0 * self.hyper.w
+
+    @cached_property
+    def scaled_alphas(self) -> np.ndarray:
+        """sigma_s^2 alpha of each output dimension, (E, N)."""
+        return self.hyper.signal_var[:, None] * self.alphas
+
+    @cached_property
+    def signal_var_outer(self) -> np.ndarray:
+        """sigma_s,a^2 sigma_s,b^2 of each output pair, (E, E)."""
+        return np.outer(self.hyper.signal_var, self.hyper.signal_var)
+
+    @cached_property
+    def signal_var_sq(self) -> np.ndarray:
+        """sigma_s^4 per output dimension."""
+        return self.hyper.signal_var ** 2
+
+    @cached_property
+    def inv_grams_flat(self) -> np.ndarray:
+        """The (E, N*N) view of `inv_grams`."""
+        return self.inv_grams.reshape(len(self.chols), -1)
+
+    @cached_property
+    def inv_grams_flat_t(self) -> np.ndarray:
+        """The (N*N, E) transpose of `inv_grams_flat`."""
+        return self.inv_grams_flat.T
 
     @staticmethod
     def from_data(train: TrainingSet, hyper: KernelHyper,

@@ -30,21 +30,26 @@ beliefs with controls (C, m), so the line search propagates all of its
 candidates with one call per step.  A single belief runs as a batch of one
 through the same code, and every reduction keeps the summation order of
 the single evaluation, so row c of a batch is bit-identical to evaluating
-its belief alone.  `moment_match` therefore evaluates each distinct belief
-of a batch once: candidates whose controls agree up to a step have
-bit-identical beliefs there (all of them at the start), and each row takes
-the moments and pullback parts of the first row equal to it.  Checks that
-raise NumericalError for a single belief (`RowChecks`) instead mask the
-failing row of a batch.  A batch keeps the pullback parts of every row,
-none of them N-long: the pullback recomputes T = (X - m) A^-1 from the
-kept A^-1, and q and Qbar from the kept factors.
-`IncrementPrediction.row` turns row c into a single prediction with its
-pullback, and a single belief is evaluated as exactly that: row 0 of its
-batch of one.
+its belief alone.  `moment_match` therefore checks, predicts and evaluates
+G(mu) for each distinct belief of a batch once: candidates whose controls
+agree up to a step have bit-identical beliefs there (all of them at the
+start), and each row takes the checks, moments and pullback parts of the
+first row equal to it.  Checks that raise NumericalError for a single
+belief (`RowChecks`) instead mask the failing rows of a batch.  A batch
+keeps the pullback parts of every row, none of them N-long: the pullback
+recomputes T = (X - m) A^-1 from the kept A^-1, and q and Qbar from the
+kept factors.  `IncrementPrediction.row` turns row c into a single
+prediction with its pullback, and a single belief is evaluated as exactly
+that: row 0 of its batch of one, which is its own row and is not copied.
 
-Per belief, log Qbar is one product of two (N, n+2) factors
-(`_log_qbar`), T is one product with a stacked A^-1, and the trace term of
-the covariance is one matrix-vector product on the flat inverse Grams.
+What a belief step costs beyond its N x N exponential is mostly fixed
+per-call work, so a step computes only what depends on its beliefs: the
+arrays that depend on the model alone (W^-1, log|W|, sigma_s^2 alpha, the
+flat inverse Grams and the rest) are cached on the `GpModel`.  Per belief,
+log Qbar is one product of an (N, n+2) and an (n+2, N) factor, both
+written in place (`_log_qbar`), T is one product with a stacked A^-1, and
+the trace term of the covariance is one matrix-vector product on the flat
+inverse Grams.
 """
 
 from __future__ import annotations
@@ -118,8 +123,9 @@ class IncrementPrediction:
     def row(self, c: int) -> "IncrementPrediction":
         """Row c of a batch as a single prediction, with its pullback."""
         vjp = None if self.row_vjp is None else self.row_vjp(c)
-        return IncrementPrediction(self.mu_f[c].copy(), self.sigma_f[c].copy(),
-                                   self.cov_x_dx[c].copy(), vjp)
+        return IncrementPrediction(_row_of(self.mu_f, c),
+                                   _row_of(self.sigma_f, c),
+                                   _row_of(self.cov_x_dx, c), vjp)
 
     def take(self, rows) -> "IncrementPrediction":
         """The batch whose row c is row rows[c] of this one, pullback
@@ -129,6 +135,12 @@ class IncrementPrediction:
         return IncrementPrediction(self.mu_f[rows], self.sigma_f[rows],
                                    self.cov_x_dx[rows], ok=self.ok[rows],
                                    row_vjp=row_vjp)
+
+
+def _row_of(a, c):
+    """Row c of a batch `a`: a copy, so that a kept row does not keep its
+    whole batch alive, except that a batch of one is its own row."""
+    return a[c] if len(a) == 1 else a[c].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +176,30 @@ def identity_where(bad, mats):
     return np.where(bad[..., None, None], np.eye(mats.shape[-1]), mats)
 
 
-def _check_covariances(sigma, checks: RowChecks) -> None:
-    """Symmetry and PSD checks of a stack of belief covariances (C, n, n)."""
-    s = sigma
-    scale = np.maximum(np.max(np.abs(s), axis=(1, 2)), 1.0)
-    asym = np.max(np.abs(s - s.transpose(0, 2, 1)), axis=(1, 2))
-    checks.fail(asym > SYM_TOL * scale, "belief covariance not symmetric")
-    if not s.shape[-1]:
-        return
-    eig = np.linalg.eigvalsh(0.5 * (s + s.transpose(0, 2, 1)))
-    floor = -PSD_TOL * np.maximum(np.trace(s, axis1=1, axis2=2), 1e-300)
-    checks.fail(eig[:, 0] < floor,
-                f"belief covariance not PSD (min eig {eig[0, 0]:.3e})")
+def _check_beliefs(mu, sigma, checks: RowChecks):
+    """Finiteness, symmetry and PSD checks of a stack of beliefs, means
+    (C, n) and covariances (C, n, n).  Returns (mu, sigma) with the rows
+    that failed a check replaced by the zero belief, which every later step
+    evaluates without overflow.  A row passes a check only where its
+    comparison holds (the `not <=` form of `Plant.step_batch`), so that a
+    NaN fails it."""
+    finite = np.isfinite(mu).all(axis=1) & np.isfinite(sigma).all(axis=(1, 2))
+    checks.fail(~finite, "non-finite belief")
+    s = np.where(finite[:, None, None], sigma, 0.0) if not finite.all() \
+        else sigma
+    scale = np.maximum(np.abs(s).max(axis=(1, 2)), 1.0)
+    asym = np.abs(s - s.transpose(0, 2, 1)).max(axis=(1, 2))
+    checks.fail(~(asym <= SYM_TOL * scale), "belief covariance not symmetric")
+    if s.shape[-1]:
+        eig = np.linalg.eigvalsh(0.5 * (s + s.transpose(0, 2, 1)))
+        floor = -PSD_TOL * np.maximum(s.trace(axis1=1, axis2=2), 1e-300)
+        checks.fail(~(eig[:, 0] >= floor),
+                    f"belief covariance not PSD (min eig {eig[0, 0]:.3e})")
+    ok = checks.ok
+    if ok.all():
+        return mu, sigma
+    return (np.where(ok[:, None], mu, 0.0),
+            np.where(ok[:, None, None], sigma, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +234,9 @@ def predict_increment(model: GpModel, mu_in, sigma_in) -> IncrementPrediction:
         mu_f, sigma_f, cov, parts = _values(model, zeta, S, checks)
 
         def row_vjp(c):
-            # copies, so that a kept row does not keep its whole batch alive
-            row = {k: a[c].copy() for k, a in parts.items()}
-            return partial(_vjp, model, m[c].copy(), S[c].copy(),
-                           mu_f[c].copy(), row)
+            row = {k: _row_of(a, c) for k, a in parts.items()}
+            return partial(_vjp, model, _row_of(m, c), _row_of(S, c),
+                           _row_of(mu_f, c), row)
 
         pred = IncrementPrediction(mu_f, sigma_f, cov, ok=checks.ok,
                                    row_vjp=row_vjp)
@@ -229,17 +252,22 @@ def _log_qbar(w, zeta, Y, logdet_r):
     mean of k_a(x_i, x) k_b(x_j, x) (signal parts) over x ~ N(m, S), with
     w the diagonal of W and Y = R^-1 S.  With u_i = Y eta_i and
     r_i = 0.5 eta_i' (u_i - zeta_i), log Qbar[i, j] = u_i' eta_j + r_i
-    + r_j - 0.5 log|R|: one product per belief of the (N, n+2) factors
-    [u | r | 1] and [eta | 1 | r - 0.5 log|R|].
+    + r_j - 0.5 log|R|: one product per belief of the factors
+    [u | r | 1] (N, n+2) and [eta | 1 | r - 0.5 log|R|]' (n+2, N), both
+    written in place into C-ordered arrays.
     """
+    C, N, n = zeta.shape
     eta = zeta * w                                               # (C, N, n)
     u = eta @ Y
-    r = 0.5 * np.einsum("cnj,cnj->cn", eta, u - zeta)[..., None]  # (C, N, 1)
-    one = np.ones_like(r)
-    left = np.concatenate((u, r, one), axis=2)
-    right = np.concatenate((eta, one, r - 0.5 * logdet_r[:, None, None]),
-                           axis=2)
-    return eta, left @ right.transpose(0, 2, 1)
+    left = np.empty((C, N, n + 2))
+    right = np.empty((C, n + 2, N))
+    left[:, :, :n] = u
+    left[:, :, n] = 0.5 * np.einsum("cnj,cnj->cn", eta, u - zeta)   # r
+    left[:, :, n + 1] = 1.0
+    right[:, :n] = eta.transpose(0, 2, 1)
+    right[:, n] = 1.0
+    right[:, n + 1] = left[:, :, n] - 0.5 * logdet_r[:, None]
+    return eta, left @ right
 
 
 def _qbar(T, zeta, half_ratio):
@@ -259,46 +287,42 @@ def _values(model: GpModel, zeta, S, checks: RowChecks):
     """
     n = zeta.shape[2]
     hyper, alphas = model.hyper, model.alphas                    # (E, N)
-    w = hyper.w
     sig2 = hyper.signal_var                                      # (E,)
-    eye = np.eye(n)
 
-    A = S + np.diag(1.0 / w)                                     # (C, n, n)
+    A = S + model.inv_w                                          # (C, n, n)
     sign_a, logdet_a = np.linalg.slogdet(A)
     bad = ~(sign_a > 0)
     checks.fail(bad, "input covariance plus length scales not PD")
     Ainv = np.linalg.inv(identity_where(bad, A))
     T = zeta @ Ainv                                              # (C, N, n)
-    half_ratio = 0.5 * (logdet_a + float(np.sum(np.log(w))))     # (C,)
+    half_ratio = 0.5 * (logdet_a + model.log_det_w)              # (C,)
     qbar = _qbar(T, zeta, half_ratio)                            # (C, N)
-    lq = (sig2[:, None] * alphas)[None] * qbar[:, None, :]       # (C, E, N)
+    lq = model.scaled_alphas[None] * qbar[:, None, :]            # (C, E, N)
     mu_f = lq.sum(axis=2)
     v = lq @ T                                                   # (C, E, n)
     cov = S @ v.transpose(0, 2, 1)                               # (C, n, E)
 
-    g = 2.0 * w
-    R = S * g + eye
+    R = S * model.two_w + np.eye(n)
     sign_r, logdet_r = np.linalg.slogdet(R)
     bad = ~(sign_r > 0)
     checks.fail(bad, "pair normalization matrix not PD")
     Y = np.linalg.solve(identity_where(bad, R), S)
     Y = 0.5 * (Y + Y.transpose(0, 2, 1))
-    _, Kbar = _log_qbar(w, zeta, Y, logdet_r)
+    _, Kbar = _log_qbar(hyper.w, zeta, Y, logdet_r)
     Qbar = np.exp(Kbar, out=Kbar)                                # (C, N, N)
 
     M2 = alphas @ (Qbar @ alphas.T)                              # (C, E, E)
-    e2 = np.outer(sig2, sig2) * M2
+    e2 = model.signal_var_outer * M2
     # one matrix-vector product per row on the flat (E, N*N) view of the
     # inverse Grams, so that a row sums as a batch of one does
-    inv_flat = model.inv_grams.reshape(len(sig2), -1)
-    tr_base = (Qbar.reshape(len(Qbar), 1, -1) @ inv_flat.T)[:, 0]  # (C, E)
-    tr = sig2 ** 2 * tr_base
+    tr_base = (Qbar.reshape(len(Qbar), 1, -1) @ model.inv_grams_flat_t)[:, 0]
+    tr = model.signal_var_sq * tr_base                           # (C, E)
     model_var = np.maximum(sig2 - tr, 0.0) + hyper.prior_var - sig2
     sigma_f = e2 - mu_f[:, :, None] * mu_f[:, None, :]
-    sigma_f[:, np.arange(n), np.arange(n)] += model_var
+    sigma_f.reshape(len(sigma_f), n * n)[:, ::n + 1] += model_var  # diagonal
     sigma_f = 0.5 * (sigma_f + sigma_f.transpose(0, 2, 1))
-    checks.fail(~(np.all(np.isfinite(sigma_f), axis=(1, 2))
-                  & np.all(np.isfinite(mu_f), axis=1)),
+    checks.fail(~(np.isfinite(sigma_f).all(axis=(1, 2))
+                  & np.isfinite(mu_f).all(axis=1)),
                 "moment computation overflowed")
     parts = dict(Ainv=Ainv, half_ratio=half_ratio, v=v, Y=Y, R=R,
                  logdet_r=logdet_r, tr=tr)
@@ -369,9 +393,7 @@ def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     qbar = _qbar(T[None], zeta, p["half_ratio"][None])[0]
     v = p["v"]
     N = T.shape[0]
-    w = model.hyper.w
-    sig2 = model.hyper.signal_var
-    a2 = sig2[:, None] * model.alphas                               # (E, N)
+    a2 = model.scaled_alphas                                        # (E, N)
     Csym, g_mf, psi = _output_weights(mu_f, g_mu, g_sig, g_cov, S)
 
     # mean and cross covariance: one weight per training point on d log q,
@@ -381,15 +403,15 @@ def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
     d_S += g_cov @ v
 
     # pair and trace weights folded into one N x N weight on Qbar
-    active = (sig2 - p["tr"]) > 0.0
-    t = np.where(active, sig2 ** 2 * np.diag(Csym), 0.0)
+    active = (model.hyper.signal_var - p["tr"]) > 0.0
+    t = np.where(active, model.signal_var_sq * np.diag(Csym), 0.0)
     Wq = a2.T @ (Csym @ a2)
-    Wq -= (t @ model.inv_grams.reshape(len(sig2), N * N)).reshape(N, N)
+    Wq -= (t @ model.inv_grams_flat).reshape(N, N)
     # Qbar is recomputed, not stored: it is the one N x N array of the step
-    eta, B = _log_qbar(w, zeta, p["Y"][None], p["logdet_r"][None])
+    eta, B = _log_qbar(model.hyper.w, zeta, p["Y"][None], p["logdet_r"][None])
     B = np.exp(B[0], out=B[0])
     B *= Wq
-    pm, pS = _pair_pullback(B, eta[0], 2.0 * w, p["Y"], p["R"])
+    pm, pS = _pair_pullback(B, eta[0], model.two_w, p["Y"], p["R"])
     return d_m + pm, d_S + pS
 
 
@@ -447,10 +469,11 @@ def _distinct_rows(*arrays):
     """The first row of each group of bit-identical rows across `arrays`,
     each (C, ...), and the group of every row: (first (K,), group (C,))."""
     keys = np.concatenate([a.reshape(len(a), -1) for a in arrays], axis=1)
+    flat, size = keys.tobytes(), keys.itemsize * keys.shape[1]
     groups: dict = {}
     first, group = [], []
-    for c, row in enumerate(keys):
-        g = groups.setdefault(row.tobytes(), len(groups))
+    for c in range(len(keys)):
+        g = groups.setdefault(flat[c * size:(c + 1) * size], len(groups))
         if g == len(first):
             first.append(c)
         group.append(g)
@@ -466,14 +489,16 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     sigma' = sigma + sigma_f + cov + cov'
 
     A single belief takes delta_u (m,) and raises NumericalError when a
-    check fails.  A batch (`belief_in.ok` set) takes delta_u (C, m) and
-    makes one `predict_increment` call, on its distinct beliefs only: rows
-    whose beliefs are bit-identical (every row at the observed start state,
-    say) share the moments and pullback parts of the first of them.  A row
-    that fails a check is dropped from `ok` and keeps its input belief, and
-    the other rows go on unchanged.  A single belief runs as a batch of one
-    through the same arithmetic.  `plant_G` maps states (C, n) to control
-    matrices (C, n, m) and is called once per step.
+    check fails; a non-finite input mean or covariance fails as a
+    "non-finite belief".  A batch (`belief_in.ok` set) takes delta_u (C, m)
+    and groups its rows first: rows whose beliefs are bit-identical (every
+    row at the observed start state, say) share the belief checks, the
+    moments and pullback parts of one `predict_increment` call, and G(mu)
+    of the first of them.  A row that fails a check is dropped from `ok`
+    and keeps its input belief, and the other rows go on unchanged.  A
+    single belief runs as a batch of one through the same arithmetic.
+    `plant_G` maps states (K, n) to control matrices (K, n, m) and is
+    called once per step.
 
     `prediction_out` collects the per-step increment moments; for a single
     belief they carry the moments' pullback, from which `step_pullbacks`
@@ -485,30 +510,48 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     sigma = belief_in.sigma.reshape(-1, n, n)
     u = np.asarray(delta_u, dtype=float).reshape(mu.shape[0], -1)
     checks = RowChecks(belief_in.ok)
-    _check_covariances(sigma, checks)
-    checks.fail(~np.all(np.isfinite(u), axis=1),
+    rows = None
+    if single:
+        distinct = checks
+    else:
+        # rows that failed before are evaluated at the zero belief and
+        # discarded; the rest are checked and evaluated once per distinct
+        # belief, and `rows` maps each row to its distinct belief (None
+        # when every row is distinct)
+        live = checks.ok
+        if not live.all():
+            mu = np.where(live[:, None], mu, 0.0)
+            sigma = np.where(live[:, None, None], sigma, 0.0)
+        first, rows = _distinct_rows(mu, sigma)
+        if len(first) < len(rows):
+            mu, sigma = mu[first], sigma[first]
+        else:
+            rows = None
+        distinct = RowChecks(np.ones(len(mu), dtype=bool))
+    mu, sigma = _check_beliefs(mu, sigma, distinct)
+    checks.fail(~np.isfinite(u).all(axis=1),
                 "non-finite control in moment_match")
 
     if single:
         pred = predict_increment(model, mu[0], sigma[0])
     else:
-        # failed rows are evaluated at zero covariance and discarded
-        sigma_in = np.where(checks.ok[:, None, None], sigma, 0.0)
-        first, group = _distinct_rows(mu, sigma_in)
-        pred = predict_increment(model, mu[first], sigma_in[first])
-        if len(first) < len(mu):
-            pred = pred.take(group)
-        checks.ok &= pred.ok
+        pred = predict_increment(model, mu, sigma)
+    G = plant_G(mu)                                              # (K, n, m)
+    if not single:
+        ok = distinct.ok & pred.ok
+        if rows is not None:
+            pred, G, ok = pred.take(rows), G[rows], ok[rows]
+            mu, sigma = mu[rows], sigma[rows]
+        checks.ok &= ok
     mu_f = pred.mu_f.reshape(mu.shape)
     sigma_f = pred.sigma_f.reshape(sigma.shape)
     cov = pred.cov_x_dx.reshape(sigma.shape)
 
-    G = plant_G(mu)                                              # (C, n, m)
     mu_out = mu + mu_f + (G @ u[:, :, None])[:, :, 0] * dt
     sigma_out = sigma + sigma_f + cov + cov.transpose(0, 2, 1)
     sigma_out = 0.5 * (sigma_out + sigma_out.transpose(0, 2, 1))
-    checks.fail(~np.all(np.isfinite(mu_out), axis=1), "belief mean overflowed")
-    checks.fail(~np.all(np.isfinite(sigma_out), axis=(1, 2)),
+    checks.fail(~np.isfinite(mu_out).all(axis=1), "belief mean overflowed")
+    checks.fail(~np.isfinite(sigma_out).all(axis=(1, 2)),
                 "belief covariance overflowed")
 
     if prediction_out is not None:
@@ -516,5 +559,6 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     if single:
         return GaussianBelief(mu_out[0], sigma_out[0])
     ok = checks.ok
-    return GaussianBelief(np.where(ok[:, None], mu_out, mu),
-                          np.where(ok[:, None, None], sigma_out, sigma), ok)
+    return GaussianBelief(np.where(ok[:, None], mu_out, belief_in.mu),
+                          np.where(ok[:, None, None], sigma_out,
+                                   belief_in.sigma), ok)

@@ -130,6 +130,16 @@ class TestForwardRollout:
         assert info.value.step == k
         assert str(info.value).startswith(f"forward rollout failed at step {k}")
 
+    @pytest.mark.parametrize("compute_jac", [False, True])
+    def test_non_finite_start_state_rejected(self, cartpole, cartpole_model,
+                                             compute_jac):
+        cost = CostSpec(np.eye(4), np.zeros(4), 1.0, 0.02, 5)
+        with pytest.raises(NumericalError, match="non-finite belief") as info:
+            forward_rollout(cartpole_model, [np.nan, 0.0, 0.0, 0.0],
+                            ControlSequence(np.ones((5, 1))), cartpole, cost,
+                            compute_jac=compute_jac)
+        assert info.value.step == 0
+
 
 class TestBackwardDesirability:
     def test_zero_cost_everywhere(self, cartpole, cartpole_model, rng):

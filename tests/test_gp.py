@@ -342,6 +342,12 @@ def _expected_eviction(model, x):
     return min((i, j), key=lambda k: order[k])
 
 
+# the per-model constants of moment matching, cached on first read
+_MOMENT_CONSTANTS = ("inv_w", "log_det_w", "two_w", "scaled_alphas",
+                     "signal_var_outer", "signal_var_sq", "inv_grams_flat",
+                     "inv_grams_flat_t")
+
+
 def _hyper(n, rng):
     d = np.arange(n)
     return KernelHyper.create(0.5 + 0.1 * d, 0.05 + 0.01 * d,
@@ -426,6 +432,8 @@ class TestDowndate:
         for _ in range(N):
             x = rng.normal(size=n)
             model, _ = _add(model, x, np.sin(x))
+        for name in ("alphas", "inv_grams") + _MOMENT_CONSTANTS:
+            getattr(model, name)        # cached on the model updated below
 
         def forbidden(*args, **kwargs):
             raise AssertionError("an O(N^3) routine ran in an at-max update")
@@ -436,16 +444,34 @@ class TestDowndate:
         x = rng.normal(size=n)
         new, status = _add(model, x, np.sin(x))
         assert status == "ok" and new.n_points == N
-        assert "alphas" not in new.__dict__
-        assert "inv_grams" not in new.__dict__
+        for name in ("alphas", "inv_grams") + _MOMENT_CONSTANTS:
+            assert name not in new.__dict__, name
         monkeypatch.undo()
         assert len(new.alphas) == n and "alphas" in new.__dict__
         assert "inv_grams" not in new.__dict__
         assert new.inv_grams[0].shape == (N, N)
         assert "inv_grams" in new.__dict__
+        # the moment constants come from hyper, alphas and inv_grams alone
+        for name in ("kernel_matrix", "chol_with_jitter", "cho_solve",
+                     "_chol_inverse"):
+            monkeypatch.setattr(gp, name, forbidden)
+        for name in _MOMENT_CONSTANTS:
+            getattr(new, name)
+            assert name in new.__dict__, name
+        monkeypatch.undo()
+        sig2, w = new.hyper.signal_var, new.hyper.w
+        assert np.array_equal(new.inv_w, np.diag(1.0 / w))
+        assert new.log_det_w == float(np.sum(np.log(w)))
+        assert np.array_equal(new.two_w, 2.0 * w)
+        assert np.array_equal(new.scaled_alphas, sig2[:, None] * new.alphas)
+        assert np.array_equal(new.signal_var_outer, np.outer(sig2, sig2))
+        assert np.array_equal(new.signal_var_sq, sig2 ** 2)
+        assert np.array_equal(new.inv_grams_flat, new.inv_grams.reshape(n, -1))
+        assert np.shares_memory(new.inv_grams_flat, new.inv_grams)
+        assert np.array_equal(new.inv_grams_flat_t, new.inv_grams_flat.T)
         copy = dataclasses.replace(new, insertion_order=new.insertion_order)
-        assert "alphas" not in copy.__dict__
-        assert "inv_grams" not in copy.__dict__
+        for name in ("alphas", "inv_grams") + _MOMENT_CONSTANTS:
+            assert name not in copy.__dict__, name
 
     def test_max_points_below_one_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gppi import moments
 from gppi.errors import NumericalError
 from gppi.gp import GpModel, KernelHyper, TrainingSet, posterior_predict
 from gppi.moments import (GaussianBelief, _log_qbar, moment_match,
@@ -191,6 +192,18 @@ class TestBeliefPropagation:
         with pytest.raises(NumericalError):
             moment_match(model, bad, [0.0], _const_G(np.eye(2)[:, :1]), 0.02)
 
+    @pytest.mark.parametrize("bad", ["mean", "covariance"])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_non_finite_belief_rejected(self, bad, empty, rng):
+        model = GpModel.empty(3) if empty else _random_model(rng)
+        m, S = _random_input(rng, 3)
+        if bad == "mean":
+            m[1] = np.nan
+        else:
+            S[0, 2] = S[2, 0] = np.inf
+        with pytest.raises(NumericalError, match="non-finite belief"):
+            moment_match(model, GaussianBelief(m, S), [0.5], _plant_G, 0.02)
+
 
 class TestCandidateBatch:
     """Row c of a batched evaluation equals a batch of one, bit for bit."""
@@ -249,6 +262,69 @@ class TestCandidateBatch:
                 plant_G, 0.02)
             assert np.array_equal(out.mu[c], one.mu[0])
             assert np.array_equal(out.sigma[c], one.sigma[0])
+            assert np.array_equal(out.mu[c], single.mu)
+            assert np.array_equal(out.sigma[c], single.sigma)
+
+    def test_non_finite_rows_masked(self, rng):
+        model = _random_model(rng, n=3, n_points=20)
+        inputs = [_random_input(rng, 3) for _ in range(4)]
+        mu = np.array([m for m, _ in inputs])
+        sigma = np.array([S for _, S in inputs])
+        mu[1, 0] = np.nan
+        sigma[2, 0, 1] = np.inf
+        sigma[2, 1, 0] = -np.inf
+        belief = GaussianBelief(mu, sigma, np.ones(4, dtype=bool))
+        u = rng.uniform(-2, 2, (4, 1))
+        out = moment_match(model, belief, u, _plant_G, 0.02)
+        assert out.ok.tolist() == [True, False, False, True]
+        for c in (1, 2):
+            assert np.array_equal(out.mu[c], mu[c], equal_nan=True)
+            assert np.array_equal(out.sigma[c], sigma[c])
+        for c in (0, 3):
+            single = moment_match(model, GaussianBelief(mu[c], sigma[c]),
+                                  u[c], _plant_G, 0.02)
+            assert np.array_equal(out.mu[c], single.mu)
+            assert np.array_equal(out.sigma[c], single.sigma)
+
+    @pytest.mark.parametrize("layout", ["failing-pair", "all-equal"])
+    def test_checks_and_G_run_once_per_distinct_belief(self, layout, rng,
+                                                       monkeypatch):
+        # "failing-pair": one non-PSD belief in two rows among distinct good
+        # ones; "all-equal": every row at one belief, as at the start of a
+        # rollout, under different controls
+        model = _random_model(rng, n=3, n_points=20)
+        inputs = [_random_input(rng, 3) for _ in range(4)]
+        mu = np.array([m for m, _ in inputs])
+        sigma = np.array([S for _, S in inputs])
+        if layout == "failing-pair":
+            sigma[1] = sigma[3] = np.diag([0.2, -0.1, 0.3])
+            mu[3] = mu[1]
+            distinct, failed = 3, [1, 3]
+        else:
+            mu[:], sigma[:] = mu[0], sigma[0]
+            distinct, failed = 1, []
+        checked, G_rows = [], []
+        check = moments._check_beliefs
+        monkeypatch.setattr(moments, "_check_beliefs", lambda m, S, checks: (
+            checked.append(len(m)), check(m, S, checks))[1])
+
+        def plant_G(x):
+            G_rows.append(len(x))
+            return _plant_G(x)
+
+        u = rng.uniform(-2, 2, (4, 1))
+        out = moment_match(model, GaussianBelief(mu, sigma,
+                                                 np.ones(4, dtype=bool)),
+                           u, plant_G, 0.02)
+        assert checked == [distinct] and G_rows == [distinct]
+        assert np.flatnonzero(~out.ok).tolist() == failed
+        monkeypatch.undo()
+        for c in range(4):
+            if c in failed:
+                assert np.array_equal(out.sigma[c], sigma[c])
+                continue
+            single = moment_match(model, GaussianBelief(mu[c], sigma[c]),
+                                  u[c], _plant_G, 0.02)
             assert np.array_equal(out.mu[c], single.mu)
             assert np.array_equal(out.sigma[c], single.sigma)
 
