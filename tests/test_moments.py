@@ -305,13 +305,16 @@ class TestCandidateBatch:
             distinct, failed = 1, []
         checked, G_rows = [], []
         check = moments._check_beliefs
-        monkeypatch.setattr(moments, "_check_beliefs", lambda m, S, checks: (
-            checked.append(len(m)), check(m, S, checks))[1])
+
+        def counted_check(m, S, checks):
+            checked.append(len(m))
+            return check(m, S, checks)
 
         def plant_G(x):
             G_rows.append(len(x))
             return _plant_G(x)
 
+        monkeypatch.setattr(moments, "_check_beliefs", counted_check)
         u = rng.uniform(-2, 2, (4, 1))
         out = moment_match(model, GaussianBelief(mu, sigma,
                                                  np.ones(4, dtype=bool)),
