@@ -64,24 +64,24 @@ def fd_tail_gradient(model, traj, plant, cost, j, eps=1e-5) -> np.ndarray:
     """Central differences of log Psi_j over the mean of belief j.
 
     The covariance of belief j is held fixed.  Beliefs j+1..T are
-    re-propagated from each perturbed belief j without derivatives, spliced
-    into the trajectory, and the desirability recursion is rerun.  At j = 0
-    this is the finite difference over the observed start state.
+    re-propagated from each perturbed belief j without derivatives and
+    spliced into a copy of the record's beliefs, and the desirability
+    recursion is rerun.  At j = 0 this is the finite difference over the
+    observed start state.
     """
-    base = traj.beliefs[j]
+    base = traj.belief(j)
     fd = np.zeros(base.dim)
     for k in range(base.dim):
         vals = []
         for step in (eps, -eps):
-            mu = base.mu.copy()
-            mu[k] += step
-            belief = GaussianBelief(mu, base.sigma)
-            beliefs = traj.beliefs[:j] + [belief]
+            spliced = replace(traj, mu=traj.mu.copy(), sigma=traj.sigma.copy())
+            spliced.mu[j, k] += step
+            belief = spliced.belief(j)
             for t in range(j, cost.horizon_steps):
                 belief = moment_match(model, belief, traj.controls_old.u[t],
                                       plant.control_matrix, cost.dt)
-                beliefs.append(belief)
-            spliced = replace(traj, beliefs=beliefs)
+                spliced.mu[t + 1] = belief.mu
+                spliced.sigma[t + 1] = belief.sigma
             vals.append(backward_desirability(spliced, cost).log_psi[j])
         fd[k] = (vals[0] - vals[1]) / (2 * eps)
     return fd
@@ -181,8 +181,8 @@ def step_pullback_vs_fd(rng):
     preds = []
     moment_match(model, GaussianBelief(m, S), u, dpc.control_matrix, 0.02,
                  prediction_out=preds)
-    step, = step_pullbacks(preds, dpc.control_matrix_jac, m[None], u[None],
-                           0.02)
+    step, = step_pullbacks([preds[0].vjp], dpc.control_matrix_jac, m[None],
+                           u[None], 0.02)
     d_mu, d_sig = step.pullback(wa, wB)
     tol, worst = 1e-6, 0.0
     for _ in range(4):

@@ -196,7 +196,7 @@ def verify_linearity(library: TaskLibrary, weights: CompositeWeights, plant,
         compute_jac=False)
     own = backward_desirability(traj, comp_cost).log_psi
     log_term = mixture(weights.omega_tilde, [
-        log_phi_step(traj.beliefs[T], library.cost_for(rec.x_d), 1.0,
+        log_phi_step(traj.belief(T), library.cost_for(rec.x_d), 1.0,
                      terminal=True, step_index=T)[0]
         for rec in library.records])[1]
     log_a = own - own[T] + log_term

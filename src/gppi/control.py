@@ -1,39 +1,33 @@
 """Forward-backward path integral control on GP belief trajectories.
 
-Forward: propagate the state belief under the current control sequence,
-recording the pullback of every step (`moments.StepPullback`, built by
-`moments.step_pullbacks` with one control-Jacobian call per horizon).
-Backward: accumulate the desirability recursion in log domain, then carry
-its partials backward through the step pullbacks, one vector-Jacobian
-product per step (the adjoint pass), which gives grad Psi_t / Psi_t at each
-step's own state.  The recursion's log phi terms and their partials come
-from two `log_phi_step` calls, one at the terminal belief and one on the
-interior beliefs of all steps stacked, and the tails are summed backward
-in the recursion's order.  Update: the analytic control correction
-delta_u_t = G^+ Sigma_f (grad Psi_t / Psi_t), damped by a backtracking
-acceptance rule on log Psi_0.
+Forward: propagate the state belief under the current controls into one
+stacked record of the rollout (`BeliefTrajectory`): the beliefs, the
+increment moments and, for a derivative pass, the pullback of every step.
+Backward: accumulate the desirability recursion in log domain from two
+`log_phi_step` calls, one at the terminal belief and one on the record's
+interior beliefs; then carry its partials backward through the step
+pullbacks, one vector-Jacobian product per step (the adjoint pass), which
+gives grad Psi_t / Psi_t at each step's own state.  Update: the analytic
+correction delta_u_t = G^+ Sigma_f (grad Psi_t / Psi_t) over the record's
+means and increment covariances, damped by a backtracking acceptance rule
+on log Psi_0.
 
 The line search evaluates its candidate step scales together: a
-value-only `forward_rollout` takes a batch of control sequences (C, T, m)
-and propagates all C beliefs with one `moment_match` call per step, and
+value-only `forward_rollout` takes a batch of control sequences (C, T, m),
+propagates all C beliefs with one `moment_match` call per step, and
 `backward_desirability` returns log Psi per candidate.  A candidate that
 fails numerically is masked (log Psi = -inf, its belief frozen) rather than
-raised, and `inner_optimize` replays the one-by-one acceptance rule on the
-batch's values.  A single sequence is a batch of one through the same
-arithmetic, so every candidate's value is bit-identical to a rollout of
-that candidate alone.
-
-The accepted candidate is not rolled out again for the next gradient.  Its
-row of the batch already holds the beliefs, increment predictions and log
-phi partials of that rollout, bit for bit, and the batch keeps the moment
-pullback parts of every row, so the row becomes the next derivative pass
-(`_row_pass`).  An `inner_optimize` call makes one derivative rollout, at
-its start.
+raised.  A single sequence is a batch of one through the same arithmetic,
+so each row of a batch is bit-identical to a rollout of its candidate
+alone, and the accepted candidate's row (`BeliefTrajectory.row`,
+`DesirabilityTrace.row`), with step pullbacks built from the moment parts
+the batch keeps, is the next derivative pass.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -151,7 +145,7 @@ class ControlSequence:
     """
 
     u: np.ndarray                       # (T, m) or (C, T, m)
-    R: list = field(default_factory=list)   # per-step implied control weight
+    R: np.ndarray | None = None         # (T, m, m) implied control weights
     u_min: np.ndarray | None = None
     u_max: np.ndarray | None = None
     flagged_steps: list = field(default_factory=list)
@@ -175,11 +169,43 @@ class ControlSequence:
 
 @dataclass
 class BeliefTrajectory:
-    beliefs: list                       # T+1 GaussianBelief (batched for a batch)
+    """The record of one rollout, or of a batch of C, stacked over steps.
+
+    Entry t of mu and sigma is the belief at step t (entry 0 the observed
+    start state); entry t of mu_f, sigma_f and cov_x_dx holds the increment
+    moments of step t, from belief t to belief t+1.  A batch's ok holds the
+    rows whose propagation has not failed up to each step; a failed row
+    keeps its last belief, and its later moments are meaningless.
+    `pullbacks`, the one per-step list, holds each step's moment pullback:
+    `IncrementPrediction.vjp` for a single plan, `row_vjp` for a batch.
+    """
+
+    mu: np.ndarray                      # (T+1, n) or (C, T+1, n)
+    sigma: np.ndarray                   # (T+1, n, n) or (C, T+1, n, n)
+    ok: np.ndarray | None               # (C, T+1) for a batch
+    mu_f: np.ndarray                    # (T, n) or (C, T, n)
+    sigma_f: np.ndarray                 # (T, n, n) or (C, T, n, n)
+    cov_x_dx: np.ndarray                # (T, n, n) or (C, T, n, n)
     controls_old: ControlSequence
-    predictions: list                   # T IncrementPrediction
-    # with compute_jac: T moments.StepPullback, one per step
-    step_maps: list = field(default_factory=list)
+    pullbacks: list                     # T
+    step_maps: list = field(default_factory=list)   # T StepPullback, if built
+
+    def belief(self, t: int) -> GaussianBelief:
+        """The belief at step t in contiguous arrays (a batch's are
+        copies), with a batch's `ok` column."""
+        return GaussianBelief(np.ascontiguousarray(self.mu[..., t, :]),
+                              np.ascontiguousarray(self.sigma[..., t, :, :]),
+                              None if self.ok is None else self.ok[:, t])
+
+    def row(self, c: int) -> "BeliefTrajectory":
+        """Row c of a batch as a single plan's record, without step maps,
+        copied so that it does not keep its whole batch alive."""
+        return BeliefTrajectory(
+            self.mu[c].copy(), self.sigma[c].copy(), None,
+            self.mu_f[c].copy(), self.sigma_f[c].copy(),
+            self.cov_x_dx[c].copy(),
+            replace(self.controls_old, u=self.controls_old.u[c].copy()),
+            [None if p is None else p(c) for p in self.pullbacks])
 
 
 @dataclass
@@ -193,10 +219,9 @@ class DesirabilityTrace:
     At t = 0 the belief is the observed start state, so entry 0 is the
     gradient with respect to x0.
 
-    grad_psi_over_psi is None until `desirability_gradient` fills it, so a
-    value-only trace carries no gradient.  For a batch of C rollouts log_psi
-    is (C, T+1), a failed candidate's row is -inf throughout, and no
-    gradient is formed.
+    grad_psi_over_psi is None until `desirability_gradient` fills it.  For
+    a batch of C rollouts log_psi is (C, T+1), a failed candidate's row is
+    -inf throughout, and no gradient is formed.
     """
 
     log_psi: np.ndarray                 # (T+1,) or (C, T+1)
@@ -206,6 +231,12 @@ class DesirabilityTrace:
     # (..., T+1, n, n); entry 0 is unused
     _phi_mu: np.ndarray | None = field(default=None, repr=False)
     _phi_sigma: np.ndarray | None = field(default=None, repr=False)
+
+    def row(self, c: int) -> "DesirabilityTrace":
+        """Row c of a batch's value-only trace as a single plan's, copied."""
+        return DesirabilityTrace(self.log_psi[c].copy(), None,
+                                 bool(self.saturated[c]), self._phi_mu[c].copy(),
+                                 self._phi_sigma[c].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -257,29 +288,35 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
                     cost: CostSpec, compute_jac: bool = True) -> BeliefTrajectory:
     """Propagate beliefs over the horizon under the current controls.
 
-    beliefs[0] is the observed state; step t applies controls.u[t] through
-    the known control matrix.  With `compute_jac` the step pullbacks of the
-    adjoint gradient pass are recorded as well.
+    Belief 0 is the observed state.  Step t applies controls.u[t] through
+    the known control matrix, propagates the belief that `moment_match`
+    returned and copies it, with the step's increment moments, into the
+    record.  With `compute_jac` the step pullbacks are recorded as well.
 
     Without `compute_jac`, controls.u may be a batch (C, T, m) of candidate
-    plans: every step is then one `moment_match` call for all of them, and
-    the beliefs are batches.  A candidate that fails at some step is
-    dropped from the beliefs' `ok` mask and frozen, and the batch runs on;
-    a single plan raises NumericalError carrying the step instead.
+    plans, propagated with one `moment_match` call per step into a record
+    with a leading axis C.  A candidate that fails at some step is dropped
+    from `ok` and frozen, and the batch runs on; a single plan raises
+    NumericalError carrying the step instead.
     """
-    if controls.horizon != cost.horizon_steps:
+    T = cost.horizon_steps
+    if controls.horizon != T:
         raise ConfigError("controls length must equal horizon_steps")
     u = controls.u
     belief = GaussianBelief.observed(x0)
-    if u.ndim == 3:
-        if compute_jac:
-            raise ConfigError("step pullbacks need a single plan")
-        C, n = u.shape[0], belief.dim
-        belief = GaussianBelief(np.tile(belief.mu, (C, 1)), np.zeros((C, n, n)),
-                                np.ones(C, dtype=bool))
-    beliefs = [belief]
+    n, lead = belief.dim, u.shape[:-2]
+    if lead and compute_jac:
+        raise ConfigError("step pullbacks need a single plan")
+    traj = BeliefTrajectory(
+        np.empty(lead + (T + 1, n)), np.zeros(lead + (T + 1, n, n)),
+        np.ones(lead + (T + 1,), dtype=bool) if lead else None,
+        np.empty(lead + (T, n)), np.empty(lead + (T, n, n)),
+        np.empty(lead + (T, n, n)), controls, [])
+    traj.mu[..., 0, :] = belief.mu          # an observed state, sigma 0
+    if lead:
+        belief = traj.belief(0)
     preds: list[IncrementPrediction] = []
-    for t in range(cost.horizon_steps):
+    for t in range(T):
         try:
             belief = moment_match(model, belief, u[..., t, :],
                                   plant.control_matrix, cost.dt,
@@ -287,12 +324,23 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
         except NumericalError as exc:
             raise NumericalError(f"forward rollout failed at step {t}: {exc}",
                                  jitter=exc.jitter, step=t) from exc
-        beliefs.append(belief)
-    maps = []
-    if compute_jac:
-        maps = step_pullbacks(preds, plant.control_matrix_jac,
-                              [b.mu for b in beliefs[:-1]], u, cost.dt)
-    return BeliefTrajectory(beliefs, controls, preds, maps)
+        pred = preds[t]
+        traj.mu[..., t + 1, :] = belief.mu
+        traj.sigma[..., t + 1, :, :] = belief.sigma
+        traj.mu_f[..., t, :] = pred.mu_f
+        traj.sigma_f[..., t, :, :] = pred.sigma_f
+        traj.cov_x_dx[..., t, :, :] = pred.cov_x_dx
+        traj.pullbacks.append(pred.row_vjp if lead else pred.vjp)
+        if lead:
+            traj.ok[:, t + 1] = belief.ok
+    return _with_step_maps(traj, plant, cost.dt) if compute_jac else traj
+
+
+def _with_step_maps(traj: BeliefTrajectory, plant, dt: float):
+    """`traj`, a single plan's record, with its step pullbacks built."""
+    traj.step_maps = step_pullbacks(traj.pullbacks, plant.control_matrix_jac,
+                                    traj.mu[:-1], traj.controls_old.u, dt)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -308,36 +356,32 @@ def backward_desirability(traj: BeliefTrajectory, cost: CostSpec) -> Desirabilit
     trajectory every row runs the same recursion; a candidate whose rollout
     or whose log phi failed is -inf.
 
-    log phi is evaluated twice: once at the terminal belief, and once for
-    the interior beliefs of every step 1..T-1 (and every row) stacked.  The
-    tails are then summed backward from T in the recursion's own order.  A
+    log phi is evaluated twice: at the terminal belief, and on the interior
+    beliefs of every step 1..T-1 (and every row), one slice of the record;
+    the tails are summed backward from T in the recursion's order.  A
     single plan raises the NumericalError of the terminal step, or else of
-    the latest interior step that fails, as a step-by-step recursion from T
-    would.
+    the latest failing interior step, as a step-by-step recursion would.
     """
     T = cost.horizon_steps
-    if len(traj.beliefs) != T + 1:
+    if traj.mu.shape[-2] != T + 1:
         raise ConfigError("trajectory length does not match horizon")
-    rows = traj.beliefs[0].mu.shape[:-1]
+    rows = traj.mu.shape[:-2]
     n = cost.dim
     log_phi = np.zeros(rows + (T + 1,))
     phi_mu = np.zeros(rows + (T + 1, n))
     phi_sigma = np.zeros(rows + (T + 1, n, n))
     (log_phi[..., T], phi_mu[..., T, :], phi_sigma[..., T, :, :]) = \
-        log_phi_step(traj.beliefs[T], cost, 1.0, terminal=True, step_index=T)
-    inner = traj.beliefs[1:T]
-    if inner:
-        ok = np.stack([b.ok for b in inner], axis=-1) if rows \
-            else np.ones(T - 1, dtype=bool)
-        stack = GaussianBelief(
-            np.stack([b.mu for b in inner], axis=-2).reshape(-1, n),
-            np.stack([b.sigma for b in inner], axis=-3).reshape(-1, n, n),
-            ok.reshape(-1))
+        log_phi_step(traj.belief(T), cost, 1.0, terminal=True, step_index=T)
+    if T > 1:
+        ok = traj.ok[:, 1:T] if rows else np.ones(T - 1, dtype=bool)
+        stack = GaussianBelief(traj.mu[..., 1:T, :].reshape(-1, n),
+                               traj.sigma[..., 1:T, :, :].reshape(-1, n, n),
+                               ok.reshape(-1))
         lp, dmu, dsig = log_phi_step(stack, cost, cost.dt)
         if not rows and lp.min() == -np.inf:
             # the latest failing step, evaluated alone, raises its error
             t = int(np.flatnonzero(lp == -np.inf)[-1]) + 1
-            log_phi_step(inner[t - 1], cost, cost.dt, step_index=t)
+            log_phi_step(traj.belief(t), cost, cost.dt, step_index=t)
         log_phi[..., 1:T] = lp.reshape(rows + (T - 1,))
         phi_mu[..., 1:T, :] = dmu.reshape(rows + (T - 1, n))
         phi_sigma[..., 1:T, :, :] = dsig.reshape(rows + (T - 1, n, n))
@@ -398,10 +442,10 @@ def _column_norms(v):
     return np.sqrt((v.transpose(0, 2, 1) @ v)[:, 0, 0])
 
 
-def control_update(trace: DesirabilityTrace, traj: BeliefTrajectory,
-                   controls_old: ControlSequence, plant,
+def control_update(trace: DesirabilityTrace, traj: BeliefTrajectory, plant,
                    lam: float = 1.0) -> ControlSequence:
-    """delta_u_t = G_t^+ Sigma_ft (grad Psi_t / Psi_t), applied per step.
+    """delta_u_t = G_t^+ Sigma_ft (grad Psi_t / Psi_t), applied per step to
+    the trajectory's own plan, traj.controls_old.
 
     Records the implied control-cost weight R_t = lam (G^+ Sigma_f G^+')^-1,
     which satisfies the structural constraint exactly on range(G) and reduces
@@ -410,29 +454,28 @@ def control_update(trace: DesirabilityTrace, traj: BeliefTrajectory,
     least-squares projection the pseudoinverse provides.
 
     Step t consumes grad_psi_over_psi[t], the adjoint gradient of its tail
-    at the step's own belief mean.  All T steps are evaluated as one stack:
-    one `control_matrix` over the belief means, one stacked pseudoinverse
-    and one stacked inverse, where a step whose G^+ Sigma_f G^+' is singular
-    gets a NaN weight without failing the others.
+    at the step's own belief mean.  All T steps are one stack over the
+    record: one `control_matrix` call, one stacked pseudoinverse and one
+    stacked inverse, where a step whose G^+ Sigma_f G^+' is singular gets a
+    NaN weight without failing the others.
     """
     if trace.grad_psi_over_psi is None:
         raise ConfigError("desirability gradient has not been computed")
-    T = controls_old.horizon
-    G = plant.control_matrix(np.array([b.mu for b in traj.beliefs[:T]]))
+    old = traj.controls_old
+    G = plant.control_matrix(traj.mu[:-1])                         # (T, n, m)
     Gp = np.linalg.pinv(G)                                         # (T, m, n)
-    sf = np.array([p.sigma_f for p in traj.predictions[:T]])       # (T, n, n)
-    target_vec = sf @ trace.grad_psi_over_psi[:T, :, None]         # (T, n, 1)
+    sf = traj.sigma_f                                              # (T, n, n)
+    target_vec = sf @ trace.grad_psi_over_psi[:-1, :, None]        # (T, n, 1)
     du = Gp @ target_vec                                           # (T, m, 1)
     resid = _column_norms(G @ du - target_vec)
     scale = np.maximum(_column_norms(target_vec), 1e-300)
     flagged = np.flatnonzero(resid > 1e-8 * scale).tolist()
-    new_u = controls_old.clamp(controls_old.u + du[..., 0])
+    new_u = old.clamp(old.u + du[..., 0])
     core = Gp @ sf @ Gp.transpose(0, 2, 1)                         # (T, m, m)
     singular = np.linalg.slogdet(core)[0] == 0
     weights = lam * np.linalg.inv(identity_where(singular, core))
     weights[singular] = np.nan
-    return ControlSequence(new_u, list(weights), controls_old.u_min,
-                           controls_old.u_max, flagged)
+    return ControlSequence(new_u, weights, old.u_min, old.u_max, flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -465,30 +508,6 @@ def _candidate_values(model, x0, proposal: ControlSequence, u_cur, du, scales,
     return batch.u, trace.log_psi[:, 0], traj, trace
 
 
-def _row_pass(traj: BeliefTrajectory, trace: DesirabilityTrace, c: int,
-              controls: ControlSequence, plant, dt: float):
-    """Row c of a batched value pass as the derivative pass of its
-    candidate `controls`, ready for `desirability_gradient`.
-
-    The beliefs, predictions, log Psi and log phi partials are the row's,
-    which equal those of a rollout of the candidate alone bit for bit; each
-    step's pullback is built from the moment parts the batch kept for the
-    row.  Neither `moment_match` nor `predict_increment` is called.
-    """
-    def row(a):
-        # a copy, so that the row does not keep its whole batch alive
-        return None if a is None else a[c].copy()
-
-    beliefs = [GaussianBelief(row(b.mu), row(b.sigma)) for b in traj.beliefs]
-    preds = [p.row(c) for p in traj.predictions]
-    maps = step_pullbacks(preds, plant.control_matrix_jac,
-                          [b.mu for b in beliefs[:-1]], controls.u, dt)
-    row_trace = DesirabilityTrace(
-        row(trace.log_psi), saturated=bool(trace.saturated[c]),
-        _phi_mu=row(trace._phi_mu), _phi_sigma=row(trace._phi_sigma))
-    return BeliefTrajectory(beliefs, controls, preds, maps), row_trace
-
-
 def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
                    cost: CostSpec, plant, max_iters: int = 50,
                    tol: float = 1e-3) -> InnerOptResult:
@@ -501,19 +520,15 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
     update is attempted per iteration, so tol = inf returns after a single
     update.
 
-    The candidates are not rolled out one by one.  Each iteration evaluates
-    every expansion scale (1, 2, ..., EXPANSION_MAX) in one batched
-    value-only rollout and, only when scale 1 is rejected, the damped
-    scales (1/2 .. 1/64) in a second one.  The sequential rule is then
-    replayed on the values: the ladder accepts the first candidate whose
-    value is >= log Psi_0, and the expansion stops at the first failed or
-    decreasing candidate.  A candidate that fails numerically is masked
-    (value -inf) instead of raising, and counts as rejected.  Each value
-    equals that of a rollout of the candidate alone bit for bit, so the
-    accepted controls are those of the one-by-one search.  Only the initial
-    controls get a derivative rollout: the next iteration's gradient pass
-    is the accepted candidate's row of the batch that evaluated it, equal
-    to a derivative rollout of that candidate bit for bit.
+    Each iteration evaluates every expansion scale (1, 2, ..., EXPANSION_MAX)
+    in one batched value-only rollout and, only when scale 1 is rejected,
+    the damped scales (1/2 .. 1/64) in a second one, then replays the
+    one-by-one rule on the values: the ladder accepts the first candidate
+    whose value is >= log Psi_0, and the expansion stops at the first failed
+    (-inf) or decreasing candidate.  The values are bit-identical to single
+    rollouts, so the accepted controls are those of the one-by-one search.
+    Only the initial controls get a derivative rollout; later gradient
+    passes are accepted rows of their batches.
 
     The returned trace is the gradient pass that generated the returned
     controls (one update behind them); log_psi0 is evaluated at the returned
@@ -536,7 +551,7 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
 
     for it in range(max_iters):
         n_done += 1
-        proposal = control_update(trace, traj, u_cur, plant, cost.lam)
+        proposal = control_update(trace, traj, plant, cost.lam)
         du = proposal.u - u_cur.u
         du_norm = float(np.max(np.abs(du))) if du.size else 0.0
         stepped = False
@@ -576,8 +591,9 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
             break
         if it + 1 < max_iters:
             # the accepted row of its batch is the next derivative pass
-            traj, trace = _row_pass(*batch, k, u_cur, plant, cost.dt)
-            trace = desirability_gradient(traj, trace, cost)
+            batch_traj, batch_trace = batch
+            traj = _with_step_maps(batch_traj.row(k), plant, cost.dt)
+            trace = desirability_gradient(traj, batch_trace.row(k), cost)
 
     search = dict(accepted_scales=scales_taken,
                   candidates_evaluated=sum(v.size for v in searched),
@@ -642,8 +658,6 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
     not below the best so far.  Hyperparameters are refit after
     initialization and after each trial.
     """
-    import time as _time
-
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     hub = RngHub(seed)
@@ -682,7 +696,7 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
     u_lo, u_hi = np.full(m, -u_max), np.full(m, u_max)
 
     for trial in range(trials):
-        t_start = _time.perf_counter()
+        t_start = time.perf_counter()
         # the stream index of a trial once had room for repeated rollouts;
         # it is kept so that every seed reproduces its earlier runs
         w_rng = hub.spawn("plant-noise", trial * 1000)
@@ -714,7 +728,7 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
         except NumericalError as exc:
             logger.warning("trial %d aborted: %s", trial, exc)
             metrics.append(TrialMetrics(trial, float("nan"), float("nan"),
-                                        _time.perf_counter() - t_start, True))
+                                        time.perf_counter() - t_start, True))
         else:
             # Adopt the replanned sequence as the next warm start only if it
             # improved the terminal outcome; otherwise restart from the
@@ -727,7 +741,7 @@ def mpc_learning_loop(plant, cost: CostSpec, trials: int, seed: int, *,
                          np.array(step_grad), np.array(states), terminal)
             metrics.append(TrialMetrics(
                 trial, terminal, cost.terminal_cost(states[-1]),
-                _time.perf_counter() - t_start, states=last_full[3]))
+                time.perf_counter() - t_start, states=last_full[3]))
         model = refit(model, rng=hub.spawn("hyper-refit", trial),
                       n_restarts=0, max_iters=REFIT_MAX_ITERS)
 

@@ -7,49 +7,34 @@ posterior increment are computed: predictive mean, predictive covariance
 output dimensions, so the Gaussian-weighted kernel terms are the same for
 every output up to its factor sigma_s^2: one N-vector q for the mean and
 cross covariance, and one N x N matrix Qbar for the whole covariance block,
-per belief.
+per belief.  The arrays that depend on the model alone (W^-1, log|W|,
+sigma_s^2 alpha, the flat inverse Grams and the rest) are cached on the
+`GpModel`, and log Qbar is one product of two factors written in place
+(`_log_qbar`), so a step computes only what depends on its beliefs.
 
-Derivatives are taken in reverse mode.  Every evaluation keeps its small
-value intermediates, and the pullback of a belief, a vector-Jacobian
-product, maps weights on the three output moments back to weights on
-(m, S).  The product folds those weights into a few N x N and N-vector
-weights before it touches the kernel terms, so one pullback costs a few
-N x N products, whatever the state dimension.
-`step_pullbacks` wraps the pullbacks of a derivative pass into the
-`StepPullback` of each whole step, adding the control term from one call of
-the plant's G Jacobian on all steps' means; the adjoint desirability
-gradient carries its co-state through them.  No numerical differentiation
-is involved.
+Derivatives are taken in reverse mode, with no numerical differentiation.
+The pullback of a belief, a vector-Jacobian product, maps weights on the
+three output moments back to weights on (m, S).  It folds them into a few
+N x N and N-vector weights before it touches the kernel terms, so it costs
+a few N x N products, whatever the state dimension.  `step_pullbacks`
+wraps the moment pullbacks of a derivative pass, the one per-step list of a
+rollout's record (`control.BeliefTrajectory`), into the `StepPullback` of
+each whole step, adding the control term from one call of the plant's G
+Jacobian on the record's stacked means.
 
-The output dimensions are handled as stacks of arrays, not in Python
-loops; this routine sits on the hot path of every rollout.
-
-The value path also takes a leading candidate axis C: `predict_increment`
-accepts beliefs mu (C, n), sigma (C, n, n), and `moment_match` a batch of
+Every evaluation runs over a leading candidate axis C: `predict_increment`
+takes beliefs mu (C, n), sigma (C, n, n), and `moment_match` a batch of
 beliefs with controls (C, m), so the line search propagates all of its
-candidates with one call per step.  A single belief runs as a batch of one
-through the same code, and every reduction keeps the summation order of
-the single evaluation, so row c of a batch is bit-identical to evaluating
-its belief alone.  `moment_match` therefore checks, predicts and evaluates
-G(mu) for each distinct belief of a batch once: candidates whose controls
-agree up to a step have bit-identical beliefs there (all of them at the
-start), and each row takes the checks, moments and pullback parts of the
-first row equal to it.  Checks that raise NumericalError for a single
-belief (`RowChecks`) instead mask the failing rows of a batch.  A batch
-keeps the pullback parts of every row, none of them N-long: the pullback
-recomputes T = (X - m) A^-1 from the kept A^-1, and q and Qbar from the
-kept factors.  `IncrementPrediction.row` turns row c into a single
-prediction with its pullback, and a single belief is evaluated as exactly
-that: row 0 of its batch of one, which is its own row and is not copied.
-
-What a belief step costs beyond its N x N exponential is mostly fixed
-per-call work, so a step computes only what depends on its beliefs: the
-arrays that depend on the model alone (W^-1, log|W|, sigma_s^2 alpha, the
-flat inverse Grams and the rest) are cached on the `GpModel`.  Per belief,
-log Qbar is one product of an (N, n+2) and an (n+2, N) factor, both
-written in place (`_log_qbar`), T is one product with a stacked A^-1, and
-the trace term of the covariance is one matrix-vector product on the flat
-inverse Grams.
+candidates with one call per step.  A single belief is row 0 of its batch
+of one, and every reduction keeps the summation order of the single
+evaluation, so row c of a batch is bit-identical to evaluating its belief
+alone.  `moment_match` therefore checks, predicts and evaluates G(mu) once
+per distinct belief of a batch (candidates whose controls agree up to a
+step share their beliefs there), and the checks that raise NumericalError
+for a single belief (`RowChecks`) mask the failing rows of a batch instead.
+A batch keeps the pullback parts of every row, none of them N-long, and
+`IncrementPrediction.row` turns row c into a single prediction with its
+pullback.
 """
 
 from __future__ import annotations
@@ -79,9 +64,6 @@ class GaussianBelief:
     candidate beliefs has mu (C, n), sigma (C, n, n) and ok (C,): the rows
     whose propagation has not failed.  A failed row keeps its last finite
     belief.  An observed (deterministic) state carries zero covariance.
-    Gradients are not stored on beliefs: the adjoint pass of the
-    desirability gradient pulls back through the step pullbacks that
-    `step_pullbacks` builds.
     """
 
     mu: np.ndarray
@@ -443,15 +425,16 @@ class StepPullback:
         return d_mu, d_sig
 
 
-def step_pullbacks(predictions, plant_G_jac, mus, us, dt) -> list:
+def step_pullbacks(vjps, plant_G_jac, mus, us, dt) -> list:
     """The `StepPullback` of every step of a derivative pass.
 
-    Step t pulls back through `predictions[t].vjp` and the control term
-    dt * d(G(mu_t) u_t) / d mu_t at the belief mean mu_t of its input, mus
-    (T, n), under its control u_t, us (T, m).  The G Jacobians of all steps
-    come from one `plant_G_jac` call on the stacked means; a step with
-    u_t = 0 has no control term.  `plant_G_jac` maps states (K, n) to
-    (K, n, m, n), or to one (n, m, n) shared by every state.
+    Step t pulls back through `vjps[t]`, the `IncrementPrediction.vjp` of
+    its moments, and the control term dt * d(G(mu_t) u_t) / d mu_t at the
+    belief mean mu_t of its input, mus (T, n), under its control u_t, us
+    (T, m).  The G Jacobians of all steps come from one `plant_G_jac` call
+    on the stacked means; a step with u_t = 0 has no control term.
+    `plant_G_jac` maps states (K, n) to (K, n, m, n), or to one (n, m, n)
+    shared by every state.
     """
     mus = np.asarray(mus, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -462,7 +445,7 @@ def step_pullbacks(predictions, plant_G_jac, mus, us, dt) -> list:
                               us[moving])
         for t, jac in zip(moving.tolist(), jacs):
             control[t] = jac
-    return [StepPullback(p.vjp, c) for p, c in zip(predictions, control)]
+    return [StepPullback(v, c) for v, c in zip(vjps, control)]
 
 
 def _distinct_rows(*arrays):
@@ -489,20 +472,16 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     sigma' = sigma + sigma_f + cov + cov'
 
     A single belief takes delta_u (m,) and raises NumericalError when a
-    check fails; a non-finite input mean or covariance fails as a
-    "non-finite belief".  A batch (`belief_in.ok` set) takes delta_u (C, m)
-    and groups its rows first: rows whose beliefs are bit-identical (every
-    row at the observed start state, say) share the belief checks, the
-    moments and pullback parts of one `predict_increment` call, and G(mu)
-    of the first of them.  A row that fails a check is dropped from `ok`
-    and keeps its input belief, and the other rows go on unchanged.  A
-    single belief runs as a batch of one through the same arithmetic.
+    check fails (a non-finite mean or covariance is a "non-finite belief").
+    A batch (`belief_in.ok` set) takes delta_u (C, m) and groups its rows
+    first: bit-identical beliefs (every row at the observed start state,
+    say) share the belief checks, one `predict_increment` row and G(mu).
+    A row that fails a check, or whose control is not finite, is dropped
+    from `ok` and keeps its input belief; it is evaluated at zeros in place
+    of its failed belief or control, and the other rows go on unchanged.
     `plant_G` maps states (K, n) to control matrices (K, n, m) and is
-    called once per step.
-
-    `prediction_out` collects the per-step increment moments; for a single
-    belief they carry the moments' pullback, from which `step_pullbacks`
-    builds the steps of the adjoint gradient pass.
+    called once per step.  `prediction_out`, a list, receives the step's
+    `IncrementPrediction`, with the moments' pullback.
     """
     single = belief_in.ok is None
     n = belief_in.dim
@@ -529,8 +508,11 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
             rows = None
         distinct = RowChecks(np.ones(len(mu), dtype=bool))
     mu, sigma = _check_beliefs(mu, sigma, distinct)
-    checks.fail(~np.isfinite(u).all(axis=1),
-                "non-finite control in moment_match")
+    finite_u = np.isfinite(u).all(axis=1)
+    checks.fail(~finite_u, "non-finite control in moment_match")
+    if not finite_u.all():
+        # a batch's masked rows are evaluated at zero control
+        u = np.where(finite_u[:, None], u, 0.0)
 
     if single:
         pred = predict_increment(model, mu[0], sigma[0])

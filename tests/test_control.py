@@ -7,13 +7,13 @@ from gppi.checks import fd_tail_gradient
 from gppi.control import (DAMPING_LADDER, EXPANSION_MAX, EXPANSION_SCALES,
                           LOG_PHI_FLOOR, BeliefTrajectory, ControlSequence,
                           CostSpec, DesirabilityTrace, _candidate_values,
-                          _row_pass, backward_desirability, control_update,
-                          desirability_gradient, forward_rollout,
-                          inner_optimize, log_phi_step, mpc_learning_loop,
-                          terminal_log_desirability)
+                          _with_step_maps, backward_desirability,
+                          control_update, desirability_gradient,
+                          forward_rollout, inner_optimize, log_phi_step,
+                          mpc_learning_loop, terminal_log_desirability)
 from gppi.errors import ConfigError, NumericalError
 from gppi.gp import GpModel
-from gppi.moments import GaussianBelief, IncrementPrediction
+from gppi.moments import GaussianBelief
 from gppi.oracles import path_integral_quadrature
 from gppi.plants import make_plant
 
@@ -77,9 +77,9 @@ class TestForwardRollout:
         cost = CostSpec(np.eye(2), [0.0, 0.0], 1.0, 0.02, 1)
         traj = forward_rollout(model, [0.3, -0.4],
                                ControlSequence(np.zeros((1, 1))), plant, cost)
-        assert len(traj.beliefs) == 2
-        assert np.allclose(traj.beliefs[1].mu, [0.3, -0.4])
-        assert np.allclose(traj.beliefs[1].sigma, np.diag([1.01, 1.01]))
+        assert traj.mu.shape == (2, 2) and traj.sigma.shape == (2, 2, 2)
+        assert np.allclose(traj.mu[1], [0.3, -0.4])
+        assert np.allclose(traj.sigma[1], np.diag([1.01, 1.01]))
 
     def test_linear_plant_mean_tracks_closed_form(self, linear_plant,
                                                   linear_model):
@@ -89,7 +89,7 @@ class TestForwardRollout:
                                linear_plant, cost, compute_jac=False)
         for t in (10, 25, 40):
             expected = np.exp(-0.5 * t * 0.02)
-            assert traj.beliefs[t].mu[0] == pytest.approx(expected, rel=0.02)
+            assert traj.mu[t, 0] == pytest.approx(expected, rel=0.02)
 
     def test_cartpole_horizon_all_psd(self, cartpole, cartpole_model, rng):
         cost = CostSpec(np.diag([0.5, 0.05, 2.0, 0.05]), [0, 0, np.pi, 0],
@@ -97,10 +97,10 @@ class TestForwardRollout:
         us = ControlSequence(rng.uniform(-3, 3, (60, 1)))
         traj = forward_rollout(cartpole_model, np.zeros(4), us, cartpole,
                                cost, compute_jac=False)
-        assert len(traj.beliefs) == 61
-        for b in traj.beliefs:
-            eig = np.linalg.eigvalsh(0.5 * (b.sigma + b.sigma.T))
-            assert eig.size == 0 or eig[0] >= -1e-12 * max(np.trace(b.sigma), 1e-300)
+        assert traj.mu.shape == (61, 4)
+        for s in traj.sigma:
+            eig = np.linalg.eigvalsh(0.5 * (s + s.T))
+            assert eig.size == 0 or eig[0] >= -1e-12 * max(np.trace(s), 1e-300)
 
     def test_length_mismatch_rejected(self, cartpole, cartpole_model):
         cost = CostSpec(np.eye(4), np.zeros(4), 1.0, 0.02, 5)
@@ -156,7 +156,7 @@ class TestBackwardDesirability:
                                ControlSequence(np.zeros((1, 1))),
                                cartpole, cost)
         trace = backward_desirability(traj, cost)
-        lp, _, _ = log_phi_step(traj.beliefs[1], cost, 1.0, terminal=True,
+        lp, _, _ = log_phi_step(traj.belief(1), cost, 1.0, terminal=True,
                                 step_index=1)
         assert trace.log_psi[0] == pytest.approx(lp)
         assert trace.log_psi[1] == pytest.approx(lp)
@@ -169,13 +169,13 @@ class TestBackwardDesirability:
         us = ControlSequence(rng.uniform(-2, 2, (15, 1)))
         traj = forward_rollout(cartpole_model, np.zeros(4), us, cartpole, cost)
         trace = backward_desirability(traj, cost)
-        psi = np.exp(log_phi_step(traj.beliefs[15], cost, 1.0, terminal=True,
+        psi = np.exp(log_phi_step(traj.belief(15), cost, 1.0, terminal=True,
                                   step_index=15)[0])
         direct = np.zeros(16)
         direct[15] = psi
         direct[14] = psi
         for t in range(13, -1, -1):
-            phi = np.exp(log_phi_step(traj.beliefs[t + 1], cost, cost.dt,
+            phi = np.exp(log_phi_step(traj.belief(t + 1), cost, cost.dt,
                                       step_index=t + 1)[0])
             direct[t] = phi * direct[t + 1]
         assert np.all(direct >= 1e-100)
@@ -199,7 +199,7 @@ def _backward_per_step(traj, cost):
     and the log phi partials {t: (d/dmu, d/dSigma)}; a single plan raises
     the error of the first step that fails in that order."""
     T = cost.horizon_steps
-    rows = traj.beliefs[0].mu.shape[:-1]
+    rows = traj.mu.shape[:-2]
     log_psi = np.zeros(rows + (T + 1,))
     saturated = np.zeros(rows, dtype=bool)
     partials = {}
@@ -210,12 +210,12 @@ def _backward_per_step(traj, cost):
         saturated = saturated | low
         return np.where(low, LOG_PHI_FLOOR, lp)
 
-    lp, *partials[T] = log_phi_step(traj.beliefs[T], cost, 1.0, terminal=True,
+    lp, *partials[T] = log_phi_step(traj.belief(T), cost, 1.0, terminal=True,
                                     step_index=T)
     log_psi[..., T] = floored(lp)
     log_psi[..., T - 1] = log_psi[..., T]
     for t in range(T - 2, -1, -1):
-        lp, *partials[t + 1] = log_phi_step(traj.beliefs[t + 1], cost, cost.dt,
+        lp, *partials[t + 1] = log_phi_step(traj.belief(t + 1), cost, cost.dt,
                                             step_index=t + 1)
         log_psi[..., t] = floored(lp) + log_psi[..., t + 1]
     return log_psi, saturated, partials
@@ -242,10 +242,10 @@ class TestStackedBackwardPass:
     COST = CostSpec(np.eye(2), np.zeros(2), 1.0, 0.02, 6)
 
     def _traj(self, mus, sigmas, ok=None):
-        oks = [None] * len(mus) if ok is None else ok
-        return BeliefTrajectory([GaussianBelief(m, s, o)
-                                 for m, s, o in zip(mus, sigmas, oks)],
-                                None, [])
+        # mus (T+1, ...) step first; the record keeps a batch's rows first
+        if ok is not None:
+            mus, sigmas, ok = mus.swapaxes(0, 1), sigmas.swapaxes(0, 1), ok.T
+        return BeliefTrajectory(mus, sigmas, ok, None, None, None, None, [])
 
     def _batch(self, rng):
         T, C = self.COST.horizon_steps, 5
@@ -354,7 +354,7 @@ class TestDesirabilityGradient:
         trace = desirability_gradient(
             traj, backward_desirability(traj, swing_cost), swing_cost)
         T = swing_cost.horizon_steps
-        _, dmu, _ = log_phi_step(traj.beliefs[T], swing_cost, 1.0,
+        _, dmu, _ = log_phi_step(traj.belief(T), swing_cost, 1.0,
                                  terminal=True, step_index=T)
         assert np.allclose(trace.grad_psi_over_psi[T], dmu, rtol=1e-12, atol=0)
 
@@ -369,29 +369,31 @@ class TestDesirabilityGradient:
 
 
 class TestControlUpdate:
+    @staticmethod
+    def _traj(old, sigma_f):
+        """The record of a 1-D plan that stays at 0 with increment
+        variance sigma_f at every step."""
+        T = old.horizon
+        return BeliefTrajectory(np.zeros((T + 1, 1)), np.zeros((T + 1, 1, 1)),
+                                None, np.zeros((T, 1)),
+                                np.full((T, 1, 1), sigma_f),
+                                np.zeros((T, 1, 1)), old, [])
+
     def test_zero_gradient_returns_old_controls(self, rng):
         plant = make_plant("linear", params=dict(A=[[0.0]], Bc=[[1.0]]))
-        b = GaussianBelief.observed([0.0])
-        preds = [IncrementPrediction(np.zeros(1), np.array([[0.04]]),
-                                     np.zeros((1, 1)))] * 3
-        traj = BeliefTrajectory([b] * 4, ControlSequence(np.zeros((3, 1))),
-                                preds)
-        trace = DesirabilityTrace(np.zeros(4), np.zeros((4, 1)))
         old = ControlSequence(rng.normal(size=(3, 1)))
-        new = control_update(trace, traj, old, plant)
+        trace = DesirabilityTrace(np.zeros(4), np.zeros((4, 1)))
+        new = control_update(trace, self._traj(old, 0.04), plant)
         assert np.array_equal(new.u, old.u)
 
     def test_scalar_arithmetic(self):
         plant = make_plant("linear", params=dict(A=[[0.0]], Bc=[[1.0]]))
-        b = GaussianBelief.observed([0.0])
-        traj = BeliefTrajectory(
-            [b, b], ControlSequence(np.zeros((1, 1))),
-            [IncrementPrediction(np.zeros(1), np.array([[0.04]]),
-                                 np.zeros((1, 1)))])
+        traj = self._traj(ControlSequence(np.zeros((1, 1))), 0.04)
         trace = DesirabilityTrace(np.zeros(2), np.array([[2.0], [0.0]]))
-        new = control_update(trace, traj, ControlSequence(np.zeros((1, 1))),
-                             plant, lam=1.0)
+        new = control_update(trace, traj, plant, lam=1.0)
         assert new.u[0, 0] == pytest.approx(0.08, abs=1e-15)
+        assert new.R.shape == (1, 1, 1)
+        assert new.R[0, 0, 0] == pytest.approx(1.0 / 0.04, rel=1e-12)
 
     def test_value_only_trace_rejected(self, cartpole, cartpole_model,
                                        swing_cost, rng):
@@ -401,7 +403,7 @@ class TestControlUpdate:
         trace = backward_desirability(traj, swing_cost)
         assert trace.grad_psi_over_psi is None
         with pytest.raises(ConfigError, match="gradient has not been computed"):
-            control_update(trace, traj, us, cartpole)
+            control_update(trace, traj, cartpole)
 
     def test_structural_constraint_on_range_G(self, cartpole, cartpole_model,
                                               swing_cost, rng):
@@ -410,10 +412,10 @@ class TestControlUpdate:
                                swing_cost)
         trace = desirability_gradient(
             traj, backward_desirability(traj, swing_cost), swing_cost)
-        new = control_update(trace, traj, us, cartpole, lam=swing_cost.lam)
+        new = control_update(trace, traj, cartpole, lam=swing_cost.lam)
         for t in (0, 7, 19):
-            G = cartpole.control_matrix(traj.beliefs[t].mu)
-            sf = traj.predictions[t].sigma_f
+            G = cartpole.control_matrix(traj.mu[t])
+            sf = traj.sigma_f[t]
             R = new.R[t]
             proj = G @ np.linalg.pinv(G)
             lhs = swing_cost.lam * G @ np.linalg.inv(R) @ G.T
@@ -428,18 +430,19 @@ class TestControlUpdate:
                                swing_cost)
         trace = backward_desirability(traj, swing_cost)
         with pytest.raises(ConfigError):
-            control_update(trace, traj, us, cartpole)
+            control_update(trace, traj, cartpole)
 
 
-def _control_update_per_step(trace, traj, controls_old, plant, lam=1.0):
+def _control_update_per_step(trace, traj, plant, lam=1.0):
     """`control_update` as one control_matrix, pinv and inv per step, as
     it was written before the horizon became one stack."""
+    controls_old = traj.controls_old
     new_u = np.empty_like(controls_old.u)
     weights, flagged = [], []
     for t in range(controls_old.horizon):
-        G = plant.control_matrix(traj.beliefs[t].mu)
+        G = plant.control_matrix(traj.mu[t])
         Gp = np.linalg.pinv(G)
-        sf = traj.predictions[t].sigma_f
+        sf = traj.sigma_f[t]
         target_vec = sf @ trace.grad_psi_over_psi[t]
         du = Gp @ target_vec
         resid = np.linalg.norm(G @ du - target_vec)
@@ -453,14 +456,12 @@ def _control_update_per_step(trace, traj, controls_old, plant, lam=1.0):
     return new_u, weights, flagged
 
 
-def _assert_update_matches_per_step(trace, traj, controls_old, plant, lam):
-    new = control_update(trace, traj, controls_old, plant, lam=lam)
-    u, weights, flagged = _control_update_per_step(trace, traj, controls_old,
-                                                   plant, lam)
+def _assert_update_matches_per_step(trace, traj, plant, lam):
+    new = control_update(trace, traj, plant, lam=lam)
+    u, weights, flagged = _control_update_per_step(trace, traj, plant, lam)
     assert np.array_equal(new.u, u)
-    assert len(new.R) == len(weights)
-    for r, ref in zip(new.R, weights):
-        assert np.array_equal(r, ref, equal_nan=True)
+    assert isinstance(new.R, np.ndarray)
+    assert np.array_equal(new.R, weights, equal_nan=True)
     assert new.flagged_steps == flagged
     return new
 
@@ -483,8 +484,7 @@ class TestControlUpdateStacked:
         traj = forward_rollout(model, np.zeros(n), us, plant, cost)
         trace = desirability_gradient(
             traj, backward_desirability(traj, cost), cost)
-        new = _assert_update_matches_per_step(trace, traj, us, plant,
-                                              cost.lam)
+        new = _assert_update_matches_per_step(trace, traj, plant, cost.lam)
         assert new.flagged_steps    # underactuated: gradients leave range(G)
 
     @pytest.mark.parametrize("name", ["arm", "linear"])
@@ -494,21 +494,22 @@ class TestControlUpdateStacked:
                                   Bc=[[1.0], [0.5], [0.0]]))
         n, T = plant.spec.n, 12
         rng = np.random.default_rng(8)
-        beliefs = [_belief(rng.normal(size=n), np.zeros((n, n)))
-                   for _ in range(T + 1)]
-        preds = []
+        mu = np.array([rng.normal(size=n) for _ in range(T + 1)])
+        sf = np.zeros((T, n, n))
         for t in range(T):
             a = rng.normal(size=(n, n))
-            sf = np.zeros((n, n)) if t == 4 else 0.01 * a @ a.T
-            preds.append(IncrementPrediction(np.zeros(n), sf, np.zeros((n, n))))
+            if t != 4:
+                sf[t] = 0.01 * a @ a.T
         grad = rng.normal(size=(T + 1, n))
         grad[7] = 0.0
         trace = DesirabilityTrace(np.zeros(T + 1), grad)
         us = ControlSequence(rng.normal(size=(T, plant.spec.m)),
                              u_min=[-0.5] * plant.spec.m,
                              u_max=[0.5] * plant.spec.m)
-        traj = BeliefTrajectory(beliefs, us, preds)
-        new = _assert_update_matches_per_step(trace, traj, us, plant, 0.7)
+        traj = BeliefTrajectory(mu, np.zeros((T + 1, n, n)), None,
+                                np.zeros((T, n)), sf, np.zeros((T, n, n)), us,
+                                [])
+        new = _assert_update_matches_per_step(trace, traj, plant, 0.7)
         assert np.all(np.isnan(new.R[4]))
         assert all(np.all(np.isfinite(r)) for t, r in enumerate(new.R)
                    if t != 4)
@@ -665,7 +666,7 @@ def _sequential_inner_optimize(model, x0, controls_init, cost, plant,
     n_done = 0
     for it in range(max_iters):
         n_done += 1
-        proposal = control_update(trace, traj, u_cur, plant, cost.lam)
+        proposal = control_update(trace, traj, plant, cost.lam)
         du = proposal.u - u_cur.u
         du_norm = float(np.max(np.abs(du))) if du.size else 0.0
         stepped = False
@@ -798,18 +799,12 @@ class TestBatchedLineSearch:
             single = ControlSequence(u[c])
             one = forward_rollout(model, np.zeros(n), single, plant, cost,
                                   compute_jac=False)
-            for b, b1 in zip(traj.beliefs, one.beliefs):
-                assert np.array_equal(b.mu[c], b1.mu)
-                assert np.array_equal(b.sigma[c], b1.sigma)
-            for p, p1 in zip(traj.predictions, one.predictions):
-                for f in ("mu_f", "sigma_f", "cov_x_dx"):
-                    assert np.array_equal(getattr(p, f)[c], getattr(p1, f))
+            _assert_same_record(traj.row(c), one)
             assert np.array_equal(
                 trace.log_psi[c], backward_desirability(one, cost).log_psi)
             # the row's pullback parts, its representative's, give the
             # derivative pass of the candidate alone
-            row_traj, row_trace = _row_pass(traj, trace, c, single, plant,
-                                            cost.dt)
+            row_traj, row_trace = _row_pass(traj, trace, c, plant, cost.dt)
             fresh_traj, fresh_trace = _derivative_pass(model, np.zeros(n),
                                                        single, plant, cost)
             assert np.array_equal(
@@ -862,7 +857,7 @@ class TestBatchedLineSearch:
                                compute_jac=False)
         log_psi0 = backward_desirability(traj, cost).log_psi[:, 0]
         assert np.isfinite(log_psi0[0]) and log_psi0[-1] == -np.inf
-        assert not traj.beliefs[-1].ok[-1]
+        assert not traj.ok[-1, -1]
         with pytest.raises(NumericalError):
             forward_rollout(GpModel.empty(1), [0.0],
                             ControlSequence(batch.u[-1]), plant, cost,
@@ -873,6 +868,87 @@ def _derivative_pass(model, x0, controls, plant, cost):
     traj = forward_rollout(model, x0, controls, plant, cost, compute_jac=True)
     return traj, desirability_gradient(traj, backward_desirability(traj, cost),
                                        cost)
+
+
+def _row_pass(traj, trace, c, plant, dt):
+    """Row c of a batched value pass as a derivative pass, ready for
+    `desirability_gradient`, as `inner_optimize` forms it."""
+    return _with_step_maps(traj.row(c), plant, dt), trace.row(c)
+
+
+_RECORD_ARRAYS = ("mu", "sigma", "mu_f", "sigma_f", "cov_x_dx")
+
+
+def _assert_same_record(row, one):
+    """`row`, a row of a batch's record, equals the record `one` of a
+    single-plan rollout array for array, over the steps of `one`."""
+    assert row.ok is None and one.ok is None
+    T = one.mu.shape[0] - 1
+    for name in _RECORD_ARRAYS:
+        got, want = getattr(row, name), getattr(one, name)
+        assert np.array_equal(got[:len(want)], want), name
+    assert np.array_equal(row.controls_old.u[:T], one.controls_old.u)
+    assert [p is None for p in row.pullbacks[:T]] \
+        == [p is None for p in one.pullbacks]
+
+
+class TestBeliefRecord:
+    """A batch's record holds every row's rollout; `row(c)` is that of the
+    candidate alone."""
+
+    def test_rows_equal_single_rollouts(self, linear_model):
+        # _EdgePlant fails once the mean leaves |x| < 0.5, so the candidates
+        # with the larger controls fail, each at its own step
+        plant, T, x0 = _EdgePlant(), 10, [0.0]
+        cost = CostSpec([[1.0]], [2.0], 1.0, 0.02, T)
+        scales = np.array([0.0, 1.0, 4.0, 16.0, 64.0, -64.0])
+        u = scales[:, None, None] * np.linspace(0.5, 1.5, T)[:, None]
+        traj = forward_rollout(linear_model, x0, ControlSequence(u), plant,
+                               cost, compute_jac=False)
+        assert traj.mu.shape == (6, T + 1, 1) and traj.ok.shape == (6, T + 1)
+        failed_at = []
+        for c in range(len(u)):
+            row = traj.row(c)
+            for name in _RECORD_ARRAYS:
+                assert not np.shares_memory(getattr(row, name),
+                                            getattr(traj, name))
+            try:
+                one = forward_rollout(linear_model, x0, ControlSequence(u[c]),
+                                      plant, cost, compute_jac=False)
+            except NumericalError as exc:
+                # step k failed: the row keeps belief k from there on
+                k = exc.step
+                failed_at.append(k)
+                assert traj.ok[c].tolist() == [True] * (k + 1) \
+                    + [False] * (T - k)
+                assert (row.mu[k + 1:] == row.mu[k]).all()
+                assert (row.sigma[k + 1:] == row.sigma[k]).all()
+                one = forward_rollout(linear_model, x0,
+                                      ControlSequence(u[c, :k]), plant,
+                                      replace(cost, horizon_steps=k),
+                                      compute_jac=False)
+            else:
+                assert traj.ok[c].all()
+            _assert_same_record(row, one)
+        assert len(failed_at) == 4 and len(set(failed_at)) >= 2
+        assert 0 < min(failed_at) and max(failed_at) < T
+
+    def test_single_plan_record(self, cartpole, cartpole_model, swing_cost,
+                                rng):
+        us = ControlSequence(rng.uniform(-2, 2, (20, 1)))
+        traj = forward_rollout(cartpole_model, np.zeros(4), us, cartpole,
+                               swing_cost)
+        assert traj.ok is None and traj.controls_old is us
+        assert traj.mu.shape == (21, 4) and traj.sigma.shape == (21, 4, 4)
+        assert traj.mu_f.shape == (20, 4) and traj.cov_x_dx.shape == (20, 4, 4)
+        assert len(traj.pullbacks) == len(traj.step_maps) == 20
+        # each step maps belief t to belief t+1 through its moments
+        G = cartpole.control_matrix(traj.mu[:20])
+        assert np.array_equal(
+            traj.mu[1:], traj.mu[:20] + traj.mu_f
+            + (G @ us.u[:, :, None])[:, :, 0] * swing_cost.dt)
+        b = traj.belief(7)
+        assert b.ok is None and np.array_equal(b.mu, traj.mu[7])
 
 
 class TestAcceptedRowPass:
@@ -898,14 +974,14 @@ class TestAcceptedRowPass:
         traj, trace = _derivative_pass(model, x0, u_cur, plant, cost)
         if which == "empty":
             assert traj.step_maps[0].increment_vjp is None
-        proposal = control_update(trace, traj, u_cur, plant, cost.lam)
+        proposal = control_update(trace, traj, plant, cost.lam)
         du = proposal.u - u_cur.u
         for scales, k in ((EXPANSION_SCALES, 3), (DAMPING_LADDER[1:], 2)):
             us, vals, batch_traj, batch_trace = _candidate_values(
                 model, x0, proposal, u_cur, du, scales, plant, cost)
             assert np.isfinite(vals[k])
             cand = replace(proposal, u=us[k].copy())
-            row_traj, row_trace = _row_pass(batch_traj, batch_trace, k, cand,
+            row_traj, row_trace = _row_pass(batch_traj, batch_trace, k,
                                             plant, cost.dt)
             row_trace = desirability_gradient(row_traj, row_trace, cost)
             fresh_traj, fresh_trace = _derivative_pass(model, x0, cand, plant,
@@ -913,13 +989,10 @@ class TestAcceptedRowPass:
             assert np.array_equal(row_trace.log_psi, fresh_trace.log_psi)
             assert np.array_equal(row_trace.grad_psi_over_psi,
                                   fresh_trace.grad_psi_over_psi)
-            for got, want in zip(row_traj.predictions,
-                                 fresh_traj.predictions):
-                assert np.array_equal(got.sigma_f, want.sigma_f)
+            _assert_same_record(row_traj, fresh_traj)
             assert np.array_equal(
-                control_update(row_trace, row_traj, cand, plant, cost.lam).u,
-                control_update(fresh_trace, fresh_traj, cand, plant,
-                               cost.lam).u)
+                control_update(row_trace, row_traj, plant, cost.lam).u,
+                control_update(fresh_trace, fresh_traj, plant, cost.lam).u)
 
     def test_one_derivative_rollout_per_call(self, monkeypatch, cartpole,
                                              cartpole_model, swing_cost, rng):

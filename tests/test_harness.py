@@ -138,6 +138,8 @@ class TestRunLearn:
             == (out2 / "trace.csv").read_bytes()
         assert (out1 / "controller.json").read_bytes() \
             == (out2 / "controller.json").read_bytes()
+        assert (out1 / "model.json").read_bytes() \
+            == (out2 / "model.json").read_bytes()
 
     def test_moved_run_dir_still_loads_model(self, tmp_path):
         out = run_learn(_linear_config(tmp_path / "a"))["out_dir"]

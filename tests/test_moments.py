@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,8 @@ def _step_pullback(model, m, S, u, a, B):
     preds = []
     moment_match(model, GaussianBelief(m, S), u, _plant_G, 0.02,
                  prediction_out=preds)
-    maps = step_pullbacks(preds, _plant_G_jac, m[None], u[None], 0.02)
+    maps = step_pullbacks([preds[0].vjp], _plant_G_jac, m[None], u[None],
+                          0.02)
     assert len(maps) == 1
     return maps[0].pullback(a, B)
 
@@ -145,8 +148,9 @@ class TestBeliefPropagation:
                                  cartpole.control_matrix, 0.02,
                                  prediction_out=preds)
             if maps is not None:
-                maps += step_pullbacks(preds, cartpole.control_matrix_jac,
-                                       mus, us, 0.02)
+                maps += step_pullbacks([p.vjp for p in preds],
+                                       cartpole.control_matrix_jac, mus, us,
+                                       0.02)
             return b
 
         maps = []
@@ -285,6 +289,21 @@ class TestCandidateBatch:
                                   u[c], _plant_G, 0.02)
             assert np.array_equal(out.mu[c], single.mu)
             assert np.array_equal(out.sigma[c], single.sigma)
+
+    def test_non_finite_controls_masked_without_warning(self, cartpole):
+        # G has zero entries, so a masked row's inf * 0 would warn in G @ u
+        model = GpModel.empty(4)
+        belief = GaussianBelief(np.zeros((3, 4)), np.zeros((3, 4, 4)),
+                                np.ones(3, dtype=bool))
+        u = np.array([[0.5], [np.inf], [np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = moment_match(model, belief, u, cartpole.control_matrix, 0.02)
+        assert out.ok.tolist() == [True, False, False]
+        single = moment_match(model, GaussianBelief.observed(np.zeros(4)),
+                              u[0], cartpole.control_matrix, 0.02)
+        assert np.array_equal(out.mu[0], single.mu)
+        assert np.array_equal(out.sigma[0], single.sigma)
 
     @pytest.mark.parametrize("layout", ["failing-pair", "all-equal"])
     def test_checks_and_G_run_once_per_distinct_belief(self, layout, rng,
