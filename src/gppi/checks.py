@@ -202,7 +202,8 @@ def gp_update_vs_refactorization(rng):
     n, max_points = 6, 40
     hyper = KernelHyper.create(0.5 + 0.1 * np.arange(n), 0.05,
                                rng.uniform(0.3, 2.0, n))
-    model = GpModel.empty(n, hyper, max_points=max_points)
+    # factored from the start, so that every update is incremental
+    model = GpModel.from_data(TrainingSet.empty(n), hyper, max_points)
     G = lambda x: np.zeros((n, 1))
     x = np.zeros(n)
     tol, worst = 1e-10, 0.0

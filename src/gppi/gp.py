@@ -14,13 +14,17 @@ scaled copy of one unit-amplitude kernel plus noise, and the marginal
 likelihood of all outputs is evaluated in the eigenbasis of that one kernel,
 with a jitter ladder on its eigenvalues (`tied_log_marginal_likelihood`).
 
-A model carries one Cholesky factor of the Gram per output dimension and
-nothing else: the alphas K^-1 y and the inverse Grams that prediction needs
-are derived from the factors on first use and cached on the model.  A sample
-updates the factors in O(N^2) per dimension: at `max_points` the evicted
-point's row and column are removed by Givens rotations, and the new point is
-appended by one triangular solve.  Inverses are never carried from one update
-to the next, as their Schur-complement updates drift.
+A model is its training set, hyperparameters and insertion order.  Its
+Cholesky factors of the Grams, one per output dimension, are derived on
+first read and cached on the model, and so are the alphas K^-1 y and the
+inverse Grams that prediction derives from them.  A sample added to a model
+that has its factors updates them in O(N^2) per dimension: at `max_points`
+the evicted point's row and column are removed by Givens rotations, and the
+new point is appended by one triangular solve.  A sample added to a model
+without factors updates only the training set, so the random-control
+rollouts that seed a model before its first refit factorize nothing.
+Inverses are never carried from one update to the next, as their
+Schur-complement updates drift.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -150,32 +154,39 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted increment model: training data, hyperparameters, factors.
+    """Increment model: training data, hyperparameters, insertion order.
 
-    `chols` holds the lower Cholesky factor of each output dimension's Gram
-    matrix, the only factorization stored.  Derived arrays are computed on
-    first access and cached in the instance: `alphas` and `inv_grams` from
-    the factors, and from them and `hyper` the constants that every
-    moment-matching step reads (`inv_w`, `log_det_w`, `two_w`,
-    `scaled_alphas`, `signal_var_outer`, `signal_var_sq`, `inv_grams_flat`
-    and `inv_grams_flat_t`), none of which costs an O(N^3) routine of its
-    own.  A model made by `dataclasses.replace` or `incorporate_sample`
-    starts without them.  Immutable otherwise:
-    `incorporate_sample` and refits return new values, and the cached values
-    are deterministic functions of the fields, so a model may be shared
-    freely across concurrent rollouts (two first reads at once compute the
-    same arrays).  Callers must not write into the arrays they read.
+    `chols`, the lower Cholesky factor of each output dimension's Gram, is
+    the only factorization.  `from_data` computes it at once, and
+    `incorporate_sample` builds it in O(N^2) from a `factored` model's.
+    Any other model, such as `empty` and the models updated from it,
+    factorizes on first read, in O(N^3) per dimension.  The other derived
+    arrays are computed on first access and cached in the instance too:
+    `alphas` and `inv_grams` from the factors, and from them and `hyper`
+    the constants that every moment-matching step reads (`inv_w`,
+    `log_det_w`, `two_w`, `scaled_alphas`, `signal_var_outer`,
+    `signal_var_sq`, `inv_grams_flat` and `inv_grams_flat_t`), none of
+    which costs an O(N^3) routine of its own.  A model made by `dataclasses.replace` starts without any of them,
+    factors included.  Immutable otherwise: `incorporate_sample` and refits
+    return new values, and the cached values are deterministic functions of
+    the fields, so a model may be shared freely across concurrent rollouts
+    (two first reads at once compute the same arrays).  Callers must not
+    write into the arrays they read.
     """
 
     train: TrainingSet
     hyper: KernelHyper
-    chols: tuple = field(repr=False, default=())   # (N, N) lower per dim
     max_points: int | None = None
     insertion_order: tuple = ()
 
     def __post_init__(self):
         if self.max_points is not None and self.max_points < 1:
             raise ConfigError("max_points must be at least 1")
+        n = self.train.inputs.shape[1]
+        if self.hyper.log_sigma_s.size != n or self.hyper.log_w.size != n:
+            raise ConfigError("need one amplitude and one noise level per "
+                              "output dimension and one length scale per "
+                              "input dimension")
 
     @property
     def state_dim(self) -> int:
@@ -184,6 +195,30 @@ class GpModel:
     @property
     def n_points(self) -> int:
         return self.train.size
+
+    @property
+    def factored(self) -> bool:
+        """Whether the Cholesky factors are computed already."""
+        return "chols" in self.__dict__
+
+    @cached_property
+    def chols(self) -> tuple:
+        """Lower Cholesky factor of each output dimension's Gram, (N, N)
+        each, by `chol_with_jitter`: O(N^3) per dimension."""
+        Kw = kernel_matrix(self.train.inputs, self.hyper.w)
+        diag = np.diag_indices(self.n_points)
+        chols = []
+        for s2, noise2 in zip(self.hyper.signal_var, self.hyper.noise_var):
+            K = s2 * Kw
+            K[diag] += noise2
+            chols.append(chol_with_jitter(K)[0])
+        return tuple(chols)
+
+    def _with_chols(self, chols) -> "GpModel":
+        """This model, its factors set to `chols`, which an incremental
+        update built; returns self."""
+        self.__dict__["chols"] = tuple(chols)
+        return self
 
     @cached_property
     def alphas(self) -> np.ndarray:
@@ -247,29 +282,25 @@ class GpModel:
 
     @staticmethod
     def from_data(train: TrainingSet, hyper: KernelHyper,
-                  max_points: int | None = None) -> "GpModel":
-        n = train.inputs.shape[1]
-        if hyper.log_sigma_s.size != n or hyper.log_w.size != n:
-            raise ConfigError("need one amplitude and one noise level per "
-                              "output dimension and one length scale per "
-                              "input dimension")
-        Kw = kernel_matrix(train.inputs, hyper.w)
-        diag = np.diag_indices(train.size)
-        chols = []
-        for s2, noise2 in zip(hyper.signal_var, hyper.noise_var):
-            K = s2 * Kw
-            K[diag] += noise2
-            chols.append(chol_with_jitter(K)[0])
-        return GpModel(train, hyper, tuple(chols), max_points,
-                       tuple(range(train.size)))
+                  max_points: int | None = None,
+                  insertion_order: tuple | None = None) -> "GpModel":
+        """The model of `train` under `hyper`, factorized now.  The
+        insertion order defaults to the order of the rows."""
+        if insertion_order is None:
+            insertion_order = tuple(range(train.size))
+        model = GpModel(train, hyper, max_points, insertion_order)
+        model.chols             # factorized now, not on first read
+        return model
 
     @staticmethod
     def empty(state_dim: int, hyper: KernelHyper | None = None,
               max_points: int | None = None) -> "GpModel":
+        """A model without data and without factors, so that the samples
+        added to it update only its training set until something reads its
+        factors.  `hyper` defaults to sigma_s = 1, sigma_w = 0.1, W = I."""
         if hyper is None:
             hyper = KernelHyper.create(1.0, 0.1, np.ones(state_dim))
-        return GpModel.from_data(TrainingSet.empty(state_dim), hyper,
-                                 max_points)
+        return GpModel(TrainingSet.empty(state_dim), hyper, max_points)
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +575,10 @@ def passive_increment(x, u_applied, x_next, plant_G, dt: float) -> np.ndarray:
 
 
 def _rank1_extend(model: GpModel, train: TrainingSet, order: tuple):
-    """Extend `model` to `train`, its training set plus one last point, by
-    one row of each Cholesky factor, a triangular solve per dimension.
-    Returns None when a Schur complement is at most 1e-12 of the prior
-    variance, where the row would lose precision."""
+    """Extend factored `model` to `train`, its training set plus one last
+    point, by one row of each Cholesky factor, a triangular solve per
+    dimension.  Returns None when a Schur complement is at most 1e-12 of the
+    prior variance, where the row would lose precision."""
     h = model.hyper
     k_unit = kernel_vector(model.train.inputs, train.inputs[-1], h.w)
     chols = []
@@ -563,7 +594,7 @@ def _rank1_extend(model: GpModel, train: TrainingSet, order: tuple):
         Ln[n_old, :n_old] = l2
         Ln[n_old, n_old] = np.sqrt(rem)
         chols.append(Ln)
-    return GpModel(train, model.hyper, tuple(chols), model.max_points, order)
+    return GpModel(train, h, model.max_points, order)._with_chols(chols)
 
 
 def _evict_index(inputs: np.ndarray, order: tuple, w: np.ndarray) -> int:
@@ -575,8 +606,18 @@ def _evict_index(inputs: np.ndarray, order: tuple, w: np.ndarray) -> int:
     return i if order[i] <= order[j] else j
 
 
+def _without_point(model: GpModel, idx: int) -> GpModel:
+    """`model` without stored point `idx`, in its training set and its
+    insertion order, and without factors."""
+    keep = np.arange(model.n_points) != idx
+    train = TrainingSet(model.train.inputs[keep], model.train.outputs[keep])
+    order = model.insertion_order[:idx] + model.insertion_order[idx + 1:]
+    return GpModel(train, model.hyper, model.max_points, order)
+
+
 def _delete_point(model: GpModel, idx: int) -> GpModel:
-    """Remove stored point `idx`, downdating each Cholesky factor in O(N^2).
+    """Remove stored point `idx` from factored `model`, downdating each
+    Cholesky factor in O(N^2).
 
     With R = L', deleting column idx of R leaves R'R equal to the Gram
     without row and column idx; `qr_delete` restores R's triangular form by
@@ -591,10 +632,7 @@ def _delete_point(model: GpModel, idx: int) -> GpModel:
         R = R[:N - 1, :N - 1]
         R *= np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
         chols.append(R.T)
-    keep = np.arange(N) != idx
-    train = TrainingSet(model.train.inputs[keep], model.train.outputs[keep])
-    order = model.insertion_order[:idx] + model.insertion_order[idx + 1:]
-    return GpModel(train, model.hyper, tuple(chols), model.max_points, order)
+    return _without_point(model, idx)._with_chols(chols)
 
 
 def incorporate_sample(model: GpModel, x, u_applied, x_next, plant_G,
@@ -603,12 +641,15 @@ def incorporate_sample(model: GpModel, x, u_applied, x_next, plant_G,
 
     Non-finite transitions are rejected with status 'rejected'.  At
     `max_points` the older member of the closest pair among the stored
-    inputs and the new one is evicted first (never the new point), by a
-    Cholesky downdate; the new point is then appended by a one-row
-    extension.  When the new point is too close to a stored one for the
-    extension, the final training set is refactorized with the jitter
-    ladder.  The hyperparameters are left untouched; refitting happens on
-    the harness schedule, not here.
+    inputs and the new one is evicted first (never the new point).  Only a
+    `factored` model has its factors updated, in O(N^2): the eviction by a
+    Cholesky downdate and the new point by a one-row extension, or, when
+    the new point is too close to a stored one for the extension, by
+    refactorizing the final training set with the jitter ladder.  A model
+    without factors gives one without factors, which derives them on first
+    read, so the updates before a refit factorize nothing that the refit
+    would discard.  The hyperparameters are left untouched; refitting
+    happens on the harness schedule, not here.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -623,28 +664,32 @@ def incorporate_sample(model: GpModel, x, u_applied, x_next, plant_G,
         logger.warning("rejecting non-finite increment")
         return model, "rejected"
 
+    factored = model.factored
     new_label = max(model.insertion_order, default=-1) + 1
     if model.max_points is not None and model.n_points >= model.max_points:
         idx = _evict_index(np.vstack([model.train.inputs, x[None, :]]),
                            model.insertion_order + (new_label,), model.hyper.w)
-        model = _delete_point(model, idx)
+        model = (_delete_point if factored else _without_point)(model, idx)
     order = model.insertion_order + (new_label,)
     train = TrainingSet(np.vstack([model.train.inputs, x[None, :]]),
                         np.vstack([model.train.outputs, d[None, :]]))
+    if not factored:
+        return GpModel(train, model.hyper, model.max_points, order), "ok"
     extended = _rank1_extend(model, train, order)
     if extended is None:
-        extended = replace(GpModel.from_data(train, model.hyper,
-                                             model.max_points),
-                           insertion_order=order)
+        extended = GpModel.from_data(train, model.hyper, model.max_points,
+                                     order)
     return extended, "ok"
 
 
 def refit(model: GpModel, rng=None, **kwargs) -> GpModel:
-    """Refit hyperparameters on the current data, warm-started."""
+    """Refit hyperparameters on the current data, warm-started, and
+    factorize at the fitted ones.  Reads only the model's training set,
+    hyperparameters and insertion order, never its factors."""
     hyper, _ = fit_hyperparameters(model.train, rng=rng, init=model.hyper,
                                    **kwargs)
-    out = GpModel.from_data(model.train, hyper, model.max_points)
-    return replace(out, insertion_order=model.insertion_order)
+    return GpModel.from_data(model.train, hyper, model.max_points,
+                             model.insertion_order)
 
 
 # ---------------------------------------------------------------------------

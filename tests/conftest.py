@@ -8,6 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from gppi import gp  # noqa: E402
 from gppi.control import CostSpec  # noqa: E402
 from gppi.gp import GpModel, KernelHyper, incorporate_sample  # noqa: E402
 from gppi.plants import make_plant  # noqa: E402
@@ -34,6 +35,20 @@ _LINEAR_HYPER = [-4.407258916633576, -5.885047323246191, -1.1786968581074055]
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture
+def factor_updates(monkeypatch):
+    """The results of every call of the two incremental factor updates of
+    `gp`, `_rank1_extend` and `_delete_point`, listed by function name."""
+    calls = {"_rank1_extend": [], "_delete_point": []}
+    for name, results in calls.items():
+        def recorded(*args, _orig=getattr(gp, name), _results=results):
+            out = _orig(*args)
+            _results.append(out)
+            return out
+        monkeypatch.setattr(gp, name, recorded)
+    return calls
 
 
 @pytest.fixture(scope="session")

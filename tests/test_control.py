@@ -12,7 +12,7 @@ from gppi.control import (DAMPING_LADDER, EXPANSION_MAX, EXPANSION_SCALES,
                           forward_rollout, inner_optimize, log_phi_step,
                           mpc_learning_loop, terminal_log_desirability)
 from gppi.errors import ConfigError, NumericalError
-from gppi.gp import GpModel
+from gppi.gp import GpModel, refit
 from gppi.moments import GaussianBelief
 from gppi.oracles import path_integral_quadrature
 from gppi.plants import make_plant
@@ -611,6 +611,34 @@ class TestMpcLoop:
                                  init_rollouts=1, u_max=2.0,
                                  inner_max_iters=2, max_points=80,
                                  x0=np.zeros(1), **kwargs)
+
+    def test_factors_updated_only_after_first_refit(self, monkeypatch,
+                                                    factor_updates):
+        # 3 initialization rollouts of 10 steps fill a 12-point model, so
+        # initialization runs below and at max_points and every trial
+        # sample is at it; the counts are read at each refit
+        from gppi import control
+        at_refit = []
+
+        def counted_refit(model, *args, **kwargs):
+            at_refit.append((model.factored,
+                             len(factor_updates["_rank1_extend"]),
+                             len(factor_updates["_delete_point"])))
+            return refit(model, *args, **kwargs)
+
+        monkeypatch.setattr(control, "refit", counted_refit)
+        plant = make_plant("linear", params=dict(A=[[-0.3]], Bc=[[1.0]],
+                                                 B=[[0.05]],
+                                                 sigma_omega=[[1.0]]))
+        cost = CostSpec([[1.0]], [0.5], 0.5, 0.02, 10)
+        res = mpc_learning_loop(plant, cost, trials=2, seed=1,
+                                init_rollouts=3, u_max=2.0,
+                                inner_max_iters=2, max_points=12,
+                                x0=np.zeros(1))
+        assert not any(m.aborted for m in res.metrics)
+        # one extension and one downdate per trial sample, none before
+        assert at_refit == [(False, 0, 0), (True, 10, 10), (True, 20, 20)]
+        assert res.model.n_points == 12
 
     def test_aborted_trial_recorded_and_skipped(self, monkeypatch):
         from gppi import control

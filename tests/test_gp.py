@@ -295,14 +295,18 @@ class TestIncorporate:
                                             [np.nan], G, 0.02)
         assert status == "rejected" and model2.n_points == 0
 
-    def test_rank1_extension_matches_refactorization(self, rng):
-        model = GpModel.empty(2)
+    def test_rank1_extension_matches_refactorization(self, rng,
+                                                     factor_updates):
+        model = _factored(GpModel.empty(2))
         G = lambda x: np.array([[0.0], [1.0]])
         for _ in range(7):
             x = rng.normal(size=2)
             xn = x + 0.05 * rng.normal(size=2)
             model, _ = incorporate_sample(model, x, rng.normal(size=1),
                                           xn, G, 0.02)
+        extensions = factor_updates["_rank1_extend"]
+        assert len(extensions) == 7 and extensions[-1] is model
+        assert None not in extensions
         full = GpModel.from_data(model.train, model.hyper)
         for dim in range(2):
             assert np.allclose(model.alphas[dim], full.alphas[dim],
@@ -317,6 +321,13 @@ class TestIncorporate:
             model, _ = incorporate_sample(model, [float(i)], [0.0],
                                           [float(i) + 0.1], G, 0.02)
         assert model.n_points == 5
+
+
+def _factored(model):
+    """`model` with its factors computed, so that samples added to it take
+    the incremental updates."""
+    return GpModel.from_data(model.train, model.hyper, model.max_points,
+                             model.insertion_order)
 
 
 def _zero_G(n):
@@ -354,13 +365,32 @@ def _hyper(n, rng):
                               rng.uniform(0.3, 1.5, n))
 
 
+_POSITIONS = {"first": 0, "interior": 4, "last": 8}
+
+
+def _eviction_samples(rng, position):
+    """Inputs of a chain that fills a 4-D model of N = 9 points and then
+    adds one closer to stored point _POSITIONS[position] than any two stored
+    points are, or, for "below_max", stays under `max_points`; and that
+    max_points."""
+    n, N = 4, 9
+    X = 2.0 * rng.normal(size=(N, n))
+    if position == "below_max":
+        return X, N + 1
+    gap = min(np.linalg.norm(X[i] - X[j]) for i in range(N) for j in range(i))
+    x_new = X[_POSITIONS[position]] + 0.05 * gap * np.ones(n) / np.sqrt(n)
+    return np.vstack([X, x_new]), N
+
+
 class TestDowndate:
     @pytest.mark.parametrize("n,max_points", [(4, 12), (6, 12), (4, 1),
                                               (6, 2)])
-    def test_at_max_updates_match_refactorization(self, rng, n, max_points):
-        model = GpModel.empty(n, _hyper(n, rng), max_points=max_points)
+    def test_at_max_updates_match_refactorization(self, rng, n, max_points,
+                                                  factor_updates):
+        model = _factored(GpModel.empty(n, _hyper(n, rng),
+                                        max_points=max_points))
         x = np.zeros(n)
-        at_max = 0
+        at_max = added = 0
         while at_max < 3 * max_points:
             x = x + 0.4 * rng.normal(size=n)
             full = model.n_points == max_points
@@ -369,26 +399,27 @@ class TestDowndate:
                 kept = np.delete(model.train.inputs, idx, axis=0)
             model, status = _add(model, x, np.sin(x))
             assert status == "ok"
+            added += 1
             if full:
                 at_max += 1
                 assert model.n_points == max_points
                 assert np.array_equal(model.train.inputs,
                                       np.vstack([kept, x]))
+            assert len(factor_updates["_rank1_extend"]) == added
+            assert len(factor_updates["_delete_point"]) == at_max
+            assert factor_updates["_rank1_extend"][-1] is model
             assert factor_deviation(model) <= 1e-10
             assert np.all(np.diag(model.chols[0]) > 0)
 
     @pytest.mark.parametrize("position", ["first", "interior", "last"])
-    def test_evicts_older_member_of_closest_pair(self, rng, position):
-        n, N = 4, 9
-        model = GpModel.empty(n, _hyper(n, rng), max_points=N)
-        for _ in range(N):
-            x = 2.0 * rng.normal(size=n)
+    def test_evicts_older_member_of_closest_pair(self, rng, position,
+                                                 factor_updates):
+        h = _hyper(4, rng)
+        xs, N = _eviction_samples(rng, position)
+        model = _factored(GpModel.empty(4, h, max_points=N))
+        for x in xs[:-1]:
             model, _ = _add(model, x, np.cos(x))
-        p = {"first": 0, "interior": N // 2, "last": N - 1}[position]
-        X = model.train.inputs
-        gap = min(np.linalg.norm(X[i] - X[j])
-                  for i in range(N) for j in range(i))
-        x_new = X[p] + 0.05 * gap * np.ones(n) / np.sqrt(n)
+        p, X, x_new = _POSITIONS[position], model.train.inputs, xs[-1]
         assert _expected_eviction(model, x_new) == p
         new, status = _add(model, x_new, np.cos(x_new))
         assert status == "ok"
@@ -396,9 +427,12 @@ class TestDowndate:
                               np.vstack([np.delete(X, p, axis=0), x_new]))
         assert new.insertion_order == \
             model.insertion_order[:p] + model.insertion_order[p + 1:] + (N,)
+        assert len(factor_updates["_delete_point"]) == 1
+        assert len(factor_updates["_rank1_extend"]) == N + 1
+        assert factor_updates["_rank1_extend"][-1] is new
         assert factor_deviation(new) <= 1e-10
 
-    def test_near_duplicate_at_max_refactorizes(self):
+    def test_near_duplicate_at_max_refactorizes(self, factor_updates):
         # a stored pair 3e-7 apart is the closest pair, so the new point,
         # 5e-7 from a kept point, stays and is too close for the extension
         # (no jitter is needed for either training set)
@@ -409,18 +443,23 @@ class TestDowndate:
         assert _expected_eviction(model, x_new) == 1
         new, status = _add(model, x_new, np.sin(x_new))
         assert status == "ok"
+        # the downdate ran, and the extension declined
+        assert len(factor_updates["_delete_point"]) == 1
+        assert factor_updates["_rank1_extend"] == [None]
         final = np.array([[0.0], [1.0 + 3e-7], [2.5], [2.5 + 5e-7]])
         assert np.array_equal(new.train.inputs, final)
         assert new.insertion_order == (0, 2, 3, 4)
         ref = GpModel.from_data(new.train, h)
         assert np.array_equal(new.chols[0], ref.chols[0])
 
-    def test_near_duplicate_below_max_refactorizes(self):
+    def test_near_duplicate_below_max_refactorizes(self, factor_updates):
         h = KernelHyper.create(1.0, 1e-8, [1.0])
         X = np.array([[0.0], [1.0]])
         model = GpModel.from_data(TrainingSet(X, np.sin(X)), h, max_points=5)
         new, status = _add(model, [1.0 + 1e-8], [0.3])
         assert status == "ok" and new.n_points == 3
+        assert factor_updates == {"_rank1_extend": [None],
+                                  "_delete_point": []}
         assert new.insertion_order == (0, 1, 2)
         assert np.array_equal(new.chols[0],
                               GpModel.from_data(new.train, h).chols[0])
@@ -443,7 +482,7 @@ class TestDowndate:
             monkeypatch.setattr(gp, name, forbidden)
         x = rng.normal(size=n)
         new, status = _add(model, x, np.sin(x))
-        assert status == "ok" and new.n_points == N
+        assert status == "ok" and new.n_points == N and new.factored
         for name in ("alphas", "inv_grams") + _MOMENT_CONSTANTS:
             assert name not in new.__dict__, name
         monkeypatch.undo()
@@ -470,12 +509,79 @@ class TestDowndate:
         assert np.shares_memory(new.inv_grams_flat, new.inv_grams)
         assert np.array_equal(new.inv_grams_flat_t, new.inv_grams_flat.T)
         copy = dataclasses.replace(new, insertion_order=new.insertion_order)
-        for name in ("alphas", "inv_grams") + _MOMENT_CONSTANTS:
+        for name in ("chols", "alphas", "inv_grams") + _MOMENT_CONSTANTS:
             assert name not in copy.__dict__, name
 
     def test_max_points_below_one_rejected(self):
         with pytest.raises(ConfigError):
             GpModel.empty(2, max_points=0)
+
+
+class TestLazyFactors:
+    """A model without factors takes the same samples as one with them,
+    without factorizing."""
+
+    @pytest.mark.parametrize("case", ["below_max", "first", "interior",
+                                      "last", "near_duplicate"])
+    def test_unfactored_chain_matches_factored_chain(self, rng, case,
+                                                     factor_updates):
+        if case == "near_duplicate":
+            # below max_points the third point is too close for the
+            # extension; at it the new point, 5e-7 from a kept one, is too
+            h = KernelHyper.create(1.0, 1e-8, [1.0])
+            xs = np.array([[0.0], [1.0], [1.0 + 3e-7], [2.5], [2.5 + 5e-7]])
+            max_points = 4
+        else:
+            xs, max_points = _eviction_samples(rng, case)
+            h = _hyper(xs.shape[1], rng)
+        lazy = GpModel.empty(xs.shape[1], h, max_points=max_points)
+        eager = _factored(lazy)
+        for x in xs:
+            lazy, status = _add(lazy, x, np.cos(x))
+            assert status == "ok" and not lazy.factored
+            eager, status = _add(eager, x, np.cos(x))
+            assert status == "ok" and eager.factored
+            assert np.array_equal(lazy.train.inputs, eager.train.inputs)
+            assert np.array_equal(lazy.train.outputs, eager.train.outputs)
+            assert lazy.insertion_order == eager.insertion_order
+        evicted = len(xs) - lazy.n_points
+        assert evicted == (0 if case == "below_max" else 1)
+        # only the factored chain reached the incremental updates
+        extensions = factor_updates["_rank1_extend"]
+        assert len(extensions) == len(xs)
+        assert len(factor_updates["_delete_point"]) == evicted
+        assert (None in extensions) == (case == "near_duplicate")
+        ref = GpModel.from_data(lazy.train, h)
+        for got, want in zip(lazy.chols, ref.chols):
+            assert np.array_equal(got, want)
+        assert lazy.factored
+        assert factor_deviation(eager) <= 1e-10
+
+    def test_empty_model_starts_unfactored(self):
+        model = GpModel.empty(3)
+        assert not model.factored
+        assert [L.shape for L in model.chols] == [(0, 0)] * 3
+        assert GpModel.from_data(TrainingSet.empty(3), model.hyper).factored
+
+    def test_empty_model_keeps_hyperparameter_shape_check(self):
+        with pytest.raises(ConfigError):
+            GpModel.empty(3, KernelHyper.create(1.0, 0.1, [1.0, 1.0]))
+        with pytest.raises(ConfigError):
+            GpModel.empty(2, KernelHyper.create([1.0, 1.0, 1.0], 0.1,
+                                                [1.0, 1.0]))
+
+    def test_replace_derives_factors_at_new_hyperparameters(self, rng):
+        X = rng.normal(size=(20, 3))
+        m = GpModel.from_data(TrainingSet(X, np.sin(X)), _hyper(3, rng))
+        h2 = _hyper(3, rng)
+        old_alphas = m.alphas           # cached at the old hyperparameters
+        moved = dataclasses.replace(m, hyper=h2)
+        assert not moved.factored
+        ref = GpModel.from_data(m.train, h2)
+        for got, want in zip(moved.chols, ref.chols):
+            assert np.array_equal(got, want)
+        assert np.array_equal(moved.alphas, ref.alphas)
+        assert not np.allclose(moved.alphas, old_alphas)
 
 
 class TestPosterior:

@@ -363,6 +363,54 @@ class TestCandidateBatch:
         assert np.array_equal(out.sigma[0], single.sigma)
 
 
+def _break_covariance(S, check):
+    """A copy of covariance S that passes the belief checks before `check`
+    and fails it: "symmetric" perturbs one off-diagonal entry, "PSD" gives
+    a symmetric matrix with a negative eigenvalue."""
+    S = S.copy()
+    if check == "symmetric":
+        S[0, 1] += 1e-3
+        assert np.linalg.eigvalsh(0.5 * (S + S.T))[0] > 0
+    else:
+        S -= (np.linalg.eigvalsh(S)[-1] + 0.1) * np.outer([1, 0, 0],
+                                                         [1, 0, 0])
+        assert np.array_equal(S, S.T)
+    return S
+
+
+class TestBeliefChecks:
+    """The symmetry and PSD checks of an input belief."""
+
+    @pytest.mark.parametrize("check", ["symmetric", "PSD"])
+    def test_single_belief_raises(self, check, rng):
+        model = _random_model(rng)
+        m, S = _random_input(rng, 3)
+        bad = _break_covariance(S, check)
+        with pytest.raises(NumericalError,
+                           match=f"belief covariance not {check}"):
+            moment_match(model, GaussianBelief(m, bad), [0.5], _plant_G, 0.02)
+
+    @pytest.mark.parametrize("check", ["symmetric", "PSD"])
+    def test_batch_masks_only_that_row(self, check, rng):
+        model = _random_model(rng, n=3, n_points=20)
+        inputs = [_random_input(rng, 3) for _ in range(4)]
+        mu = np.array([m for m, _ in inputs])
+        sigma = np.array([S for _, S in inputs])
+        sigma[2] = _break_covariance(sigma[2], check)
+        u = rng.uniform(-2, 2, (4, 1))
+        out = moment_match(model, GaussianBelief(mu, sigma,
+                                                 np.ones(4, dtype=bool)),
+                           u, _plant_G, 0.02)
+        assert out.ok.tolist() == [True, True, False, True]
+        assert np.array_equal(out.mu[2], mu[2])
+        assert np.array_equal(out.sigma[2], sigma[2])
+        for c in (0, 1, 3):
+            single = moment_match(model, GaussianBelief(mu[c], sigma[c]),
+                                  u[c], _plant_G, 0.02)
+            assert np.array_equal(out.mu[c], single.mu)
+            assert np.array_equal(out.sigma[c], single.sigma)
+
+
 class TestFusedKernel:
     @pytest.mark.parametrize("C", [1, 3])
     def test_log_qbar_matches_element_formula(self, C, rng):
