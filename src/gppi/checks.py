@@ -20,8 +20,8 @@ from .control import (ControlSequence, CostSpec, backward_desirability,
 from .gp import (LOG_HYPER_BOUNDS, GpModel, KernelHyper, TrainingSet,
                  fit_hyperparameters, incorporate_sample,
                  tied_log_marginal_likelihood)
-from .moments import (GaussianBelief, moment_match, predict_increment,
-                      step_pullbacks)
+from .moments import (GaussianBelief, control_jacobians, moment_match,
+                      predict_increment, step_vjp)
 from .oracles import (cholesky_log_marginal_likelihood,
                       linear_chain_log_integral, mc_increment_moments,
                       path_integral_quadrature, quadrature_phi)
@@ -181,9 +181,9 @@ def step_pullback_vs_fd(rng):
     preds = []
     moment_match(model, GaussianBelief(m, S), u, dpc.control_matrix, 0.02,
                  prediction_out=preds)
-    step, = step_pullbacks([preds[0].vjp], dpc.control_matrix_jac, m[None],
-                           u[None], 0.02)
-    d_mu, d_sig = step.pullback(wa, wB)
+    jac, = control_jacobians(dpc.control_matrix_jac, m[None], u[None], 0.02)
+    d_mu, d_sig = step_vjp(model, m, S, preds[0].mu_f, preds[0].parts, jac,
+                           wa, wB)
     tol, worst = 1e-6, 0.0
     for _ in range(4):
         dm = rng.normal(size=n)

@@ -2,15 +2,15 @@
 
 Forward: propagate the state belief under the current controls into one
 stacked record of the rollout (`BeliefTrajectory`): the beliefs, the
-increment moments and, for a derivative pass, the pullback of every step.
-Backward: accumulate the desirability recursion in log domain from two
-`log_phi_step` calls, one at the terminal belief and one on the record's
-interior beliefs; then carry its partials backward through the step
-pullbacks, one vector-Jacobian product per step (the adjoint pass), which
-gives grad Psi_t / Psi_t at each step's own state.  Update: the analytic
-correction delta_u_t = G^+ Sigma_f (grad Psi_t / Psi_t) over the record's
-means and increment covariances, damped by a backtracking acceptance rule
-on log Psi_0.
+increment moments with the parts of their pullbacks and, for a derivative
+pass, the control term of every step.  Backward: accumulate the
+desirability recursion in log domain from two `log_phi_step` calls, one at
+the terminal belief and one on the record's interior beliefs; then carry
+its partials backward, one `moments.step_vjp` per step on the record's
+data (the adjoint pass), which gives grad Psi_t / Psi_t at each step's own
+state.  Update: the analytic correction delta_u_t = G^+ Sigma_f
+(grad Psi_t / Psi_t) over the record's means and increment covariances,
+damped by a backtracking acceptance rule on log Psi_0.
 
 The line search evaluates its candidate step scales together: a
 value-only `forward_rollout` takes a batch of control sequences (C, T, m),
@@ -20,8 +20,8 @@ fails numerically is masked (log Psi = -inf, its belief frozen) rather than
 raised.  A single sequence is a batch of one through the same arithmetic,
 so each row of a batch is bit-identical to a rollout of its candidate
 alone, and the accepted candidate's row (`BeliefTrajectory.row`,
-`DesirabilityTrace.row`), with step pullbacks built from the moment parts
-the batch keeps, is the next derivative pass.
+`DesirabilityTrace.row`), with the moment parts the batch keeps and its
+control terms added, is the next derivative pass.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .gp import GpModel, incorporate_sample, refit
 from .moments import (GaussianBelief, IncrementPrediction, RowChecks,
-                      identity_where, moment_match, step_pullbacks)
+                      control_jacobians, identity_where, moment_match,
+                      step_vjp)
 from .plants import _require_count, _require_number
 from .rng import RngHub
 
@@ -175,9 +176,10 @@ class BeliefTrajectory:
     start state); entry t of mu_f, sigma_f and cov_x_dx holds the increment
     moments of step t, from belief t to belief t+1.  A batch's ok holds the
     rows whose propagation has not failed up to each step; a failed row
-    keeps its last belief, and its later moments are meaningless.
-    `pullbacks`, the one per-step list, holds each step's moment pullback:
-    `IncrementPrediction.vjp` for a single plan, `row_vjp` for a batch.
+    keeps its last belief, and its later moments are meaningless.  For the
+    adjoint pass, entry t of `parts` is the `IncrementPrediction.parts` of
+    step t, `model` the rollout's model, and entry t of `control_jac` (a
+    single plan's derivative pass) dt * d(G(mu_t) u_t) / d mu_t, or None.
     """
 
     mu: np.ndarray                      # (T+1, n) or (C, T+1, n)
@@ -187,8 +189,9 @@ class BeliefTrajectory:
     sigma_f: np.ndarray                 # (T, n, n) or (C, T, n, n)
     cov_x_dx: np.ndarray                # (T, n, n) or (C, T, n, n)
     controls_old: ControlSequence
-    pullbacks: list                     # T
-    step_maps: list = field(default_factory=list)   # T StepPullback, if built
+    parts: list                         # T
+    model: GpModel | None = None
+    control_jac: list = field(default_factory=list)  # T, once built
 
     def belief(self, t: int) -> GaussianBelief:
         """The belief at step t in contiguous arrays (a batch's are
@@ -198,14 +201,15 @@ class BeliefTrajectory:
                               None if self.ok is None else self.ok[:, t])
 
     def row(self, c: int) -> "BeliefTrajectory":
-        """Row c of a batch as a single plan's record, without step maps,
-        copied so that it does not keep its whole batch alive."""
+        """Row c of a batch as a single plan's record, without control
+        terms, copied so that it does not keep its whole batch alive."""
         return BeliefTrajectory(
             self.mu[c].copy(), self.sigma[c].copy(), None,
             self.mu_f[c].copy(), self.sigma_f[c].copy(),
             self.cov_x_dx[c].copy(),
             replace(self.controls_old, u=self.controls_old.u[c].copy()),
-            [None if p is None else p(c) for p in self.pullbacks])
+            [None if p is None else {k: a[c].copy() for k, a in p.items()}
+             for p in self.parts], self.model)
 
 
 @dataclass
@@ -291,7 +295,8 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
     Belief 0 is the observed state.  Step t applies controls.u[t] through
     the known control matrix, propagates the belief that `moment_match`
     returned and copies it, with the step's increment moments, into the
-    record.  With `compute_jac` the step pullbacks are recorded as well.
+    record, with the parts of its pullback.  With `compute_jac` the control
+    term of every step is recorded as well.
 
     Without `compute_jac`, controls.u may be a batch (C, T, m) of candidate
     plans, propagated with one `moment_match` call per step into a record
@@ -311,7 +316,7 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
         np.empty(lead + (T + 1, n)), np.zeros(lead + (T + 1, n, n)),
         np.ones(lead + (T + 1,), dtype=bool) if lead else None,
         np.empty(lead + (T, n)), np.empty(lead + (T, n, n)),
-        np.empty(lead + (T, n, n)), controls, [])
+        np.empty(lead + (T, n, n)), controls, [], model)
     traj.mu[..., 0, :] = belief.mu          # an observed state, sigma 0
     if lead:
         belief = traj.belief(0)
@@ -330,16 +335,16 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
         traj.mu_f[..., t, :] = pred.mu_f
         traj.sigma_f[..., t, :, :] = pred.sigma_f
         traj.cov_x_dx[..., t, :, :] = pred.cov_x_dx
-        traj.pullbacks.append(pred.row_vjp if lead else pred.vjp)
+        traj.parts.append(pred.parts)
         if lead:
             traj.ok[:, t + 1] = belief.ok
-    return _with_step_maps(traj, plant, cost.dt) if compute_jac else traj
+    return _with_control_jac(traj, plant, cost.dt) if compute_jac else traj
 
 
-def _with_step_maps(traj: BeliefTrajectory, plant, dt: float):
-    """`traj`, a single plan's record, with its step pullbacks built."""
-    traj.step_maps = step_pullbacks(traj.pullbacks, plant.control_matrix_jac,
-                                    traj.mu[:-1], traj.controls_old.u, dt)
+def _with_control_jac(traj: BeliefTrajectory, plant, dt: float):
+    """`traj`, a single plan's record, with the control terms of its steps."""
+    traj.control_jac = control_jacobians(plant.control_matrix_jac,
+                                         traj.mu[:-1], traj.controls_old.u, dt)
     return traj
 
 
@@ -409,12 +414,13 @@ def desirability_gradient(traj: BeliefTrajectory, trace: DesirabilityTrace,
     The co-state (chi_mu, chi_sig) = d log Psi_t / d(mu_t, Sigma_t) is
     seeded at step T with the terminal log-phi partials and pulled back one
     step at a time, absorbing the interior log-phi partials of each step it
-    crosses.  Each step is one vector-Jacobian product, the `pullback` of
-    the step's `StepPullback`; no Jacobian is formed.  The mean component
-    at step t is grad_psi_over_psi[t].  Everything is analytic.
+    crosses.  Each step is one vector-Jacobian product, `step_vjp` on the
+    record's belief, moments, parts and control term of that step; no
+    Jacobian is formed.  The mean component at step t is
+    grad_psi_over_psi[t].  Everything is analytic.
     """
     T = cost.horizon_steps
-    if len(traj.step_maps) != T:
+    if len(traj.control_jac) != T:
         raise ConfigError("trajectory was built without step pullbacks")
     grad = np.zeros((T + 1, cost.dim))
 
@@ -426,7 +432,9 @@ def desirability_gradient(traj: BeliefTrajectory, trace: DesirabilityTrace,
             # log Psi_t = log phi_{t+1} + log Psi_{t+1} below the terminal step
             chi_mu = chi_mu + trace._phi_mu[t + 1]
             chi_sig = chi_sig + trace._phi_sigma[t + 1]
-        chi_mu, chi_sig = traj.step_maps[t].pullback(chi_mu, chi_sig)
+        chi_mu, chi_sig = step_vjp(traj.model, traj.mu[t], traj.sigma[t],
+                                   traj.mu_f[t], traj.parts[t],
+                                   traj.control_jac[t], chi_mu, chi_sig)
         grad[t] = chi_mu
     trace.grad_psi_over_psi = grad
     return trace
@@ -592,7 +600,7 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
         if it + 1 < max_iters:
             # the accepted row of its batch is the next derivative pass
             batch_traj, batch_trace = batch
-            traj = _with_step_maps(batch_traj.row(k), plant, cost.dt)
+            traj = _with_control_jac(batch_traj.row(k), plant, cost.dt)
             trace = desirability_gradient(traj, batch_trace.row(k), cost)
 
     search = dict(accepted_scales=scales_taken,

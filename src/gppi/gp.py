@@ -166,12 +166,13 @@ class GpModel:
     the constants that every moment-matching step reads (`inv_w`,
     `log_det_w`, `two_w`, `scaled_alphas`, `signal_var_outer`,
     `signal_var_sq`, `inv_grams_flat` and `inv_grams_flat_t`), none of
-    which costs an O(N^3) routine of its own.  A model made by `dataclasses.replace` starts without any of them,
-    factors included.  Immutable otherwise: `incorporate_sample` and refits
-    return new values, and the cached values are deterministic functions of
-    the fields, so a model may be shared freely across concurrent rollouts
-    (two first reads at once compute the same arrays).  Callers must not
-    write into the arrays they read.
+    which costs an O(N^3) routine of its own.  A model made by
+    `dataclasses.replace` starts without any of them, factors included.
+    Immutable otherwise: `incorporate_sample` and refits return new values,
+    and the cached values are deterministic functions of the fields, so a
+    model may be shared freely across concurrent rollouts (two first reads
+    at once compute the same arrays).  Callers must not write into the
+    arrays they read.  A model never holds more than `max_points` points.
     """
 
     train: TrainingSet
@@ -182,6 +183,9 @@ class GpModel:
     def __post_init__(self):
         if self.max_points is not None and self.max_points < 1:
             raise ConfigError("max_points must be at least 1")
+        if self.max_points is not None and self.n_points > self.max_points:
+            raise ConfigError(f"model holds {self.n_points} points, more "
+                              f"than its max_points {self.max_points}")
         n = self.train.inputs.shape[1]
         if self.hyper.log_sigma_s.size != n or self.hyper.log_w.size != n:
             raise ConfigError("need one amplitude and one noise level per "

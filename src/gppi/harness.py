@@ -78,8 +78,12 @@ def fill_defaults(config: dict) -> dict:
     The plant name may be any alias `make_plant` accepts; it resolves through
     the plant registry to the canonical name whose protocol supplies
     `init_rollouts` and `horizon_steps` when the config leaves them unset.
-    An unknown plant name raises ConfigError.
+    An unknown plant name, or a config that is not an object, raises
+    ConfigError.
     """
+    if config is not None and not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object, got "
+                          f"{type(config).__name__}")
     out = copy.deepcopy(_DEFAULT_CONFIG)
     for section, value in (config or {}).items():
         if section not in out:

@@ -13,14 +13,15 @@ sigma_s^2 alpha, the flat inverse Grams and the rest) are cached on the
 (`_log_qbar`), so a step computes only what depends on its beliefs.
 
 Derivatives are taken in reverse mode, with no numerical differentiation.
-The pullback of a belief, a vector-Jacobian product, maps weights on the
-three output moments back to weights on (m, S).  It folds them into a few
-N x N and N-vector weights before it touches the kernel terms, so it costs
-a few N x N products, whatever the state dimension.  `step_pullbacks`
-wraps the moment pullbacks of a derivative pass, the one per-step list of a
-rollout's record (`control.BeliefTrajectory`), into the `StepPullback` of
-each whole step, adding the control term from one call of the plant's G
-Jacobian on the record's stacked means.
+The pullback of a belief, a vector-Jacobian product (`moment_vjp`), maps
+weights on the three output moments back to weights on (m, S).  It folds
+them into a few N x N and N-vector weights before it touches the kernel
+terms, so it costs a few N x N products, whatever the state dimension.  It
+reads plain data: the model, the belief, the predictive mean and the
+`parts` of `_values` that an `IncrementPrediction` keeps.  `step_vjp` pulls
+a co-state back through one whole step, moments and control term; the
+control terms of a derivative pass come from `control_jacobians`, one call
+of the plant's G Jacobian on the record's stacked means.
 
 Every evaluation runs over a leading candidate axis C: `predict_increment`
 takes beliefs mu (C, n), sigma (C, n, n), and `moment_match` a batch of
@@ -33,15 +34,13 @@ per distinct belief of a batch (candidates whose controls agree up to a
 step share their beliefs there), and the checks that raise NumericalError
 for a single belief (`RowChecks`) mask the failing rows of a batch instead.
 A batch keeps the pullback parts of every row, none of them N-long, and
-`IncrementPrediction.row` turns row c into a single prediction with its
-pullback.
+`IncrementPrediction.row` turns row c into a single prediction with the
+parts of that row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -85,38 +84,33 @@ class GaussianBelief:
 class IncrementPrediction:
     """One-step increment moments under a Gaussian input belief.
 
-    For a batch of C beliefs every array gains a leading axis C.  `vjp`,
-    set for a single belief, maps weights (g_mu (n,), g_sigma (n, n),
-    g_cov (n, n)) on (mu_f, sigma_f, cov_x_dx) to the gradient
-    (d_mu (n,), d_sigma (n, n)) of that weighted sum with respect to the
-    input (mu, sigma); it is None when the moments do not depend on the
-    input (an empty model).  A batch keeps the pullback parts of every row
-    instead, and `row(c)` returns row c with its `vjp`.
+    For a batch of C beliefs every array gains a leading axis C.  `parts`
+    holds the intermediates of `_values` that the pullback `moment_vjp`
+    reads, with the same leading axis for a batch, none of them N-long; it
+    is None when the moments do not depend on the input (an empty model).
     """
 
     mu_f: np.ndarray        # (n,)
     sigma_f: np.ndarray     # (n, n)
     cov_x_dx: np.ndarray    # (n, n); rows input state, cols increment dim
-    vjp: Callable | None = None
+    parts: dict | None = field(default=None, repr=False)
     ok: np.ndarray | None = None   # (C,) for a batch: rows whose checks passed
-    # batch: row c -> the pullback of that row, from the parts kept per row
-    row_vjp: Callable | None = field(default=None, repr=False)
 
     def row(self, c: int) -> "IncrementPrediction":
-        """Row c of a batch as a single prediction, with its pullback."""
-        vjp = None if self.row_vjp is None else self.row_vjp(c)
+        """Row c of a batch as a single prediction, parts included."""
+        parts = None if self.parts is None \
+            else {k: _row_of(a, c) for k, a in self.parts.items()}
         return IncrementPrediction(_row_of(self.mu_f, c),
                                    _row_of(self.sigma_f, c),
-                                   _row_of(self.cov_x_dx, c), vjp)
+                                   _row_of(self.cov_x_dx, c), parts)
 
     def take(self, rows) -> "IncrementPrediction":
-        """The batch whose row c is row rows[c] of this one, pullback
+        """The batch whose row c is row rows[c] of this one, parts
         included."""
-        row_vjp = None if self.row_vjp is None \
-            else (lambda c: self.row_vjp(rows[c]))
+        parts = None if self.parts is None \
+            else {k: a[rows] for k, a in self.parts.items()}
         return IncrementPrediction(self.mu_f[rows], self.sigma_f[rows],
-                                   self.cov_x_dx[rows], ok=self.ok[rows],
-                                   row_vjp=row_vjp)
+                                   self.cov_x_dx[rows], parts, self.ok[rows])
 
 
 def _row_of(a, c):
@@ -194,7 +188,7 @@ def predict_increment(model: GpModel, mu_in, sigma_in) -> IncrementPrediction:
     mu_in (n,) and sigma_in (n, n) give one input belief; mu_in (C, n) and
     sigma_in (C, n, n) give a batch of C candidate beliefs, and every field
     of the result then carries the same leading axis.  One belief is
-    evaluated as a batch of one and returned as its `row(0)`, pullback
+    evaluated as a batch of one and returned as its `row(0)`, parts
     included, so row c of a batch equals the single evaluation of its belief
     bit for bit.  A single evaluation raises NumericalError when a check
     fails; a batch clears the row's entry in `ok` instead.
@@ -213,15 +207,8 @@ def predict_increment(model: GpModel, mu_in, sigma_in) -> IncrementPrediction:
                                    np.zeros((C, n, n)), ok=checks.ok)
     else:
         zeta = model.train.inputs[None, :, :] - m[:, None, :]     # (C, N, n)
-        mu_f, sigma_f, cov, parts = _values(model, zeta, S, checks)
-
-        def row_vjp(c):
-            row = {k: _row_of(a, c) for k, a in parts.items()}
-            return partial(_vjp, model, _row_of(m, c), _row_of(S, c),
-                           _row_of(mu_f, c), row)
-
-        pred = IncrementPrediction(mu_f, sigma_f, cov, ok=checks.ok,
-                                   row_vjp=row_vjp)
+        pred = IncrementPrediction(*_values(model, zeta, S, checks),
+                                   ok=checks.ok)
     return pred.row(0) if single else pred
 
 
@@ -367,8 +354,10 @@ def _output_weights(mu_f, g_mu, g_sig, g_cov, S):
     return Csym, g_mu - 2.0 * (Csym @ mu_f), g_cov.T @ S
 
 
-def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
-    """Pullback of the moments for one belief."""
+def moment_vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
+    """Pullback of the moments for one belief N(m, S), whose prediction has
+    `mu_f` and `parts` p: weights (g_mu, g_sig, g_cov) on (mu_f, sigma_f,
+    cov_x_dx) to the gradient (d_m, d_S) of that weighted sum."""
     # zeta, T and q are recomputed, not kept: they are N-long per belief
     zeta = model.train.inputs[None, :, :] - m[None, None, :]
     T = zeta[0] @ p["Ainv"]
@@ -401,40 +390,35 @@ def _vjp(model: GpModel, m, S, mu_f, p: dict, g_mu, g_sig, g_cov):
 # Belief propagation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StepPullback:
-    """Reverse-mode linearization of one belief-propagation step.
+def step_vjp(model: GpModel, mu, sigma, mu_f, parts, control_jac, chi_mu,
+             chi_sig):
+    """Pullback of one belief-propagation step from (mu, sigma).
 
-    `pullback` maps a co-state (chi_mu, chi_sig) = (d f / d mu',
-    d f / d Sigma') of any scalar f of the step's output belief to
-    (d f / d mu, d f / d Sigma) at its input: one vector-Jacobian product.
-    Every covariance entry counts as a separate variable.
+    Maps a co-state (chi_mu, chi_sig) = (d f / d mu', d f / d Sigma') of any
+    scalar f of the step's output belief to (d f / d mu, d f / d Sigma) at
+    its input: one vector-Jacobian product, every covariance entry a
+    separate variable.  mu_f and parts are those of the step's
+    `IncrementPrediction`; control_jac is the step's control term
+    dt * d(G(mu) u) / d mu (n, n), or None where u = 0.
     """
-
-    increment_vjp: Callable | None   # IncrementPrediction.vjp of the step
-    control_jac: np.ndarray | None   # dt * d(G(mu) u) / d mu, (n, n)
-
-    def pullback(self, chi_mu, chi_sig):
-        d_mu, d_sig = chi_mu, chi_sig
-        if self.increment_vjp is not None:
-            # sigma' = sigma + sigma_f + cov + cov'
-            dm, dS = self.increment_vjp(chi_mu, chi_sig, chi_sig + chi_sig.T)
-            d_mu, d_sig = d_mu + dm, d_sig + dS
-        if self.control_jac is not None:
-            d_mu = d_mu + self.control_jac.T @ chi_mu
-        return d_mu, d_sig
+    d_mu, d_sig = chi_mu, chi_sig
+    if parts is not None:
+        # sigma' = sigma + sigma_f + cov + cov'
+        dm, dS = moment_vjp(model, mu, sigma, mu_f, parts, chi_mu, chi_sig,
+                            chi_sig + chi_sig.T)
+        d_mu, d_sig = d_mu + dm, d_sig + dS
+    if control_jac is not None:
+        d_mu = d_mu + control_jac.T @ chi_mu
+    return d_mu, d_sig
 
 
-def step_pullbacks(vjps, plant_G_jac, mus, us, dt) -> list:
-    """The `StepPullback` of every step of a derivative pass.
-
-    Step t pulls back through `vjps[t]`, the `IncrementPrediction.vjp` of
-    its moments, and the control term dt * d(G(mu_t) u_t) / d mu_t at the
-    belief mean mu_t of its input, mus (T, n), under its control u_t, us
-    (T, m).  The G Jacobians of all steps come from one `plant_G_jac` call
-    on the stacked means; a step with u_t = 0 has no control term.
-    `plant_G_jac` maps states (K, n) to (K, n, m, n), or to one (n, m, n)
-    shared by every state.
+def control_jacobians(plant_G_jac, mus, us, dt) -> list:
+    """The control term dt * d(G(mu_t) u_t) / d mu_t (n, n) of every step of
+    a derivative pass, at the belief means mus (T, n) of its inputs under
+    its controls us (T, m), or None for a step with u_t = 0.  The G
+    Jacobians of all steps come from one `plant_G_jac` call on the stacked
+    means; `plant_G_jac` maps states (K, n) to (K, n, m, n), or to one
+    (n, m, n) shared by every state.
     """
     mus = np.asarray(mus, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -445,7 +429,7 @@ def step_pullbacks(vjps, plant_G_jac, mus, us, dt) -> list:
                               us[moving])
         for t, jac in zip(moving.tolist(), jacs):
             control[t] = jac
-    return [StepPullback(v, c) for v, c in zip(vjps, control)]
+    return control
 
 
 def _distinct_rows(*arrays):
@@ -481,7 +465,7 @@ def moment_match(model: GpModel, belief_in: GaussianBelief, delta_u, plant_G,
     of its failed belief or control, and the other rows go on unchanged.
     `plant_G` maps states (K, n) to control matrices (K, n, m) and is
     called once per step.  `prediction_out`, a list, receives the step's
-    `IncrementPrediction`, with the moments' pullback.
+    `IncrementPrediction`, with the parts of the moments' pullback.
     """
     single = belief_in.ok is None
     n = belief_in.dim

@@ -180,12 +180,17 @@ def save_manifest(path, record_paths, p_diag, plant: dict) -> None:
 def load_manifest(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "records" not in doc or not doc["records"]:
-        raise ConfigError("manifest must list at least one record")
+    if not isinstance(doc, dict):
+        raise ConfigError("manifest must be a JSON object")
+    records = doc.get("records")
+    if not isinstance(records, list) or not records \
+            or not all(isinstance(p, str) for p in records):
+        raise ConfigError("manifest 'records' must be a non-empty list of "
+                          "record paths")
     if not isinstance(doc.get("plant"), dict) or "name" not in doc["plant"]:
         raise ConfigError("manifest has no 'plant' section naming the plant")
     base = os.path.dirname(path)
     doc["records"] = [
         p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))
-        for p in map(str, doc["records"])]
+        for p in records]
     return doc

@@ -7,7 +7,7 @@ from gppi.checks import fd_tail_gradient
 from gppi.control import (DAMPING_LADDER, EXPANSION_MAX, EXPANSION_SCALES,
                           LOG_PHI_FLOOR, BeliefTrajectory, ControlSequence,
                           CostSpec, DesirabilityTrace, _candidate_values,
-                          _with_step_maps, backward_desirability,
+                          _with_control_jac, backward_desirability,
                           control_update, desirability_gradient,
                           forward_rollout, inner_optimize, log_phi_step,
                           mpc_learning_loop, terminal_log_desirability)
@@ -901,7 +901,7 @@ def _derivative_pass(model, x0, controls, plant, cost):
 def _row_pass(traj, trace, c, plant, dt):
     """Row c of a batched value pass as a derivative pass, ready for
     `desirability_gradient`, as `inner_optimize` forms it."""
-    return _with_step_maps(traj.row(c), plant, dt), trace.row(c)
+    return _with_control_jac(traj.row(c), plant, dt), trace.row(c)
 
 
 _RECORD_ARRAYS = ("mu", "sigma", "mu_f", "sigma_f", "cov_x_dx")
@@ -916,8 +916,14 @@ def _assert_same_record(row, one):
         got, want = getattr(row, name), getattr(one, name)
         assert np.array_equal(got[:len(want)], want), name
     assert np.array_equal(row.controls_old.u[:T], one.controls_old.u)
-    assert [p is None for p in row.pullbacks[:T]] \
-        == [p is None for p in one.pullbacks]
+    assert row.model is one.model
+    assert len(one.parts) == T
+    for got, want in zip(row.parts, one.parts):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.keys() == want.keys()
+            for k, a in want.items():
+                assert np.array_equal(got[k], a), k
 
 
 class TestBeliefRecord:
@@ -940,6 +946,9 @@ class TestBeliefRecord:
             for name in _RECORD_ARRAYS:
                 assert not np.shares_memory(getattr(row, name),
                                             getattr(traj, name))
+            for got, kept in zip(row.parts, traj.parts):
+                for k, a in kept.items():
+                    assert not np.shares_memory(got[k], a), k
             try:
                 one = forward_rollout(linear_model, x0, ControlSequence(u[c]),
                                       plant, cost, compute_jac=False)
@@ -969,7 +978,8 @@ class TestBeliefRecord:
         assert traj.ok is None and traj.controls_old is us
         assert traj.mu.shape == (21, 4) and traj.sigma.shape == (21, 4, 4)
         assert traj.mu_f.shape == (20, 4) and traj.cov_x_dx.shape == (20, 4, 4)
-        assert len(traj.pullbacks) == len(traj.step_maps) == 20
+        assert len(traj.parts) == len(traj.control_jac) == 20
+        assert traj.model is cartpole_model
         # each step maps belief t to belief t+1 through its moments
         G = cartpole.control_matrix(traj.mu[:20])
         assert np.array_equal(
@@ -1001,7 +1011,7 @@ class TestAcceptedRowPass:
                                 u_max=cap)
         traj, trace = _derivative_pass(model, x0, u_cur, plant, cost)
         if which == "empty":
-            assert traj.step_maps[0].increment_vjp is None
+            assert all(p is None for p in traj.parts)
         proposal = control_update(trace, traj, plant, cost.lam)
         du = proposal.u - u_cur.u
         for scales, k in ((EXPANSION_SCALES, 3), (DAMPING_LADDER[1:], 2)):

@@ -634,6 +634,17 @@ class TestJitterAndPersistence:
         assert np.allclose(posterior_predict(back, x)[0],
                            posterior_predict(model, x)[0], rtol=1e-13)
 
+    def test_model_above_its_cap_rejected(self, tmp_path, rng):
+        train = TrainingSet(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
+        hyper = KernelHyper.create(0.9, 0.1, [1.0, 2.0])
+        path = tmp_path / "model.json"
+        save_model(GpModel.from_data(train, hyper), path)
+        with pytest.raises(ConfigError, match="more than its max_points 3"):
+            load_model(path, max_points=3)
+        with pytest.raises(ConfigError, match="max_points"):
+            GpModel(train, hyper, max_points=4)
+        assert load_model(path, max_points=5).n_points == 5
+
     def test_malformed_document(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"state_dim": 2}')

@@ -397,6 +397,22 @@ class TestRunCompose:
         code = cli_main(["compose", str(bad), "--target", "0.1"])
         assert code == 2
 
+    @pytest.mark.parametrize("records", ["ctrl.json", [], ["ctrl.json", 1],
+                                         {"a": "ctrl.json"}, None])
+    def test_manifest_records_not_a_list_of_paths(self, tmp_path, records):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"records": records, "P_diag": [2.0],
+                                        "plant": {"name": "linear"}}))
+        with pytest.raises(ConfigError, match="'records'"):
+            run_compose(manifest, [0.4])
+        assert cli_main(["compose", str(manifest), "--target", "0.4"]) == 2
+
+    def test_manifest_not_an_object_rejected(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("3")
+        with pytest.raises(ConfigError, match="JSON object"):
+            run_compose(manifest, [0.4])
+
     def test_manifest_without_plant_rejected(self, tmp_path):
         T = 3
         rec = ControllerRecord("task0", [0.3], CostFields([1.0], 0.5, 0.02, T),
@@ -533,6 +549,17 @@ class TestCli:
         p.write_text("{not json")
         assert cli_main(["learn", str(p)]) == 2
         assert cli_main(["learn", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["learn", "baseline-pi"])
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3"])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, command,
+                                         text):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(p)
+        assert cli_main([command, str(p)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_malformed_shape_exit_2(self, tmp_path):
         cfg = _linear_config(tmp_path)

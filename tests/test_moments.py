@@ -6,8 +6,8 @@ import pytest
 from gppi import moments
 from gppi.errors import NumericalError
 from gppi.gp import GpModel, KernelHyper, TrainingSet, posterior_predict
-from gppi.moments import (GaussianBelief, _log_qbar, moment_match,
-                          predict_increment, step_pullbacks)
+from gppi.moments import (GaussianBelief, _log_qbar, control_jacobians,
+                          moment_match, predict_increment, step_vjp)
 from gppi.oracles import mc_increment_moments
 
 
@@ -51,10 +51,9 @@ def _step_pullback(model, m, S, u, a, B):
     preds = []
     moment_match(model, GaussianBelief(m, S), u, _plant_G, 0.02,
                  prediction_out=preds)
-    maps = step_pullbacks([preds[0].vjp], _plant_G_jac, m[None], u[None],
-                          0.02)
-    assert len(maps) == 1
-    return maps[0].pullback(a, B)
+    jacs = control_jacobians(_plant_G_jac, m[None], u[None], 0.02)
+    assert len(jacs) == 1
+    return step_vjp(model, m, S, preds[0].mu_f, preds[0].parts, jacs[0], a, B)
 
 
 class TestPrediction:
@@ -139,27 +138,29 @@ class TestBeliefPropagation:
         us = rng.uniform(-2, 2, size=(k, 1))
         x0 = np.array([0.1, -0.2, 0.4, 0.3])
 
-        def roll(x0v, maps=None):
+        def roll(x0v, steps=None):
             b = GaussianBelief.observed(x0v)
-            preds, mus = [], []
+            preds, beliefs = [], []
             for i in range(k):
-                mus.append(b.mu)
+                beliefs.append(b)
                 b = moment_match(cartpole_model, b, us[i],
                                  cartpole.control_matrix, 0.02,
                                  prediction_out=preds)
-            if maps is not None:
-                maps += step_pullbacks([p.vjp for p in preds],
-                                       cartpole.control_matrix_jac, mus, us,
-                                       0.02)
+            if steps is not None:
+                jacs = control_jacobians(cartpole.control_matrix_jac,
+                                         [x.mu for x in beliefs], us, 0.02)
+                steps += zip(beliefs, preds, jacs)
             return b
 
-        maps = []
-        roll(x0, maps)
-        assert len(maps) == k
+        steps = []
+        roll(x0, steps)
+        assert len(steps) == k
 
         def pull(chi_mu, chi_sig):
-            for m in reversed(maps):
-                chi_mu, chi_sig = m.pullback(chi_mu, chi_sig)
+            for b, p, jac in reversed(steps):
+                chi_mu, chi_sig = step_vjp(cartpole_model, b.mu, b.sigma,
+                                           p.mu_f, p.parts, jac, chi_mu,
+                                           chi_sig)
             return chi_mu
 
         # row i of d(mu_k, Sigma_k)/dx0 is the chained pullback of output i
@@ -227,21 +228,21 @@ class TestCandidateBatch:
                                       getattr(one, field)[0])
                 assert np.array_equal(getattr(batch, field)[c],
                                       getattr(single, field))
-            weights = (rng.normal(size=4), rng.normal(size=(4, 4)),
-                       rng.normal(size=(4, 4)))
-            for got, want in zip(single.vjp(*weights),
-                                 batch.row(c).vjp(*weights)):
-                assert np.array_equal(got, want)
+            # the pullback reads the parts: equal parts, equal pullbacks
+            row = batch.row(c)
+            assert row.parts.keys() == single.parts.keys()
+            for k, a in single.parts.items():
+                assert np.array_equal(row.parts[k], a), k
 
     def test_empty_model_rows_have_no_pullback(self, rng):
         model = GpModel.empty(3)
         m, S = _random_input(rng, 3)
         single = predict_increment(model, m, S)
         batch = predict_increment(model, np.stack([m, -m]), np.stack([S, S]))
-        assert single.vjp is None and single.ok is None
+        assert single.parts is None and single.ok is None
         for c in range(2):
             row = batch.row(c)
-            assert row.vjp is None
+            assert row.parts is None
             for field in ("mu_f", "sigma_f", "cov_x_dx"):
                 assert np.array_equal(getattr(row, field),
                                       getattr(single, field))
