@@ -173,8 +173,8 @@ class BeliefTrajectory:
     """The record of one rollout, or of a batch of C, stacked over steps.
 
     Entry t of mu and sigma is the belief at step t (entry 0 the observed
-    start state); entry t of mu_f, sigma_f and cov_x_dx holds the increment
-    moments of step t, from belief t to belief t+1.  A batch's ok holds the
+    start state); entry t of mu_f and sigma_f holds the increment moments
+    of step t, from belief t to belief t+1.  A batch's ok holds the
     rows whose propagation has not failed up to each step; a failed row
     keeps its last belief, and its later moments are meaningless.  For the
     adjoint pass, entry t of `parts` is the `IncrementPrediction.parts` of
@@ -187,7 +187,6 @@ class BeliefTrajectory:
     ok: np.ndarray | None               # (C, T+1) for a batch
     mu_f: np.ndarray                    # (T, n) or (C, T, n)
     sigma_f: np.ndarray                 # (T, n, n) or (C, T, n, n)
-    cov_x_dx: np.ndarray                # (T, n, n) or (C, T, n, n)
     controls_old: ControlSequence
     parts: list                         # T
     model: GpModel | None = None
@@ -206,7 +205,6 @@ class BeliefTrajectory:
         return BeliefTrajectory(
             self.mu[c].copy(), self.sigma[c].copy(), None,
             self.mu_f[c].copy(), self.sigma_f[c].copy(),
-            self.cov_x_dx[c].copy(),
             replace(self.controls_old, u=self.controls_old.u[c].copy()),
             [None if p is None else {k: a[c].copy() for k, a in p.items()}
              for p in self.parts], self.model)
@@ -315,8 +313,8 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
     traj = BeliefTrajectory(
         np.empty(lead + (T + 1, n)), np.zeros(lead + (T + 1, n, n)),
         np.ones(lead + (T + 1,), dtype=bool) if lead else None,
-        np.empty(lead + (T, n)), np.empty(lead + (T, n, n)),
-        np.empty(lead + (T, n, n)), controls, [], model)
+        np.empty(lead + (T, n)), np.empty(lead + (T, n, n)), controls, [],
+        model)
     traj.mu[..., 0, :] = belief.mu          # an observed state, sigma 0
     if lead:
         belief = traj.belief(0)
@@ -334,7 +332,6 @@ def forward_rollout(model: GpModel, x0, controls: ControlSequence, plant,
         traj.sigma[..., t + 1, :, :] = belief.sigma
         traj.mu_f[..., t, :] = pred.mu_f
         traj.sigma_f[..., t, :, :] = pred.sigma_f
-        traj.cov_x_dx[..., t, :, :] = pred.cov_x_dx
         traj.parts.append(pred.parts)
         if lead:
             traj.ok[:, t + 1] = belief.ok
@@ -524,7 +521,8 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
     A proposed update u_old + alpha delta_u is accepted only if it does not
     decrease log Psi_0, halving alpha down the ladder otherwise; an accepted
     full step (alpha = 1) is then doubled up to EXPANSION_MAX while the value
-    keeps not decreasing.  The best-Psi_0 iterate is returned.  Exactly one
+    keeps not decreasing.  No accepted value is below the one before it, so
+    the current iterate is the best one and is returned.  Exactly one
     update is attempted per iteration, so tol = inf returns after a single
     update.
 
@@ -547,27 +545,21 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
     u_cur = controls_init
     traj = forward_rollout(model, x0, u_cur, plant, cost, compute_jac=True)
     trace = desirability_gradient(traj, backward_desirability(traj, cost), cost)
-    log_psi0 = float(trace.log_psi[0])
-    initial_log_psi0 = log_psi0
-    # (value at controls, controls, generating trace)
-    best = (log_psi0, u_cur, trace)
-    accepted = [log_psi0]
+    behind = trace                      # the gradient pass that made u_cur
+    accepted = [float(trace.log_psi[0])]    # accepted[-1] is u_cur's value
     scales_taken = []
     searched = []                       # candidate values of every batch
     status = "max-iters"
-    n_done = 0
 
     for it in range(max_iters):
-        n_done += 1
         proposal = control_update(trace, traj, plant, cost.lam)
         du = proposal.u - u_cur.u
         du_norm = float(np.max(np.abs(du))) if du.size else 0.0
-        stepped = False
         chosen = None
         us, vals, *batch = _candidate_values(model, x0, proposal, u_cur, du,
                                              EXPANSION_SCALES, plant, cost)
         searched.append(vals)
-        if vals[0] >= log_psi0:
+        if vals[0] >= accepted[-1]:
             # the raw uncertainty-scaled step is often very conservative when
             # the model is confident; expand while the value keeps improving
             k = 0
@@ -578,22 +570,17 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
             us, vals, *batch = _candidate_values(
                 model, x0, proposal, u_cur, du, DAMPING_LADDER[1:], plant, cost)
             searched.append(vals)
-            hits = np.flatnonzero(vals >= log_psi0)
+            hits = np.flatnonzero(vals >= accepted[-1])
             if hits.size:
                 k = int(hits[0])
                 chosen = (DAMPING_LADDER[1 + k], k)
-        if chosen is not None:
-            scale, k = chosen
-            cand_val = float(vals[k])
-            cand = replace(proposal, u=us[k].copy())
-            if cand_val >= best[0]:
-                best = (cand_val, cand, trace)
-            u_cur, log_psi0, stepped = cand, cand_val, True
-            accepted.append(cand_val)
-            scales_taken.append(scale)
-        if not stepped:
-            status = "no-progress" if log_psi0 <= initial_log_psi0 else "stalled"
+        if chosen is None:
+            status = "no-progress" if accepted[-1] <= accepted[0] else "stalled"
             break
+        scale, k = chosen
+        u_cur, behind = replace(proposal, u=us[k].copy()), trace
+        accepted.append(float(vals[k]))
+        scales_taken.append(scale)
         if du_norm < tol:
             status = "converged"
             break
@@ -609,10 +596,10 @@ def inner_optimize(model: GpModel, x0, controls_init: ControlSequence,
                                         for v in searched))
     if status == "no-progress":
         logger.warning("inner optimization made no progress")
-        return InnerOptResult(controls_init, trace, initial_log_psi0,
-                              accepted, status, n_done, **search)
-    return InnerOptResult(best[1], best[2], best[0], accepted, status, n_done,
-                          **search)
+        return InnerOptResult(controls_init, trace, accepted[0], accepted,
+                              status, it + 1, **search)
+    return InnerOptResult(u_cur, behind, accepted[-1], accepted, status,
+                          it + 1, **search)
 
 
 # ---------------------------------------------------------------------------

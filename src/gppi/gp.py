@@ -14,8 +14,8 @@ scaled copy of one unit-amplitude kernel plus noise, and the marginal
 likelihood of all outputs is evaluated in the eigenbasis of that one kernel,
 with a jitter ladder on its eigenvalues (`tied_log_marginal_likelihood`).
 
-A model is its training set, hyperparameters and insertion order.  Its
-Cholesky factors of the Grams, one per output dimension, are derived on
+A model is its training set, in insertion order, and hyperparameters.
+Its Cholesky factors of the Grams, one per output dimension, are derived on
 first read and cached on the model, and so are the alphas K^-1 y and the
 inverse Grams that prediction derives from them.  A sample added to a model
 that has its factors updates them in O(N^2) per dimension: at `max_points`
@@ -154,7 +154,9 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Increment model: training data, hyperparameters, insertion order.
+    """Increment model: training data and hyperparameters.  The rows of
+    `train` are in insertion order, the oldest first, so they alone record
+    each point's age: a new point is appended, an eviction keeps the order.
 
     `chols`, the lower Cholesky factor of each output dimension's Gram, is
     the only factorization.  `from_data` computes it at once, and
@@ -178,7 +180,6 @@ class GpModel:
     train: TrainingSet
     hyper: KernelHyper
     max_points: int | None = None
-    insertion_order: tuple = ()
 
     def __post_init__(self):
         if self.max_points is not None and self.max_points < 1:
@@ -286,13 +287,9 @@ class GpModel:
 
     @staticmethod
     def from_data(train: TrainingSet, hyper: KernelHyper,
-                  max_points: int | None = None,
-                  insertion_order: tuple | None = None) -> "GpModel":
-        """The model of `train` under `hyper`, factorized now.  The
-        insertion order defaults to the order of the rows."""
-        if insertion_order is None:
-            insertion_order = tuple(range(train.size))
-        model = GpModel(train, hyper, max_points, insertion_order)
+                  max_points: int | None = None) -> "GpModel":
+        """The model of `train` under `hyper`, factorized now."""
+        model = GpModel(train, hyper, max_points)
         model.chols             # factorized now, not on first read
         return model
 
@@ -578,7 +575,7 @@ def passive_increment(x, u_applied, x_next, plant_G, dt: float) -> np.ndarray:
     return np.asarray(x_next, dtype=float) - x - (plant_G(x) @ u) * dt
 
 
-def _rank1_extend(model: GpModel, train: TrainingSet, order: tuple):
+def _rank1_extend(model: GpModel, train: TrainingSet):
     """Extend factored `model` to `train`, its training set plus one last
     point, by one row of each Cholesky factor, a triangular solve per
     dimension.  Returns None when a Schur complement is at most 1e-12 of the
@@ -598,25 +595,25 @@ def _rank1_extend(model: GpModel, train: TrainingSet, order: tuple):
         Ln[n_old, :n_old] = l2
         Ln[n_old, n_old] = np.sqrt(rem)
         chols.append(Ln)
-    return GpModel(train, h, model.max_points, order)._with_chols(chols)
+    return GpModel(train, h, model.max_points)._with_chols(chols)
 
 
-def _evict_index(inputs: np.ndarray, order: tuple, w: np.ndarray) -> int:
-    """Pick the most redundant point: older member of the closest input pair
-    under the model's length scales."""
+def _evict_index(inputs: np.ndarray, w: np.ndarray) -> int:
+    """Pick the most redundant point: the older member of the closest input
+    pair under the model's length scales, which is the earlier row, as rows
+    are in insertion order."""
     d2 = _sq_dist(inputs, w)
     np.fill_diagonal(d2, np.inf)
     i, j = np.unravel_index(np.argmin(d2), d2.shape)
-    return i if order[i] <= order[j] else j
+    return min(i, j)
 
 
 def _without_point(model: GpModel, idx: int) -> GpModel:
-    """`model` without stored point `idx`, in its training set and its
-    insertion order, and without factors."""
+    """`model` without stored point `idx`, the other rows kept in order,
+    and without factors."""
     keep = np.arange(model.n_points) != idx
     train = TrainingSet(model.train.inputs[keep], model.train.outputs[keep])
-    order = model.insertion_order[:idx] + model.insertion_order[idx + 1:]
-    return GpModel(train, model.hyper, model.max_points, order)
+    return GpModel(train, model.hyper, model.max_points)
 
 
 def _delete_point(model: GpModel, idx: int) -> GpModel:
@@ -644,11 +641,12 @@ def incorporate_sample(model: GpModel, x, u_applied, x_next, plant_G,
     """Add one transition sample; returns (new_model, status).
 
     Non-finite transitions are rejected with status 'rejected'.  At
-    `max_points` the older member of the closest pair among the stored
-    inputs and the new one is evicted first (never the new point).  Only a
-    `factored` model has its factors updated, in O(N^2): the eviction by a
-    Cholesky downdate and the new point by a one-row extension, or, when
-    the new point is too close to a stored one for the extension, by
+    `max_points` the older member, the earlier row, of the closest pair
+    among the stored inputs and the new one is evicted first (never the new
+    point), and the new point becomes the last row.  Only a `factored`
+    model has its factors updated, in O(N^2): the eviction by a Cholesky
+    downdate and the new point by a one-row extension, or, when the new
+    point is too close to a stored one for the extension, by
     refactorizing the final training set with the jitter ladder.  A model
     without factors gives one without factors, which derives them on first
     read, so the updates before a refit factorize nothing that the refit
@@ -669,31 +667,27 @@ def incorporate_sample(model: GpModel, x, u_applied, x_next, plant_G,
         return model, "rejected"
 
     factored = model.factored
-    new_label = max(model.insertion_order, default=-1) + 1
     if model.max_points is not None and model.n_points >= model.max_points:
         idx = _evict_index(np.vstack([model.train.inputs, x[None, :]]),
-                           model.insertion_order + (new_label,), model.hyper.w)
+                           model.hyper.w)
         model = (_delete_point if factored else _without_point)(model, idx)
-    order = model.insertion_order + (new_label,)
     train = TrainingSet(np.vstack([model.train.inputs, x[None, :]]),
                         np.vstack([model.train.outputs, d[None, :]]))
     if not factored:
-        return GpModel(train, model.hyper, model.max_points, order), "ok"
-    extended = _rank1_extend(model, train, order)
+        return GpModel(train, model.hyper, model.max_points), "ok"
+    extended = _rank1_extend(model, train)
     if extended is None:
-        extended = GpModel.from_data(train, model.hyper, model.max_points,
-                                     order)
+        extended = GpModel.from_data(train, model.hyper, model.max_points)
     return extended, "ok"
 
 
 def refit(model: GpModel, rng=None, **kwargs) -> GpModel:
     """Refit hyperparameters on the current data, warm-started, and
-    factorize at the fitted ones.  Reads only the model's training set,
-    hyperparameters and insertion order, never its factors."""
+    factorize at the fitted ones.  Reads only the model's training set and
+    hyperparameters, never its factors."""
     hyper, _ = fit_hyperparameters(model.train, rng=rng, init=model.hyper,
                                    **kwargs)
-    return GpModel.from_data(model.train, hyper, model.max_points,
-                             model.insertion_order)
+    return GpModel.from_data(model.train, hyper, model.max_points)
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +722,8 @@ def posterior_predict(model: GpModel, x):
 
 def save_model(model: GpModel, path) -> None:
     """Write `model` as JSON, with one `hyper` entry per output dimension;
-    every entry repeats the model's one log_w."""
+    every entry repeats the model's one log_w.  The rows keep their order,
+    so a reloaded model evicts what `model` would."""
     h = model.hyper
     doc = {
         "state_dim": model.state_dim,

@@ -78,8 +78,8 @@ def fill_defaults(config: dict) -> dict:
     The plant name may be any alias `make_plant` accepts; it resolves through
     the plant registry to the canonical name whose protocol supplies
     `init_rollouts` and `horizon_steps` when the config leaves them unset.
-    An unknown plant name, or a config that is not an object, raises
-    ConfigError.
+    An unknown plant name, a config that is not an object, or an
+    `output_dir` that is not a string raises ConfigError.
     """
     if config is not None and not isinstance(config, dict):
         raise ConfigError("config must be a JSON object, got "
@@ -94,6 +94,9 @@ def fill_defaults(config: dict) -> dict:
             out[section] = _merge_section(section, out[section], value)
         else:
             out[section] = value
+    if not isinstance(out["output_dir"], str):
+        raise ConfigError("output_dir must be a string path, got "
+                          f"{type(out['output_dir']).__name__}")
     proto = PLANT_PROTOCOLS[canonical_plant_name(out["plant"]["name"])]
     if out["protocol"]["init_rollouts"] is None:
         out["protocol"]["init_rollouts"] = proto["init_rollouts"]

@@ -579,11 +579,14 @@ def make_plant(name: str, *, dt: float = DT, substeps: int = SUBSTEPS,
 
     The articulated plants accept only their own parameter names, and check
     the physical values (see `_physical_params`); the linear plant takes A,
-    Bc and optionally B and sigma_omega.  Raises ConfigError otherwise, and
-    unless `noise_std` is finite and non-negative (`PlantSpec` checks `dt`
-    and `substeps`).
+    Bc and optionally B and sigma_omega.  Raises ConfigError otherwise, for
+    `params` that are neither a dict nor None, and unless `noise_std` is
+    finite and non-negative (`PlantSpec` checks `dt` and `substeps`).
     """
     key = canonical_plant_name(name)
+    if params is not None and not isinstance(params, dict):
+        raise ConfigError("plant params must be an object of parameter "
+                          f"values, got {type(params).__name__}")
     _require_number("plant noise_std", noise_std, may_be_zero=True)
     if key in _ARTICULATED:
         cls, n, m, rows, defaults, _ = _ARTICULATED[key]

@@ -99,10 +99,13 @@ def save_record(record: ControllerRecord, path) -> None:
 def load_record(path) -> ControllerRecord:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"controller record {path} must be a JSON object")
     if not isinstance(doc.get("plant"), dict) or "name" not in doc["plant"]:
         raise ConfigError(f"controller record {path} has no 'plant' section "
                           "naming the plant it was learned on")
-    if "terminal_scale" not in (doc.get("cost") or {}):
+    if not isinstance(doc.get("cost"), dict) \
+            or "terminal_scale" not in doc["cost"]:
         raise ConfigError(f"controller record {path} has no "
                           "'cost.terminal_scale'")
     try:

@@ -245,7 +245,7 @@ class TestStackedBackwardPass:
         # mus (T+1, ...) step first; the record keeps a batch's rows first
         if ok is not None:
             mus, sigmas, ok = mus.swapaxes(0, 1), sigmas.swapaxes(0, 1), ok.T
-        return BeliefTrajectory(mus, sigmas, ok, None, None, None, None, [])
+        return BeliefTrajectory(mus, sigmas, ok, None, None, None, [])
 
     def _batch(self, rng):
         T, C = self.COST.horizon_steps, 5
@@ -376,8 +376,7 @@ class TestControlUpdate:
         T = old.horizon
         return BeliefTrajectory(np.zeros((T + 1, 1)), np.zeros((T + 1, 1, 1)),
                                 None, np.zeros((T, 1)),
-                                np.full((T, 1, 1), sigma_f),
-                                np.zeros((T, 1, 1)), old, [])
+                                np.full((T, 1, 1), sigma_f), old, [])
 
     def test_zero_gradient_returns_old_controls(self, rng):
         plant = make_plant("linear", params=dict(A=[[0.0]], Bc=[[1.0]]))
@@ -507,8 +506,7 @@ class TestControlUpdateStacked:
                              u_min=[-0.5] * plant.spec.m,
                              u_max=[0.5] * plant.spec.m)
         traj = BeliefTrajectory(mu, np.zeros((T + 1, n, n)), None,
-                                np.zeros((T, n)), sf, np.zeros((T, n, n)), us,
-                                [])
+                                np.zeros((T, n)), sf, us, [])
         new = _assert_update_matches_per_step(trace, traj, plant, 0.7)
         assert np.all(np.isnan(new.R[4]))
         assert all(np.all(np.isfinite(r)) for t, r in enumerate(new.R)
@@ -542,6 +540,38 @@ class TestInnerOptimize:
                               max_iters=1, tol=np.inf)
         assert res.log_psi0 >= base.accepted_log_psi[0]
         assert res.log_psi0 > res.accepted_log_psi[0]
+
+    @pytest.mark.parametrize("case,status", [
+        ("single-update", "converged"), ("shared-scales", "max-iters"),
+        ("all-clamped", "converged"), ("edge", "max-iters"),
+        ("edge-stalls", "stalled"), ("edge-no-progress", "no-progress")])
+    def test_returns_the_value_of_its_controls(self, case, status, cartpole,
+                                               cartpole_model, swing_cost,
+                                               rng):
+        # the cases of the line-search tests; _EdgePlant started close to
+        # its edge stalls after one step, or fails at every scale
+        if case.startswith("edge"):
+            x0 = {"edge": 0.0, "edge-stalls": 0.499,
+                  "edge-no-progress": 0.4999}[case]
+            args = (GpModel.empty(1), [x0], ControlSequence(np.zeros((10, 1))),
+                    CostSpec([[1.0]], [2.0], 1.0, 0.02, 10), _EdgePlant())
+            res = inner_optimize(*args, max_iters=3, tol=1e-6)
+        else:
+            lo, hi, u = ((2.0, 2.0, np.full((20, 1), 2.0))
+                         if case == "all-clamped"
+                         else (-10.0, 10.0, rng.uniform(-1, 1, (20, 1))))
+            us = ControlSequence(u, u_min=np.full(1, lo), u_max=np.full(1, hi))
+            args = (cartpole_model, np.zeros(4), us, swing_cost, cartpole)
+            res = inner_optimize(*args, max_iters=4,
+                                 tol=np.inf if case == "single-update"
+                                 else 1e-6)
+        assert res.status == status
+        assert res.log_psi0 == res.accepted_log_psi[-1] \
+            == max(res.accepted_log_psi)
+        model, x0, _, cost, plant = args
+        traj = forward_rollout(model, x0, res.controls, plant, cost,
+                               compute_jac=False)
+        assert backward_desirability(traj, cost).log_psi[0] == res.log_psi0
 
     def test_max_iters_validated(self, cartpole, cartpole_model, swing_cost):
         with pytest.raises(ConfigError):
@@ -904,7 +934,7 @@ def _row_pass(traj, trace, c, plant, dt):
     return _with_control_jac(traj.row(c), plant, dt), trace.row(c)
 
 
-_RECORD_ARRAYS = ("mu", "sigma", "mu_f", "sigma_f", "cov_x_dx")
+_RECORD_ARRAYS = ("mu", "sigma", "mu_f", "sigma_f")
 
 
 def _assert_same_record(row, one):
@@ -977,7 +1007,7 @@ class TestBeliefRecord:
                                swing_cost)
         assert traj.ok is None and traj.controls_old is us
         assert traj.mu.shape == (21, 4) and traj.sigma.shape == (21, 4, 4)
-        assert traj.mu_f.shape == (20, 4) and traj.cov_x_dx.shape == (20, 4, 4)
+        assert traj.mu_f.shape == (20, 4) and traj.sigma_f.shape == (20, 4, 4)
         assert len(traj.parts) == len(traj.control_jac) == 20
         assert traj.model is cartpole_model
         # each step maps belief t to belief t+1 through its moments

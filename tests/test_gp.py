@@ -326,8 +326,7 @@ class TestIncorporate:
 def _factored(model):
     """`model` with its factors computed, so that samples added to it take
     the incremental updates."""
-    return GpModel.from_data(model.train, model.hyper, model.max_points,
-                             model.insertion_order)
+    return GpModel.from_data(model.train, model.hyper, model.max_points)
 
 
 def _zero_G(n):
@@ -342,15 +341,15 @@ def _add(model, x, d):
 
 
 def _expected_eviction(model, x):
-    """Stored index of the older member of the closest pair among the stored
-    inputs and x, by explicit differences under the model's W."""
+    """Stored index of the older member, the earlier row, of the closest
+    pair among the stored inputs and x, by explicit differences under the
+    model's W."""
     X = np.vstack([model.train.inputs, x])
     d2 = np.einsum("ijk,k->ij", (X[:, None, :] - X[None, :, :]) ** 2,
                    model.hyper.w)
     np.fill_diagonal(d2, np.inf)
     i, j = np.unravel_index(np.argmin(d2), d2.shape)
-    order = model.insertion_order + (np.inf,)
-    return min((i, j), key=lambda k: order[k])
+    return min(i, j)
 
 
 # the per-model constants of moment matching, cached on first read
@@ -425,8 +424,6 @@ class TestDowndate:
         assert status == "ok"
         assert np.array_equal(new.train.inputs,
                               np.vstack([np.delete(X, p, axis=0), x_new]))
-        assert new.insertion_order == \
-            model.insertion_order[:p] + model.insertion_order[p + 1:] + (N,)
         assert len(factor_updates["_delete_point"]) == 1
         assert len(factor_updates["_rank1_extend"]) == N + 1
         assert factor_updates["_rank1_extend"][-1] is new
@@ -448,7 +445,6 @@ class TestDowndate:
         assert factor_updates["_rank1_extend"] == [None]
         final = np.array([[0.0], [1.0 + 3e-7], [2.5], [2.5 + 5e-7]])
         assert np.array_equal(new.train.inputs, final)
-        assert new.insertion_order == (0, 2, 3, 4)
         ref = GpModel.from_data(new.train, h)
         assert np.array_equal(new.chols[0], ref.chols[0])
 
@@ -460,7 +456,7 @@ class TestDowndate:
         assert status == "ok" and new.n_points == 3
         assert factor_updates == {"_rank1_extend": [None],
                                   "_delete_point": []}
-        assert new.insertion_order == (0, 1, 2)
+        assert np.array_equal(new.train.inputs, [[0.0], [1.0], [1.0 + 1e-8]])
         assert np.array_equal(new.chols[0],
                               GpModel.from_data(new.train, h).chols[0])
 
@@ -508,7 +504,7 @@ class TestDowndate:
         assert np.array_equal(new.inv_grams_flat, new.inv_grams.reshape(n, -1))
         assert np.shares_memory(new.inv_grams_flat, new.inv_grams)
         assert np.array_equal(new.inv_grams_flat_t, new.inv_grams_flat.T)
-        copy = dataclasses.replace(new, insertion_order=new.insertion_order)
+        copy = dataclasses.replace(new)
         for name in ("chols", "alphas", "inv_grams") + _MOMENT_CONSTANTS:
             assert name not in copy.__dict__, name
 
@@ -543,7 +539,6 @@ class TestLazyFactors:
             assert status == "ok" and eager.factored
             assert np.array_equal(lazy.train.inputs, eager.train.inputs)
             assert np.array_equal(lazy.train.outputs, eager.train.outputs)
-            assert lazy.insertion_order == eager.insertion_order
         evicted = len(xs) - lazy.n_points
         assert evicted == (0 if case == "below_max" else 1)
         # only the factored chain reached the incremental updates
@@ -633,6 +628,30 @@ class TestJitterAndPersistence:
         x = rng.normal(size=2)
         assert np.allclose(posterior_predict(back, x)[0],
                            posterior_predict(model, x)[0], rtol=1e-13)
+
+    def test_reloaded_model_evicts_what_the_saved_one_would(self, tmp_path,
+                                                            rng):
+        # a saved model keeps no order but its rows', so a reload at the
+        # same cap evicts the same points as the model it came from
+        n, N = 3, 8
+        model = _factored(GpModel.empty(n, _hyper(n, rng), max_points=N))
+        for _ in range(N + 6):
+            x = rng.normal(size=n)
+            model, _ = _add(model, x, np.sin(x))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path, max_points=N)
+        # next to stored row 2, next to the newest row, then anywhere
+        for p in (2, N - 1, None):
+            X = model.train.inputs
+            x = rng.normal(size=n) if p is None else X[p] + 1e-3
+            model, _ = _add(model, x, np.cos(x))
+            loaded, _ = _add(loaded, x, np.cos(x))
+            if p is not None:
+                assert np.array_equal(model.train.inputs,
+                                      np.vstack([np.delete(X, p, axis=0), x]))
+            assert np.array_equal(model.train.inputs, loaded.train.inputs)
+            assert np.array_equal(model.train.outputs, loaded.train.outputs)
 
     def test_model_above_its_cap_rejected(self, tmp_path, rng):
         train = TrainingSet(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))

@@ -279,6 +279,21 @@ def test_malformed_protocol_setting_is_config_error(tmp_path, key, value):
     assert not Path(cfg["output_dir"]).exists()
 
 
+@pytest.mark.parametrize("name,params", [
+    ("linear", ["A"]), ("linear", 3), ("cartpole", ["cart_mass"])])
+def test_plant_params_not_an_object_is_config_error(tmp_path, name, params):
+    cfg = _linear_config(tmp_path)
+    cfg["plant"] = {"name": name, "params": params}
+    for runner, command in ((run_learn, "learn"),
+                            (run_baseline, "baseline-pi")):
+        with pytest.raises(ConfigError, match="params"):
+            runner(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli_main([command, str(p)]) == 2
+    assert not Path(cfg["output_dir"]).exists()
+
+
 class TestRunCompose:
     def _make_library(self, tmp_path, targets=(0.3, 0.6)):
         paths = []
@@ -509,6 +524,29 @@ class TestRunCompose:
         with pytest.raises(ConfigError, match="no 'plant' section"):
             run_compose(manifest, [0.4])
 
+    @pytest.mark.parametrize("case", ["record", "cost"])
+    def test_record_not_an_object_rejected(self, tmp_path, case):
+        path = tmp_path / "task0.json"
+        if case == "record":
+            path.write_text("[1]")
+        else:
+            T = 3
+            save_record(ControllerRecord(
+                "task0", [0.3], CostFields([1.0], 0.5, 0.02, T),
+                np.zeros((T, 1)), np.zeros(T + 1), np.zeros((T + 1, 1)),
+                plant={"name": "linear"}), path)
+            doc = json.loads(path.read_text())
+            doc["cost"] = 3
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match={"record": "JSON object",
+                                               "cost": "cost"}[case]):
+            load_record(path)
+        manifest = tmp_path / "manifest.json"
+        save_manifest(manifest, [path], [2.0],
+                      {"name": "linear",
+                       "params": {"A": [[-0.4]], "Bc": [[1.0]]}})
+        assert cli_main(["compose", str(manifest), "--target", "0.4"]) == 2
+
     def test_misaligned_records_error(self, tmp_path):
         paths = []
         for k, lam in enumerate((0.5, 0.7)):
@@ -560,6 +598,17 @@ class TestCli:
             load_config(p)
         assert cli_main([command, str(p)]) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_output_dir_not_a_string_exit_2(self, tmp_path, capsys):
+        cfg = _linear_config(tmp_path)
+        cfg["output_dir"] = 3
+        with pytest.raises(ConfigError, match="output_dir"):
+            fill_defaults(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        for command in ("learn", "baseline-pi"):
+            assert cli_main([command, str(p)]) == 2
+            assert "output_dir must be a string" in capsys.readouterr().err
 
     def test_malformed_shape_exit_2(self, tmp_path):
         cfg = _linear_config(tmp_path)
