@@ -14,19 +14,21 @@ inside the tolerance the invariant suite demands, so RK4 is used for the
 drift while the noise handling stays Euler-Maruyama.
 
 There is one integrator, `Plant.step_batch`, which steps a batch of states
-(S, n) under one control; `Plant.step` is a batch of one.  The sampling
-baseline steps its whole sample batch through it.  Each RK4 stage of a
-batch evaluates G once for all S rows and f once per row; a batch of one
-evaluates G on the bare state, where stacking costs more set-up than it
-saves.  Either way every row is bit-identical to stepping it alone.
+(S, n) under one control (m,) or one control per row (S, m); `Plant.step`
+is a batch of one.  The sampling baseline steps its whole sample batch
+through it.  Each RK4 stage evaluates the controlled rate f(x) + G(x) u
+with one `drift(x, u)` call per row, so the inertia of the articulated
+plants is built and inverted once per row and stage, for f and G
+together.  The linear plant takes the whole batch in one product instead.
+Either way every row is bit-identical to stepping it alone.
 
 The articulated plants never call LAPACK on their mass matrix.  Each
 returns the upper triangle of its 2 x 2 or 3 x 3 inertia, and
 `_sym_inverse` inverts it in closed form, adjugate over determinant, with
 nothing but ``+ - * /``.  So the same formula serves `drift`, which takes
-one state as Python floats with `math` trigonometry (one call per row, at
-a fraction of a small `np.linalg.solve`), and `control_matrix`, which
-broadcasts it over any leading batch shape.  A singular or non-finite
+one state and control as Python floats with `math` trigonometry (one call
+per row, at a fraction of a small `np.linalg.solve`), and `control_matrix`,
+which broadcasts it over any leading batch shape.  A singular or non-finite
 inertia raises `NumericalError`.
 
 Each articulated plant is one row of the table `_ARTICULATED`, from which
@@ -92,7 +94,10 @@ class Plant:
         self._noise_chol = _psd_sqrt(spec.sigma_omega)
 
     # --- dynamics interface -------------------------------------------------
-    def drift(self, x: np.ndarray) -> np.ndarray:
+    def drift(self, x, u):
+        """The controlled rate f(x) + G(x) u of one state `x` (n,) under one
+        control `u` (m,), as a sequence of n floats.  The articulated plants
+        read both as sequences of floats, as `tolist` gives them."""
         raise NotImplementedError
 
     def control_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -107,11 +112,9 @@ class Plant:
         raise NotImplementedError(f"{self.spec.name} has no energy function")
 
     # --- integration --------------------------------------------------------
-    def _controlled_rate(self, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if len(xs) == 1:
-            # a stacked G costs more set-up than it saves on one row
-            return (self.drift(xs[0]) + self.control_matrix(xs[0]) @ u)[None]
-        return np.array([self.drift(x) for x in xs]) + self.control_matrix(xs) @ u
+    def _controlled_rate(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """The rates of states `xs` (S, n) under controls `us` (S, m)."""
+        return np.array([self.drift(x, u) for x, u in zip(xs.tolist(), us.tolist())])
 
     def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
         """One control step of one state, a batch of one for `step_batch`;
@@ -120,7 +123,8 @@ class Plant:
         return xs[0]
 
     def step_batch(self, xs, u, rng: np.random.Generator | None = None):
-        """One control step of every state of a batch `xs` (S, n) under `u`.
+        """One control step of every state of a batch `xs` (S, n) under `u`,
+        one control (m,) for every row or one per row (S, m).
 
         Returns the next states (S, n) and the Brownian increments summed
         over the sub-steps (S, p), zero without `rng`.  Each sub-step draws
@@ -131,21 +135,23 @@ class Plant:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(u)):
             raise NumericalError("non-finite state or control in plant step")
-        if u.shape[0] != self.spec.m:
-            raise ConfigError(
-                f"control dimension {u.shape[0]} != plant m={self.spec.m}")
+        S, m = xs.shape[0], self.spec.m
+        if u.shape not in ((m,), (S, m)):
+            raise ConfigError(f"control shape {u.shape} is neither (m,) nor "
+                              f"(S, m) for plant m={m} and S={S} states")
+        us = np.broadcast_to(u, (S, m))
         h = self.spec.dt / self.spec.substeps
         sq = np.sqrt(h)
         B = self.spec.B
-        dw_sum = np.zeros((xs.shape[0], B.shape[1]))
+        dw_sum = np.zeros((S, B.shape[1]))
         for _ in range(self.spec.substeps):
-            xs = _rk4(self._controlled_rate, xs, u, h)
+            xs = _rk4(self._controlled_rate, xs, us, h)
             if rng is not None:
                 dw = sq * (rng.standard_normal(dw_sum.shape) @ self._noise_chol.T)
                 xs = xs + dw @ B.T
                 dw_sum += dw
             # `not <=` so that a NaN row, which compares False, fails too
-            if not np.all(np.linalg.norm(xs, axis=1) <= DIVERGENCE_NORM):
+            if not (np.einsum("ij,ij->i", xs, xs) <= DIVERGENCE_NORM ** 2).all():
                 raise NumericalError("plant state diverged", step=None)
         return xs, dw_sum
 
@@ -248,8 +254,14 @@ class LinearPlant(Plant):
         if self.Bc.shape != (spec.n, spec.m):
             raise ConfigError("Bc must be n x m")
 
-    def drift(self, x):
-        return self.A @ np.asarray(x, dtype=float)
+    def drift(self, x, u):
+        return self.A @ np.asarray(x, dtype=float) + self.Bc @ np.asarray(u, dtype=float)
+
+    def _controlled_rate(self, xs, us):
+        # einsum, not `@`: BLAS takes one row through GEMV and a batch
+        # through GEMM, which sum in different orders, so a row of a batch
+        # would not be bit-identical to the state stepped alone
+        return np.einsum("ij,kj->ik", xs, self.A) + np.einsum("ij,kj->ik", us, self.Bc)
 
     def control_matrix(self, x):
         return np.broadcast_to(self.Bc, np.shape(x)[:-1] + self.Bc.shape)
@@ -280,13 +292,15 @@ class CartPole(Plant):
         return ((self.M + self.m, 0.5 * self.m * self.L * c),
                 (self.m * self.L ** 2 / 3.0,))
 
-    def drift(self, x):
-        _, xd, th, thd = np.asarray(x, dtype=float).tolist()
+    def drift(self, x, u):
+        _, xd, th, thd = x
+        (u0,) = u
         s, c = _sin_cos(th)
         (a, b), (_, d) = _sym_inverse(self._inertia(c))
         r0 = -self.b * xd + 0.5 * self.m * self.L * thd * thd * s
         r1 = -0.5 * self.m * self.g * self.L * s
-        return np.array([xd, a * r0 + b * r1, thd, b * r0 + d * r1])
+        # G u is the force u0 times the inverse's first column (a, b)
+        return [xd, a * r0 + b * r1 + a * u0, thd, b * r0 + d * r1 + b * u0]
 
     def control_matrix(self, x):
         x = np.asarray(x, dtype=float)
@@ -351,8 +365,9 @@ class DoublePendulumCart(Plant):
                 ((m1 / 3.0 + m2) * l1 ** 2, 0.5 * m2 * l1 * l2 * c12),
                 (m2 * l2 ** 2 / 3.0,))
 
-    def drift(self, x):
-        _, xd, th1, th1d, th2, th2d = np.asarray(x, dtype=float).tolist()
+    def drift(self, x, u):
+        _, xd, th1, th1d, th2, th2d = x
+        (u0,) = u
         m1, m2, l1, l2, g = self.m1, self.m2, self.l1, self.l2, self.g
         s1, c1 = _sin_cos(th1)
         s2, c2 = _sin_cos(th2)
@@ -362,9 +377,10 @@ class DoublePendulumCart(Plant):
             + 0.5 * m2 * l2 * s2 * th2d * th2d
         r1 = -0.5 * m2 * l1 * l2 * s12 * th2d * th2d - (0.5 * m1 + m2) * g * l1 * s1
         r2 = 0.5 * m2 * l1 * l2 * s12 * th1d * th1d - 0.5 * m2 * g * l2 * s2
-        return np.array([xd, a * r0 + b * r1 + c * r2,
-                         th1d, b * r0 + d * r1 + e * r2,
-                         th2d, c * r0 + e * r1 + f * r2])
+        # G u is the force u0 times the inverse's first column (a, b, c)
+        return [xd, a * r0 + b * r1 + c * r2 + a * u0,
+                th1d, b * r0 + d * r1 + e * r2 + b * u0,
+                th2d, c * r0 + e * r1 + f * r2 + c * u0]
 
     def control_matrix(self, x):
         x = np.asarray(x, dtype=float)
@@ -448,15 +464,18 @@ class TwoLinkArm(Plant):
                  m2 * (lc2 ** 2 + l1 * lc2 * c2) + self.I2),
                 (m2 * lc2 ** 2 + self.I2,))
 
-    def drift(self, x):
-        _, th2, w1, w2 = np.asarray(x, dtype=float).tolist()
+    def drift(self, x, u):
+        _, th2, w1, w2 = x
+        u0, u1 = u
         s2, c2 = _sin_cos(th2)
         (a, b), (_, d) = _sym_inverse(self._inertia(c2))
         h = self.m2 * self.l1 * self.lc2 * s2
         # minus the Coriolis bias, minus the joint friction
         r0 = h * w2 * (2 * w1 + w2) - self.b * w1
         r1 = -h * w1 * w1 - self.b * w2
-        return np.array([w1, w2, a * r0 + b * r1, b * r0 + d * r1])
+        # G u is the inverse times the two torques
+        return [w1, w2, a * r0 + b * r1 + (a * u0 + b * u1),
+                b * r0 + d * r1 + (b * u0 + d * u1)]
 
     def control_matrix(self, x):
         x = np.asarray(x, dtype=float)
@@ -572,6 +591,20 @@ def _physical_params(defaults: dict, params: dict | None) -> dict:
     return p
 
 
+def _finite_array(key: str, value) -> np.ndarray:
+    """`value` as a float array.  Raises ConfigError, naming the linear plant
+    parameter `key`, unless it is a number or a regular nest of lists of
+    numbers (no bools or strings), all of them finite."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:      # a ragged nest of lists
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"linear plant parameter '{key}' must be an array of "
+                          f"finite numbers, got {value!r}")
+    return arr.astype(float)
+
+
 def make_plant(name: str, *, dt: float = DT, substeps: int = SUBSTEPS,
                params: dict | None = None,
                noise_std: float = NOISE_STD) -> Plant:
@@ -579,7 +612,8 @@ def make_plant(name: str, *, dt: float = DT, substeps: int = SUBSTEPS,
 
     The articulated plants accept only their own parameter names, and check
     the physical values (see `_physical_params`); the linear plant takes A,
-    Bc and optionally B and sigma_omega.  Raises ConfigError otherwise, for
+    Bc and optionally B and sigma_omega, each an array of finite numbers
+    (see `_finite_array`).  Raises ConfigError otherwise, for
     `params` that are neither a dict nor None, and unless `noise_std` is
     finite and non-negative (`PlantSpec` checks `dt` and `substeps`).
     """
@@ -599,12 +633,12 @@ def make_plant(name: str, *, dt: float = DT, substeps: int = SUBSTEPS,
     unknown = sorted(set(p) - {"A", "Bc", "B", "sigma_omega"})
     if unknown:
         raise ConfigError(f"unknown linear plant parameters {unknown}")
-    a = np.atleast_2d(np.asarray(p["A"], dtype=float))
-    bc = np.atleast_2d(np.asarray(p["Bc"], dtype=float))
+    a = np.atleast_2d(_finite_array("A", p["A"]))
+    bc = np.atleast_2d(_finite_array("Bc", p["Bc"]))
     n, m = a.shape[0], bc.shape[1]
     if a.shape != (n, n):
         raise ConfigError(f"linear plant A must be square, got shape {a.shape}")
-    bdiff = np.asarray(p.get("B", np.eye(n)), dtype=float)
-    bdiff = np.atleast_2d(bdiff)
-    sw = p.get("sigma_omega", noise_std ** 2 * np.eye(bdiff.shape[1]))
+    bdiff = np.atleast_2d(_finite_array("B", p.get("B", np.eye(n))))
+    sw = _finite_array("sigma_omega", p.get(
+        "sigma_omega", noise_std ** 2 * np.eye(bdiff.shape[1])))
     return LinearPlant(PlantSpec(key, n, m, p, bdiff, sw, dt, substeps))

@@ -617,6 +617,15 @@ class TestCli:
         p.write_text(json.dumps(cfg))
         assert cli_main(["learn", str(p)]) == 2
 
+    @pytest.mark.parametrize("key", ["A", "Bc", "B", "sigma_omega"])
+    def test_non_numeric_linear_parameter_exit_2(self, tmp_path, capsys, key):
+        cfg = _linear_config(tmp_path)
+        cfg["plant"]["params"][key] = [["x"]]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli_main(["learn", str(p)]) == 2
+        assert f"parameter '{key}'" in capsys.readouterr().err
+
     def test_check_exit_codes(self, monkeypatch, capsys):
         passing = (0, lambda rng: (True, "fine"))
         failing = (0, lambda rng: (False, "off"))

@@ -3,24 +3,25 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gppi import plants
 from gppi.errors import ConfigError, NumericalError
 from gppi.plants import CartPole, DoublePendulumCart, TwoLinkArm, make_plant
 
 
 def test_cartpole_equilibrium_down():
     cp = make_plant("cartpole")
-    assert np.allclose(cp.drift(np.zeros(4)), 0.0)
+    assert np.allclose(cp.drift(np.zeros(4), np.zeros(1)), 0.0)
 
 
 def test_dpc_equilibrium_down():
     dpc = make_plant("dpc")
-    assert np.allclose(dpc.drift(np.zeros(6)), 0.0)
+    assert np.allclose(dpc.drift(np.zeros(6), np.zeros(1)), 0.0)
 
 
 def test_arm_rest_is_fixed_point():
     arm = make_plant("arm")
     x = np.array([0.7, -0.4, 0.0, 0.0])
-    assert np.allclose(arm.drift(x), 0.0)
+    assert np.allclose(arm.drift(x, np.zeros(2)), 0.0)
 
 
 @pytest.mark.parametrize("name,x0", [
@@ -181,15 +182,67 @@ def _any_plant(name):
 @pytest.mark.parametrize("n_rows", [1, 25])
 def test_batched_rate_and_step_rows_equal_single_rows(name, n_rows):
     plant = _any_plant(name)
+    m = plant.spec.m
     rng = np.random.default_rng(n_rows)
     xs = rng.normal(size=(n_rows, plant.spec.n))
-    u = rng.normal(size=plant.spec.m)
-    rate = plant._controlled_rate(xs, u)
-    single = np.array([plant.drift(x) + plant.control_matrix(x) @ u
-                       for x in xs])
-    assert np.array_equal(rate, single)
+    us = rng.normal(size=(n_rows, m))
+    rate = plant._controlled_rate(xs, us)
+    split = np.array([np.add(plant.drift(x, np.zeros(m)), plant.control_matrix(x) @ u)
+                      for x, u in zip(xs, us)])
+    if name in ("cartpole", "dpc"):
+        # G u is one product per row, which the fused rate adds in its order
+        assert np.array_equal(rate, split)
+    else:
+        # a GEMV sums A x or G u in another order than the fused rate may
+        np.testing.assert_allclose(rate, split, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(rate, [plant.drift(x, u) for x, u in zip(xs, us)],
+                               rtol=1e-14, atol=0.0)
+    u = us[0]
     batch, _ = plant.step_batch(xs, u, None)
     assert np.array_equal(batch, [plant.step(x, u, None) for x in xs])
+
+
+@pytest.mark.parametrize("name", ["cartpole", "dpc", "arm", "linear"])
+def test_step_batch_takes_one_control_per_row(name):
+    plant = _any_plant(name)
+    rng = np.random.default_rng(12)
+    xs = rng.normal(size=(7, plant.spec.n))
+    us = rng.normal(size=(7, plant.spec.m))
+    batch, _ = plant.step_batch(xs, us, None)
+    assert np.array_equal(batch, [plant.step(x, u, None) for x, u in zip(xs, us)])
+    # one control for every row is that control repeated
+    repeated, _ = plant.step_batch(xs, np.tile(us[0], (7, 1)), None)
+    assert np.array_equal(repeated, plant.step_batch(xs, us[0], None)[0])
+
+
+@pytest.mark.parametrize("shape", [(2,), (6, 1), (7, 2), (1, 7, 1)])
+def test_step_batch_rejects_control_shape(cartpole, shape):
+    with pytest.raises(ConfigError, match="control shape"):
+        cartpole.step_batch(np.zeros((7, 4)), np.zeros(shape), None)
+
+
+def test_one_inertia_inverse_per_row_and_rk4_stage(monkeypatch):
+    counts = {"inverse": 0}
+
+    def counted(*args, **kwargs):
+        counts["inverse"] += 1
+        return inverse(*args, **kwargs)
+
+    def forbidden(self, x):
+        raise AssertionError("the integrator evaluated G apart from the drift")
+
+    inverse = plants._sym_inverse
+    monkeypatch.setattr(plants, "_sym_inverse", counted)
+    monkeypatch.setattr(CartPole, "control_matrix", forbidden)
+    monkeypatch.setattr(DoublePendulumCart, "control_matrix", forbidden)
+    dpc = make_plant("dpc", substeps=10)
+    dpc.step(np.full(6, 0.3), np.array([0.5]), None)
+    assert counts["inverse"] == 4 * 10
+    counts["inverse"] = 0
+    cartpole = make_plant("cartpole", substeps=10)
+    xs = np.random.default_rng(3).normal(size=(25, 4))
+    cartpole.step_batch(xs, np.array([0.5]), None)
+    assert counts["inverse"] == 25 * 4 * 10
 
 
 @pytest.mark.parametrize("name,x", [
@@ -295,8 +348,9 @@ def test_closed_form_inertia_solves_match_lapack(name):
         np.testing.assert_allclose(got, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
 
+    u0 = np.zeros(plant.spec.m)
     for x, (drift, G, jac), G_row in zip(xs, refs, G_batch):
-        close(plant.drift(x), drift)
+        close(plant.drift(x, u0), drift)
         close(plant.control_matrix(x), G)
         close(G_row, G)
         close(plant.control_matrix_jac(x), jac)
@@ -314,7 +368,7 @@ def test_singular_inertia_raises(name, params):
         base.spec, params={**base.spec.params, **params}))
     x = np.full(plant.spec.n, 0.3)
     u = np.zeros(plant.spec.m)
-    calls = [lambda: plant.drift(x), lambda: plant.control_matrix(x),
+    calls = [lambda: plant.drift(x, u), lambda: plant.control_matrix(x),
              lambda: plant.control_matrix(np.stack([x, -x])),
              lambda: plant.control_matrix_jac(x),
              lambda: plant.step(x, u, None),
@@ -350,9 +404,19 @@ def test_make_plant_rejects_bad_parameters(name, params):
         make_plant(name, params=params)
 
 
+@pytest.mark.parametrize("key", ["A", "Bc", "B", "sigma_omega"])
+@pytest.mark.parametrize("value", ["x", [["a"]], [[np.nan]], [[np.inf]], None,
+                                   [[True]], [[1.0], [1.0, 2.0]]])
+def test_make_plant_rejects_non_numeric_linear_parameters(key, value):
+    params = dict(A=[[-1.0]], Bc=[[1.0]], B=[[1.0]], sigma_omega=[[1.0]])
+    params[key] = value
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        make_plant("linear", params=params)
+
+
 def test_make_plant_accepts_zero_friction_and_gravity():
     plant = make_plant("cartpole", params=dict(friction=0, gravity=0.0))
-    assert np.allclose(plant.drift(np.zeros(4)), 0.0)
+    assert np.allclose(plant.drift(np.zeros(4), np.zeros(1)), 0.0)
 
 
 @pytest.mark.parametrize("name", ["cartpole", "dpc", "arm"])
@@ -362,7 +426,8 @@ def test_non_finite_inertia_raises(name, angle):
     x = np.full(plant.spec.n, 0.3)
     x[1 if name == "arm" else 2] = angle
     with np.errstate(invalid="ignore"):
-        for call in (plant.drift, plant.control_matrix, plant.control_matrix_jac,
+        for call in (lambda x: plant.drift(x, np.zeros(plant.spec.m)),
+                     plant.control_matrix, plant.control_matrix_jac,
                      lambda x: plant.control_matrix(np.stack([np.zeros_like(x), x]))):
             with pytest.raises(NumericalError):
                 call(x)
