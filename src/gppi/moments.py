@@ -169,8 +169,12 @@ def _check_beliefs(mu, sigma, checks: RowChecks):
     if s.shape[-1]:
         eig = np.linalg.eigvalsh(0.5 * (s + s.transpose(0, 2, 1)))
         floor = -PSD_TOL * np.maximum(s.trace(axis1=1, axis2=2), 1e-300)
-        checks.fail(~(eig[:, 0] >= floor),
-                    f"belief covariance not PSD (min eig {eig[0, 0]:.3e})")
+        not_psd = ~(eig[:, 0] >= floor)
+        # every belief step runs this check: format the message only on a
+        # failing row
+        if np.count_nonzero(not_psd):
+            checks.fail(not_psd,
+                        f"belief covariance not PSD (min eig {eig[0, 0]:.3e})")
     ok = checks.ok
     if ok.all():
         return mu, sigma

@@ -22,14 +22,18 @@ plants is built and inverted once per row and stage, for f and G
 together.  The linear plant takes the whole batch in one product instead.
 Either way every row is bit-identical to stepping it alone.
 
-The articulated plants never call LAPACK on their mass matrix.  Each
-returns the upper triangle of its 2 x 2 or 3 x 3 inertia, and
-`_sym_inverse` inverts it in closed form, adjugate over determinant, with
-nothing but ``+ - * /``.  So the same formula serves `drift`, which takes
-one state and control as Python floats with `math` trigonometry (one call
-per row, at a fraction of a small `np.linalg.solve`), and `control_matrix`,
-which broadcasts it over any leading batch shape.  A singular or non-finite
-inertia raises `NumericalError`.
+The articulated plants never call LAPACK on their mass matrix; each
+inverts its 2 x 2 or 3 x 3 inertia in closed form, adjugate over
+determinant, with nothing but ``+ - * /``.  The products of the physical
+parameters are computed once, at construction.  `drift` takes one state
+and control as Python floats and is one flat body: `math` trigonometry,
+then the inverse written out inline (one call per row, at a fraction of a
+small `np.linalg.solve`).  `control_matrix` and `control_matrix_jac` build
+the upper triangle of the inertia with `_inertia` and invert it with
+`_sym_inverse`, which broadcasts the same formula over any leading batch
+shape.  The two copies are held equal bit for bit by the test that
+`drift(x, u)` is `drift(x, 0) + control_matrix(x) @ u` exactly.  A singular
+or non-finite inertia raises `NumericalError`.
 
 Each articulated plant is one row of the table `_ARTICULATED`, from which
 `make_plant` builds it and the alias map is built; the linear plant has its
@@ -129,16 +133,21 @@ class Plant:
         Returns the next states (S, n) and the Brownian increments summed
         over the sub-steps (S, p), zero without `rng`.  Each sub-step draws
         one (S, p) block of standard normals from `rng`; for S = 1 that is
-        one p-vector per sub-step.
+        one p-vector per sub-step.  Raises ConfigError for any other shape
+        of `xs` or `u`, and NumericalError for a non-finite entry.
         """
         xs = np.asarray(xs, dtype=float)
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(u)):
-            raise NumericalError("non-finite state or control in plant step")
-        S, m = xs.shape[0], self.spec.m
+        n, m = self.spec.n, self.spec.m
+        if xs.ndim != 2 or xs.shape[0] < 1 or xs.shape[1] != n:
+            raise ConfigError(f"state shape {xs.shape} is not (S, n) for "
+                              f"plant n={n} and S >= 1 states")
+        S = xs.shape[0]
         if u.shape not in ((m,), (S, m)):
             raise ConfigError(f"control shape {u.shape} is neither (m,) nor "
                               f"(S, m) for plant m={m} and S={S} states")
+        if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(u)):
+            raise NumericalError("non-finite state or control in plant step")
         us = np.broadcast_to(u, (S, m))
         h = self.spec.dt / self.spec.substeps
         sq = np.sqrt(h)
@@ -170,6 +179,12 @@ def _psd_sqrt(w: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(w)
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+
+
+# The two NumericalErrors of the inertia, raised by the batched helpers
+# below and by each articulated `drift` inline.
+_SINGULAR = "singular or non-finite inertia matrix"
+_NON_FINITE_ANGLE = "non-finite angle in the plant dynamics"
 
 
 def _sym_inverse(h, first_row=False):
@@ -213,23 +228,20 @@ def _require_regular(det):
     else:
         regular = det != 0 and math.isfinite(det)
     if not regular:
-        raise NumericalError("singular or non-finite inertia matrix")
-
-
-def _sin_cos(theta: float):
-    """`math.sin` and `math.cos` of one angle.  An infinite angle raises
-    NumericalError, as the NaN inertia of a NaN angle does."""
-    try:
-        return math.sin(theta), math.cos(theta)
-    except ValueError:
-        raise NumericalError("non-finite angle in the plant dynamics") from None
+        raise NumericalError(_SINGULAR)
 
 
 def _sin_cos_all(theta):
-    """`_sin_cos` of every angle of an array, as two arrays of its shape, so
-    that each entry is the value `_sin_cos` gives that angle alone."""
+    """`math.sin` and `math.cos` of every angle of an array, as two arrays of
+    its shape, so that each entry is the value `drift` takes for that angle.
+    An infinite angle raises NumericalError, as the NaN inertia of a NaN
+    angle does."""
     theta = np.asarray(theta, dtype=float)
-    pairs = np.array([_sin_cos(t) for t in theta.ravel().tolist()])
+    try:
+        pairs = np.array([(math.sin(t), math.cos(t))
+                          for t in theta.ravel().tolist()])
+    except ValueError:
+        raise NumericalError(_NON_FINITE_ANGLE) from None
     pairs = pairs.reshape(theta.shape + (2,))
     return pairs[..., 0], pairs[..., 1]
 
@@ -286,19 +298,34 @@ class CartPole(Plant):
         self.L = p["pole_length"]
         self.g = p["gravity"]
         self.b = p["friction"]
+        # the inertia H = ((h00, k * cos(theta)), (k * cos(theta), h11)) and
+        # the gravity torque kg * sin(theta), each product in the order of
+        # the formula written out in full
+        self._h00 = self.M + self.m
+        self._k = 0.5 * self.m * self.L
+        self._h11 = self.m * self.L ** 2 / 3.0
+        self._kg = -0.5 * self.m * self.g * self.L
 
     def _inertia(self, c):
         """Upper triangle of the mass matrix at cos(theta) = c."""
-        return ((self.M + self.m, 0.5 * self.m * self.L * c),
-                (self.m * self.L ** 2 / 3.0,))
+        return (self._h00, self._k * c), (self._h11,)
 
     def drift(self, x, u):
         _, xd, th, thd = x
         (u0,) = u
-        s, c = _sin_cos(th)
-        (a, b), (_, d) = _sym_inverse(self._inertia(c))
-        r0 = -self.b * xd + 0.5 * self.m * self.L * thd * thd * s
-        r1 = -0.5 * self.m * self.g * self.L * s
+        try:
+            s, c = math.sin(th), math.cos(th)
+        except ValueError:
+            raise NumericalError(_NON_FINITE_ANGLE) from None
+        h00, k, h11 = self._h00, self._k, self._h11
+        h01 = k * c
+        # H^-1 = ((a, b), (b, d)), adjugate over determinant
+        det = h00 * h11 - h01 * h01
+        if not (det != 0 and math.isfinite(det)):
+            raise NumericalError(_SINGULAR)
+        a, b, d = h11 / det, -h01 / det, h00 / det
+        r0 = -self.b * xd + k * thd * thd * s
+        r1 = self._kg * s
         # G u is the force u0 times the inverse's first column (a, b)
         return [xd, a * r0 + b * r1 + a * u0, thd, b * r0 + d * r1 + b * u0]
 
@@ -316,7 +343,7 @@ class CartPole(Plant):
         s, c = _sin_cos_all(x[..., 2])
         inv = _stacked(_sym_inverse(self._inertia(c)))            # (..., 2, 2)
         dh = np.zeros(x.shape[:-1] + (2, 2))
-        dh[..., 0, 1] = dh[..., 1, 0] = -0.5 * self.m * self.L * s
+        dh[..., 0, 1] = dh[..., 1, 0] = -self._k * s
         dcol = -inv @ (dh @ inv[..., :1])                         # (..., 2, 1)
         jac = np.zeros(x.shape[:-1] + (4, 1, 4))
         jac[..., 1, 0, 2] = dcol[..., 0, 0]
@@ -356,27 +383,54 @@ class DoublePendulumCart(Plant):
         self.l2 = p["link2_length"]
         self.g = p["gravity"]
         self.b = p["friction"]
+        m1, m2, l1, l2, g = self.m1, self.m2, self.l1, self.l2, self.g
+        # the inertia H: constant diagonal h00, h11, h22 and off-diagonal
+        # k1 cos(theta1), k2 cos(theta2), k12 cos(theta1 - theta2); and the
+        # gravity torques g1 sin(theta1), g2 sin(theta2).  Each product is
+        # in the order of the formula written out in full.
+        self._h00 = self.M + m1 + m2
+        self._k1 = (0.5 * m1 + m2) * l1
+        self._k2 = 0.5 * m2 * l2
+        self._h11 = (m1 / 3.0 + m2) * l1 ** 2
+        self._k12 = 0.5 * m2 * l1 * l2
+        self._h22 = m2 * l2 ** 2 / 3.0
+        self._g1 = (0.5 * m1 + m2) * g * l1
+        self._g2 = 0.5 * m2 * g * l2
 
     def _inertia(self, c1, c2, c12):
         """Upper triangle of the mass matrix at cos(theta1) = c1,
         cos(theta2) = c2 and cos(theta1 - theta2) = c12."""
-        m1, m2, l1, l2 = self.m1, self.m2, self.l1, self.l2
-        return ((self.M + m1 + m2, (0.5 * m1 + m2) * l1 * c1, 0.5 * m2 * l2 * c2),
-                ((m1 / 3.0 + m2) * l1 ** 2, 0.5 * m2 * l1 * l2 * c12),
-                (m2 * l2 ** 2 / 3.0,))
+        return ((self._h00, self._k1 * c1, self._k2 * c2),
+                (self._h11, self._k12 * c12),
+                (self._h22,))
 
     def drift(self, x, u):
         _, xd, th1, th1d, th2, th2d = x
         (u0,) = u
-        m1, m2, l1, l2, g = self.m1, self.m2, self.l1, self.l2, self.g
-        s1, c1 = _sin_cos(th1)
-        s2, c2 = _sin_cos(th2)
-        s12, c12 = _sin_cos(th1 - th2)
-        (a, b, c), (_, d, e), (_, _, f) = _sym_inverse(self._inertia(c1, c2, c12))
-        r0 = -self.b * xd + (0.5 * m1 + m2) * l1 * s1 * th1d * th1d \
-            + 0.5 * m2 * l2 * s2 * th2d * th2d
-        r1 = -0.5 * m2 * l1 * l2 * s12 * th2d * th2d - (0.5 * m1 + m2) * g * l1 * s1
-        r2 = 0.5 * m2 * l1 * l2 * s12 * th1d * th1d - 0.5 * m2 * g * l2 * s2
+        try:
+            s1, c1 = math.sin(th1), math.cos(th1)
+            s2, c2 = math.sin(th2), math.cos(th2)
+            s12, c12 = math.sin(th1 - th2), math.cos(th1 - th2)
+        except ValueError:
+            raise NumericalError(_NON_FINITE_ANGLE) from None
+        h00, h11, h22 = self._h00, self._h11, self._h22
+        k1, k2, k12 = self._k1, self._k2, self._k12
+        h01, h02, h12 = k1 * c1, k2 * c2, k12 * c12
+        # H^-1 = ((a, b, c), (b, d, e), (c, e, f)), adjugate over
+        # determinant; the first row's cofactors also expand the determinant
+        c00 = h11 * h22 - h12 * h12
+        c01 = h02 * h12 - h01 * h22
+        c02 = h01 * h12 - h02 * h11
+        det = h00 * c00 + h01 * c01 + h02 * c02
+        if not (det != 0 and math.isfinite(det)):
+            raise NumericalError(_SINGULAR)
+        a, b, c = c00 / det, c01 / det, c02 / det
+        d = (h00 * h22 - h02 * h02) / det
+        e = (h01 * h02 - h00 * h12) / det
+        f = (h00 * h11 - h01 * h01) / det
+        r0 = -self.b * xd + k1 * s1 * th1d * th1d + k2 * s2 * th2d * th2d
+        r1 = -k12 * s12 * th2d * th2d - self._g1 * s1
+        r2 = k12 * s12 * th1d * th1d - self._g2 * s2
         # G u is the force u0 times the inverse's first column (a, b, c)
         return [xd, a * r0 + b * r1 + c * r2 + a * u0,
                 th1d, b * r0 + d * r1 + e * r2 + b * u0,
@@ -398,7 +452,7 @@ class DoublePendulumCart(Plant):
     def control_matrix_jac(self, x):
         x = np.asarray(x, dtype=float)
         th1, th2 = x[..., 2], x[..., 4]
-        m1, m2, l1, l2 = self.m1, self.m2, self.l1, self.l2
+        k1, k2, k12 = self._k1, self._k2, self._k12
         s1, c1 = _sin_cos_all(th1)
         s2, c2 = _sin_cos_all(th2)
         s12, c12 = _sin_cos_all(th1 - th2)
@@ -406,10 +460,10 @@ class DoublePendulumCart(Plant):
 
         # d H / d theta1 and d H / d theta2, stacked on axis -3
         dh = np.zeros(x.shape[:-1] + (2, 3, 3))
-        dh[..., 0, 0, 1] = dh[..., 0, 1, 0] = -(0.5 * m1 + m2) * l1 * s1
-        dh[..., 0, 1, 2] = dh[..., 0, 2, 1] = -0.5 * m2 * l1 * l2 * s12
-        dh[..., 1, 0, 2] = dh[..., 1, 2, 0] = -0.5 * m2 * l2 * s2
-        dh[..., 1, 1, 2] = dh[..., 1, 2, 1] = 0.5 * m2 * l1 * l2 * s12
+        dh[..., 0, 0, 1] = dh[..., 0, 1, 0] = -k1 * s1
+        dh[..., 0, 1, 2] = dh[..., 0, 2, 1] = -k12 * s12
+        dh[..., 1, 0, 2] = dh[..., 1, 2, 0] = -k2 * s2
+        dh[..., 1, 1, 2] = dh[..., 1, 2, 1] = k12 * s12
 
         inv = inv[..., None, :, :]
         dcol = -inv @ (dh @ inv[..., :1])                      # (..., 2, 3, 1)
@@ -455,21 +509,42 @@ class TwoLinkArm(Plant):
         self.lc2 = 0.5 * self.l2
         self.I1 = self.m1 * self.l1 ** 2 / 12.0
         self.I2 = self.m2 * self.l2 ** 2 / 12.0
+        m2, l1, lc2 = self.m2, self.l1, self.lc2
+        # the inertia H = ((p00 + m2 (q00 + k00 cos), m2 (q01 + k01 cos) + I2),
+        # (., h11)) at cos(theta2), and the Coriolis coefficient kc of
+        # sin(theta2); each sum and product in the order of the formula
+        # written out in full
+        self._p00 = self.m1 * self.lc1 ** 2 + self.I1 + self.I2
+        self._q00 = l1 ** 2 + lc2 ** 2
+        self._k00 = 2 * l1 * lc2
+        self._q01 = lc2 ** 2
+        self._k01 = l1 * lc2
+        self._h11 = m2 * lc2 ** 2 + self.I2
+        self._kc = m2 * l1 * lc2
 
     def _inertia(self, c2):
         """Upper triangle of the mass matrix at cos(theta2) = c2."""
-        m2, l1, lc2 = self.m2, self.l1, self.lc2
-        return ((self.m1 * self.lc1 ** 2 + self.I1 + self.I2
-                 + m2 * (l1 ** 2 + lc2 ** 2 + 2 * l1 * lc2 * c2),
-                 m2 * (lc2 ** 2 + l1 * lc2 * c2) + self.I2),
-                (m2 * lc2 ** 2 + self.I2,))
+        m2 = self.m2
+        return ((self._p00 + m2 * (self._q00 + self._k00 * c2),
+                 m2 * (self._q01 + self._k01 * c2) + self.I2),
+                (self._h11,))
 
     def drift(self, x, u):
         _, th2, w1, w2 = x
         u0, u1 = u
-        s2, c2 = _sin_cos(th2)
-        (a, b), (_, d) = _sym_inverse(self._inertia(c2))
-        h = self.m2 * self.l1 * self.lc2 * s2
+        try:
+            s2, c2 = math.sin(th2), math.cos(th2)
+        except ValueError:
+            raise NumericalError(_NON_FINITE_ANGLE) from None
+        m2, h11 = self.m2, self._h11
+        h00 = self._p00 + m2 * (self._q00 + self._k00 * c2)
+        h01 = m2 * (self._q01 + self._k01 * c2) + self.I2
+        # H^-1 = ((a, b), (b, d)), adjugate over determinant
+        det = h00 * h11 - h01 * h01
+        if not (det != 0 and math.isfinite(det)):
+            raise NumericalError(_SINGULAR)
+        a, b, d = h11 / det, -h01 / det, h00 / det
+        h = self._kc * s2
         # minus the Coriolis bias, minus the joint friction
         r0 = h * w2 * (2 * w1 + w2) - self.b * w1
         r1 = -h * w1 * w1 - self.b * w2
@@ -490,7 +565,7 @@ class TwoLinkArm(Plant):
         x = np.asarray(x, dtype=float)
         s2, c2 = _sin_cos_all(x[..., 1])
         minv = _stacked(_sym_inverse(self._inertia(c2)))          # (..., 2, 2)
-        d = -self.m2 * self.l1 * self.lc2 * s2
+        d = -self._kc * s2
         dm = np.zeros(x.shape[:-1] + (2, 2))
         dm[..., 0, 0] = 2 * d
         dm[..., 0, 1] = dm[..., 1, 0] = d

@@ -445,3 +445,13 @@ class TestFusedKernel:
         assert np.all(want[:, :-2, :-2] > 0)
         assert not np.any(want[:, -2:]) and not np.any(want[:, :, -2:])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_non_psd_belief_message_names_min_eigenvalue():
+    mu = np.zeros((1, 3))
+    with pytest.raises(NumericalError, match=r"^belief covariance not PSD "
+                                             r"\(min eig -1\.000e-01\)"):
+        moments._check_beliefs(mu, np.diag([0.2, -0.1, 0.3])[None],
+                               moments.RowChecks(None))
+    psd = np.diag([0.2, 0.1, 0.3])[None]
+    assert moments._check_beliefs(mu, psd, moments.RowChecks(None))[1] is psd

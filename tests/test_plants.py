@@ -202,6 +202,57 @@ def test_batched_rate_and_step_rows_equal_single_rows(name, n_rows):
     assert np.array_equal(batch, [plant.step(x, u, None) for x in xs])
 
 
+# Two sets of physical parameters per articulated plant, far from the
+# defaults; one has no friction, the other no gravity (the arm has none).
+_OTHER_PARAMS = [
+    ("cartpole", dict(cart_mass=1.7, pole_mass=0.23, pole_length=1.3,
+                      gravity=3.7, friction=0.0)),
+    ("cartpole", dict(cart_mass=0.05, pole_mass=5.0, pole_length=0.07,
+                      gravity=0.0, friction=2.5)),
+    ("dpc", dict(cart_mass=2.1, link1_mass=0.3, link2_mass=1.1,
+                 link1_length=0.9, link2_length=0.4, gravity=1.62,
+                 friction=0.0)),
+    ("dpc", dict(cart_mass=0.05, link1_mass=3.0, link2_mass=0.07,
+                 link1_length=0.2, link2_length=1.7, gravity=0.0,
+                 friction=1.3)),
+    ("arm", dict(link1_mass=1.9, link2_mass=0.2, link1_length=0.3,
+                 link2_length=1.4, friction=0.0)),
+    ("arm", dict(link1_mass=0.04, link2_mass=4.0, link1_length=2.2,
+                 link2_length=0.06, friction=3.0)),
+]
+
+# The angle entries of each articulated plant's state.
+_ANGLES = dict(cartpole=[2], dpc=[2, 4], arm=[0, 1])
+
+
+@pytest.mark.parametrize("name,params", _OTHER_PARAMS)
+def test_rate_rows_follow_physical_parameters(name, params):
+    # the constants that each plant computes at construction follow
+    # `params`: the flat drift, the batched G and the LAPACK reference,
+    # which reads the parameters themselves, agree away from the defaults
+    plant = make_plant(name, params=params)
+    n, m = plant.spec.n, plant.spec.m
+    rng = np.random.default_rng(27)
+    xs = rng.normal(size=(40, n))
+    xs[::2, _ANGLES[name]] = rng.uniform(-1e3, 1e3, (20, len(_ANGLES[name])))
+    us = rng.normal(size=(40, m))
+    rate = plant._controlled_rate(xs, us)
+    split = np.array([np.add(plant.drift(x, np.zeros(m)), plant.control_matrix(x) @ u)
+                      for x, u in zip(xs, us)])
+    if name == "arm":
+        np.testing.assert_allclose(rate, split, rtol=1e-14, atol=0.0)
+    else:
+        assert np.array_equal(rate, split)
+    for x, u, row in zip(xs, us, rate):
+        drift, G, _ = _reference_drift_G_jac(plant, x)
+        ref = drift + G @ u
+        np.testing.assert_allclose(row, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+    small = xs[1::2] / 3.0
+    batch, _ = plant.step_batch(small, us[0], None)
+    assert np.array_equal(batch, [plant.step(x, us[0], None) for x in small])
+
+
 @pytest.mark.parametrize("name", ["cartpole", "dpc", "arm", "linear"])
 def test_step_batch_takes_one_control_per_row(name):
     plant = _any_plant(name)
@@ -222,27 +273,41 @@ def test_step_batch_rejects_control_shape(cartpole, shape):
 
 
 def test_one_inertia_inverse_per_row_and_rk4_stage(monkeypatch):
-    counts = {"inverse": 0}
+    # each `drift` call inverts the inertia inline, so the inverses are the
+    # drift calls, and no batched helper may build or invert an inertia
+    counts = {"drift": 0}
 
-    def counted(*args, **kwargs):
-        counts["inverse"] += 1
-        return inverse(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the integrator left the flat drift")
 
-    def forbidden(self, x):
-        raise AssertionError("the integrator evaluated G apart from the drift")
-
-    inverse = plants._sym_inverse
-    monkeypatch.setattr(plants, "_sym_inverse", counted)
-    monkeypatch.setattr(CartPole, "control_matrix", forbidden)
-    monkeypatch.setattr(DoublePendulumCart, "control_matrix", forbidden)
+    for name in ("_sym_inverse", "_sin_cos_all"):
+        monkeypatch.setattr(plants, name, forbidden)
+    for cls in (CartPole, DoublePendulumCart):
+        def counted(self, x, u, _drift=cls.drift):
+            counts["drift"] += 1
+            return _drift(self, x, u)
+        monkeypatch.setattr(cls, "drift", counted)
+        monkeypatch.setattr(cls, "control_matrix", forbidden)
+        monkeypatch.setattr(cls, "_inertia", forbidden)
     dpc = make_plant("dpc", substeps=10)
     dpc.step(np.full(6, 0.3), np.array([0.5]), None)
-    assert counts["inverse"] == 4 * 10
-    counts["inverse"] = 0
+    assert counts["drift"] == 4 * 10
+    counts["drift"] = 0
     cartpole = make_plant("cartpole", substeps=10)
     xs = np.random.default_rng(3).normal(size=(25, 4))
     cartpole.step_batch(xs, np.array([0.5]), None)
-    assert counts["inverse"] == 25 * 4 * 10
+    assert counts["drift"] == 25 * 4 * 10
+
+
+@pytest.mark.parametrize("name", ["cartpole", "dpc", "arm", "linear"])
+def test_step_batch_rejects_state_shape(name):
+    plant = _any_plant(name)
+    n, m = plant.spec.n, plant.spec.m
+    for shape in [(n,), (3, n + 1), (3, n - 1), (0, n), (2, n, 1)]:
+        with pytest.raises(ConfigError, match=r"state shape .* \(S, n\)"):
+            plant.step_batch(np.zeros(shape), np.zeros(m), None)
+    with pytest.raises(ConfigError, match="state shape"):
+        plant.step(np.zeros(n + 1), np.zeros(m), None)
 
 
 @pytest.mark.parametrize("name,x", [
@@ -334,7 +399,7 @@ def test_closed_form_inertia_solves_match_lapack(name):
     n = plant.spec.n
     rng = np.random.default_rng(1846)
     xs = np.empty((1000, n))
-    angles = [2] if name == "cartpole" else [2, 4] if name == "dpc" else [0, 1]
+    angles = _ANGLES[name]
     other = [k for k in range(n) if k not in angles]
     xs[:, angles] = rng.uniform(-10.0, 10.0, (1000, len(angles)))
     xs[:, other] = rng.uniform(-20.0, 20.0, (1000, len(other)))
