@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gppi import gp
 from gppi.checks import factor_deviation, projected_gradient, random_tied_case
@@ -473,9 +474,13 @@ class TestDowndate:
         def forbidden(*args, **kwargs):
             raise AssertionError("an O(N^3) routine ran in an at-max update")
 
-        for name in ("kernel_matrix", "chol_with_jitter", "cho_solve",
-                     "_chol_inverse"):
-            monkeypatch.setattr(gp, name, forbidden)
+        def forbid_cubic_routines():
+            for name in ("kernel_matrix", "chol_with_jitter", "_chol_inverse"):
+                monkeypatch.setattr(gp, name, forbidden)
+            # gp imports cho_solve from scipy.linalg at call time
+            monkeypatch.setattr(scipy.linalg, "cho_solve", forbidden)
+
+        forbid_cubic_routines()
         x = rng.normal(size=n)
         new, status = _add(model, x, np.sin(x))
         assert status == "ok" and new.n_points == N and new.factored
@@ -487,9 +492,7 @@ class TestDowndate:
         assert new.inv_grams[0].shape == (N, N)
         assert "inv_grams" in new.__dict__
         # the moment constants come from hyper, alphas and inv_grams alone
-        for name in ("kernel_matrix", "chol_with_jitter", "cho_solve",
-                     "_chol_inverse"):
-            monkeypatch.setattr(gp, name, forbidden)
+        forbid_cubic_routines()
         for name in _MOMENT_CONSTANTS:
             getattr(new, name)
             assert name in new.__dict__, name

@@ -186,19 +186,6 @@ class TestRunLearn:
                   for out in outs]
         assert stamps[0] == stamps[1]
 
-    def test_learning_does_not_import_scipy_optimize(self, tmp_path):
-        # importing scipy.optimize adds about 21 MB of resident memory
-        code = ("import json, sys\n"
-                "from gppi.harness import run_learn\n"
-                "run_learn(json.loads(sys.argv[1]))\n"
-                "print('scipy.optimize' in sys.modules)\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", code,
-             json.dumps(_linear_config(tmp_path, trials=1))],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
     def test_unwritable_output_dir(self, tmp_path):
         cfg = _linear_config(tmp_path)
         blocker = tmp_path / "blocked"
@@ -206,6 +193,26 @@ class TestRunLearn:
         cfg["output_dir"] = str(blocker / "sub")
         with pytest.raises(ConfigError):
             run_learn(cfg)
+
+
+# Loading scipy.optimize adds about 21 MB of resident memory and
+# scipy.linalg about 25 MB, so a process that never calls a module leaves it
+# unloaded.
+@pytest.mark.parametrize("code,module", [
+    ("from gppi.harness import run_learn\n"
+     "run_learn(json.loads(sys.argv[1]))\n", "scipy.optimize"),
+    ("from gppi.harness import run_baseline\n"
+     "run_baseline(json.loads(sys.argv[1]))\n", "scipy.linalg"),
+    ("import gppi\n", "scipy.linalg"),
+], ids=["run_learn", "run_baseline", "import_gppi"])
+def test_fresh_process_does_not_load(tmp_path, code, module):
+    code = f"import json, sys\n{code}print({module!r} in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code,
+         json.dumps(_linear_config(tmp_path, trials=1))],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("runner", [run_learn, run_baseline],
