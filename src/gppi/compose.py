@@ -24,6 +24,7 @@ from .control import (ControlSequence, CostSpec, backward_desirability,
                       forward_rollout, log_phi_step,
                       terminal_log_desirability)
 from .errors import AlignmentError, ConfigError
+from .plants import _real_array
 
 MIN_NEAREST_WEIGHT = 0.1
 
@@ -62,11 +63,11 @@ class TaskLibrary:
 
     def __post_init__(self):
         n = _state_size(self.records)
-        try:
-            width = np.atleast_1d(np.asarray(self.kernel_width, dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"kernel width must be numbers: {exc}") from exc
-        self.kernel_width = width
+        width = _real_array(self.kernel_width)
+        if width is None:
+            raise ConfigError("kernel width must be numbers (no bools or "
+                              f"strings), got {self.kernel_width!r}")
+        width = self.kernel_width = np.atleast_1d(width)
         if (width.shape not in ((1,), (n,)) or not np.all(np.isfinite(width))
                 or not np.all(width > 0)):
             raise ConfigError(f"kernel width must hold 1 or {n} finite "

@@ -47,6 +47,8 @@ logger = logging.getLogger(__name__)
 JITTER_BASE = 1e-10
 JITTER_MAX = 1e-4
 LOG_HYPER_BOUNDS = (-12.0, 8.0)
+# The fewest training pairs that a hyperparameter fit accepts.
+MIN_FIT_POINTS = 2
 # value of `tied_log_marginal_likelihood` past its jitter ladder
 _SENTINEL = -1e18
 
@@ -542,8 +544,8 @@ def fit_hyperparameters(train: TrainingSet, *, rng=None, n_restarts: int = 4,
     below the unperturbed start or the likelihood's sentinel,
     'no-improvement' (with the unperturbed start returned).
     """
-    if train.size < 2:
-        raise ConfigError("need at least two training pairs to fit")
+    if train.size < MIN_FIT_POINTS:
+        raise ConfigError(f"need at least {MIN_FIT_POINTS} training pairs to fit")
     if rng is None:
         rng = np.random.default_rng(0)
     base = init if init is not None else _default_init(train)

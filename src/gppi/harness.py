@@ -24,8 +24,8 @@ from .compose import (TaskLibrary, composite_plan,
 from .control import CostSpec, mpc_learning_loop
 from .baselines import sampling_pi_control
 from .errors import AlignmentError, ConfigError, NumericalError
-from .gp import save_model
-from .plants import (DT, NOISE_STD, SUBSTEPS, _require_count,
+from .gp import MIN_FIT_POINTS, save_model
+from .plants import (DT, NOISE_STD, SUBSTEPS, _real_array, _require_count,
                      _require_number, canonical_plant_name, make_plant)
 from .protocols import PLANT_PROTOCOLS
 from .records import (ControllerRecord, CostFields, export_trace_csv,
@@ -143,12 +143,10 @@ def build_cost(cost_cfg: dict, dt: float) -> CostSpec:
 
 def _state_vector(what: str, value, plant) -> np.ndarray:
     """`value` as a float array of one finite number per state of `plant`;
-    raises ConfigError, naming `what`, for anything else."""
+    raises ConfigError, naming `what`, for anything else, bools and strings
+    included."""
     n = plant.spec.n
-    try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        vec = None
+    vec = _real_array(value)
     if vec is None or vec.shape != (n,) or not np.all(np.isfinite(vec)):
         raise ConfigError(f"{what} must hold {n} finite numbers, one per "
                           f"state of the {plant.spec.name} plant, got "
@@ -229,14 +227,31 @@ def _flush_failure(out_dir: Path, exc: Exception) -> None:
         fh.write(f"{type(exc).__name__}: {exc}\n")
 
 
+def _check_fit_size(proto: dict, horizon_steps: int) -> None:
+    """ConfigError unless the initialization rollouts can give the first
+    hyperparameter fit `gp.MIN_FIT_POINTS` training pairs and a set
+    max_points can hold them."""
+    pairs = proto["init_rollouts"] * horizon_steps
+    if pairs < MIN_FIT_POINTS:
+        raise ConfigError(
+            f"protocol.init_rollouts x cost.horizon_steps is {pairs} training "
+            f"pairs; the hyperparameter fit needs at least {MIN_FIT_POINTS}")
+    if proto["max_points"] is not None and proto["max_points"] < MIN_FIT_POINTS:
+        raise ConfigError(
+            f"protocol.max_points {proto['max_points']} holds fewer than the "
+            f"{MIN_FIT_POINTS} training pairs the hyperparameter fit needs")
+
+
 def run_learn(config: dict) -> dict:
     """Execute the learning protocol and write all run artifacts.  A config
-    that does not fit its plant raises ConfigError before the run directory
-    is made."""
+    that does not fit its plant, or whose initialization cannot give the
+    hyperparameter fit enough training pairs (`_check_fit_size`), raises
+    ConfigError before the run directory is made."""
     config = fill_defaults(config)
     plant, cost, x0 = _plant_cost_start(config)
-    out = _prepare_run_dir(config)
     proto = config["protocol"]
+    _check_fit_size(proto, cost.horizon_steps)
+    out = _prepare_run_dir(config)
     try:
         result = mpc_learning_loop(
             plant, cost, trials=proto["trials"], seed=proto["seed"],

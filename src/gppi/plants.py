@@ -16,11 +16,24 @@ drift while the noise handling stays Euler-Maruyama.
 There is one integrator, `Plant.step_batch`, which steps a batch of states
 (S, n) under one control (m,) or one control per row (S, m); `Plant.step`
 is a batch of one.  The sampling baseline steps its whole sample batch
-through it.  Each RK4 stage evaluates the controlled rate f(x) + G(x) u
-with one `drift(x, u)` call per row, so the inertia of the articulated
-plants is built and inverted once per row and stage, for f and G
-together.  The linear plant takes the whole batch in one product instead.
-Either way every row is bit-identical to stepping it alone.
+through it.  The fixed work of a step runs once per step, not once per
+sub-step or RK4 stage:
+
+- The controls are bound once: `_rate_under` turns them into floats and
+  returns the controlled rate f(x) + G(x) u as a function of the states
+  alone, which `_rk4` calls at each stage.  A stage is one `drift(x, u)`
+  call per row, gathered by one `np.fromiter`, so the inertia of the
+  articulated plants is built and inverted once per row and stage, for f
+  and G together.  The linear plant forms Bc u once per step and adds A x
+  for the whole batch at each stage.
+- The noise is one (substeps, S, p) block of standard normals, drawn after
+  the input checks.  A `numpy.random.Generator` draws the same values in
+  one block as in `substeps` blocks of (S, p), so the increments and the
+  state kicks, one stacked product each, are those of a draw per
+  sub-step, and kick k is added after sub-step k.  A step that diverges
+  has drawn its whole block.
+
+Every row is bit-identical to stepping it alone.
 
 The articulated plants never call LAPACK on their mass matrix; each
 inverts its 2 x 2 or 3 x 3 inertia in closed form, adjugate over
@@ -48,6 +61,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -116,9 +130,15 @@ class Plant:
         raise NotImplementedError(f"{self.spec.name} has no energy function")
 
     # --- integration --------------------------------------------------------
-    def _controlled_rate(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """The rates of states `xs` (S, n) under controls `us` (S, m)."""
-        return np.array([self.drift(x, u) for x, u in zip(xs.tolist(), us.tolist())])
+    def _rate_under(self, us: np.ndarray):
+        """The controlled rate under controls `us` (S, m), as a function of
+        states (S, n) alone: the controls become floats once, and each call
+        is one `drift` per row."""
+        drift, controls = self.drift, us.tolist()
+        S, n = us.shape[0], self.spec.n
+        return lambda xs: np.fromiter(
+            chain.from_iterable(map(drift, xs.tolist(), controls)), float,
+            S * n).reshape(S, n)
 
     def step(self, x, u, rng: np.random.Generator | None = None) -> np.ndarray:
         """One control step of one state, a batch of one for `step_batch`;
@@ -131,10 +151,14 @@ class Plant:
         one control (m,) for every row or one per row (S, m).
 
         Returns the next states (S, n) and the Brownian increments summed
-        over the sub-steps (S, p), zero without `rng`.  Each sub-step draws
-        one (S, p) block of standard normals from `rng`; for S = 1 that is
-        one p-vector per sub-step.  Raises ConfigError for any other shape
-        of `xs` or `u`, and NumericalError for a non-finite entry.
+        over the sub-steps (S, p), zero without `rng`.  The controls are
+        bound to the rate once per step.  The noise is one (substeps, S, p)
+        block of standard normals from `rng`, drawn after the shape and
+        finiteness checks; its slice k is the block that sub-step k drew
+        when each drew its own, so the values are the same.  A step that
+        diverges has drawn its whole block.  Raises ConfigError for any
+        other shape of `xs` or `u`, and NumericalError for a non-finite
+        entry.
         """
         xs = np.asarray(xs, dtype=float)
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -148,28 +172,34 @@ class Plant:
                               f"(S, m) for plant m={m} and S={S} states")
         if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(u)):
             raise NumericalError("non-finite state or control in plant step")
-        us = np.broadcast_to(u, (S, m))
-        h = self.spec.dt / self.spec.substeps
-        sq = np.sqrt(h)
+        rate = self._rate_under(np.broadcast_to(u, (S, m)))
+        K = self.spec.substeps
+        h = self.spec.dt / K
         B = self.spec.B
         dw_sum = np.zeros((S, B.shape[1]))
-        for _ in range(self.spec.substeps):
-            xs = _rk4(self._controlled_rate, xs, us, h)
+        if rng is not None:
+            # a stacked product takes each (S, p) slice as a plain 2-D one
+            dws = np.sqrt(h) * (rng.standard_normal((K,) + dw_sum.shape)
+                                @ self._noise_chol.T)
+            kicks = dws @ B.T
+        for k in range(K):
+            xs = _rk4(rate, xs, h)
             if rng is not None:
-                dw = sq * (rng.standard_normal(dw_sum.shape) @ self._noise_chol.T)
-                xs = xs + dw @ B.T
-                dw_sum += dw
+                xs = xs + kicks[k]
+                # a running sum: `sum(axis=0)` may add pairwise
+                dw_sum += dws[k]
             # `not <=` so that a NaN row, which compares False, fails too
             if not (np.einsum("ij,ij->i", xs, xs) <= DIVERGENCE_NORM ** 2).all():
                 raise NumericalError("plant state diverged", step=None)
         return xs, dw_sum
 
 
-def _rk4(rate, x, u, h):
-    k1 = rate(x, u)
-    k2 = rate(x + 0.5 * h * k1, u)
-    k3 = rate(x + 0.5 * h * k2, u)
-    k4 = rate(x + h * k3, u)
+def _rk4(rate, x, h):
+    """One RK4 sub-step of length `h` of states `x` under `rate(x)`."""
+    k1 = rate(x)
+    k2 = rate(x + 0.5 * h * k1)
+    k3 = rate(x + 0.5 * h * k2)
+    k4 = rate(x + h * k3)
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -269,11 +299,12 @@ class LinearPlant(Plant):
     def drift(self, x, u):
         return self.A @ np.asarray(x, dtype=float) + self.Bc @ np.asarray(u, dtype=float)
 
-    def _controlled_rate(self, xs, us):
+    def _rate_under(self, us):
         # einsum, not `@`: BLAS takes one row through GEMV and a batch
         # through GEMM, which sum in different orders, so a row of a batch
         # would not be bit-identical to the state stepped alone
-        return np.einsum("ij,kj->ik", xs, self.A) + np.einsum("ij,kj->ik", us, self.Bc)
+        bu = np.einsum("ij,kj->ik", us, self.Bc)
+        return lambda xs: np.einsum("ij,kj->ik", xs, self.A) + bu
 
     def control_matrix(self, x):
         return np.broadcast_to(self.Bc, np.shape(x)[:-1] + self.Bc.shape)
@@ -666,18 +697,35 @@ def _physical_params(defaults: dict, params: dict | None) -> dict:
     return p
 
 
-def _finite_array(key: str, value) -> np.ndarray:
-    """`value` as a float array.  Raises ConfigError, naming the linear plant
-    parameter `key`, unless it is a number or a regular nest of lists of
-    numbers (no bools or strings), all of them finite."""
+def _real_array(value) -> np.ndarray | None:
+    """`value` as a float array if it is a number or a regular nest of lists
+    of numbers (no bools or strings), else None."""
     try:
         arr = np.asarray(value)
     except ValueError:      # a ragged nest of lists
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        return None
+    # numpy reads a list that mixes bools and floats as floats
+    if arr.dtype.kind not in "iuf" or _holds_bool(value):
+        return None
+    return arr.astype(float)
+
+
+def _holds_bool(value) -> bool:
+    """Whether `value` is a bool or a nest of lists that holds one."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
+
+
+def _finite_array(key: str, value) -> np.ndarray:
+    """`value` as a float array.  Raises ConfigError, naming the linear plant
+    parameter `key`, unless `_real_array` takes it and every entry is
+    finite."""
+    arr = _real_array(value)
+    if arr is None or not np.all(np.isfinite(arr)):
         raise ConfigError(f"linear plant parameter '{key}' must be an array of "
                           f"finite numbers, got {value!r}")
-    return arr.astype(float)
+    return arr
 
 
 def make_plant(name: str, *, dt: float = DT, substeps: int = SUBSTEPS,

@@ -104,7 +104,8 @@ class TestLibraryChecks:
         assert not isinstance(err.value, AlignmentError)
 
     @pytest.mark.parametrize("width", [[1.0, 1.0, 1.0], [np.nan, 1.0],
-                                       [np.inf], [0.0], ["wide"]])
+                                       [np.inf], [0.0], ["wide"], [True],
+                                       True, [1.0, True]])
     def test_kernel_width_checked(self, width):
         with pytest.raises(ConfigError, match="kernel width"):
             TaskLibrary(self._two(), width)

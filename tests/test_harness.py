@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from gppi import checks, harness
+from gppi import checks, harness, protocols
 from gppi.cli import main as cli_main
 from gppi.control import CostSpec, terminal_log_desirability
 from gppi.errors import AlignmentError, ConfigError
@@ -286,6 +286,45 @@ def test_malformed_protocol_setting_is_config_error(tmp_path, key, value):
     assert not Path(cfg["output_dir"]).exists()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("cost", "Q_diag", [True]), ("cost", "x_d", [False]),
+    ("protocol", "x0", [True]), ("protocol", "x0", ["0.5"])])
+def test_non_numeric_state_vector_exits_2(tmp_path, section, key, value):
+    cfg = _linear_config(tmp_path)
+    cfg[section][key] = value
+    for runner, command in ((run_learn, "learn"),
+                            (run_baseline, "baseline-pi")):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            runner(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli_main([command, str(p)]) == 2
+    assert not Path(cfg["output_dir"]).exists()
+
+
+@pytest.mark.parametrize("horizon,init,max_points", [(4, 1, 1), (1, 1, 6)],
+                         ids=["one-point-gp", "one-init-pair"])
+def test_learn_that_cannot_fit_exits_2_before_its_run_dir(tmp_path, horizon,
+                                                          init, max_points):
+    # the first hyperparameter fit needs two training pairs: either the
+    # GP holds one point or the initialization gives one
+    cfg = protocols.cartpole_swingup(seed=0, trials=1,
+                                     output_dir=str(tmp_path / "run"))
+    cfg["cost"]["horizon_steps"] = horizon
+    cfg["protocol"].update(init_rollouts=init, max_points=max_points)
+    with pytest.raises(ConfigError, match="hyperparameter fit"):
+        run_learn(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert cli_main(["learn", str(p)]) == 2
+    assert not Path(cfg["output_dir"]).exists()
+    # the baseline fits no model, so it takes the same config
+    cfg["protocol"].update(baseline_samples=3, baseline_iterations=1)
+    p.write_text(json.dumps(cfg))
+    assert cli_main(["baseline-pi", str(p)]) == 0
+    assert (Path(cfg["output_dir"]) / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("name,params", [
     ("linear", ["A"]), ("linear", 3), ("cartpole", ["cart_mass"])])
 def test_plant_params_not_an_object_is_config_error(tmp_path, name, params):
@@ -491,6 +530,22 @@ class TestRunCompose:
         with pytest.raises(ConfigError, match="manifest x0"):
             run_compose(manifest, [0.3])
         assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2
+
+    @pytest.mark.parametrize("key,named", [("x0", "manifest x0"),
+                                           ("P_diag", "kernel width")])
+    def test_boolean_manifest_vector_exits_2(self, tmp_path, key, named):
+        manifest = self._make_library(tmp_path, targets=(0.3,))
+        doc = json.loads(manifest.read_text())
+        doc[key] = [True]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=named):
+            run_compose(manifest, [0.3])
+        assert cli_main(["compose", str(manifest), "--target", "0.3"]) == 2
+
+    def test_boolean_target_is_config_error(self, tmp_path):
+        manifest = self._make_library(tmp_path, targets=(0.3,))
+        with pytest.raises(ConfigError, match="target"):
+            run_compose(manifest, [True])
 
     def test_non_finite_manifest_x0_exits_2(self, tmp_path):
         manifest = self._make_library(tmp_path, targets=(0.3,))

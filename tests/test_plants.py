@@ -5,7 +5,8 @@ import pytest
 
 from gppi import plants
 from gppi.errors import ConfigError, NumericalError
-from gppi.plants import CartPole, DoublePendulumCart, TwoLinkArm, make_plant
+from gppi.plants import (CartPole, DoublePendulumCart, LinearPlant, TwoLinkArm,
+                         make_plant)
 
 
 def test_cartpole_equilibrium_down():
@@ -186,7 +187,7 @@ def test_batched_rate_and_step_rows_equal_single_rows(name, n_rows):
     rng = np.random.default_rng(n_rows)
     xs = rng.normal(size=(n_rows, plant.spec.n))
     us = rng.normal(size=(n_rows, m))
-    rate = plant._controlled_rate(xs, us)
+    rate = plant._rate_under(us)(xs)
     split = np.array([np.add(plant.drift(x, np.zeros(m)), plant.control_matrix(x) @ u)
                       for x, u in zip(xs, us)])
     if name in ("cartpole", "dpc"):
@@ -236,7 +237,7 @@ def test_rate_rows_follow_physical_parameters(name, params):
     xs = rng.normal(size=(40, n))
     xs[::2, _ANGLES[name]] = rng.uniform(-1e3, 1e3, (20, len(_ANGLES[name])))
     us = rng.normal(size=(40, m))
-    rate = plant._controlled_rate(xs, us)
+    rate = plant._rate_under(us)(xs)
     split = np.array([np.add(plant.drift(x, np.zeros(m)), plant.control_matrix(x) @ u)
                       for x, u in zip(xs, us)])
     if name == "arm":
@@ -308,6 +309,75 @@ def test_step_batch_rejects_state_shape(name):
             plant.step_batch(np.zeros(shape), np.zeros(m), None)
     with pytest.raises(ConfigError, match="state shape"):
         plant.step(np.zeros(n + 1), np.zeros(m), None)
+
+
+def _reference_step_batch(plant, xs, u, rng):
+    """`step_batch` written the long way, as the reference for its bits:
+    the controls are read again at every RK4 stage, each stage is one
+    `np.array` over the drift rows (the linear plant's is its two einsums),
+    and each sub-step draws its own (S, p) noise block."""
+    S, spec = xs.shape[0], plant.spec
+    us = np.broadcast_to(np.atleast_1d(np.asarray(u, dtype=float)), (S, spec.m))
+
+    def rate(x):
+        if isinstance(plant, LinearPlant):
+            return (np.einsum("ij,kj->ik", x, plant.A)
+                    + np.einsum("ij,kj->ik", us, plant.Bc))
+        return np.array([plant.drift(a, b)
+                         for a, b in zip(x.tolist(), us.tolist())])
+
+    h = spec.dt / spec.substeps
+    dw_sum = np.zeros((S, spec.B.shape[1]))
+    for _ in range(spec.substeps):
+        k1 = rate(xs)
+        k2 = rate(xs + 0.5 * h * k1)
+        k3 = rate(xs + 0.5 * h * k2)
+        k4 = rate(xs + h * k3)
+        xs = xs + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if rng is not None:
+            dw = np.sqrt(h) * (rng.standard_normal(dw_sum.shape)
+                               @ plant._noise_chol.T)
+            xs = xs + dw @ spec.B.T
+            dw_sum += dw
+    return xs, dw_sum
+
+
+def _reference_plant(name):
+    if name == "linear-1d":
+        # one state and one noise column: a (substeps, 1, 1) block
+        return make_plant("linear", params=dict(A=[[-0.4]], Bc=[[1.0]],
+                                                B=[[0.08]], sigma_omega=[[1.0]]))
+    if name == "linear-full":
+        # p = 2 < n = 3 noise columns, a non-diagonal B and a full sigma_omega
+        return make_plant("linear", params=dict(
+            A=[[-0.5, 0.3, 0.0], [0.1, -0.2, 0.4], [0.0, -0.3, -0.1]],
+            Bc=[[1.0, 0.4], [-0.3, 2.0], [0.5, 0.0]],
+            B=[[1.0, 0.5], [0.2, 2.0], [-0.7, 0.3]],
+            sigma_omega=[[0.04, 0.01], [0.01, 0.09]]))
+    return _any_plant(name)
+
+
+@pytest.mark.parametrize("name", ["cartpole", "dpc", "arm", "linear",
+                                  "linear-1d", "linear-full"])
+@pytest.mark.parametrize("S", [1, 3, 25])
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared-u", "per-row-u"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["no-rng", "rng"])
+def test_step_batch_matches_reference_bit_for_bit(name, S, per_row, noisy):
+    plant = _reference_plant(name)
+    n, m = plant.spec.n, plant.spec.m
+    rng = np.random.default_rng(S)
+    xs = rng.normal(size=(S, n))
+    u = rng.normal(size=(S, m) if per_row else (m,))
+    new, ref = ((np.random.default_rng(11), np.random.default_rng(11))
+                if noisy else (None, None))
+    x_new, dw_new = plant.step_batch(xs, u, new)
+    x_ref, dw_ref = _reference_step_batch(plant, xs, u, ref)
+    # tobytes also tells -0.0 from +0.0
+    assert x_new.tobytes() == x_ref.tobytes()
+    assert dw_new.tobytes() == dw_ref.tobytes()
+    if noisy:
+        # the noise block drew what the per-sub-step draws drew, no more
+        assert new.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
 
 
 @pytest.mark.parametrize("name,x", [
@@ -471,7 +541,7 @@ def test_make_plant_rejects_bad_parameters(name, params):
 
 @pytest.mark.parametrize("key", ["A", "Bc", "B", "sigma_omega"])
 @pytest.mark.parametrize("value", ["x", [["a"]], [[np.nan]], [[np.inf]], None,
-                                   [[True]], [[1.0], [1.0, 2.0]]])
+                                   [[True]], [[1.0], [1.0, 2.0]], [[1.0, True]]])
 def test_make_plant_rejects_non_numeric_linear_parameters(key, value):
     params = dict(A=[[-1.0]], Bc=[[1.0]], B=[[1.0]], sigma_omega=[[1.0]])
     params[key] = value
